@@ -26,6 +26,6 @@ from .linearize import (
     solve_difference_eq,
 )
 from .domains import AsymptoticProfile, QuadRegion, check_invariance, kappa, kappa_inv
-from .dynamics import AnalyticMap, KoenigsResult, koenigs_limit, parse_germ
+from .dynamics import AnalyticMap, KoenigsResult, koenigs_limit
 
 __version__ = "0.1.0"

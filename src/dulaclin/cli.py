@@ -3,8 +3,10 @@ and emit decay-comparison reports.
 
 Every report embeds the tool version, a hash of the effective configuration,
 and the seed, so identical invocations produce byte-identical files.
-Exit codes: 0 ok, 2 not hyperbolic, 3 parse error, 4 unconverged grid points,
-5 violations above tolerance, 1 other errors.
+Exit codes: 0 ok, 2 not hyperbolic, 3 parse error (also a missing or
+unreadable --input or --region file, neither --expr nor --input given, or a
+malformed --grid), 4 unconverged grid points, 5 violations above tolerance,
+1 other errors.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .linearize import linearize_by_picard, linearize_level_by_level, partial_su
 from .series import (
     ExpPolySeries,
     conjugacy_residual,
+    max_rel_coeff_diff,
     parse_series,
     serialize_series,
 )
@@ -100,11 +103,40 @@ def _profile(args) -> AsymptoticProfile:
     return AsymptoticProfile(args.beta, args.eps, args.k, args.cut)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+def _read_series(path: str) -> ExpPolySeries:
+    try:
+        return parse_series(_read_text(path))
+    except ExponentNotInSemigroup as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _read_region(path: str):
+    try:
+        return region_from_json(json.loads(_read_text(path)))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"bad region file {path}: {exc}") from None
+
+
+def _grid(spec: str) -> list:
+    try:
+        return parse_grid(spec)
+    except ValueError as exc:
+        raise ParseError(f"--grid: {exc}") from None
+
+
 def _load_map(args, profile) -> AnalyticMap:
     if getattr(args, "expr", None):
         return AnalyticMap.from_expression(args.expr, profile)
-    series = parse_series(Path(args.input).read_text())
-    return AnalyticMap.from_series(series, profile)
+    if not args.input:
+        raise ParseError("one of --expr or --input is required")
+    return AnalyticMap.from_series(_read_series(args.input), profile)
 
 
 def _round_series(series: ExpPolySeries, quantum: float = 1e-9) -> ExpPolySeries:
@@ -116,18 +148,10 @@ def _round_series(series: ExpPolySeries, quantum: float = 1e-9) -> ExpPolySeries
 
 
 def cmd_linearize(args) -> int:
-    try:
-        f = parse_series(Path(args.input).read_text())
-    except (ParseError, ExponentNotInSemigroup) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    f = _read_series(args.input)
     if args.order is not None and args.order < f.trunc:
         f = f.with_trunc(args.order)
-    try:
-        level = linearize_level_by_level(f)
-    except NotHyperbolic as exc:
-        print(f"not hyperbolic: {exc}", file=sys.stderr)
-        return EXIT_NOT_HYPERBOLIC
+    level = linearize_level_by_level(f)
     residual = conjugacy_residual(level.phi, f, level.beta)
     scale = max(1.0, f.max_abs_coeff(), level.phi.max_abs_coeff())
     max_resid = residual.max_abs_coeff() / scale
@@ -143,16 +167,10 @@ def cmd_linearize(args) -> int:
     _write_text(f"{out}.phi.json", json.dumps(level.to_json(), indent=1))
     if args.cross_check:
         picard = linearize_by_picard(f)
-        diff = 0.0
-        for m in set(level.phi.support()) | set(picard.phi.support()):
-            a, b = level.phi.block(m), picard.phi.block(m)
-            for d in range(max(a.degree, b.degree) + 1):
-                x, y = a.coeff(d), b.coeff(d)
-                diff = max(diff, abs(x - y) / max(1.0, abs(x), abs(y)))
         ra = serialize_series(_round_series(level.phi))
         rb = serialize_series(_round_series(picard.phi))
         report["cross_check"] = {
-            "max_rel_coeff_diff": diff,
+            "max_rel_coeff_diff": max_rel_coeff_diff(level.phi, picard.phi),
             "rounded_bytes_equal": ra == rb,
             "rounding_quantum": 1e-9,
         }
@@ -164,14 +182,9 @@ def cmd_linearize(args) -> int:
 
 def cmd_koenigs(args) -> int:
     profile = _profile(args)
-    try:
-        f = _load_map(args, profile)
-    except (ParseError, ExponentNotInSemigroup) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    region = (region_from_json(json.loads(Path(args.region).read_text()))
-              if args.region else None)
-    grid = parse_grid(args.grid)
+    f = _load_map(args, profile)
+    region = _read_region(args.region) if args.region else None
+    grid = _grid(args.grid)
     beta = complex(profile.beta)
     rows = []
     failures = 0
@@ -209,15 +222,8 @@ def cmd_koenigs(args) -> int:
 
 def cmd_verify_domain(args) -> int:
     profile = _profile(args)
-    try:
-        f = _load_map(args, profile)
-    except (ParseError, ExponentNotInSemigroup) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if args.region:
-        region = region_from_json(json.loads(Path(args.region).read_text()))
-    else:
-        region = QuadRegion(args.quad_c)
+    f = _load_map(args, profile)
+    region = _read_region(args.region) if args.region else QuadRegion(args.quad_c)
     if args.search:
         R, report = find_invariant_cut(f, region, profile,
                                        n_samples=args.samples, seed=args.seed)
@@ -236,20 +242,12 @@ def cmd_verify_domain(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        fhat = parse_series(Path(args.input).read_text())
-    except (ParseError, ExponentNotInSemigroup) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    fhat = _read_series(args.input)
     profile = _profile(args)
-    try:
-        result = linearize_level_by_level(fhat)
-    except NotHyperbolic as exc:
-        print(f"not hyperbolic: {exc}", file=sys.stderr)
-        return EXIT_NOT_HYPERBOLIC
+    result = linearize_level_by_level(fhat)
     f = (AnalyticMap.from_expression(args.expr, profile) if args.expr
          else AnalyticMap.from_series(fhat, profile))
-    grid = parse_grid(args.grid)
+    grid = _grid(args.grid)
     levels = [m for m, _ in result.phi.terms if m > 0]
     lines = _header_lines(args)
     lines.append("n,exponent,slope,bound,passed,n_points,exact")
@@ -276,24 +274,24 @@ def cmd_compare(args) -> int:
 
 def cmd_solve_homological(args) -> int:
     profile = _profile(args)
-    try:
-        f = _load_map(args, profile)
-        h = AnalyticMap.from_expression(args.h_expr, profile)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    grid = parse_grid(args.grid)
+    f = _load_map(args, profile)
+    h = AnalyticMap.from_expression(args.h_expr, profile)
+    grid = _grid(args.grid)
     rows = []
     for z in grid:
+        # psi(z) and psi(f(z)) once each; their residual is both reported and
+        # checked, so the solver's own verification run is skipped
         try:
-            psi = solve_homological_numeric(f, h.evaluator, args.alpha, z, args.tol)
+            psi = solve_homological_numeric(f, h.evaluator, args.alpha, z, args.tol,
+                                            _verify=False)
+            psi_next = solve_homological_numeric(f, h.evaluator, args.alpha, f(z),
+                                                 args.tol, _verify=False)
+            resid = abs(psi_next - psi - h.evaluator(z))
+            if resid > 10 * args.tol:
+                raise NotConverged(f"homological equation residual {resid} > 10*tol")
         except NotConverged as exc:
             print(f"not converged at {z}: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED
-        znext = f(z)
-        psi_next = solve_homological_numeric(f, h.evaluator, args.alpha, znext,
-                                             args.tol, _verify=False)
-        resid = abs(psi_next - psi - h.evaluator(z))
         rows.append({"zeta": [z.real, z.imag], "psi": [psi.real, psi.imag],
                      "residual": resid})
     payload = {

@@ -19,8 +19,6 @@ from .errors import DomainError, InvalidRho
 __all__ = [
     "exp_tower",
     "M_eps_k",
-    "rho_minus",
-    "rho_plus",
     "M_tail_integral",
     "AsymptoticProfile",
     "iterated_log",
@@ -41,7 +39,6 @@ __all__ = [
     "UnionRegion",
     "region_from_json",
     "region_to_json",
-    "in_region",
     "MapCheckReport",
     "check_upper_map",
     "check_lower_map",
@@ -73,14 +70,6 @@ def M_eps_k(x: float, epsilon: float, k: int) -> float:
         prod *= v
         v = math.log(v)
     return 1.0 / (prod * v ** (1.0 + epsilon))
-
-
-def rho_minus(x: float, beta: complex, epsilon: float, k: int) -> float:
-    return beta.real - M_eps_k(x, epsilon, k)
-
-
-def rho_plus(x: float, beta: complex, epsilon: float, k: int) -> float:
-    return beta.real + M_eps_k(x, epsilon, k)
 
 
 def M_tail_integral(x: float, epsilon: float, k: int) -> float:
@@ -459,10 +448,6 @@ def region_to_json(region: Region) -> dict:
     if isinstance(region, UnionRegion):
         return {"union": [region_to_json(p) for p in region.parts]}
     raise ValueError(f"not a region: {region!r}")
-
-
-def in_region(zeta: complex, region: Region) -> bool:
-    return region.contains(zeta)
 
 
 # ---------------------------------------------------------------------------

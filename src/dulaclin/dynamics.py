@@ -32,7 +32,6 @@ __all__ = [
     "AnalyticMap",
     "KoenigsResult",
     "SlopeFit",
-    "parse_germ",
     "orbit",
     "koenigs_limit",
     "solve_homological_numeric",
@@ -96,7 +95,7 @@ class AnalyticMap:
     @staticmethod
     def from_series(series: ExpPolySeries, profile: AsymptoticProfile) -> "AnalyticMap":
         beta = complex(profile.beta)
-        rest = series.block(0) - CPoly([beta, 1.0])
+        rest = _series_offset_poly(series, beta)
 
         def perturbation(z, _s=series, _rest=rest):
             return _rest(z) + evaluate_tail(_s, z)
@@ -109,19 +108,13 @@ class AnalyticMap:
                            perturbation=perturbation, exact_translation=exact)
 
 
-def parse_germ(expr: str, profile: AsymptoticProfile) -> AnalyticMap:
-    """Expression text to an AnalyticMap; beta comes from the profile, never
-    inferred from the expression."""
-    return AnalyticMap.from_expression(expr, profile)
-
-
 @dataclass(frozen=True)
 class KoenigsResult:
     value: complex
     n_used: int
     tail_bound: float
     converged: bool
-    displacement: complex      # value - zeta, as the compensated sum
+    displacement: complex      # value - zeta, the running sum of the steps delta
     joj_violations: int
     hahh_constant: float       # fitted C in |phi - id| <= C / (log^k Re)^(eps/2)
 

@@ -218,13 +218,14 @@ def contains_zeta(node) -> bool:
 
 
 def split_affine(node, beta: complex):
-    """Split a top-level sum into (has_zeta_term, constant_sum, other_terms).
+    """Split a top-level sum zeta + ... into (offset, other_terms).
 
     Used to evaluate the perturbation f - zeta - beta without catastrophic
     cancellation: when the expression is a sum containing a bare `zeta` term,
     the identity part is removed structurally and the declared beta is
-    subtracted from the (exactly evaluated) constant part.  Returns None when
-    the expression has no such shape.
+    subtracted from the (exactly evaluated) constant part, giving `offset`.
+    `other_terms` lists the remaining (sign, node) terms that depend on zeta.
+    Returns None when the expression has no such shape.
     """
     flat = []
 

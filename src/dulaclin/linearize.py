@@ -31,6 +31,7 @@ from .series import (
     classify,
     compose,
     conjugacy_residual,
+    derivative,
     effective_order,
     exp_order,
     format_exponent,
@@ -39,6 +40,7 @@ from .series import (
     semigroup_points,
     series_to_json,
     to_z_chart,
+    translate,
 )
 
 __all__ = [
@@ -46,9 +48,6 @@ __all__ = [
     "solve_difference_eq",
     "linearize_level_by_level",
     "SchroederOperators",
-    "S_f",
-    "T_f",
-    "T_f_inv",
     "picard_linearize",
     "linearize_by_picard",
     "partial_sums",
@@ -140,7 +139,8 @@ def linearize_level_by_level(f: ExpPolySeries, tol: float = 1e-12) -> Linearizat
         if P.is_zero:
             continue
         c = cmath.exp(-float(nu) * beta)
-        assert abs(c) < 1.0
+        if abs(c) >= 1.0:
+            raise NotHyperbolic(f"level {nu}: |exp(-nu*beta)| = {abs(c)} is not below 1")
         Q = solve_difference_eq(P, c, beta)
         term = ExpPolySeries(N, gens, {nu: Q})
         phi = add(phi, term)
@@ -158,26 +158,6 @@ def linearize_level_by_level(f: ExpPolySeries, tol: float = 1e-12) -> Linearizat
 
 # ---------------------------------------------------------------------------
 # z-chart operators and the Picard route
-
-def _euler(h: ExpPolySeries) -> ExpPolySeries:
-    """z d/dz in the z-chart: block (alpha, R) -> (alpha, alpha*R - R')."""
-    acc = {}
-    for m, b in h.terms:
-        nb = b.scale(float(m)) - b.deriv()
-        if not nb.is_zero:
-            acc[m] = nb
-    return h._raw(acc)
-
-
-def _at_lambda_z(h: ExpPolySeries, beta: complex) -> ExpPolySeries:
-    """h(lambda*z): z^a -> exp(-a*beta) z^a and blocks shift by beta."""
-    acc = {}
-    for m, b in h.terms:
-        nb = b.shift(beta).scale(cmath.exp(-float(m) * beta))
-        if not nb.is_zero:
-            acc[m] = nb
-    return h._raw(acc)
-
 
 class SchroederOperators:
     """The operators attached to a hyperbolic z-chart series f1 = lambda*z + g1.
@@ -234,17 +214,18 @@ class SchroederOperators:
             return acc
         d = exp_order(self._g_shift)
         # w_i = z^i h^(i) stays in nonnegative exponents: w_0 = h and
-        # w_{i+1} = z (w_i)' - i w_i.  Then
+        # w_{i+1} = z (w_i)' - i w_i, where z d/dz = -d/dzeta.  Then
         #   h^(i)(lambda z) g1^i = exp(i beta) w_i(lambda z) (g1/z)^i,
-        # a product exact to the full truncation since ord(g1/z) = d > 0.
+        # a product exact to the full truncation since ord(g1/z) = d > 0;
+        # lambda z = exp(-(zeta + beta)) makes w_i(lambda z) a translation.
         w = h
         i = 1
         while 1 + i * d <= self.trunc:
-            w = _euler(w) - w.scale(float(i - 1))
+            w = -derivative(w) - w.scale(float(i - 1))
             if w.is_zero:
                 break
             coeff = cmath.exp(complex(i) * self.beta) / (factorial(i) * self.lam)
-            term = mul(_at_lambda_z(w, self.beta), self._g_pow(i), out_trunc=self.trunc)
+            term = mul(translate(w, self.beta), self._g_pow(i), out_trunc=self.trunc)
             acc = add(acc, term.scale(coeff))
             i += 1
         return acc
@@ -264,21 +245,10 @@ class SchroederOperators:
         acc = {}
         for m, b in h.terms:
             c = cmath.exp(-float(m - 1) * self.beta)
-            assert abs(c) < 1.0  # m > 1 and Re(beta) > 0
+            if abs(c) >= 1.0:  # m > 1, so Re(beta) <= 0
+                raise NotHyperbolic(f"block {m}: |exp(-(m-1)*beta)| = {abs(c)} is not below 1")
             acc[m] = solve_difference_eq(b, c, self.beta)
         return h._raw(acc)
-
-
-def S_f(h: ExpPolySeries, f1: ExpPolySeries, beta: complex | None = None) -> ExpPolySeries:
-    return SchroederOperators(f1, beta).s_apply(h)
-
-
-def T_f(h: ExpPolySeries, f1: ExpPolySeries, beta: complex | None = None) -> ExpPolySeries:
-    return SchroederOperators(f1, beta).t_apply(h)
-
-
-def T_f_inv(h: ExpPolySeries, f1: ExpPolySeries, beta: complex | None = None) -> ExpPolySeries:
-    return SchroederOperators(f1, beta).t_inv(h)
 
 
 def picard_linearize(

@@ -56,6 +56,7 @@ __all__ = [
     "evaluate",
     "evaluate_tail",
     "semigroup_points",
+    "max_rel_coeff_diff",
 ]
 
 INF = math.inf
@@ -391,6 +392,17 @@ def translate(a: ExpPolySeries, c: complex) -> ExpPolySeries:
     return a._raw(acc)
 
 
+def max_rel_coeff_diff(a: ExpPolySeries, b: ExpPolySeries) -> float:
+    """Largest coefficient difference, each relative to max(1, |a|, |b|)."""
+    worst = 0.0
+    for m in set(a.support()) | set(b.support()):
+        pa, pb = a.block(m), b.block(m)
+        for d in range(max(pa.degree, pb.degree) + 1):
+            x, y = pa.coeff(d), pb.coeff(d)
+            worst = max(worst, abs(x - y) / max(1.0, abs(x), abs(y)))
+    return worst
+
+
 def exp_order(a: ExpPolySeries):
     """Least exponent carrying a nonzero block; +inf for the zero series."""
     return a.terms[0][0] if a.terms else INF
@@ -460,9 +472,10 @@ class DulacForm:
 
 def classify(a: ExpPolySeries, tol: float = 1e-9) -> DulacForm:
     """Head classification: zeta + beta with Re beta > 0 is hyperbolic,
-    beta ~ 0 is parabolic, anything else is general."""
+    |beta| <= tol is parabolic, anything else is general.  The slope must be
+    exactly 1, as `compose` requires; `tol` applies to beta only."""
     b0 = a.block(0)
-    if b0.degree == 1 and abs(b0.coeffs[1] - 1) <= tol:
+    if b0.degree == 1 and b0.coeffs[1] == 1:
         beta = b0.coeffs[0]
         if abs(beta) <= tol:
             return DulacForm("parabolic", 0j)
@@ -486,42 +499,21 @@ def _shift_exponents(a: ExpPolySeries, offset: Fraction, new_trunc, gens) -> Exp
     return ExpPolySeries(new_trunc, gens, terms)
 
 
-def _exp_infinitesimal(v: ExpPolySeries) -> ExpPolySeries:
-    """exp(v) for ord(v) > 0, as 1 + v + v^2/2! + ... up to the order."""
-    one = ExpPolySeries.constant(1.0, v.trunc, v.gens)
+def _power_series(v: ExpPolySeries, c0: complex, coeff) -> ExpPolySeries:
+    """c0 + sum_{j>=1} coeff(j) * v^j for ord(v) > 0, up to the truncation order."""
+    acc = ExpPolySeries.constant(c0, v.trunc, v.gens)
     if v.is_zero:
-        return one
+        return acc
     d = exp_order(v)
     if d <= 0:
-        raise ValueError("exp needs a series of strictly positive order")
-    acc = one
+        raise ValueError("power series needs an argument of strictly positive order")
     p = v
     j = 1
     while j * d <= v.trunc:
-        acc = add(acc, p.scale(1.0 / factorial(j)))
+        acc = add(acc, p.scale(coeff(j)))
         j += 1
         if j * d <= v.trunc:
             p = mul(p, v, out_trunc=v.trunc)
-    return acc
-
-
-def _log1p_infinitesimal(u: ExpPolySeries) -> ExpPolySeries:
-    """log(1 + u) for ord(u) > 0."""
-    if u.is_zero:
-        return ExpPolySeries.zero(u.trunc, u.gens)
-    d = exp_order(u)
-    if d <= 0:
-        raise ValueError("log1p needs a series of strictly positive order")
-    acc = ExpPolySeries.zero(u.trunc, u.gens)
-    p = u
-    j = 1
-    sign = 1.0
-    while j * d <= u.trunc:
-        acc = add(acc, p.scale(sign / j))
-        j += 1
-        sign = -sign
-        if j * d <= u.trunc:
-            p = mul(p, u, out_trunc=u.trunc)
     return acc
 
 
@@ -536,7 +528,7 @@ def to_z_chart(a: ExpPolySeries, tol: float = 1e-9) -> ExpPolySeries:
     if form.kind not in ("hyperbolic", "parabolic"):
         raise NotNormalized("head must be zeta + beta with Re(beta) > 0 or beta = 0")
     lam = cmath.exp(-form.beta)
-    factor = _exp_infinitesimal(-a.tail()).scale(lam)
+    factor = _power_series(-a.tail(), 1.0, lambda j: 1.0 / factorial(j)).scale(lam)
     gens = tuple(sorted(set(a.gens) | {Fraction(1)}))
     return _shift_exponents(factor, Fraction(1), a.trunc + 1, gens)
 
@@ -564,7 +556,7 @@ def from_z_chart(a: ExpPolySeries, beta: complex | None = None, tol: float = 1e-
     g = a._raw({m: b for m, b in a.terms if m != 1})
     u = _shift_exponents(g.scale_div(lam), Fraction(-1), new_trunc, a.gens)
     head = ExpPolySeries.affine(beta, new_trunc, a.gens)
-    return head - _log1p_infinitesimal(u)
+    return head - _power_series(u, 0.0, lambda j: (-1.0) ** (j + 1) / j)  # log(1 + u)
 
 
 # ---------------------------------------------------------------------------

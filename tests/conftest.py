@@ -35,16 +35,6 @@ def random_hyperbolic_series(rng: random.Random, real: bool = False) -> ExpPolyS
     return ExpPolySeries(N, gens, terms)
 
 
-def max_rel_coeff_diff(a: ExpPolySeries, b: ExpPolySeries) -> float:
-    worst = 0.0
-    for m in set(a.support()) | set(b.support()):
-        pa, pb = a.block(m), b.block(m)
-        for d in range(max(pa.degree, pb.degree) + 1):
-            x, y = pa.coeff(d), pb.coeff(d)
-            worst = max(worst, abs(x - y) / max(1.0, abs(x), abs(y)))
-    return worst
-
-
 @pytest.fixture
 def rng():
     return random.Random(20260808)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import max_rel_coeff_diff, random_hyperbolic_series
+from conftest import random_hyperbolic_series
 from dulaclin.domains import (
     AsymptoticProfile,
     QuadRegion,
@@ -32,7 +32,7 @@ from dulaclin.linearize import (
     picard_linearize,
     solve_difference_eq,
 )
-from dulaclin.series import CPoly, ExpPolySeries, conjugacy_residual
+from dulaclin.series import CPoly, ExpPolySeries, conjugacy_residual, max_rel_coeff_diff
 
 SEED = 20260808
 CORPUS_SIZE = 100

@@ -68,6 +68,11 @@ def test_linearize_rejects_parabolic(tmp_path):
     assert main(["linearize", "--input", str(src), "--output", str(tmp_path / "x")]) == 2
 
 
+def test_linearize_rejects_non_unit_slope(tmp_path):
+    src = write_fixture(tmp_path, {0: [1.0, 1 + 1e-11], 1: [1.0]})
+    assert main(["linearize", "--input", str(src), "--output", str(tmp_path / "x")]) == 2
+
+
 def test_linearize_rejects_bad_json(tmp_path):
     src = tmp_path / "bad.json"
     src.write_text("{not json")
@@ -148,6 +153,63 @@ def test_solve_homological(tmp_path):
     import math
 
     assert abs(psi - (-math.exp(-8) / (1 - math.exp(-1)))) < 1e-10
+
+
+def assert_parse_error(capsys, argv):
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("parse error: ")
+
+
+def test_koenigs_without_map_is_parse_error(tmp_path, capsys):
+    assert_parse_error(capsys, ["koenigs", "--grid", "8:9:2,0:0:1",
+                                "--output", str(tmp_path / "k.csv")])
+
+
+def test_verify_domain_without_map_is_parse_error(tmp_path, capsys):
+    assert_parse_error(capsys, ["verify-domain", "--output", str(tmp_path / "v.csv")])
+
+
+def test_missing_input_file_is_parse_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert_parse_error(capsys, ["linearize", "--input", missing,
+                                "--output", str(tmp_path / "x")])
+    assert_parse_error(capsys, ["koenigs", "--input", missing, "--grid", "8:9:2,0:0:1",
+                                "--output", str(tmp_path / "k.csv")])
+
+
+def test_malformed_grid_is_parse_error(tmp_path, capsys):
+    assert_parse_error(capsys, ["koenigs", "--expr", "zeta + 1", "--grid", "8:9",
+                                "--output", str(tmp_path / "k.csv")])
+
+
+def test_bad_region_file_is_parse_error(tmp_path, capsys):
+    region = tmp_path / "region.json"
+    region.write_text('{"disk": {}}')
+    assert_parse_error(capsys, ["verify-domain", "--expr", "zeta + 1",
+                                "--region", str(region), "--output", str(tmp_path / "v.csv")])
+
+
+def test_solve_homological_two_orbit_sums_per_point(tmp_path, monkeypatch):
+    import dulaclin.cli
+    import dulaclin.dynamics
+
+    calls = []
+    solve = dulaclin.dynamics.solve_homological_numeric
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return solve(*args, **kwargs)
+
+    # the solver's own verification run recurses through the module global
+    monkeypatch.setattr(dulaclin.dynamics, "solve_homological_numeric", counting)
+    monkeypatch.setattr(dulaclin.cli, "solve_homological_numeric", counting)
+    code = main(["solve-homological", "--expr", "zeta + 1 + exp(-zeta)",
+                 "--h-expr", "exp(-zeta)", "--alpha", "1", "--beta", "1", "--eps", "1",
+                 "--k", "0", "--cut", "4", "--grid", "8:10:3,0:1:2",
+                 "--output", str(tmp_path / "h.json")])
+    assert code == 0
+    assert len(calls) == 2 * 6
 
 
 def test_complex_flag_parsing():

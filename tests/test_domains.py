@@ -16,7 +16,6 @@ from dulaclin.domains import (
     exp_tower,
     find_contained_quad_constant,
     find_invariant_cut,
-    in_region,
     iterated_log,
     iterated_log_real,
     kappa,
@@ -31,7 +30,6 @@ from dulaclin.domains import (
     quad_boundary_param,
     region_from_json,
     region_to_json,
-    rho_minus,
     safety_rect,
 )
 from dulaclin.dynamics import AnalyticMap
@@ -50,7 +48,7 @@ class TestBoundFunctions:
         x = math.exp(2)
         beta = 2 + 3j * math.pi
         expect = 2.0 - 1.0 / (4 * math.exp(2))
-        assert abs(rho_minus(x, beta, 1.0, 1) - expect) < 1e-15
+        assert abs(AsymptoticProfile(beta, 1.0, 1, x).rho_minus(x) - expect) < 1e-15
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):
@@ -147,19 +145,19 @@ class TestQuadBoundary:
 class TestRegions:
     def test_strip_membership(self):
         region = BandRegion(1.0, power_map(-1.0, 0.0), log_map(1.0))
-        assert in_region(10 + 0.5j, region)       # log(10) > 0.5 > -1
-        assert not in_region(10 + 3j, region)     # above log(10)
-        assert not in_region(0.5 + 0j, region)    # left of t
+        assert region.contains(10 + 0.5j)       # log(10) > 0.5 > -1
+        assert not region.contains(10 + 3j)     # above log(10)
+        assert not region.contains(0.5 + 0j)    # left of t
 
     def test_quad_membership(self):
         region = QuadRegion(2.0)
-        assert in_region(100 + 0j, region)
-        assert not in_region(-1 + 0j, region)
+        assert region.contains(100 + 0j)
+        assert not region.contains(-1 + 0j)
 
     def test_cut(self):
         region = QuadRegion(2.0, R_cut=50.0)
-        assert not in_region(10 + 0j, region)
-        assert in_region(60 + 0j, region)
+        assert not region.contains(10 + 0j)
+        assert region.contains(60 + 0j)
 
     def test_union_and_json_roundtrip(self):
         region = UnionRegion((QuadRegion(2.0, 1.0),
@@ -167,7 +165,7 @@ class TestRegions:
         obj = region_to_json(region)
         back = region_from_json(obj)
         for z in (10 + 0.5j, 100 + 3j, 0.2 + 0j):
-            assert in_region(z, region) == in_region(z, back)
+            assert region.contains(z) == back.contains(z)
 
     def test_band_requires_separated_boundaries(self):
         with pytest.raises(ValueError):

@@ -5,17 +5,14 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import max_rel_coeff_diff, random_hyperbolic_series
+from conftest import random_hyperbolic_series
 from dulaclin.errors import (
     NotHyperbolic,
     OrderTooLow,
     ResonantCoefficient,
 )
 from dulaclin.linearize import (
-    S_f,
     SchroederOperators,
-    T_f,
-    T_f_inv,
     check_real_preservation,
     linearize_by_picard,
     linearize_level_by_level,
@@ -29,6 +26,7 @@ from dulaclin.series import (
     ExpPolySeries,
     conjugacy_residual,
     exp_order,
+    max_rel_coeff_diff,
     semigroup_points,
     to_z_chart,
 )
@@ -105,6 +103,25 @@ class TestLevelSolver:
         with pytest.raises(NotHyperbolic):
             linearize_level_by_level(S(1, [1], {0: [-1.0, 1.0], 1: [1.0]}))
 
+    def test_rejects_non_unit_slope_in_both_solvers(self):
+        # classify and compose share one exact slope rule: a near-unit slope
+        # is not hyperbolic, rather than a compose failure or a silently
+        # different germ in the z-chart
+        f = S(2, [1], {0: [1.0, 1 + 1e-11], 1: [1.0]})
+        with pytest.raises(NotHyperbolic):
+            linearize_level_by_level(f)
+        with pytest.raises(NotHyperbolic):
+            linearize_by_picard(f)
+
+    def test_unit_circle_guard_without_asserts(self):
+        # Re(beta) = 1e-17 rounds |exp(-beta)| to exactly 1.0
+        f = S(1, [1], {0: [complex(1e-17, 1e-8), 1.0], 1: [1.0]})
+        assert abs(cmath.exp(-f.block(0).coeff(0))) == 1.0
+        with pytest.raises(NotHyperbolic):
+            linearize_level_by_level(f)
+        with pytest.raises(NotHyperbolic):
+            linearize_by_picard(f)
+
     def test_residual_vanishes_on_random_corpus(self, rng):
         for _ in range(25):
             f = random_hyperbolic_series(rng)
@@ -152,7 +169,7 @@ class TestZChartOperators:
     def test_t_inv_constant_block(self):
         # nu = 2, c = lambda: q (1 - 1/2) = p
         h = S(2, [1], {2: [1.0]})
-        out = T_f_inv(h, self.f1)
+        out = SchroederOperators(self.f1).t_inv(h)
         assert abs(out.block(2).coeff(0) - 2.0) < 1e-15
 
     def test_t_roundtrip_random(self, rng):
@@ -171,15 +188,24 @@ class TestZChartOperators:
 
     def test_order_too_low(self):
         h = S(2, [1], {1: [1.0], 2: [1.0]})
+        ops = SchroederOperators(self.f1)
         with pytest.raises(OrderTooLow):
-            T_f_inv(h, self.f1)
+            ops.t_inv(h)
         with pytest.raises(OrderTooLow):
-            S_f(h, self.f1)
+            ops.s_apply(h)
+
+    def test_t_inv_guard_without_asserts(self):
+        # beta within tolerance of the multiplier but Re(beta) < 0: the
+        # difference equations would have |c| > 1
+        f1 = S(2, [1], {1: [1 - 1e-10]})
+        ops = SchroederOperators(f1, beta=-1e-11 + 0j)
+        with pytest.raises(NotHyperbolic):
+            ops.t_inv(S(2, [1], {2: [1.0]}))
 
     def test_t_matches_definition(self):
         # T(h) = h - h(lambda z)/lambda evaluated with the exponent rules
         h = S(2, [1], {2: [1.0]})
-        out = T_f(h, self.f1)
+        out = SchroederOperators(self.f1).t_apply(h)
         lam = 0.5
         assert abs(out.block(2).coeff(0) - (1.0 - lam ** 2 / lam)) < 1e-15
 

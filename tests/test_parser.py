@@ -4,7 +4,7 @@ import math
 import pytest
 
 from dulaclin.domains import AsymptoticProfile
-from dulaclin.dynamics import AnalyticMap, parse_germ
+from dulaclin.dynamics import AnalyticMap
 from dulaclin.errors import EvalDomainError, ParseError
 from dulaclin.exprparse import eval_ast, parse_expression, split_affine
 
@@ -17,14 +17,14 @@ def ev(text, z):
 
 class TestParsing:
     def test_simple_germ_value(self):
-        f = parse_germ("zeta + 1 + exp(-zeta)", PROF)
+        f = AnalyticMap.from_expression("zeta + 1 + exp(-zeta)", PROF)
         assert abs(f(5 + 0j) - (6 + math.exp(-5))) < 1e-14
 
     def test_showcase_expression(self):
         text = ("zeta + 2 + 3*pi*i + zeta^-1*L1^-2 + zeta^-2*L2^2"
                 " + exp(-zeta)/(1-exp(-zeta)*L1)")
         prof = AsymptoticProfile(complex(2, 3 * math.pi), 1.0, 2, 10.0)
-        f = parse_germ(text, prof)
+        f = AnalyticMap.from_expression(text, prof)
         z = 20 + 3j
         l1 = cmath.log(z)
         l2 = cmath.log(l1)
@@ -87,7 +87,7 @@ class TestEvaluationGuards:
 
 class TestAffineSplit:
     def test_exact_translation_detected(self):
-        f = parse_germ("zeta + 1", PROF)
+        f = AnalyticMap.from_expression("zeta + 1", PROF)
         assert f.exact_translation
         assert f.delta(13 + 2j) == 0j
 
@@ -110,5 +110,5 @@ class TestAffineSplit:
 
     def test_subtraction_chain(self):
         # beta declared as 1, expression constants sum to -1: offset = -2
-        f = parse_germ("zeta - 1 - exp(-zeta)", PROF)
+        f = AnalyticMap.from_expression("zeta - 1 - exp(-zeta)", PROF)
         assert abs(f.delta(100 + 0j) + 2.0) < 1e-12

@@ -19,6 +19,7 @@ from dulaclin.series import (
     exp_order,
     evaluate,
     from_z_chart,
+    max_rel_coeff_diff,
     mul,
     parse_series,
     semigroup_points,
@@ -115,12 +116,10 @@ class TestTranslate:
         a = S(3, [1], {0: [1.0, 1.0], 1: [2.0, -1.0], 2: [0.5]})
         back = translate(translate(a, 3.0), -3.0)
         assert back.block(0) == a.block(0)
-        from conftest import max_rel_coeff_diff
-
         assert max_rel_coeff_diff(back, a) < 1e-15
 
     def test_roundtrip_tolerance_for_general_shift(self, rng):
-        from conftest import max_rel_coeff_diff, random_hyperbolic_series
+        from conftest import random_hyperbolic_series
 
         for _ in range(20):
             a = random_hyperbolic_series(rng)
@@ -157,7 +156,7 @@ class TestCompose:
             compose(g, f)
 
     def test_associativity_on_random_series(self, rng):
-        from conftest import max_rel_coeff_diff, random_hyperbolic_series
+        from conftest import random_hyperbolic_series
 
         for _ in range(10):
             f = random_hyperbolic_series(rng)
@@ -230,12 +229,10 @@ class TestCharts:
     def test_roundtrip(self):
         f = S(3, [1], {0: [1.0, 1.0], 1: [0.0, 1.0]})
         back = from_z_chart(to_z_chart(f), beta=1.0)
-        from conftest import max_rel_coeff_diff
-
         assert max_rel_coeff_diff(back, f) < 1e-13
 
     def test_roundtrip_random(self, rng):
-        from conftest import max_rel_coeff_diff, random_hyperbolic_series
+        from conftest import random_hyperbolic_series
 
         for _ in range(15):
             f = random_hyperbolic_series(rng)
