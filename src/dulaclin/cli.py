@@ -3,10 +3,11 @@ and emit decay-comparison reports.
 
 Every report embeds the tool version, a hash of the effective configuration,
 and the seed, so identical invocations produce byte-identical files.
-Exit codes: 0 ok, 2 not hyperbolic, 3 parse error (also a missing or
-unreadable --input or --region file, neither --expr nor --input given, or a
-malformed --grid), 4 unconverged grid points, 5 violations above tolerance,
-1 other errors.
+Exit codes: 0 ok, 2 not hyperbolic, 3 parse error (also a bad or missing
+flag, a missing or unreadable --input or --region file, no --expr or --input,
+a malformed --grid, a non-finite series coefficient), 4 unconverged grid
+points, 5 violations above tolerance (also linearize --cross-check solvers
+differing by more than --tol), 1 other errors (also an unwritable --output).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import hashlib
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -46,6 +46,7 @@ from .series import (
     ExpPolySeries,
     conjugacy_residual,
     max_rel_coeff_diff,
+    parse_exponent,
     parse_series,
     serialize_series,
 )
@@ -57,14 +58,20 @@ EXIT_PARSE = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_VIOLATIONS = 5
 
+# grid on which the two solvers' series are compared byte for byte
+ROUNDING_QUANTUM = 1e-9
+
+
+class _Parser(argparse.ArgumentParser):
+    """A bad flag is a parse error (exit 3) like every other bad input."""
+
+    def error(self, message):
+        raise ParseError(message)
+
 
 def _num(text: str) -> float:
     """Numeric flag value: decimal or exact rational p/q."""
-    return float(Fraction(text)) if "/" in text else float(text)
-
-
-def _rat(text: str) -> Fraction:
-    return Fraction(text)
+    return float(parse_exponent(text)) if "/" in text else float(text)
 
 
 def _cnum(text: str) -> complex:
@@ -96,7 +103,10 @@ def _header_lines(args) -> list:
 
 
 def _write_text(path: str, text: str):
-    Path(path).write_text(text)
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise DulaclinError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _profile(args) -> AsymptoticProfile:
@@ -139,11 +149,11 @@ def _load_map(args, profile) -> AnalyticMap:
     return AnalyticMap.from_series(_read_series(args.input), profile)
 
 
-def _round_series(series: ExpPolySeries, quantum: float = 1e-9) -> ExpPolySeries:
+def _round_series(series: ExpPolySeries) -> ExpPolySeries:
+    q = ROUNDING_QUANTUM
     terms = {}
     for m, b in series.terms:
-        terms[m] = [complex(round(c.real / quantum) * quantum,
-                            round(c.imag / quantum) * quantum) for c in b.coeffs]
+        terms[m] = [complex(round(c.real / q) * q, round(c.imag / q) * q) for c in b.coeffs]
     return ExpPolySeries(series.trunc, series.gens, terms)
 
 
@@ -167,16 +177,20 @@ def cmd_linearize(args) -> int:
     _write_text(f"{out}.phi.json", json.dumps(level.to_json(), indent=1))
     if args.cross_check:
         picard = linearize_by_picard(f)
+        diff = max_rel_coeff_diff(level.phi, picard.phi)
         ra = serialize_series(_round_series(level.phi))
         rb = serialize_series(_round_series(picard.phi))
         report["cross_check"] = {
-            "max_rel_coeff_diff": max_rel_coeff_diff(level.phi, picard.phi),
+            "max_rel_coeff_diff": diff,
             "rounded_bytes_equal": ra == rb,
-            "rounding_quantum": 1e-9,
+            "rounding_quantum": ROUNDING_QUANTUM,
         }
         _write_text(f"{out}.phi.picard.json", json.dumps(picard.to_json(), indent=1))
     _write_text(f"{out}.report.json", json.dumps(report, indent=1, sort_keys=True))
     print(f"max relative residual coefficient: {max_resid:.3e}")
+    if args.cross_check and not diff <= args.tol:
+        print(f"cross-check failed: the solvers differ by {diff:.3e} > tol", file=sys.stderr)
+        return EXIT_VIOLATIONS
     return EXIT_OK if max_resid <= args.tol else EXIT_VIOLATIONS
 
 
@@ -202,11 +216,9 @@ def cmd_koenigs(args) -> int:
             if not args.allow_partial:
                 print(f"not converged at {z}: {exc}", file=sys.stderr)
                 return EXIT_NOT_CONVERGED
-            part = exc.partial
-            row = (z.real, z.imag,
-                   part.value.real if part else math.nan,
-                   part.value.imag if part else math.nan,
-                   part.n_used if part else 0, math.inf, math.nan)
+            part = exc.partial  # koenigs_limit always attaches its partial result
+            row = (z.real, z.imag, part.value.real, part.value.imag, part.n_used,
+                   math.inf, math.nan)
         inside = region.contains(z) if region else (z.real >= profile.R)
         rows.append(row + (int(inside),))
     lines = _header_lines(args)
@@ -252,12 +264,15 @@ def cmd_compare(args) -> int:
     lines = _header_lines(args)
     lines.append("n,exponent,slope,bound,passed,n_points,exact")
     ok = True
-    for n in sorted(int(n) for n in args.levels.split(",")):
+    ns = sorted(int(n) for n in args.levels.split(","))
+    # one certified Koenigs limit per point serves every level
+    displacements = [koenigs_limit(f, z, args.tol).displacement for z in grid]
+    for n in ns:
         phi_n = partial_sums(result.phi, n)
         # the residual of the n-th partial sum decays at the rate of the
         # first missing level; a complete partial sum leaves only noise
         exponent = levels[n] if n < len(levels) else None
-        fit = decay_slope(f, phi_n, grid, tol=args.tol, exponent=exponent)
+        fit = decay_slope(displacements, phi_n, grid, exponent=exponent)
         passed = fit.passed if fit.passed is not None else True
         ok = ok and passed
         shown_exp = "" if exponent is None else str(exponent)
@@ -314,18 +329,22 @@ def _add_profile_flags(p):
     p.add_argument("--cut", type=_num, default=8.0, help="real-part cut R")
 
 
+def _add_output_flags(p, func):
+    p.add_argument("--output", required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="dulaclin", description=__doc__)
+    ap = _Parser(prog="dulaclin", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("linearize", help="formal linearization of a series file")
     p.add_argument("--input", required=True)
-    p.add_argument("--order", type=_rat, default=None)
+    p.add_argument("--order", type=parse_exponent, default=None)
     p.add_argument("--tol", type=_num, default=1e-9)
     p.add_argument("--cross-check", action="store_true")
-    p.add_argument("--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_linearize)
+    _add_output_flags(p, cmd_linearize)
 
     p = sub.add_parser("koenigs", help="numeric linearization over a grid")
     p.add_argument("--expr")
@@ -335,9 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_num, default=1e-9)
     p.add_argument("--region", help="region JSON file for the in_region flag")
     p.add_argument("--allow-partial", action="store_true")
-    p.add_argument("--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_koenigs)
+    _add_output_flags(p, cmd_koenigs)
 
     p = sub.add_parser("verify-domain", help="sampled invariance verification")
     p.add_argument("--expr")
@@ -348,9 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--search", action="store_true",
                    help="raise R geometrically until the checks pass")
-    p.add_argument("--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify_domain)
+    _add_output_flags(p, cmd_verify_domain)
 
     p = sub.add_parser("compare", help="decay slopes of numeric minus partial sums")
     p.add_argument("--input", required=True, help="series JSON for the germ")
@@ -359,9 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True)
     p.add_argument("--levels", default="0,1", help="comma list of partial-sum levels")
     p.add_argument("--tol", type=_num, default=1e-9)
-    p.add_argument("--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_compare)
+    _add_output_flags(p, cmd_compare)
 
     p = sub.add_parser("solve-homological", help="orbit sum for psi o f - psi = h")
     p.add_argument("--expr", required=True, help="the map f")
@@ -370,15 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile_flags(p)
     p.add_argument("--grid", required=True)
     p.add_argument("--tol", type=_num, default=1e-10)
-    p.add_argument("--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_solve_homological)
+    _add_output_flags(p, cmd_solve_homological)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NotHyperbolic as exc:
         print(f"not hyperbolic: {exc}", file=sys.stderr)

@@ -51,6 +51,13 @@ __all__ = [
     "find_contained_quad_constant",
 ]
 
+MAP_SAMPLES = 512       # geometric sample points of a boundary-map check
+MAP_X_MAX = 1e6         # right end of the sampled range of a boundary-map check
+RECT_SLACK = 1e-12      # rounding allowance of safety-rectangle membership
+INVARIANCE_RE_SPAN = 50.0   # width in Re of the strip sampled beyond the cut
+CUT_DOUBLINGS = 24      # doublings of R tried by find_invariant_cut
+QUAD_C_DOUBLINGS = 20   # doublings of C' tried by find_contained_quad_constant
+
 
 def exp_tower(k: int) -> float:
     """exp iterated k times at 0: 0, 1, e, e^e, ..."""
@@ -466,10 +473,11 @@ class MapCheckReport:
     violations: list = field(default_factory=list)
 
 
-def _sample_grid(t: float, n_samples: int, x_max: float = 1e6):
-    lo = max(t, 1e-12)
-    hi = max(x_max, lo * 2)
-    return [float(v) for v in np.geomspace(lo, hi, n_samples)]
+def _map_grid(h: BoundaryMap, profile: AsymptoticProfile):
+    """(t, xs): the map's domain start kept above the profile's exp tower,
+    and the geometric sample grid from there to MAP_X_MAX."""
+    t = max(h.domain_start, exp_tower(profile.k) + 1e-9)
+    return t, [float(v) for v in np.geomspace(t, max(MAP_X_MAX, t * 2), MAP_SAMPLES)]
 
 
 def _monotone_ok(h: BoundaryMap, xs, required: int) -> bool:
@@ -517,13 +525,10 @@ def _finish_report(side, case, required, mono_ok, margins, flip):
     )
 
 
-def check_upper_map(h: BoundaryMap, profile: AsymptoticProfile, n_samples: int = 512,
-                    t: Optional[float] = None, x_max: float = 1e6) -> MapCheckReport:
+def check_upper_map(h: BoundaryMap, profile: AsymptoticProfile) -> MapCheckReport:
     """Case table by sign of Im(beta); see module docstring for semantics."""
     imb = complex(profile.beta).imag
-    t = h.domain_start if t is None else t
-    t = max(t, exp_tower(profile.k) + 1e-9)
-    xs = _sample_grid(t, n_samples, x_max)
+    _, xs = _map_grid(h, profile)
     if imb >= 0:
         mono_ok = _monotone_ok(h, xs, 1)
         margins = _drift_check(h, profile, xs, use_rho_plus=False, rhs_sign=+1, imb=imb)
@@ -536,12 +541,9 @@ def check_upper_map(h: BoundaryMap, profile: AsymptoticProfile, n_samples: int =
     return _finish_report("upper", "im<0 decreasing", -1, mono_ok, margins, flip=False)
 
 
-def check_lower_map(h: BoundaryMap, profile: AsymptoticProfile, n_samples: int = 512,
-                    t: Optional[float] = None, x_max: float = 1e6) -> MapCheckReport:
+def check_lower_map(h: BoundaryMap, profile: AsymptoticProfile) -> MapCheckReport:
     imb = complex(profile.beta).imag
-    t = h.domain_start if t is None else t
-    t = max(t, exp_tower(profile.k) + 1e-9)
-    xs = _sample_grid(t, n_samples, x_max)
+    _, xs = _map_grid(h, profile)
     if imb > 0:
         if h.monotonicity() < 0 and _monotone_ok(h, xs, -1):
             return MapCheckReport("lower", "im>0 decreasing", True, "decreasing", True,
@@ -555,8 +557,7 @@ def check_lower_map(h: BoundaryMap, profile: AsymptoticProfile, n_samples: int =
 
 
 def check_taylor_sufficient(h: BoundaryMap, n: int, rho: float, profile: AsymptoticProfile,
-                            side: str = "upper", t: Optional[float] = None,
-                            n_samples: int = 512, x_max: float = 1e6) -> bool:
+                            side: str = "upper") -> bool:
     """Sampled Taylor sufficient condition for upper/lower maps.
 
     sum_{i=1}^{n} h^(i)(x) rho^i / i!  compared against Im(beta) +/- M(x);
@@ -566,8 +567,7 @@ def check_taylor_sufficient(h: BoundaryMap, n: int, rho: float, profile: Asympto
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
     imb = complex(profile.beta).imag
-    t = h.domain_start if t is None else t
-    t = max(t, exp_tower(profile.k) + 1e-9)
+    t, xs = _map_grid(h, profile)
     small_rho = (side == "upper" and imb >= 0) or (side == "lower" and imb <= 0)
     if small_rho:
         limit = profile.rho_minus(t)
@@ -577,7 +577,6 @@ def check_taylor_sufficient(h: BoundaryMap, n: int, rho: float, profile: Asympto
         limit = profile.rho_plus(t)
         if not rho > limit:
             raise InvalidRho(f"need rho > rho_plus(t) = {limit}, got {rho}")
-    xs = _sample_grid(t, n_samples, x_max)
     for x in xs:
         s = 0.0
         rp = 1.0
@@ -603,9 +602,9 @@ class Rect:
     im_lo: float
     im_hi: float
 
-    def contains(self, w: complex, slack: float = 1e-12) -> bool:
-        return (self.re_lo - slack <= w.real <= self.re_hi + slack
-                and self.im_lo - slack <= w.imag <= self.im_hi + slack)
+    def contains(self, w: complex) -> bool:
+        return (self.re_lo - RECT_SLACK <= w.real <= self.re_hi + RECT_SLACK
+                and self.im_lo - RECT_SLACK <= w.imag <= self.im_hi + RECT_SLACK)
 
 
 def safety_rect(zeta: complex, profile: AsymptoticProfile) -> Rect:
@@ -659,8 +658,7 @@ class InvarianceReport:
 
 
 def check_invariance(f, region: Region, profile: AsymptoticProfile,
-                     n_samples: int = 1000, seed: int = 0,
-                     re_span: float = 50.0) -> InvarianceReport:
+                     n_samples: int = 1000, seed: int = 0) -> InvarianceReport:
     """Sample stratified points of the cut region and test, for each:
     the modulus drift bound, membership of f(zeta) in the safety rectangle,
     and membership of f(zeta) in the region itself.
@@ -680,7 +678,7 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
     worst = math.inf
     for j in range(n_samples):
         u1, u2 = rng.random(), rng.random()
-        x = R + re_span * ((j % n_strata) + u1) / n_strata
+        x = R + INVARIANCE_RE_SPAN * ((j % n_strata) + u1) / n_strata
         lo, hi = parts[j % len(parts)].im_bounds(x)
         y = lo + (hi - lo) * u2
         zeta = complex(x, y)
@@ -711,8 +709,7 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
 
 
 def find_invariant_cut(f, region: Region, profile: AsymptoticProfile,
-                       n_samples: int = 2000, seed: int = 0,
-                       max_doublings: int = 24):
+                       n_samples: int = 2000, seed: int = 0):
     """Geometric search for a cut R making the sampled invariance checks pass.
 
     Returns (R, report) for the first passing cut; raises DomainError if the
@@ -721,7 +718,7 @@ def find_invariant_cut(f, region: Region, profile: AsymptoticProfile,
     R = profile.R
     if isinstance(region, QuadRegion):
         R = max(R, region.C + 1.0)
-    for _ in range(max_doublings):
+    for _ in range(CUT_DOUBLINGS):
         prof = AsymptoticProfile(profile.beta, profile.epsilon, profile.k, R)
         report = check_invariance(f, region, prof, n_samples=n_samples, seed=seed)
         if report.passed:
@@ -731,7 +728,7 @@ def find_invariant_cut(f, region: Region, profile: AsymptoticProfile,
 
 
 def find_contained_quad_constant(C: float, R: float, n_samples: int = 400,
-                                 seed: int = 0, max_doublings: int = 20) -> float:
+                                 seed: int = 0) -> float:
     """Search upward for C' with every sampled point of the C'-domain inside
     the cut domain (R_C)_R."""
     outer = QuadRegion(C, R)
@@ -739,7 +736,7 @@ def find_contained_quad_constant(C: float, R: float, n_samples: int = 400,
     ws = [complex(100.0 * rng.random() + 1e-6, 200.0 * rng.random() - 100.0)
           for _ in range(n_samples)]
     Cp = max(C, R) + 1.0
-    for _ in range(max_doublings):
+    for _ in range(QUAD_C_DOUBLINGS):
         if all(outer.contains(kappa(w, Cp)) for w in ws):
             return Cp
         Cp *= 2.0

@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 NOISE_FLOOR = 1e-14
+HOMOLOGICAL_MAX_N = 100_000
+EXPANSION_SLACK = 0.05   # slope slack of expansion_residual_check
+DECAY_SLACK = 0.1        # slope slack of decay_slope
 
 
 class AnalyticMap:
@@ -52,11 +55,10 @@ class AnalyticMap:
     """
 
     def __init__(self, evaluator: Callable, profile: AsymptoticProfile,
-                 description: str = "", perturbation: Optional[Callable] = None,
+                 perturbation: Optional[Callable] = None,
                  exact_translation: bool = False):
         self.evaluator = evaluator
         self.profile = profile
-        self.description = description
         self.perturbation = perturbation
         self.exact_translation = exact_translation
 
@@ -76,7 +78,7 @@ class AnalyticMap:
         if split is None:
             def evaluator(z, _ast=ast):
                 return eval_ast(_ast, z)
-            return AnalyticMap(evaluator, profile, description=text)
+            return AnalyticMap(evaluator, profile)
         offset, others = split
 
         def perturbation(z, _offset=offset, _others=tuple(others)):
@@ -89,23 +91,20 @@ class AnalyticMap:
             return z + _beta + _p(z)
 
         exact = not others and offset == 0
-        return AnalyticMap(evaluator, profile, description=text,
-                           perturbation=perturbation, exact_translation=exact)
+        return AnalyticMap(evaluator, profile, perturbation=perturbation,
+                           exact_translation=exact)
 
     @staticmethod
     def from_series(series: ExpPolySeries, profile: AsymptoticProfile) -> "AnalyticMap":
         beta = complex(profile.beta)
-        rest = _series_offset_poly(series, beta)
-
-        def perturbation(z, _s=series, _rest=rest):
-            return _rest(z) + evaluate_tail(_s, z)
+        perturbation = _series_delta(series, beta)
 
         def evaluator(z, _beta=beta, _p=perturbation):
             return z + _beta + _p(z)
 
-        exact = rest.is_zero and series.tail().is_zero
-        return AnalyticMap(evaluator, profile, description="<series>",
-                           perturbation=perturbation, exact_translation=exact)
+        exact = series.block(0) == CPoly([beta, 1.0]) and series.tail().is_zero
+        return AnalyticMap(evaluator, profile, perturbation=perturbation,
+                           exact_translation=exact)
 
 
 @dataclass(frozen=True)
@@ -218,8 +217,7 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
 
 
 def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
-                              zeta: complex, tol: float,
-                              max_n: int = 100_000, _verify: bool = True) -> complex:
+                              zeta: complex, tol: float, _verify: bool = True) -> complex:
     """psi(zeta) = -sum_n h(f^n(zeta)), solving psi o f - psi = h.
 
     Requires |h| <= exp(-alpha Re) on the visited orbit (checked pointwise);
@@ -239,7 +237,7 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
     acc = 0j
     n = 0
     done = False
-    while n < max_n:
+    while n < HOMOLOGICAL_MAX_N:
         hv = h(w)
         if abs(hv) > math.exp(-alpha * w.real) * (1.0 + 1e-9):
             raise DecayHypothesisViolated(
@@ -255,8 +253,7 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
     psi = -acc
     if _verify:
         znext = zeta + beta + f.delta(zeta)
-        psi_next = solve_homological_numeric(f, h, alpha, znext, tol,
-                                             max_n=max_n, _verify=False)
+        psi_next = solve_homological_numeric(f, h, alpha, znext, tol, _verify=False)
         resid = abs(psi_next - psi - h(zeta))
         if resid > 10.0 * tol:
             raise NotConverged(f"homological equation residual {resid} > 10*tol")
@@ -266,76 +263,73 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
 # ---------------------------------------------------------------------------
 # slope fits
 
-def _series_offset_poly(series: ExpPolySeries, beta: complex) -> CPoly:
-    return series.block(0) - CPoly([complex(beta), 1.0])
+def _series_delta(series: ExpPolySeries, beta: complex) -> Callable:
+    """z -> series(z) - z - beta, the head differenced on its coefficients."""
+    rest = series.block(0) - CPoly([complex(beta), 1.0])
+
+    def delta(z, _s=series, _rest=rest):
+        return _rest(z) + evaluate_tail(_s, z)
+    return delta
 
 
-def _fit(points, n_floor, n_skipped, bound, slack):
-    if not points:
+def _fit(grid, residuals, bound, slack):
+    """Least-squares slope of log|r| against Re zeta; None marks a skipped
+    point, and points below the double-precision noise floor are counted apart."""
+    pts = []
+    n_floor = n_skipped = 0
+    for z, r in zip(grid, residuals, strict=True):
+        if r is None:
+            n_skipped += 1
+        elif abs(r) < NOISE_FLOOR:
+            n_floor += 1
+        else:
+            pts.append((z.real, math.log(abs(r))))
+    if not pts:
         # everything at the noise floor: residual is exact at double precision
         return SlopeFit(None, None, 0, n_floor, n_skipped, True, True, bound)
-    if len(points) < 8:
-        raise InsufficientData(f"only {len(points)} usable points")
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
+    if len(pts) < 8:
+        raise InsufficientData(f"only {len(pts)} usable points")
+    xs = np.array([p[0] for p in pts])
+    ys = np.array([p[1] for p in pts])
     slope, intercept = np.polyfit(xs, ys, 1)
     passed = None if bound is None else bool(slope <= bound + slack)
-    return SlopeFit(float(slope), float(intercept), len(points), n_floor,
+    return SlopeFit(float(slope), float(intercept), len(pts), n_floor,
                     n_skipped, False, passed, bound)
 
 
 def expansion_residual_check(f: AnalyticMap, series: ExpPolySeries, nu: float,
-                             grid: Sequence[complex],
-                             floor: float = NOISE_FLOOR,
-                             slack: float = 0.05) -> SlopeFit:
+                             grid: Sequence[complex]) -> SlopeFit:
     """Least-squares slope of log|f - series| against Re zeta.
 
-    Passing means slope <= -nu + slack, i.e. the truncation error decays at
-    least like exp(-nu Re).  Points below the double-precision noise floor
-    are excluded; guard failures are skipped and counted.
+    Passing means slope <= -nu + EXPANSION_SLACK, i.e. the truncation error
+    decays at least like exp(-nu Re).  Points below the double-precision
+    noise floor are excluded; guard failures are skipped and counted.
     """
-    offset = _series_offset_poly(series, f.profile.beta)
-    pts = []
-    n_floor = n_skipped = 0
+    series_delta = _series_delta(series, f.profile.beta)
+    residuals = []
     for z in grid:
         try:
-            r = f.delta(z) - (offset(z) + evaluate_tail(series, z))
+            residuals.append(f.delta(z) - series_delta(z))
         except EvalDomainError:
-            n_skipped += 1
-            continue
-        a = abs(r)
-        if a < floor:
-            n_floor += 1
-            continue
-        pts.append((z.real, math.log(a)))
-    return _fit(pts, n_floor, n_skipped, -float(nu), slack)
+            residuals.append(None)
+    return _fit(grid, residuals, -float(nu), EXPANSION_SLACK)
 
 
-def decay_slope(f: AnalyticMap, phi_n: ExpPolySeries, grid: Sequence[complex],
-                tol: float = 1e-9, exponent=None,
-                floor: float = NOISE_FLOOR, slack: float = 0.1) -> SlopeFit:
+def decay_slope(displacements: Sequence[complex], phi_n: ExpPolySeries,
+                grid: Sequence[complex], exponent=None) -> SlopeFit:
     """Slope of log|phi_numeric - phi_n| against Re zeta over the grid.
 
-    phi_numeric comes from certified Koenigs runs; the residual is formed
-    from displacement sums so its relative accuracy tracks the signal.  With
-    `exponent` set, the fit passes when slope <= -exponent + slack.
+    `displacements` holds `koenigs_limit(f, z, tol).displacement` for each
+    grid point z, so the residual's relative accuracy tracks the signal.
+    With `exponent` set, the fit passes when slope <= -exponent + DECAY_SLACK.
     """
     res = [z.real for z in grid]
     if max(res) - min(res) < 15.0:
         raise InsufficientData("grid must span at least 15 units of Re")
-    offset = _series_offset_poly(phi_n, 0.0)
-    pts = []
-    n_floor = n_skipped = 0
-    for z in grid:
-        kr = koenigs_limit(f, z, tol)
-        r = kr.displacement - (offset(z) + evaluate_tail(phi_n, z))
-        a = abs(r)
-        if a < floor:
-            n_floor += 1
-            continue
-        pts.append((z.real, math.log(a)))
+    phi_delta = _series_delta(phi_n, 0.0)
+    residuals = [d - phi_delta(z) for d, z in zip(displacements, grid, strict=True)]
     bound = None if exponent is None else -float(exponent)
-    return _fit(pts, n_floor, n_skipped, bound, slack)
+    return _fit(grid, residuals, bound, DECAY_SLACK)
 
 
 def parse_grid(spec: str):

@@ -25,6 +25,7 @@ from .errors import (
     ResonantCoefficient,
 )
 from .series import (
+    HEAD_TOL,
     CPoly,
     ExpPolySeries,
     add,
@@ -55,6 +56,9 @@ __all__ = [
     "check_real_preservation",
 ]
 
+SOLVER_TOL = 1e-12    # relative size of a residual, Picard step or imaginary part taken as 0
+BACKSUB_TOL = 1e-10   # relative back-substitution error allowed in solve_difference_eq
+
 
 @dataclass(frozen=True)
 class LinearizationResult:
@@ -75,12 +79,12 @@ class LinearizationResult:
         }
 
 
-def solve_difference_eq(P: CPoly, c: complex, beta: complex, check_tol: float = 1e-10) -> CPoly:
+def solve_difference_eq(P: CPoly, c: complex, beta: complex) -> CPoly:
     """Unique polynomial Q with Q(x) - c*Q(x + beta) = P(x), for c != 1.
 
     Descending-degree back-substitution: the top coefficient satisfies
     (1-c) q_d = p_d, lower ones absorb the binomial terms of Q(x + beta).
-    The result is substituted back and must reproduce P to `check_tol`
+    The result is substituted back and must reproduce P to `BACKSUB_TOL`
     relative to the size of the substitution's own terms (the binomial shift
     amplifies coefficients by powers of |beta|, which bounds the attainable
     absolute accuracy in doubles).
@@ -103,19 +107,19 @@ def solve_difference_eq(P: CPoly, c: complex, beta: complex, check_tol: float = 
     shifted = Q.shift(beta).scale(c)
     err = (Q - shifted - P).max_abs()
     scale = max(1.0, P.max_abs(), Q.max_abs(), shifted.max_abs())
-    if err > check_tol * scale:
+    if err > BACKSUB_TOL * scale:
         raise ArithmeticError(f"difference-equation back-substitution check failed: {err}")
     return Q
 
 
-def _hyperbolic_beta(f: ExpPolySeries, tol: float = 1e-9) -> complex:
-    form = classify(f, tol)
+def _hyperbolic_beta(f: ExpPolySeries) -> complex:
+    form = classify(f)
     if form.kind != "hyperbolic":
         raise NotHyperbolic(f"expected hyperbolic head, found {form.kind} (beta = {form.beta})")
     return form.beta
 
 
-def linearize_level_by_level(f: ExpPolySeries, tol: float = 1e-12) -> LinearizationResult:
+def linearize_level_by_level(f: ExpPolySeries) -> LinearizationResult:
     """Zeta-chart solver: clear the conjugacy residual one exponent at a time.
 
     With phi = zeta the residual is exactly the perturbation of f.  Adding
@@ -151,7 +155,7 @@ def linearize_level_by_level(f: ExpPolySeries, tol: float = 1e-12) -> Linearizat
         phi=phi,
         beta=beta,
         levels_solved=tuple(solved),
-        residual_ord=effective_order(r, tol * scale),
+        residual_ord=effective_order(r, SOLVER_TOL * scale),
         algorithm="level_solver",
     )
 
@@ -170,7 +174,7 @@ class SchroederOperators:
     coefficient strictly inside the unit circle for nu > 1.
     """
 
-    def __init__(self, f1: ExpPolySeries, beta: complex | None = None, tol: float = 1e-9):
+    def __init__(self, f1: ExpPolySeries, beta: complex | None = None):
         if f1.terms and f1.terms[0][0] < 1:
             raise NotHyperbolic("z-chart series must have order >= 1")
         b1 = f1.block(1)
@@ -181,7 +185,7 @@ class SchroederOperators:
             raise NotHyperbolic(f"multiplier must satisfy 0 < |lambda| < 1, got {lam}")
         if beta is None:
             beta = -cmath.log(lam)
-        elif abs(cmath.exp(-beta) - lam) > tol * max(1.0, abs(lam)):
+        elif abs(cmath.exp(-beta) - lam) > HEAD_TOL * max(1.0, abs(lam)):
             raise NotHyperbolic("beta inconsistent with the multiplier")
         g1 = f1._raw({m: b for m, b in f1.terms if m != 1})
         if not g1.is_zero and exp_order(g1) <= 1:
@@ -191,17 +195,15 @@ class SchroederOperators:
         self.beta = beta
         self.trunc = f1.trunc
         self.g1 = g1
-        # g1/z: exponents in the carrier stay >= 0; powers are cached since
-        # every S application reuses them
-        gens = f1.gens
-        self._g_shift = ExpPolySeries(self.trunc - 1, gens, {m - 1: b for m, b in g1.terms})
+        # g1/z, known to order trunc - 1 but declared at trunc: every product
+        # it enters in s_apply has a factor w_i(lambda z) of z-order > 1, so
+        # the unknown terms land beyond trunc.  Powers are cached for reuse.
+        self._g_shift = ExpPolySeries(self.trunc, f1.gens, {m - 1: b for m, b in g1.terms})
         self._g_pows = [None, self._g_shift]
 
     def _g_pow(self, i: int) -> ExpPolySeries:
         while len(self._g_pows) <= i:
-            # exact to trunc despite factor truncations: each extra factor has
-            # positive order, see the estimate in s_apply
-            self._g_pows.append(mul(self._g_pows[-1], self._g_shift, out_trunc=self.trunc))
+            self._g_pows.append(mul(self._g_pows[-1], self._g_shift))
         return self._g_pows[i]
 
     def s_apply(self, h: ExpPolySeries) -> ExpPolySeries:
@@ -216,8 +218,7 @@ class SchroederOperators:
         # w_i = z^i h^(i) stays in nonnegative exponents: w_0 = h and
         # w_{i+1} = z (w_i)' - i w_i, where z d/dz = -d/dzeta.  Then
         #   h^(i)(lambda z) g1^i = exp(i beta) w_i(lambda z) (g1/z)^i,
-        # a product exact to the full truncation since ord(g1/z) = d > 0;
-        # lambda z = exp(-(zeta + beta)) makes w_i(lambda z) a translation.
+        # and lambda z = exp(-(zeta + beta)) makes w_i(lambda z) a translation.
         w = h
         i = 1
         while 1 + i * d <= self.trunc:
@@ -225,7 +226,7 @@ class SchroederOperators:
             if w.is_zero:
                 break
             coeff = cmath.exp(complex(i) * self.beta) / (factorial(i) * self.lam)
-            term = mul(translate(w, self.beta), self._g_pow(i), out_trunc=self.trunc)
+            term = mul(translate(w, self.beta), self._g_pow(i))
             acc = add(acc, term.scale(coeff))
             i += 1
         return acc
@@ -254,7 +255,6 @@ class SchroederOperators:
 def picard_linearize(
     f1: ExpPolySeries,
     beta: complex | None = None,
-    tol: float = 1e-12,
     gens_out=None,
 ) -> LinearizationResult:
     """z-chart route: iterate psi <- T^-1(S(psi)) from 0 until stationary.
@@ -275,7 +275,7 @@ def picard_linearize(
         diff = nxt - psi
         psi = nxt
         scale = max(scale, psi.max_abs_coeff())
-        if diff.max_abs_coeff() <= tol * scale:
+        if diff.max_abs_coeff() <= SOLVER_TOL * scale:
             break
     else:
         raise IterationBudgetExceeded(f"Picard iteration not stationary after {budget} steps")
@@ -287,7 +287,7 @@ def picard_linearize(
     if gens_out is not None:
         f_zeta = f_zeta.with_gens(gens_out)
     r = conjugacy_residual(phi, f_zeta, ops.beta)
-    res_ord = effective_order(r, tol * max(scale, phi.max_abs_coeff()) * 100)
+    res_ord = effective_order(r, SOLVER_TOL * max(scale, phi.max_abs_coeff()) * 100)
     levels = tuple(m for m, _ in phi.terms if m > 0)
     return LinearizationResult(
         phi=phi,
@@ -298,11 +298,11 @@ def picard_linearize(
     )
 
 
-def linearize_by_picard(f: ExpPolySeries, tol: float = 1e-12) -> LinearizationResult:
+def linearize_by_picard(f: ExpPolySeries) -> LinearizationResult:
     """Convenience pipeline: zeta-chart f -> z-chart -> Picard -> zeta-chart."""
     beta = _hyperbolic_beta(f)
     f1 = to_z_chart(f)
-    return picard_linearize(f1, beta=beta, tol=tol, gens_out=f.gens)
+    return picard_linearize(f1, beta=beta, gens_out=f.gens)
 
 
 # ---------------------------------------------------------------------------
@@ -317,35 +317,28 @@ def partial_sums(phi: ExpPolySeries, n: int) -> ExpPolySeries:
     return phi._raw({m: b for m, b in phi.terms if m in keep})
 
 
-def partial_linearization_residual(
-    f: ExpPolySeries,
-    n: int,
-    phi: ExpPolySeries | None = None,
-    tol: float = 1e-12,
-) -> ExpPolySeries:
+def partial_linearization_residual(f: ExpPolySeries, n: int) -> ExpPolySeries:
     """Residual of the n-th partial linearization: compose(phi_n, f) - phi_n - beta.
 
     Its effective order must exceed the n-th solved exponent (0 for n = 0);
     violation is raised since it falsifies the construction.
     """
     beta = _hyperbolic_beta(f)
-    if phi is None:
-        phi = linearize_level_by_level(f, tol=tol).phi
+    phi = linearize_level_by_level(f).phi
     phi_n = partial_sums(phi, n)
     r = conjugacy_residual(phi_n, f, beta)
     levels = [m for m, _ in phi.terms if m > 0]
     beta_n = levels[n - 1] if 0 < n <= len(levels) else (levels[-1] if levels and n > 0 else Fraction(0))
     scale = max(1.0, f.max_abs_coeff(), phi.max_abs_coeff())
-    if effective_order(r, tol * scale) <= beta_n:
-        raise ArithmeticError(
-            f"partial residual order {effective_order(r, tol * scale)} not beyond level {beta_n}"
-        )
+    order = effective_order(r, SOLVER_TOL * scale)
+    if order <= beta_n:
+        raise ArithmeticError(f"partial residual order {order} not beyond level {beta_n}")
     return r
 
 
-def check_real_preservation(f: ExpPolySeries, tol: float = 1e-12) -> bool:
+def check_real_preservation(f: ExpPolySeries) -> bool:
     """True iff the linearization of a real hyperbolic series is real."""
     if f.max_imag_coeff() != 0.0:
         raise ValueError("precondition: f must have all-real coefficients")
     result = linearize_level_by_level(f)
-    return result.phi.max_imag_coeff() <= tol
+    return result.phi.max_imag_coeff() <= SOLVER_TOL

@@ -12,8 +12,9 @@ unknown).  Under ``z = exp(-zeta)`` the same data reads as a z-chart series
 
 Exponent arithmetic is exact (``fractions.Fraction``); coefficients are
 double-precision complex.  No small-coefficient cleanup ever happens
-implicitly: only exact zeros are stripped, and every approximate equality
-check takes an explicit tolerance.
+implicitly: only exact zeros are stripped.  Approximate checks read named
+module constants: `HEAD_TOL` here, `SOLVER_TOL` and `BACKSUB_TOL` in
+`linearize`.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 INF = math.inf
+HEAD_TOL = 1e-9   # parabolic |beta|; relative gap of exp(-beta) to a given multiplier
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +348,9 @@ def add(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
     return ExpPolySeries(trunc, gens, acc)
 
 
-def mul(a: ExpPolySeries, b: ExpPolySeries, out_trunc=None) -> ExpPolySeries:
-    """Product; exponents add, blocks multiply, terms beyond the order drop.
-
-    `out_trunc` overrides the min-of-operands truncation for internal callers
-    that know the product is exact to a higher order.
-    """
+def mul(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
+    """Product; exponents add, blocks multiply, terms beyond the order drop."""
     trunc, gens = _merge_params(a, b)
-    if out_trunc is not None:
-        trunc = Fraction(out_trunc)
     acc = {}
     for m1, b1 in a.terms:
         if m1 > trunc:
@@ -446,11 +442,11 @@ def compose(g: ExpPolySeries, f: ExpPolySeries) -> ExpPolySeries:
         if gi.is_zero:
             break
         fact *= i
-        term = mul(translate(gi, beta).with_gens(gens), dpow, out_trunc=trunc)
+        term = mul(translate(gi, beta).with_gens(gens), dpow)
         result = add(result, term.scale(1.0 / fact))
         i += 1
         if i * d <= trunc:
-            dpow = mul(dpow, delta, out_trunc=trunc)
+            dpow = mul(dpow, delta)
     return result
 
 
@@ -470,14 +466,14 @@ class DulacForm:
     beta: complex
 
 
-def classify(a: ExpPolySeries, tol: float = 1e-9) -> DulacForm:
+def classify(a: ExpPolySeries) -> DulacForm:
     """Head classification: zeta + beta with Re beta > 0 is hyperbolic,
-    |beta| <= tol is parabolic, anything else is general.  The slope must be
-    exactly 1, as `compose` requires; `tol` applies to beta only."""
+    |beta| <= HEAD_TOL is parabolic, anything else is general.  The slope must
+    be exactly 1, as `compose` requires; `HEAD_TOL` applies to beta only."""
     b0 = a.block(0)
     if b0.degree == 1 and b0.coeffs[1] == 1:
         beta = b0.coeffs[0]
-        if abs(beta) <= tol:
+        if abs(beta) <= HEAD_TOL:
             return DulacForm("parabolic", 0j)
         if beta.real > 0:
             return DulacForm("hyperbolic", beta)
@@ -513,18 +509,18 @@ def _power_series(v: ExpPolySeries, c0: complex, coeff) -> ExpPolySeries:
         acc = add(acc, p.scale(coeff(j)))
         j += 1
         if j * d <= v.trunc:
-            p = mul(p, v, out_trunc=v.trunc)
+            p = mul(p, v)
     return acc
 
 
-def to_z_chart(a: ExpPolySeries, tol: float = 1e-9) -> ExpPolySeries:
+def to_z_chart(a: ExpPolySeries) -> ExpPolySeries:
     """Hyperbolic/parabolic zeta-chart series to its z-chart representation.
 
     zeta + beta + delta maps to lambda*z*exp(-delta) with lambda = exp(-beta),
     read in the same carrier with z-exponents; the determination is fixed by
     log(lambda) = -beta.  Result truncation is N + 1.
     """
-    form = classify(a, tol)
+    form = classify(a)
     if form.kind not in ("hyperbolic", "parabolic"):
         raise NotNormalized("head must be zeta + beta with Re(beta) > 0 or beta = 0")
     lam = cmath.exp(-form.beta)
@@ -533,7 +529,7 @@ def to_z_chart(a: ExpPolySeries, tol: float = 1e-9) -> ExpPolySeries:
     return _shift_exponents(factor, Fraction(1), a.trunc + 1, gens)
 
 
-def from_z_chart(a: ExpPolySeries, beta: complex | None = None, tol: float = 1e-9) -> ExpPolySeries:
+def from_z_chart(a: ExpPolySeries, beta: complex | None = None) -> ExpPolySeries:
     """Inverse chart map: lambda*z + h.o.t. back to zeta + beta + ... .
 
     `beta` fixes the logarithm determination; the principal branch of
@@ -547,7 +543,7 @@ def from_z_chart(a: ExpPolySeries, beta: complex | None = None, tol: float = 1e-
     lam = b1.coeffs[0]
     if beta is None:
         beta = -cmath.log(lam)
-    elif abs(cmath.exp(-beta) - lam) > tol * max(1.0, abs(lam)):
+    elif abs(cmath.exp(-beta) - lam) > HEAD_TOL * max(1.0, abs(lam)):
         raise NotNormalized("provided beta is inconsistent with the head coefficient")
     new_trunc = a.trunc - 1
     # drop the head term structurally before dividing: complex division is
@@ -612,6 +608,8 @@ def series_from_json(obj) -> ExpPolySeries:
             coeffs = [complex(float(re), float(im)) for re, im in entry["poly"]]
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad poly entry for exponent {entry['exp']}: {exc}") from None
+        if not all(map(cmath.isfinite, coeffs)):
+            raise ParseError(f"non-finite coefficient for exponent {entry['exp']}")
         if mu in terms:
             raise ParseError(f"duplicate exponent {entry['exp']}")
         terms[mu] = CPoly(coeffs)

@@ -126,8 +126,9 @@ def test_criterion_6_decay_slopes(koenigs_profile):
     fhat = ExpPolySeries(3, [1], {0: [1.0, 1.0], 1: [1.0]})
     phi = linearize_level_by_level(fhat).phi
     grid = [complex(8 + 0.5 * j, 0) for j in range(45)]  # Re in [8, 30]
-    fit0 = decay_slope(f, partial_sums(phi, 0), grid, exponent=1)
-    fit1 = decay_slope(f, partial_sums(phi, 1), grid, exponent=2)
+    disp = [koenigs_limit(f, z, 1e-9).displacement for z in grid]
+    fit0 = decay_slope(disp, partial_sums(phi, 0), grid, exponent=1)
+    fit1 = decay_slope(disp, partial_sums(phi, 1), grid, exponent=2)
     ok = (abs(fit0.slope + 1.0) <= 0.1) and (fit1.slope <= -2.0 + 0.1)
     report(6, "decay slopes: n=0 is -1 +/- 0.1 and n=1 <= -2 + 0.1",
            ok, f"(slopes {fit0.slope:.4f}, {fit1.slope:.4f})")

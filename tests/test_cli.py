@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from dulaclin.cli import main
 from dulaclin.series import ExpPolySeries, parse_series, serialize_series
 
@@ -61,6 +63,28 @@ def test_linearize_cross_check_randomized(tmp_path):
     report = json.loads((tmp_path / "lin.report.json").read_text())
     assert report["cross_check"]["max_rel_coeff_diff"] <= 1e-9
     assert report["cross_check"]["rounded_bytes_equal"]
+
+
+def test_linearize_cross_check_disagreement_exits_5(tmp_path, capsys):
+    import random
+
+    from conftest import random_hyperbolic_series
+
+    # draw 145 of the acceptance-corpus generator: generator 1/2, order 4; the
+    # level solver's residual is ~5e-16 but Picard differs by ~8.7e-9
+    rng = random.Random(20260808)
+    for _ in range(145):
+        f = random_hyperbolic_series(rng)
+    src = tmp_path / "r.json"
+    src.write_text(serialize_series(f))
+    code = main(["linearize", "--input", str(src), "--output", str(tmp_path / "lin"),
+                 "--cross-check"])
+    assert code == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cross-check failed: ")
+    report = json.loads((tmp_path / "lin.report.json").read_text())
+    assert report["max_residual_coeff_rel"] <= 1e-9
+    assert report["cross_check"]["max_rel_coeff_diff"] > 1e-9
 
 
 def test_linearize_rejects_parabolic(tmp_path):
@@ -188,6 +212,41 @@ def test_bad_region_file_is_parse_error(tmp_path, capsys):
     region.write_text('{"disk": {}}')
     assert_parse_error(capsys, ["verify-domain", "--expr", "zeta + 1",
                                 "--region", str(region), "--output", str(tmp_path / "v.csv")])
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", '"inf"'])
+def test_non_finite_coefficient_is_parse_error(tmp_path, capsys, value):
+    src = tmp_path / "f.json"
+    src.write_text('{"trunc":"1/1","gens":["1/1"],"terms":[{"exp":"0/1","poly":[[1.0,0.0],'
+                   '[1.0,0.0]]},{"exp":"1/1","poly":[[%s,0.0]]}]}' % value)
+    assert_parse_error(capsys, ["linearize", "--input", str(src),
+                                "--output", str(tmp_path / "x")])
+
+
+@pytest.mark.parametrize("argv", [
+    ["linearize", "--tol", "abc"],
+    ["koenigs", "--expr", "zeta + 1"],
+    ["linearize", "--order", "1/0"],
+], ids=["tol-abc", "missing-grid", "order-1/0"])
+def test_bad_flag_is_parse_error(tmp_path, capsys, argv):
+    src = write_fixture(tmp_path)
+    extra = [] if argv[0] == "koenigs" else ["--input", str(src)]
+    assert_parse_error(capsys, argv + extra + ["--output", str(tmp_path / "x")])
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    src = write_fixture(tmp_path)
+    code = main(["linearize", "--input", str(src),
+                 "--output", str(tmp_path / "missing" / "lin")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write ")
 
 
 def test_solve_homological_two_orbit_sums_per_point(tmp_path, monkeypatch):
