@@ -4,10 +4,12 @@ and emit decay-comparison reports.
 Every report embeds the tool version, a hash of the effective configuration,
 and the seed, so identical invocations produce byte-identical files.
 Exit codes: 0 ok, 2 not hyperbolic, 3 parse error (also a bad or missing
-flag, a missing or unreadable --input or --region file, no --expr or --input,
-a malformed --grid, a non-finite series coefficient), 4 unconverged grid
-points, 5 violations above tolerance (also linearize --cross-check solvers
-differing by more than --tol), 1 other errors (also an unwritable --output).
+flag, a NaN or infinite numeric flag, --samples below 1, a non-integer or
+negative --levels, a missing or unreadable --input or --region file, no
+--expr or --input, a malformed --grid, a non-finite series coefficient),
+4 unconverged grid points, 5 violations above tolerance (also linearize
+--cross-check solvers differing by more than --tol), 1 other errors (also an
+unwritable --output).
 """
 
 from __future__ import annotations
@@ -70,8 +72,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _num(text: str) -> float:
-    """Numeric flag value: decimal or exact rational p/q."""
-    return float(parse_exponent(text)) if "/" in text else float(text)
+    """Numeric flag value: finite decimal or exact rational p/q."""
+    x = float(parse_exponent(text)) if "/" in text else float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
+def _count(text: str) -> int:
+    """Positive integer flag value."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return n
 
 
 def _cnum(text: str) -> complex:
@@ -139,6 +152,16 @@ def _grid(spec: str) -> list:
         return parse_grid(spec)
     except ValueError as exc:
         raise ParseError(f"--grid: {exc}") from None
+
+
+def _levels(spec: str) -> list:
+    try:
+        ns = sorted(int(n) for n in spec.split(","))
+    except ValueError as exc:
+        raise ParseError(f"--levels: {exc}") from None
+    if ns[0] < 0:
+        raise ParseError(f"--levels: negative level {ns[0]}")
+    return ns
 
 
 def _load_map(args, profile) -> AnalyticMap:
@@ -260,11 +283,11 @@ def cmd_compare(args) -> int:
     f = (AnalyticMap.from_expression(args.expr, profile) if args.expr
          else AnalyticMap.from_series(fhat, profile))
     grid = _grid(args.grid)
+    ns = _levels(args.levels)
     levels = [m for m, _ in result.phi.terms if m > 0]
     lines = _header_lines(args)
     lines.append("n,exponent,slope,bound,passed,n_points,exact")
     ok = True
-    ns = sorted(int(n) for n in args.levels.split(","))
     # one certified Koenigs limit per point serves every level
     displacements = [koenigs_limit(f, z, args.tol).displacement for z in grid]
     for n in ns:
@@ -362,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile_flags(p)
     p.add_argument("--region", help="region JSON file; default quadratic domain")
     p.add_argument("--quad-c", type=_num, default=2.0)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_count, default=10_000)
     p.add_argument("--search", action="store_true",
                    help="raise R geometrically until the checks pass")
     _add_output_flags(p, cmd_verify_domain)

@@ -180,6 +180,7 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
     w = zeta
     disp = 0j
     violations = 0
+    first_violation = ""
     tail = math.inf
     step = math.inf
     n = 0
@@ -188,6 +189,9 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
         d = delta(w)
         step = abs(d)
         if step > Mf(x0 + n * rho) * (1.0 + 1e-9):
+            if not violations:
+                first_violation = (f", first at step {n + 1}: |delta| = {step:.3e}"
+                                   f" > M = {Mf(x0 + n * rho):.3e}")
             violations += 1
         disp += d
         w = w + beta + d
@@ -209,9 +213,10 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
         hahh_constant=abs(disp) * logk ** (prof.epsilon / 2.0),
     )
     if not converged:
-        reason = ("per-step drift bound violated "
-                  f"{violations} times" if violations else "budget exhausted")
-        raise NotConverged(f"Koenigs sequence not certified at {zeta}: {reason}",
+        reason = (f"per-step drift bound violated {violations} times{first_violation}"
+                  if violations else "budget exhausted")
+        raise NotConverged(f"Koenigs sequence not certified at {zeta}: {reason}; after {n}"
+                           f" steps tail bound {tail:.3e}, step {step:.3e}, tol {tol:.3e}",
                            max_n=n, partial=result)
     return result
 
@@ -235,21 +240,19 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
     beta = complex(prof.beta)
     w = zeta
     acc = 0j
-    n = 0
-    done = False
-    while n < HOMOLOGICAL_MAX_N:
+    for n in range(1, HOMOLOGICAL_MAX_N + 1):
         hv = h(w)
         if abs(hv) > math.exp(-alpha * w.real) * (1.0 + 1e-9):
             raise DecayHypothesisViolated(
                 f"|h| = {abs(hv)} exceeds exp(-alpha Re) at {w}")
         acc += hv
         w = w + beta + f.delta(w)
-        n += 1
-        if math.exp(-alpha * w.real) / denom <= tol:
-            done = True
+        tail = math.exp(-alpha * w.real) / denom
+        if tail <= tol:
             break
-    if not done:
-        raise NotConverged("homological tail did not reach tolerance", max_n=n)
+    else:
+        raise NotConverged(f"homological tail {tail:.3e} above tol {tol:.3e} after {n} terms",
+                           max_n=n)
     psi = -acc
     if _verify:
         znext = zeta + beta + f.delta(zeta)

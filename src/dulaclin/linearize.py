@@ -38,6 +38,7 @@ from .series import (
     format_exponent,
     from_z_chart,
     mul,
+    powers,
     semigroup_points,
     series_to_json,
     to_z_chart,
@@ -197,14 +198,8 @@ class SchroederOperators:
         self.g1 = g1
         # g1/z, known to order trunc - 1 but declared at trunc: every product
         # it enters in s_apply has a factor w_i(lambda z) of z-order > 1, so
-        # the unknown terms land beyond trunc.  Powers are cached for reuse.
+        # the unknown terms land beyond trunc.
         self._g_shift = ExpPolySeries(self.trunc, f1.gens, {m - 1: b for m, b in g1.terms})
-        self._g_pows = [None, self._g_shift]
-
-    def _g_pow(self, i: int) -> ExpPolySeries:
-        while len(self._g_pows) <= i:
-            self._g_pows.append(mul(self._g_pows[-1], self._g_shift))
-        return self._g_pows[i]
 
     def s_apply(self, h: ExpPolySeries) -> ExpPolySeries:
         acc = self.g1.scale_div(self.lam)
@@ -212,23 +207,21 @@ class SchroederOperators:
             return acc
         if exp_order(h) <= 1:
             raise OrderTooLow("S requires z-order > 1")
-        if self._g_shift.is_zero:
-            return acc
         d = exp_order(self._g_shift)
         # w_i = z^i h^(i) stays in nonnegative exponents: w_0 = h and
         # w_{i+1} = z (w_i)' - i w_i, where z d/dz = -d/dzeta.  Then
         #   h^(i)(lambda z) g1^i = exp(i beta) w_i(lambda z) (g1/z)^i,
         # and lambda z = exp(-(zeta + beta)) makes w_i(lambda z) a translation.
         w = h
-        i = 1
-        while 1 + i * d <= self.trunc:
+        for i, g_pow in enumerate(powers(self._g_shift), 1):
+            if 1 + i * d > self.trunc:
+                break
             w = -derivative(w) - w.scale(float(i - 1))
             if w.is_zero:
                 break
             coeff = cmath.exp(complex(i) * self.beta) / (factorial(i) * self.lam)
-            term = mul(translate(w, self.beta), self._g_pow(i))
+            term = mul(translate(w, self.beta), g_pow)
             acc = add(acc, term.scale(coeff))
-            i += 1
         return acc
 
     def t_apply(self, h: ExpPolySeries) -> ExpPolySeries:

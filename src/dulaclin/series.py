@@ -14,7 +14,9 @@ Exponent arithmetic is exact (``fractions.Fraction``); coefficients are
 double-precision complex.  No small-coefficient cleanup ever happens
 implicitly: only exact zeros are stripped.  Approximate checks read named
 module constants: `HEAD_TOL` here, `SOLVER_TOL` and `BACKSUB_TOL` in
-`linearize`.
+`linearize`.  A series' powers `v, v^2, ...` are built once per series
+value (`powers`) and shared by `compose`, the chart conversions and the
+z-chart operator S.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "derivative",
     "translate",
     "compose",
+    "powers",
     "exp_order",
     "effective_order",
     "conjugacy_residual",
@@ -412,6 +415,26 @@ def effective_order(a: ExpPolySeries, tol: float):
     return INF
 
 
+# one formal solve with its cross-check raises six distinct series to powers
+@lru_cache(maxsize=8)
+def powers(v: ExpPolySeries) -> tuple:
+    """(v, v^2, ..., v^k) for ord(v) > 0, with k the largest integer such
+    that k*ord(v) <= v.trunc; () for the zero series.
+
+    Memoized by value: a germ's perturbation is raised to the same powers at
+    every level of a solve, and callers rebuild it as a new object each time.
+    """
+    if v.is_zero:
+        return ()
+    d = exp_order(v)
+    if d <= 0:
+        raise ValueError("powers need an argument of strictly positive order")
+    out = [v]
+    while (len(out) + 1) * d <= v.trunc:
+        out.append(mul(out[-1], v))
+    return tuple(out)
+
+
 def _affine_head(f: ExpPolySeries) -> complex:
     b0 = f.block(0)
     if b0.degree == 1 and b0.coeffs[1] == 1:
@@ -430,23 +453,15 @@ def compose(g: ExpPolySeries, f: ExpPolySeries) -> ExpPolySeries:
     trunc, gens = _merge_params(g, f)
     delta = f.tail().with_trunc(trunc).with_gens(gens)
     result = translate(g, beta).with_trunc(trunc).with_gens(gens)
-    if delta.is_zero:
-        return result
-    d = exp_order(delta)
     gi = g
-    dpow = delta
-    i = 1
     fact = 1.0
-    while i * d <= trunc:
+    for i, dpow in enumerate(powers(delta), 1):
         gi = derivative(gi)
         if gi.is_zero:
             break
         fact *= i
         term = mul(translate(gi, beta).with_gens(gens), dpow)
         result = add(result, term.scale(1.0 / fact))
-        i += 1
-        if i * d <= trunc:
-            dpow = mul(dpow, delta)
     return result
 
 
@@ -498,18 +513,8 @@ def _shift_exponents(a: ExpPolySeries, offset: Fraction, new_trunc, gens) -> Exp
 def _power_series(v: ExpPolySeries, c0: complex, coeff) -> ExpPolySeries:
     """c0 + sum_{j>=1} coeff(j) * v^j for ord(v) > 0, up to the truncation order."""
     acc = ExpPolySeries.constant(c0, v.trunc, v.gens)
-    if v.is_zero:
-        return acc
-    d = exp_order(v)
-    if d <= 0:
-        raise ValueError("power series needs an argument of strictly positive order")
-    p = v
-    j = 1
-    while j * d <= v.trunc:
+    for j, p in enumerate(powers(v), 1):
         acc = add(acc, p.scale(coeff(j)))
-        j += 1
-        if j * d <= v.trunc:
-            p = mul(p, v)
     return acc
 
 

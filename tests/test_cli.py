@@ -223,14 +223,27 @@ def test_non_finite_coefficient_is_parse_error(tmp_path, capsys, value):
                                 "--output", str(tmp_path / "x")])
 
 
+KOENIGS_ARGS = ["koenigs", "--expr", "zeta + 1 + exp(-zeta)", "--eps", "2.5",
+                "--grid", "8:8:1,0:0:1"]
+
+
 @pytest.mark.parametrize("argv", [
     ["linearize", "--tol", "abc"],
     ["koenigs", "--expr", "zeta + 1"],
     ["linearize", "--order", "1/0"],
-], ids=["tol-abc", "missing-grid", "order-1/0"])
+    ["compare", "--eps", "2.5", "--grid", "8:30:45,0:0:1", "--levels", "0,a"],
+    ["compare", "--eps", "2.5", "--grid", "8:30:45,0:0:1", "--levels=-1"],
+    ["linearize", "--tol", "nan"],
+    KOENIGS_ARGS + ["--tol", "inf"],
+    KOENIGS_ARGS + ["--eps", "nan"],
+    KOENIGS_ARGS + ["--beta", "1+infi"],
+    ["verify-domain", "--expr", "zeta + 1", "--quad-c=-inf"],
+    ["verify-domain", "--expr", "zeta + 1", "--samples", "-5"],
+], ids=["tol-abc", "missing-grid", "order-1/0", "levels-non-integer", "levels-negative",
+        "tol-nan", "tol-inf", "eps-nan", "beta-inf", "quad-c-inf", "samples-negative"])
 def test_bad_flag_is_parse_error(tmp_path, capsys, argv):
     src = write_fixture(tmp_path)
-    extra = [] if argv[0] == "koenigs" else ["--input", str(src)]
+    extra = ["--input", str(src)] if argv[0] in ("linearize", "compare") else []
     assert_parse_error(capsys, argv + extra + ["--output", str(tmp_path / "x")])
 
 

@@ -128,6 +128,20 @@ class TestKoenigs:
         with pytest.raises(NotConverged) as err:
             koenigs_limit(f, 10 + 0j, 1e-9, max_n=20000)
         assert err.value.partial.joj_violations > 0
+        # the reason names the first violating step and the final values
+        msg = str(err.value)
+        assert "violated 20000 times, first at step 1: |delta| = 1.000e-01 > M = 1.000e-02" in msg
+        assert msg.endswith("after 20000 steps tail bound 5.099e-05, step 4.996e-05, tol 1.000e-09")
+
+    def test_exhausted_budget_message(self):
+        f = fixture_map()
+        with pytest.raises(NotConverged) as err:
+            koenigs_limit(f, 12 + 0j, 1e-9, max_n=5)
+        msg = str(err.value)
+        assert "budget exhausted; after 5 steps tail bound " in msg
+        assert float(msg.split("tail bound ")[1].split(",")[0]) > 1e-9
+        last_step = abs(f.delta(orbit(f, 12 + 0j, 4)[-1]))
+        assert msg.endswith(f"step {last_step:.3e}, tol 1.000e-09")
 
     def test_start_below_cut(self):
         with pytest.raises(DomainError):
@@ -155,6 +169,17 @@ class TestHomological:
         psi = solve_homological_numeric(f, h, 1.0, 8 + 0j, tol)
         psi_f = solve_homological_numeric(f, h, 1.0, f(8 + 0j), tol)
         assert abs(psi_f - psi - h(8 + 0j)) <= 1e-9
+
+    def test_exhausted_budget_message(self, monkeypatch):
+        import dulaclin.dynamics
+
+        monkeypatch.setattr(dulaclin.dynamics, "HOMOLOGICAL_MAX_N", 3)
+        f = AnalyticMap.from_expression("zeta + 1", self.PROF4)
+        with pytest.raises(NotConverged) as err:
+            solve_homological_numeric(f, lambda z: cmath.exp(-z), 1.0, 8 + 0j, 1e-10)
+        tail = math.exp(-11) / (1 - math.exp(-self.PROF4.rho_minus(self.PROF4.R)))
+        assert str(err.value) == f"homological tail {tail:.3e} above tol 1.000e-10 after 3 terms"
+        assert err.value.max_n == 3
 
     def test_decay_hypothesis_violated(self):
         f = AnalyticMap.from_expression("zeta + 1", self.PROF4)

@@ -22,6 +22,7 @@ from dulaclin.series import (
     max_rel_coeff_diff,
     mul,
     parse_series,
+    powers,
     semigroup_points,
     serialize_series,
     to_z_chart,
@@ -165,6 +166,52 @@ class TestCompose:
             left = compose(compose(h, g), f)
             right = compose(h, compose(g, f))
             assert max_rel_coeff_diff(left, right) < 1e-10
+
+
+class TestPowers:
+    def test_equal_to_repeated_mul(self):
+        v = S(3, [F(1, 2), F(2, 3)], {F(1, 2): [0.3 - 1.1j, 2.0, 0.7j],
+                                      F(2, 3): [-1.5, 0.25 + 0.5j]})
+        expected = [v]
+        while len(expected) < 6:  # 6 * 1/2 = 3 is the last power within the order
+            expected.append(mul(expected[-1], v))
+        assert [serialize_series(p) for p in powers(v)] == \
+            [serialize_series(p) for p in expected]
+
+    def test_zero_series_has_no_powers(self):
+        assert powers(ExpPolySeries.zero(3, [1])) == ()
+
+    def test_rejects_order_zero(self):
+        with pytest.raises(ValueError):
+            powers(S(3, [1], {0: [1.0], 1: [1.0]}))
+
+    def test_stops_at_last_power_within_the_order(self):
+        # k * 2/3 <= 3 holds up to k = 4; at the boundary k * 1/2 = 2 is kept
+        assert len(powers(S(3, [F(2, 3)], {F(2, 3): [1.0]}))) == 4
+        assert len(powers(S(2, [F(1, 2)], {F(1, 2): [1.0]}))) == 4
+
+    def test_second_compose_multiplies_no_powers(self, monkeypatch):
+        import dulaclin.series
+
+        f = S(3, [F(1, 2)], {0: [1.0, 1.0], F(1, 2): [0.5, 0.2], 1: [-0.3]})
+        g = S(3, [F(1, 2)], {0: [0.0, 1.0, 0.5, 0.25]})
+        calls = []
+        product = dulaclin.series.mul
+
+        def counting(a, b):
+            # a power product has two factors of positive order; the Taylor
+            # terms multiply an order-0 derivative of g by a power
+            if not a.is_zero and exp_order(a) > 0 and exp_order(b) > 0:
+                calls.append((a, b))
+            return product(a, b)
+
+        monkeypatch.setattr(dulaclin.series, "mul", counting)
+        powers.cache_clear()
+        first = compose(g, f)
+        assert len(calls) == 5  # delta^2 .. delta^6
+        calls.clear()
+        assert compose(g, f) == first
+        assert calls == []
 
 
 class TestOrder:
