@@ -4,12 +4,13 @@ and emit decay-comparison reports.
 Every report embeds the tool version, a hash of the effective configuration,
 and the seed, so identical invocations produce byte-identical files.
 Exit codes: 0 ok, 2 not hyperbolic, 3 parse error (also a bad or missing
-flag, a NaN or infinite numeric flag, --samples below 1, a non-integer or
-negative --levels, a missing or unreadable --input or --region file, no
---expr or --input, a malformed --grid, a non-finite series coefficient),
-4 unconverged grid points, 5 violations above tolerance (also linearize
---cross-check solvers differing by more than --tol), 1 other errors (also an
-unwritable --output).
+flag, a NaN or infinite numeric flag, a zero or negative --tol or --alpha,
+--samples below 1, a non-integer or negative --levels, a missing or
+unreadable --input or --region file, no --expr or --input, a malformed
+--grid, a non-finite series coefficient, an expression nested too deeply to
+compile), 4 unconverged grid points, 5 violations above tolerance (also
+linearize --cross-check solvers differing by more than --tol), 1 other
+errors (also an unwritable --output).
 """
 
 from __future__ import annotations
@@ -76,6 +77,14 @@ def _num(text: str) -> float:
     x = float(parse_exponent(text)) if "/" in text else float(text)
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
+def _positive(text: str) -> float:
+    """Positive numeric flag value (a tolerance or a decay rate)."""
+    x = _num(text)
+    if x <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
     return x
 
 
@@ -365,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("linearize", help="formal linearization of a series file")
     p.add_argument("--input", required=True)
     p.add_argument("--order", type=parse_exponent, default=None)
-    p.add_argument("--tol", type=_num, default=1e-9)
+    p.add_argument("--tol", type=_positive, default=1e-9)
     p.add_argument("--cross-check", action="store_true")
     _add_output_flags(p, cmd_linearize)
 
@@ -374,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input")
     _add_profile_flags(p)
     p.add_argument("--grid", required=True)
-    p.add_argument("--tol", type=_num, default=1e-9)
+    p.add_argument("--tol", type=_positive, default=1e-9)
     p.add_argument("--region", help="region JSON file for the in_region flag")
     p.add_argument("--allow-partial", action="store_true")
     _add_output_flags(p, cmd_koenigs)
@@ -396,16 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile_flags(p)
     p.add_argument("--grid", required=True)
     p.add_argument("--levels", default="0,1", help="comma list of partial-sum levels")
-    p.add_argument("--tol", type=_num, default=1e-9)
+    p.add_argument("--tol", type=_positive, default=1e-9)
     _add_output_flags(p, cmd_compare)
 
     p = sub.add_parser("solve-homological", help="orbit sum for psi o f - psi = h")
     p.add_argument("--expr", required=True, help="the map f")
     p.add_argument("--h-expr", required=True, help="the right-hand side h")
-    p.add_argument("--alpha", type=_num, required=True)
+    p.add_argument("--alpha", type=_positive, required=True)
     _add_profile_flags(p)
     p.add_argument("--grid", required=True)
-    p.add_argument("--tol", type=_num, default=1e-10)
+    p.add_argument("--tol", type=_positive, default=1e-10)
     _add_output_flags(p, cmd_solve_homological)
     return ap
 

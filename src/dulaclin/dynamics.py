@@ -4,6 +4,9 @@ homological-equation sums, and decay-slope verification.
 Maps carry a split perturbation  f(zeta) = zeta + beta + delta(zeta)  so the
 small quantities that drive every estimate are evaluated without catastrophic
 cancellation; displacement sums then inherit the relative accuracy of delta.
+`AnalyticMap.delta` is an attribute: one function, built once with the map
+(a compiled expression or a series evaluator with its exponents already
+floats), that every step calls directly.
 All certified bounds are floating-point quantities, conditional on the
 declared drift profile, and per-step checks validate that hypothesis along
 every computed orbit.
@@ -25,7 +28,7 @@ from .errors import (
     InsufficientData,
     NotConverged,
 )
-from .exprparse import eval_ast, parse_expression, split_affine
+from .exprparse import compile_ast, compile_signed_sum, parse_expression, split_affine
 from .series import CPoly, ExpPolySeries, evaluate_tail
 
 __all__ = [
@@ -49,62 +52,50 @@ DECAY_SLACK = 0.1        # slope slack of decay_slope
 class AnalyticMap:
     """Evaluatable map zeta -> zeta + beta + delta(zeta) with a drift profile.
 
-    `perturbation` evaluates delta directly; when absent it falls back to
-    f(zeta) - zeta - beta, which is cancellation-limited and only used for
-    expressions that are not top-level sums.
+    `delta` is an attribute holding the function zeta -> delta(zeta), so a
+    step calls it directly.  Given no `delta`, it is f(zeta) - zeta - beta,
+    which is cancellation-limited and only used for expressions that are not
+    top-level sums.
     """
 
     def __init__(self, evaluator: Callable, profile: AsymptoticProfile,
-                 perturbation: Optional[Callable] = None,
-                 exact_translation: bool = False):
+                 delta: Optional[Callable] = None, exact_translation: bool = False):
         self.evaluator = evaluator
         self.profile = profile
-        self.perturbation = perturbation
+        if delta is None:
+            beta = complex(profile.beta)
+
+            def delta(z):
+                return evaluator(z) - z - beta
+        self.delta = delta
         self.exact_translation = exact_translation
 
     def __call__(self, zeta: complex) -> complex:
         return self.evaluator(zeta)
 
-    def delta(self, zeta: complex) -> complex:
-        if self.perturbation is not None:
-            return self.perturbation(zeta)
-        return self.evaluator(zeta) - zeta - complex(self.profile.beta)
-
     @staticmethod
     def from_expression(text: str, profile: AsymptoticProfile) -> "AnalyticMap":
         ast = parse_expression(text)
-        beta = complex(profile.beta)
-        split = split_affine(ast, beta)
+        split = split_affine(ast, complex(profile.beta))
         if split is None:
-            def evaluator(z, _ast=ast):
-                return eval_ast(_ast, z)
-            return AnalyticMap(evaluator, profile)
+            return AnalyticMap(compile_ast(ast), profile)
         offset, others = split
-
-        def perturbation(z, _offset=offset, _others=tuple(others)):
-            acc = _offset
-            for sign, node in _others:
-                acc += sign * eval_ast(node, z)
-            return acc
-
-        def evaluator(z, _beta=beta, _p=perturbation):
-            return z + _beta + _p(z)
-
         exact = not others and offset == 0
-        return AnalyticMap(evaluator, profile, perturbation=perturbation,
-                           exact_translation=exact)
+        return AnalyticMap._with_delta(compile_signed_sum(offset, others), profile, exact)
 
     @staticmethod
     def from_series(series: ExpPolySeries, profile: AsymptoticProfile) -> "AnalyticMap":
         beta = complex(profile.beta)
-        perturbation = _series_delta(series, beta)
-
-        def evaluator(z, _beta=beta, _p=perturbation):
-            return z + _beta + _p(z)
-
         exact = series.block(0) == CPoly([beta, 1.0]) and series.tail().is_zero
-        return AnalyticMap(evaluator, profile, perturbation=perturbation,
-                           exact_translation=exact)
+        return AnalyticMap._with_delta(_series_delta(series, beta), profile, exact)
+
+    @staticmethod
+    def _with_delta(delta: Callable, profile: AsymptoticProfile, exact: bool) -> "AnalyticMap":
+        beta = complex(profile.beta)
+
+        def evaluator(z):
+            return z + beta + delta(z)
+        return AnalyticMap(evaluator, profile, delta=delta, exact_translation=exact)
 
 
 @dataclass(frozen=True)
@@ -185,19 +176,21 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
     step = math.inf
     n = 0
     converged = False
+    bound = Mf(x0)    # the drift envelope M(x0 + n*rho) of the coming step
     while n < max_n:
         d = delta(w)
         step = abs(d)
-        if step > Mf(x0 + n * rho) * (1.0 + 1e-9):
+        if step > bound * (1.0 + 1e-9):
             if not violations:
                 first_violation = (f", first at step {n + 1}: |delta| = {step:.3e}"
-                                   f" > M = {Mf(x0 + n * rho):.3e}")
+                                   f" > M = {bound:.3e}")
             violations += 1
         disp += d
         w = w + beta + d
         n += 1
         y = x0 + n * rho
-        tail = Mf(y) + Mtail(y) / rho
+        bound = Mf(y)
+        tail = bound + Mtail(y) / rho
         if violations == 0 and tail <= tol and step <= tol:
             converged = True
             break
@@ -238,16 +231,19 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
     rho = prof.rho_minus(prof.R)
     denom = 1.0 - math.exp(-alpha * rho)
     beta = complex(prof.beta)
+    delta = f.delta
     w = zeta
     acc = 0j
+    envelope = math.exp(-alpha * w.real)    # exp(-alpha Re w) at the current w
     for n in range(1, HOMOLOGICAL_MAX_N + 1):
         hv = h(w)
-        if abs(hv) > math.exp(-alpha * w.real) * (1.0 + 1e-9):
+        if abs(hv) > envelope * (1.0 + 1e-9):
             raise DecayHypothesisViolated(
                 f"|h| = {abs(hv)} exceeds exp(-alpha Re) at {w}")
         acc += hv
-        w = w + beta + f.delta(w)
-        tail = math.exp(-alpha * w.real) / denom
+        w = w + beta + delta(w)
+        envelope = math.exp(-alpha * w.real)
+        tail = envelope / denom
         if tail <= tol:
             break
     else:
@@ -269,9 +265,10 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
 def _series_delta(series: ExpPolySeries, beta: complex) -> Callable:
     """z -> series(z) - z - beta, the head differenced on its coefficients."""
     rest = series.block(0) - CPoly([complex(beta), 1.0])
+    tail = tuple((-float(m), b) for m, b in series.terms if m > 0)
 
-    def delta(z, _s=series, _rest=rest):
-        return _rest(z) + evaluate_tail(_s, z)
+    def delta(z):
+        return rest(z) + evaluate_tail(tail, z)
     return delta
 
 

@@ -12,19 +12,26 @@ Grammar (whitespace insensitive):
 
 Numbers are decimal literals; rational constants are spelled with '/'.
 L1..L9 are iterated principal logarithms; written bare they apply to zeta,
-so `L1^-2` is shorthand for `L1(zeta)^-2`.  Evaluation guards: division by
-zero and any log whose argument has nonpositive real part raise
-EvalDomainError; parse failures carry the character offset.
+so `L1^-2` is shorthand for `L1(zeta)^-2`.  Parse failures carry the
+character offset.
+
+compile_ast turns an AST into one Python function, compiled once, that
+evaluates it operand by operand: left first, except that a divisor is
+evaluated and checked before its dividend.  Evaluation guards: division by
+zero, zero to a negative power and any log whose argument has nonpositive
+real part raise EvalDomainError.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import re
 
 from .errors import EvalDomainError, ParseError
 
-__all__ = ["parse_expression", "eval_ast", "contains_zeta", "split_affine"]
+__all__ = ["parse_expression", "compile_ast", "compile_signed_sum", "eval_ast",
+           "contains_zeta", "split_affine"]
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
@@ -170,45 +177,111 @@ def parse_expression(text: str):
     return _Parser(text).parse()
 
 
+# the guarded operations of compiled expressions
+
+def _zero_division():
+    raise EvalDomainError("division by zero")
+
+
+def _neg_pow(base, n):
+    if base == 0:
+        raise EvalDomainError("zero raised to a negative power")
+    return base ** n
+
+
+def _log(w):
+    if w.real <= 0:
+        raise EvalDomainError("log argument has nonpositive real part")
+    return cmath.log(w)
+
+
+def _ilog(w, m):
+    for _ in range(m):
+        if w.real <= 0:
+            raise EvalDomainError("iterated log left the right half plane")
+        w = cmath.log(w)
+    return w
+
+
+_GLOBALS = {"__builtins__": {}, "_exp": cmath.exp, "_log": _log, "_neg_pow": _neg_pow,
+            "_ilog": _ilog, "_zero_division": _zero_division}
+# Python precedence of the emitted forms, lowest first
+_ADD, _MUL, _UNARY, _POW, _ATOM = range(5)
+_BINARY = {"add": ("+", _ADD), "sub": ("-", _ADD), "mul": ("*", _MUL)}
+_CALLS = {"exp": "_exp", "log": "_log"}
+
+
+class _Compiler:
+    """Python source for an AST: operator tokens, `z`, generated names and the
+    parser's integer literals only; constants are bound by name."""
+
+    def __init__(self):
+        self.names = dict(_GLOBALS)
+        self.ids = itertools.count()
+
+    def const(self, value) -> str:
+        name = f"_c{next(self.ids)}"
+        self.names[name] = value
+        return name
+
+    def emit(self, node, prec=_ADD) -> str:
+        """Source of `node`, parenthesized when it binds looser than `prec`."""
+        op = node[0]
+        own = _ATOM
+        if op == "num":
+            src = self.const(node[1])
+        elif op == "zeta":
+            src = "z"
+        elif op == "neg":
+            src, own = "-" + self.emit(node[1], _UNARY), _UNARY
+        elif op in _BINARY:
+            sym, own = _BINARY[op]
+            src = f"{self.emit(node[1], own)} {sym} {self.emit(node[2], own + 1)}"
+        elif op == "div":
+            # the divisor is evaluated and checked before the dividend
+            t = f"_t{next(self.ids)}"
+            den = self.emit(node[2])
+            num = self.emit(node[1], _MUL)
+            src = f"({num} / {t} if ({t} := {den}) != 0 else _zero_division())"
+        elif op == "pow" and node[2] < 0:
+            src = f"_neg_pow({self.emit(node[1])}, {node[2]:d})"
+        elif op == "pow":
+            src, own = f"{self.emit(node[1], _ATOM)} ** {node[2]:d}", _POW
+        elif op == "call":
+            src = f"{_CALLS[node[1]]}({self.emit(node[2])})"
+        elif op == "ilog":
+            src = f"_ilog({self.emit(node[2])}, {node[1]:d})"
+        else:
+            raise ValueError(f"bad AST node {node!r}")
+        return src if own >= prec else f"({src})"
+
+
+def _compile(emit_body):
+    compiler = _Compiler()
+    try:
+        code = compile(f"lambda z: {emit_body(compiler)}", "<expression>", "eval")
+    except (SyntaxError, RecursionError):
+        raise ParseError("expression nested too deeply to compile") from None
+    return eval(code, compiler.names)  # the source holds no input text
+
+
+def compile_ast(node):
+    """The AST as one compiled function z -> value, with the evaluation order,
+    floating-point operations and EvalDomainError guards of the grammar."""
+    return _compile(lambda c: c.emit(node))
+
+
+def compile_signed_sum(offset: complex, terms):
+    """z -> offset + sign_1 * t_1(z) + sign_2 * t_2(z) + ..., summed left to
+    right, for the `(offset, terms)` that split_affine returns."""
+    return _compile(lambda c: c.const(offset) + "".join(
+        f" + {sign:d} * {c.emit(node, _MUL + 1)}" for sign, node in terms))
+
+
 def eval_ast(node, zeta: complex) -> complex:
-    op = node[0]
-    if op == "num":
-        return node[1]
-    if op == "zeta":
-        return zeta
-    if op == "neg":
-        return -eval_ast(node[1], zeta)
-    if op == "add":
-        return eval_ast(node[1], zeta) + eval_ast(node[2], zeta)
-    if op == "sub":
-        return eval_ast(node[1], zeta) - eval_ast(node[2], zeta)
-    if op == "mul":
-        return eval_ast(node[1], zeta) * eval_ast(node[2], zeta)
-    if op == "div":
-        den = eval_ast(node[2], zeta)
-        if den == 0:
-            raise EvalDomainError("division by zero")
-        return eval_ast(node[1], zeta) / den
-    if op == "pow":
-        base = eval_ast(node[1], zeta)
-        if node[2] < 0 and base == 0:
-            raise EvalDomainError("zero raised to a negative power")
-        return base ** node[2]
-    if op == "call":
-        arg = eval_ast(node[2], zeta)
-        if node[1] == "exp":
-            return cmath.exp(arg)
-        if arg.real <= 0:
-            raise EvalDomainError("log argument has nonpositive real part")
-        return cmath.log(arg)
-    if op == "ilog":
-        w = eval_ast(node[2], zeta)
-        for _ in range(node[1]):
-            if w.real <= 0:
-                raise EvalDomainError("iterated log left the right half plane")
-            w = cmath.log(w)
-        return w
-    raise ValueError(f"bad AST node {node!r}")
+    """Value of the AST at zeta; compiles it first, so evaluate a map's
+    expression many times through compile_ast instead."""
+    return compile_ast(node)(zeta)
 
 
 def contains_zeta(node) -> bool:

@@ -573,12 +573,15 @@ def evaluate(a: ExpPolySeries, zeta: complex) -> complex:
     return acc
 
 
-def evaluate_tail(a: ExpPolySeries, zeta: complex) -> complex:
-    """Sum of the exponential terms only (exponent > 0); accurate for small values."""
+def evaluate_tail(pairs, zeta: complex) -> complex:
+    """Sum of the exponential terms only; accurate for small values.
+
+    `pairs` are a series' terms of exponent m > 0, given as (-float(m), block)
+    so that a caller evaluating one series many times converts them once.
+    """
     acc = 0j
-    for m, b in a.terms:
-        if m > 0:
-            acc += cmath.exp(-float(m) * zeta) * b(zeta)
+    for mu, b in pairs:
+        acc += cmath.exp(mu * zeta) * b(zeta)
     return acc
 
 

@@ -225,6 +225,8 @@ def test_non_finite_coefficient_is_parse_error(tmp_path, capsys, value):
 
 KOENIGS_ARGS = ["koenigs", "--expr", "zeta + 1 + exp(-zeta)", "--eps", "2.5",
                 "--grid", "8:8:1,0:0:1"]
+HOMOLOGICAL_ARGS = ["solve-homological", "--expr", "zeta + 1", "--h-expr", "exp(-zeta)",
+                    "--cut", "4", "--grid", "8:8:1,0:0:1"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -239,8 +241,13 @@ KOENIGS_ARGS = ["koenigs", "--expr", "zeta + 1 + exp(-zeta)", "--eps", "2.5",
     KOENIGS_ARGS + ["--beta", "1+infi"],
     ["verify-domain", "--expr", "zeta + 1", "--quad-c=-inf"],
     ["verify-domain", "--expr", "zeta + 1", "--samples", "-5"],
+    KOENIGS_ARGS + ["--tol", "0"],
+    ["linearize", "--tol=-1e-9"],
+    HOMOLOGICAL_ARGS + ["--alpha", "0"],
+    HOMOLOGICAL_ARGS + ["--alpha=-1"],
 ], ids=["tol-abc", "missing-grid", "order-1/0", "levels-non-integer", "levels-negative",
-        "tol-nan", "tol-inf", "eps-nan", "beta-inf", "quad-c-inf", "samples-negative"])
+        "tol-nan", "tol-inf", "eps-nan", "beta-inf", "quad-c-inf", "samples-negative",
+        "tol-zero", "tol-negative", "alpha-zero", "alpha-negative"])
 def test_bad_flag_is_parse_error(tmp_path, capsys, argv):
     src = write_fixture(tmp_path)
     extra = ["--input", str(src)] if argv[0] in ("linearize", "compare") else []

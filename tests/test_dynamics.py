@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -16,10 +17,12 @@ from dulaclin.dynamics import (
 from dulaclin.errors import (
     DecayHypothesisViolated,
     DomainError,
+    EvalDomainError,
     GrowthBoundViolated,
     InsufficientData,
     NotConverged,
 )
+from dulaclin.exprparse import compile_ast, parse_expression
 from dulaclin.linearize import linearize_level_by_level, partial_sums
 from dulaclin.series import ExpPolySeries
 
@@ -146,6 +149,53 @@ class TestKoenigs:
     def test_start_below_cut(self):
         with pytest.raises(DomainError):
             koenigs_limit(fixture_map(), 3 + 0j, 1e-9)
+
+
+# the Koenigs benchmark germs and the generator-1/2 germ of the compare
+# benchmark, on the benchmark profile (eps 2.5, k 0, cut 8, tol 1e-9)
+BENCH_MAPS = {
+    "germ": lambda: AnalyticMap.from_expression(
+        FIXTURE, AsymptoticProfile(1 + 0j, 2.5, 0, 8.0)),
+    "germ2": lambda: AnalyticMap.from_expression(
+        "zeta + 1 + 0.5*i + exp(-zeta) + (zeta^2/4 - 1)*exp(-2*zeta)",
+        AsymptoticProfile(1 + 0.5j, 2.5, 0, 8.0)),
+    "half": lambda: AnalyticMap.from_series(
+        ExpPolySeries(4, [Fraction(1, 2)],
+                      {0: [1.0, 1.0], 1: [1.0], Fraction(3, 2): [0.5, 0.1]}),
+        AsymptoticProfile(1 + 0j, 2.5, 0, 8.0)),
+}
+
+
+class TestBitExact:
+    """koenigs_limit results recorded when expressions were still walked node
+    by node and series exponents converted on every call; compiled maps must
+    reproduce them bit for bit."""
+
+    @pytest.mark.parametrize("name, zeta, value, n_used, tail_bound", [
+        ("germ", 9 + 2j, 8.999918761756996 + 1.9998224688005375j, 2754, 9.99295950464898e-10),
+        ("germ", 14.5 - 1.5j, 14.500000056438996 - 1.4999992041324355j, 2747,
+         9.993573605011101e-10),
+        ("germ2", 9 + 2j, 8.999888265136246 + 1.9998634794637924j, 2754, 9.99295950464898e-10),
+        ("germ2", 14.5 - 1.5j, 14.500000230536758 - 1.4999993171042376j, 2747,
+         9.993573605011101e-10),
+        ("half", 9 + 2j, 8.999916315458485 + 1.9998217633144344j, 2754, 9.99295950464898e-10),
+        ("half", 14.5 - 1.5j, 14.500000055919731 - 1.4999992033791665j, 2747,
+         9.993573605011101e-10),
+    ])
+    def test_koenigs_limit_unchanged(self, name, zeta, value, n_used, tail_bound):
+        res = koenigs_limit(BENCH_MAPS[name](), zeta, 1e-9)
+        assert (res.value, res.n_used, res.tail_bound) == (value, n_used, tail_bound)
+
+    @pytest.mark.parametrize("text, zeta, message", [
+        ("1/(zeta - 2)", 2 + 0j, "division by zero"),
+        ("zeta^-1", 0j, "zero raised to a negative power"),
+        ("log(zeta)", -3 + 1j, "log argument has nonpositive real part"),
+        ("L2(zeta)", 0.5 + 0j, "iterated log left the right half plane"),
+    ])
+    def test_compiled_guards_raise(self, text, zeta, message):
+        f = compile_ast(parse_expression(text))
+        with pytest.raises(EvalDomainError, match=message):
+            f(zeta)
 
 
 class TestHomological:

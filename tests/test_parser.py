@@ -6,7 +6,7 @@ import pytest
 from dulaclin.domains import AsymptoticProfile
 from dulaclin.dynamics import AnalyticMap
 from dulaclin.errors import EvalDomainError, ParseError
-from dulaclin.exprparse import eval_ast, parse_expression, split_affine
+from dulaclin.exprparse import compile_ast, eval_ast, parse_expression, split_affine
 
 PROF = AsymptoticProfile(1 + 0j, 1.0, 0, 2.0)
 
@@ -83,6 +83,27 @@ class TestEvaluationGuards:
     def test_zero_to_negative_power(self):
         with pytest.raises(EvalDomainError):
             ev("zeta^-1", 0j)
+
+
+class TestCompile:
+    def test_constants_bound_by_name(self):
+        # the compiled code holds no number from the input, only integer exponents
+        f = compile_ast(parse_expression("zeta^3 * 2.5e-3 + 0.125*i - pi/7"))
+        assert all(c is None or type(c) is int for c in f.__code__.co_consts)
+        z = 1.5 - 0.25j
+        assert f(z) == (z ** 3 * 2.5e-3 + 0.125j) - complex(math.pi) / 7
+
+    def test_divisor_checked_before_dividend(self):
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            ev("log(zeta - 9)/(zeta - 9)", 9 + 0j)
+
+    def test_division_chain(self):
+        assert ev("1/zeta/zeta/zeta", 2 + 0j) == 0.125
+        assert ev("zeta/(zeta/(zeta/2))", 3 + 0j) == 1.5
+
+    def test_too_deep_to_compile_is_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            compile_ast(parse_expression("1/" * 300 + "zeta"))
 
 
 class TestAffineSplit:
