@@ -10,12 +10,26 @@ floats), that every step calls directly.
 All certified bounds are floating-point quantities, conditional on the
 declared drift profile, and per-step checks validate that hypothesis along
 every computed orbit.
+
+One orbit serves two start points: `koenigs_limit(..., with_next=True)`
+certifies zeta and zeta + beta + delta(zeta) from one walk, and
+`solve_homological_numeric` sums from both with two accumulators.  The
+Koenigs envelope is hoisted: per start, a bisection finds the last step
+count n_lo whose tail bound exceeds tol by ENVELOPE_MARGIN, and the envelope
+at step n_lo - 1, shrunk by that margin, is a floor under every earlier
+step's.  A step evaluates M only when |delta| is above the floor or it is
+past n_lo, and the tail bound only past n_lo.  The margin covers the
+rounding of pow and log, so only the exact envelope must be monotone, not
+its floating-point evaluation: every check and every value is the one that
+evaluating both at every step gives.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -46,6 +60,7 @@ __all__ = [
 NOISE_FLOOR = 1e-14
 HOMOLOGICAL_MAX_N = 100_000
 EXPANSION_SLACK = 0.05   # slope slack of expansion_residual_check
+ENVELOPE_MARGIN = 1e-12  # relative rounding allowance of the hoisted envelope
 DECAY_SLACK = 0.1        # slope slack of decay_slope
 
 
@@ -107,6 +122,7 @@ class KoenigsResult:
     displacement: complex      # value - zeta, the running sum of the steps delta
     joj_violations: int
     hahh_constant: float       # fitted C in |phi - id| <= C / (log^k Re)^(eps/2)
+    next: Optional["KoenigsResult"] = None   # with with_next, the orbit's next point
 
 
 @dataclass(frozen=True)
@@ -148,8 +164,20 @@ def _bound_funcs(prof: AsymptoticProfile):
     return (lambda y: prof.M(y)), (lambda y: prof.M_tail(y))
 
 
+def _orbit_deltas(f: AnalyticMap, zeta: complex):
+    """The steps delta(w_n) of the orbit w_{n+1} = w_n + beta + delta(w_n)
+    from w_0 = zeta, each evaluated when it is first asked for."""
+    beta = complex(f.profile.beta)
+    delta = f.delta
+    w = zeta
+    while True:
+        d = delta(w)
+        yield d
+        w = w + beta + d
+
+
 def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
-                  max_n: int = 200_000) -> KoenigsResult:
+                  max_n: int = 200_000, *, with_next: bool = False) -> KoenigsResult:
     """Limit of f^n - n*beta at zeta with a certified stopping rule.
 
     Stops only when the analytic tail bound (per-step envelope M plus its
@@ -157,9 +185,29 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
     violation of |f^{n+1} - f^n - beta| <= M(Re + n*rho_minus) voids the
     certificate and the run ends in NotConverged, which is the expected
     outcome for maps outside the hypothesis.
+
+    With `with_next`, the same walk also certifies the orbit's next point
+    zeta + beta + delta(zeta), with its own envelope, sum and stopping rule,
+    into `result.next`.  Errors come in the order of two calls in a row; a
+    NotConverged's partial result is zeta's, holding the next point's in
+    `next` when only that one failed.
     """
+    deltas = _orbit_deltas(f, zeta)
+    if not with_next:
+        return _certify(f, zeta, deltas, tol, max_n)
+    deltas, shifted = itertools.tee(deltas)
+    result = _certify(f, zeta, deltas, tol, max_n)
+    w1 = zeta + complex(f.profile.beta) + next(shifted)
+    try:
+        return replace(result, next=_certify(f, w1, shifted, tol, max_n))
+    except NotConverged as exc:
+        exc.partial = replace(result, next=exc.partial)
+        raise
+
+
+def _certify(f: AnalyticMap, zeta: complex, deltas, tol: float, max_n: int) -> KoenigsResult:
+    """The Koenigs limit at zeta from `deltas`, the steps of its orbit."""
     prof = f.profile
-    beta = complex(prof.beta)
     x0 = zeta.real
     if x0 < prof.R:
         raise DomainError(f"Koenigs start needs Re >= R = {prof.R}")
@@ -167,8 +215,17 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
         return KoenigsResult(zeta, 1, 0.0, True, 0j, 0, 0.0)
     Mf, Mtail = _bound_funcs(prof)
     rho = prof.rho_minus(x0)
-    delta = f.delta
-    w = zeta
+
+    def tail_at(n):
+        y = x0 + n * rho
+        return Mf(y) + Mtail(y) / rho
+
+    # the last step count n_lo whose tail bound provably exceeds tol
+    n_lo = bisect.bisect(range(1, max_n + 1), False,
+                         key=lambda n: tail_at(n) <= tol * (1.0 + ENVELOPE_MARGIN))
+    # at most the drift check's threshold M(x0 + n*rho) * (1 + 1e-9) at every n < n_lo
+    floor = (Mf(x0 + (n_lo - 1) * rho) * (1.0 - ENVELOPE_MARGIN) * (1.0 + 1e-9)
+             if n_lo else -1.0)
     disp = 0j
     violations = 0
     first_violation = ""
@@ -176,24 +233,24 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
     step = math.inf
     n = 0
     converged = False
-    bound = Mf(x0)    # the drift envelope M(x0 + n*rho) of the coming step
-    while n < max_n:
-        d = delta(w)
+    for d in itertools.islice(deltas, max_n):
         step = abs(d)
-        if step > bound * (1.0 + 1e-9):
-            if not violations:
-                first_violation = (f", first at step {n + 1}: |delta| = {step:.3e}"
-                                   f" > M = {bound:.3e}")
-            violations += 1
+        if step > floor or n >= n_lo:
+            bound = Mf(x0 + n * rho)    # the drift envelope of this step
+            if step > bound * (1.0 + 1e-9):
+                if not violations:
+                    first_violation = (f", first at step {n + 1}: |delta| = {step:.3e}"
+                                       f" > M = {bound:.3e}")
+                violations += 1
         disp += d
-        w = w + beta + d
         n += 1
-        y = x0 + n * rho
-        bound = Mf(y)
-        tail = bound + Mtail(y) / rho
-        if violations == 0 and tail <= tol and step <= tol:
-            converged = True
-            break
+        if n > n_lo and violations == 0 and step <= tol:
+            tail = tail_at(n)
+            if tail <= tol:
+                converged = True
+                break
+    if n and not converged:
+        tail = tail_at(n)
     value = zeta + disp
     logk = iterated_log_real(x0, prof.k) if prof.k > 0 else x0
     result = KoenigsResult(
@@ -215,13 +272,16 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
 
 
 def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
-                              zeta: complex, tol: float, _verify: bool = True) -> complex:
+                              zeta: complex, tol: float, with_next: bool = False):
     """psi(zeta) = -sum_n h(f^n(zeta)), solving psi o f - psi = h.
 
     Requires |h| <= exp(-alpha Re) on the visited orbit (checked pointwise);
     the geometric tail exp(-alpha Re f^n) / (1 - exp(-alpha rho_minus(R)))
-    drives the stopping rule, and the defining equation is re-verified at
-    zeta to 10*tol with an independent second run.
+    drives the stopping rule.  A second accumulator sums psi at the next
+    orbit point w1 = zeta + beta + delta(zeta) along the same walk; its sum
+    ends at the same orbit point as zeta's, or, when zeta's ends after one
+    term, at the next one whose tail is below tol.  The defining equation is
+    verified at zeta to 10*tol.  With `with_next`, returns (psi(zeta), psi(w1)).
     """
     prof = f.profile
     if zeta.real < prof.R:
@@ -233,30 +293,39 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
     beta = complex(prof.beta)
     delta = f.delta
     w = zeta
-    acc = 0j
+    acc = acc_next = 0j
+    psi = None
     envelope = math.exp(-alpha * w.real)    # exp(-alpha Re w) at the current w
-    for n in range(1, HOMOLOGICAL_MAX_N + 1):
+    for n in range(1, HOMOLOGICAL_MAX_N + 2):
         hv = h(w)
         if abs(hv) > envelope * (1.0 + 1e-9):
             raise DecayHypothesisViolated(
                 f"|h| = {abs(hv)} exceeds exp(-alpha Re) at {w}")
         acc += hv
+        if n > 1:
+            acc_next += hv
         w = w + beta + delta(w)
+        if n == 1:
+            w1 = w
         envelope = math.exp(-alpha * w.real)
         tail = envelope / denom
-        if tail <= tol:
+        if psi is None and (tail <= tol or n == HOMOLOGICAL_MAX_N):
+            if tail > tol:
+                raise NotConverged(f"homological tail {tail:.3e} above tol {tol:.3e}"
+                                   f" after {n} terms", max_n=n)
+            psi = -acc
+            if w1.real < prof.R:
+                raise DomainError(f"start point needs Re >= R = {prof.R}")
+        if n > 1 and tail <= tol:
             break
     else:
-        raise NotConverged(f"homological tail {tail:.3e} above tol {tol:.3e} after {n} terms",
-                           max_n=n)
-    psi = -acc
-    if _verify:
-        znext = zeta + beta + f.delta(zeta)
-        psi_next = solve_homological_numeric(f, h, alpha, znext, tol, _verify=False)
-        resid = abs(psi_next - psi - h(zeta))
-        if resid > 10.0 * tol:
-            raise NotConverged(f"homological equation residual {resid} > 10*tol")
-    return psi
+        raise NotConverged(f"homological tail {tail:.3e} above tol {tol:.3e}"
+                           f" after {n - 1} terms", max_n=n - 1)
+    psi_next = -acc_next
+    resid = abs(psi_next - psi - h(zeta))
+    if resid > 10.0 * tol:
+        raise NotConverged(f"homological equation residual {resid} > 10*tol")
+    return (psi, psi_next) if with_next else psi
 
 
 # ---------------------------------------------------------------------------

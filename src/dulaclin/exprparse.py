@@ -13,7 +13,8 @@ Grammar (whitespace insensitive):
 Numbers are decimal literals; rational constants are spelled with '/'.
 L1..L9 are iterated principal logarithms; written bare they apply to zeta,
 so `L1^-2` is shorthand for `L1(zeta)^-2`.  Parse failures carry the
-character offset.
+character offset; an expression nested or chained too deeply for the
+recursive parser or for split_affine's walk is a ParseError too.
 
 compile_ast turns an AST into one Python function, compiled once, that
 evaluates it operand by operand: left first, except that a divisor is
@@ -133,10 +134,13 @@ class _Parser:
                 self.advance()
                 sign = -1
                 kind, val, pos = self.peek()
-            if kind != "num" or "." in val:
+            if kind != "num" or not val.isdigit():
                 raise ParseError("exponent must be an integer literal", position=pos)
             self.advance()
-            node = ("pow", node, sign * int(val))
+            try:
+                node = ("pow", node, sign * int(val))
+            except ValueError:  # past int()'s limit on digits
+                raise ParseError("exponent literal too long", position=pos) from None
         return node
 
     def atom(self):
@@ -173,8 +177,12 @@ class _Parser:
 
 
 def parse_expression(text: str):
-    """Text to AST; raises ParseError with a character offset on failure."""
-    return _Parser(text).parse()
+    """Text to AST; raises ParseError with a character offset on failure,
+    and without one on input nested too deeply to parse."""
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply to parse") from None
 
 
 # the guarded operations of compiled expressions
@@ -298,8 +306,16 @@ def split_affine(node, beta: complex):
     the identity part is removed structurally and the declared beta is
     subtracted from the (exactly evaluated) constant part, giving `offset`.
     `other_terms` lists the remaining (sign, node) terms that depend on zeta.
-    Returns None when the expression has no such shape.
+    Returns None when the expression has no such shape.  A sum or a term
+    nested too deeply to walk is a ParseError.
     """
+    try:
+        return _split_affine(node, beta)
+    except RecursionError:
+        raise ParseError("expression nested too deeply to split") from None
+
+
+def _split_affine(node, beta: complex):
     flat = []
 
     def walk(n, sign):

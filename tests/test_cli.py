@@ -129,6 +129,32 @@ def test_koenigs_exact_translation_columns(tmp_path):
         assert row[4] == "1" and row[5] == "0.0"      # n_used, tail_bound
 
 
+def test_koenigs_partial_row_when_only_the_image_fails(tmp_path, monkeypatch, capsys):
+    import dulaclin.cli
+    from dulaclin.domains import AsymptoticProfile
+    from dulaclin.dynamics import AnalyticMap, koenigs_limit
+
+    # steps just under the envelope of the orbit of 8, so above that of its image
+    prof = AsymptoticProfile(1 + 0j, 2.5, 0, 8.0)
+    rho = prof.rho_minus(8.0)
+
+    def delta(w):
+        return complex(prof.M(8.0 + round(w.real - 8.0) * rho) * (1 - 1e-6))
+    f = AnalyticMap(lambda w: w + 1 + delta(w), prof, delta=delta)
+    monkeypatch.setattr(dulaclin.cli, "_load_map", lambda args, profile: f)
+    alone = koenigs_limit(f, 8 + 0j, 1e-9)
+    out = tmp_path / "k.csv"
+    args = ["koenigs", "--expr", "unused", "--eps", "2.5", "--grid", "8:8:1,0:0:1",
+            "--output", str(out)]
+    assert main(args) == 4
+    assert capsys.readouterr().err.startswith(
+        f"not converged at (8+0j): Koenigs sequence not certified at {f(8 + 0j)}: ")
+    assert main(args + ["--allow-partial"]) == 0
+    row = out.read_text().splitlines()[4].split(",")
+    assert row == ["8.0", "0.0", repr(alone.value.real), repr(alone.value.imag),
+                   str(alone.n_used), "inf", "nan", "1"]
+
+
 def test_koenigs_divergent_exit_code(tmp_path):
     args = ["koenigs", "--expr", "zeta + 1 + 1/zeta", "--beta", "1",
             "--eps", "1", "--k", "0", "--cut", "10",
@@ -254,6 +280,20 @@ def test_bad_flag_is_parse_error(tmp_path, capsys, argv):
     assert_parse_error(capsys, argv + extra + ["--output", str(tmp_path / "x")])
 
 
+@pytest.mark.parametrize("expr", [
+    "zeta + 1 + " + "(" * 220 + "zeta" + ")" * 220,
+    "zeta + 1" + " + exp(-zeta)" * 1200,
+    "zeta + 1 + " + "*".join(["exp(-zeta)"] * 1200),
+    "zeta + 1 + " + "-" * 1200 + "exp(-zeta)",
+    "zeta + 1 + zeta^" + "9" * 5000,
+    "zeta + 1 + zeta^2e3",
+], ids=["nested-parens", "long-sum", "long-product", "negation-chain", "long-exponent",
+        "float-exponent"])
+def test_unparsable_expression_is_parse_error(tmp_path, capsys, expr):
+    assert_parse_error(capsys, KOENIGS_ARGS[:1] + ["--expr", expr] + KOENIGS_ARGS[3:]
+                       + ["--output", str(tmp_path / "x")])
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -280,7 +320,7 @@ def test_solve_homological_two_orbit_sums_per_point(tmp_path, monkeypatch):
         calls.append(args[3])
         return solve(*args, **kwargs)
 
-    # the solver's own verification run recurses through the module global
+    # a second walk inside the solver would go through the module global
     monkeypatch.setattr(dulaclin.dynamics, "solve_homological_numeric", counting)
     monkeypatch.setattr(dulaclin.cli, "solve_homological_numeric", counting)
     code = main(["solve-homological", "--expr", "zeta + 1 + exp(-zeta)",
@@ -288,7 +328,8 @@ def test_solve_homological_two_orbit_sums_per_point(tmp_path, monkeypatch):
                  "--k", "0", "--cut", "4", "--grid", "8:10:3,0:1:2",
                  "--output", str(tmp_path / "h.json")])
     assert code == 0
-    assert len(calls) == 2 * 6
+    # one call per point sums psi(z) and psi(f(z)) along one orbit
+    assert calls == [8, 8 + 1j, 9, 9 + 1j, 10, 10 + 1j]
 
 
 def test_complex_flag_parsing():

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from dulaclin.domains import AsymptoticProfile
+import dulaclin.dynamics
+from dulaclin.domains import AsymptoticProfile, iterated_log_real
 from dulaclin.dynamics import (
+    KoenigsResult,
+    _bound_funcs,
     AnalyticMap,
     decay_slope,
     expansion_residual_check,
@@ -198,8 +201,269 @@ class TestBitExact:
             f(zeta)
 
 
+def reference_koenigs(f, zeta, tol, max_n=200_000):
+    """koenigs_limit as it was before orbits were shared and the envelope was
+    hoisted: one start, M and the tail bound evaluated at every step."""
+    prof = f.profile
+    beta = complex(prof.beta)
+    x0 = zeta.real
+    if x0 < prof.R:
+        raise DomainError(f"Koenigs start needs Re >= R = {prof.R}")
+    if f.exact_translation:
+        return KoenigsResult(zeta, 1, 0.0, True, 0j, 0, 0.0)
+    Mf, Mtail = _bound_funcs(prof)
+    rho = prof.rho_minus(x0)
+    delta = f.delta
+    w = zeta
+    disp = 0j
+    violations = 0
+    first_violation = ""
+    tail = math.inf
+    step = math.inf
+    n = 0
+    converged = False
+    bound = Mf(x0)
+    while n < max_n:
+        d = delta(w)
+        step = abs(d)
+        if step > bound * (1.0 + 1e-9):
+            if not violations:
+                first_violation = (f", first at step {n + 1}: |delta| = {step:.3e}"
+                                   f" > M = {bound:.3e}")
+            violations += 1
+        disp += d
+        w = w + beta + d
+        n += 1
+        y = x0 + n * rho
+        bound = Mf(y)
+        tail = bound + Mtail(y) / rho
+        if violations == 0 and tail <= tol and step <= tol:
+            converged = True
+            break
+    value = zeta + disp
+    logk = iterated_log_real(x0, prof.k) if prof.k > 0 else x0
+    result = KoenigsResult(
+        value=value,
+        n_used=n,
+        tail_bound=tail if converged else math.inf,
+        converged=converged,
+        displacement=disp,
+        joj_violations=violations,
+        hahh_constant=abs(disp) * logk ** (prof.epsilon / 2.0),
+    )
+    if not converged:
+        reason = (f"per-step drift bound violated {violations} times{first_violation}"
+                  if violations else "budget exhausted")
+        raise NotConverged(f"Koenigs sequence not certified at {zeta}: {reason}; after {n}"
+                           f" steps tail bound {tail:.3e}, step {step:.3e}, tol {tol:.3e}",
+                           max_n=n, partial=result)
+    return result
+
+
+def fields(r):
+    return None if r is None else (r.value, r.n_used, r.tail_bound, r.converged,
+                                   r.displacement, r.joj_violations, r.hahh_constant)
+
+
+def outcome(call):
+    """Fields of each certified start, or the first error with its partial results."""
+    try:
+        r = call()
+    except (NotConverged, DomainError, EvalDomainError) as exc:
+        part = getattr(exc, "partial", None)
+        return (type(exc), str(exc), fields(part), fields(getattr(part, "next", None)))
+    return fields(r), fields(r.next)
+
+
+def reference_pair(f, zeta, tol, max_n):
+    """Two reference calls in a row, at zeta and at its image."""
+    first = reference_koenigs(f, zeta, tol, max_n)
+    try:
+        second = reference_koenigs(f, f(zeta), tol, max_n)
+    except NotConverged as exc:
+        exc.partial = KoenigsResult(*fields(first), next=exc.partial)
+        raise
+    return KoenigsResult(*fields(first), next=second)
+
+
+def drift_between_envelopes(prof, x0):
+    """A map whose steps along the orbit of x0 sit just under that start's
+    envelope, and so above the envelope of the orbit's next point."""
+    rho = prof.rho_minus(x0)
+    beta = complex(prof.beta)
+
+    def delta(w):
+        return complex(prof.M(x0 + round(w.real - x0) * rho) * (1 - 1e-6))
+    return AnalyticMap(lambda w: w + beta + delta(w), prof, delta=delta)
+
+
+SMALL_RHO = AsymptoticProfile(1 + 0j, 1.0, 0, 1.05)   # rho_minus(R) = 0.093
+K1 = AsymptoticProfile(1 + 0j, 6.0, 1, 8.0)
+EQUIVALENCE_CASES = {
+    "germ": (BENCH_MAPS["germ"], [8 + 0j, 9 + 2j, 14.5 - 1.5j, 20 + 5j], 1e-9, 200_000),
+    "germ2": (BENCH_MAPS["germ2"], [8 - 2j, 9 + 2j, 14.5 - 1.5j], 1e-9, 200_000),
+    "half": (BENCH_MAPS["half"], [8 + 0j, 9 + 2j, 14.5 - 1.5j], 1e-9, 200_000),
+    "divergent": (lambda: AnalyticMap.from_expression(
+        "zeta + 1 + 1/zeta", AsymptoticProfile(1 + 0j, 1.0, 0, 10.0)), [10 + 0j], 1e-9, 20_000),
+    "late-violation": (lambda: AnalyticMap.from_expression(
+        "zeta + 1 + 20*exp(-zeta)", PROF), [8 + 0j, 12 + 1j], 1e-9, 200_000),
+    "max_n=0": (BENCH_MAPS["germ"], [9 + 2j], 1e-9, 0),
+    "max_n=1": (BENCH_MAPS["germ"], [9 + 2j], 1e-9, 1),
+    "max_n=5": (BENCH_MAPS["germ"], [9 + 2j], 1e-9, 5),
+    "k=1": (lambda: AnalyticMap.from_expression(FIXTURE, K1), [8 + 0j, 10 - 1j], 1e-4, 200_000),
+    "small-rho": (lambda: AnalyticMap.from_expression("zeta + 1 + 0.01*zeta^-3", SMALL_RHO),
+                  [1.05 + 0j, 1.5 + 0.5j], 1e-2, 200_000),
+    "small-rho-budget": (lambda: AnalyticMap.from_expression(
+        "zeta + 1 + 0.01*zeta^-3", SMALL_RHO), [1.05 + 0j], 1e-6, 3_000),
+    "image-below-cut": (lambda: AnalyticMap.from_expression("zeta + 1 - 1.5/(zeta - 7)", PROF),
+                        [8 + 0j], 1e-9, 50),
+    "translation": (lambda: AnalyticMap.from_expression(
+        "zeta + 1", AsymptoticProfile(1 + 0j, 1.0, 0, 2.0)), [2 + 0j, 5 + 1j], 1e-12, 200_000),
+    "start-below-cut": (BENCH_MAPS["germ"], [7.5 + 0j], 1e-9, 200_000),
+    "only-image-fails": (lambda: drift_between_envelopes(PROF, 8.0), [8 + 0j], 1e-9, 200_000),
+}
+
+
+class TestSharedOrbit:
+    """koenigs_limit with the hoisted envelope equals the reference loop, and
+    with_next equals two reference calls in a row, field for field and
+    message for message."""
+
+    @pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
+    def test_single_start_matches_reference(self, case):
+        make, points, tol, max_n = EQUIVALENCE_CASES[case]
+        f = make()
+        for z in points:
+            assert (outcome(lambda: koenigs_limit(f, z, tol, max_n))
+                    == outcome(lambda: reference_koenigs(f, z, tol, max_n)))
+
+    @pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
+    def test_with_next_matches_two_reference_calls(self, case):
+        make, points, tol, max_n = EQUIVALENCE_CASES[case]
+        f = make()
+        for z in points:
+            assert (outcome(lambda: koenigs_limit(f, z, tol, max_n, with_next=True))
+                    == outcome(lambda: reference_pair(f, z, tol, max_n)))
+
+    def test_only_the_image_fails(self):
+        f = drift_between_envelopes(PROF, 8.0)
+        alone = koenigs_limit(f, 8 + 0j, 1e-9)
+        with pytest.raises(NotConverged) as err:
+            koenigs_limit(f, 8 + 0j, 1e-9, with_next=True)
+        assert str(err.value).startswith(f"Koenigs sequence not certified at {f(8 + 0j)}: "
+                                         "per-step drift bound violated")
+        assert fields(err.value.partial) == fields(alone)
+        assert err.value.partial.next.joj_violations > 0
+
+    def test_one_walk(self):
+        evaluated = []
+        f = BENCH_MAPS["germ"]()
+        delta = f.delta
+        f.delta = lambda w: evaluated.append(w) or delta(w)
+        res = koenigs_limit(f, 9 + 2j, 1e-9, with_next=True)
+        assert len(evaluated) == max(res.n_used, res.next.n_used + 1)
+        assert len(set(evaluated)) == len(evaluated)
+
+
+def reference_homological(f, h, alpha, zeta, tol):
+    """One orbit sum as solve_homological_numeric made it before both sums
+    shared a walk, without its verification run."""
+    prof = f.profile
+    if zeta.real < prof.R:
+        raise DomainError(f"start point needs Re >= R = {prof.R}")
+    rho = prof.rho_minus(prof.R)
+    denom = 1.0 - math.exp(-alpha * rho)
+    beta = complex(prof.beta)
+    w = zeta
+    acc = 0j
+    envelope = math.exp(-alpha * w.real)
+    for n in range(1, dulaclin.dynamics.HOMOLOGICAL_MAX_N + 1):
+        hv = h(w)
+        if abs(hv) > envelope * (1.0 + 1e-9):
+            raise DecayHypothesisViolated(
+                f"|h| = {abs(hv)} exceeds exp(-alpha Re) at {w}")
+        acc += hv
+        w = w + beta + f.delta(w)
+        envelope = math.exp(-alpha * w.real)
+        tail = envelope / denom
+        if tail <= tol:
+            break
+    else:
+        raise NotConverged(f"homological tail {tail:.3e} above tol {tol:.3e} after {n} terms",
+                           max_n=n)
+    return -acc
+
+
+def homological_outcome(call):
+    try:
+        return call()
+    except (NotConverged, DomainError, EvalDomainError, DecayHypothesisViolated) as exc:
+        return type(exc), str(exc), getattr(exc, "max_n", None)
+
+
+def reference_homological_pair(f, h, alpha, zeta, tol):
+    psi = reference_homological(f, h, alpha, zeta, tol)
+    psi_next = reference_homological(f, h, alpha, f(zeta), tol)
+    resid = abs(psi_next - psi - h(zeta))
+    if resid > 10.0 * tol:
+        raise NotConverged(f"homological equation residual {resid} > 10*tol")
+    return psi, psi_next
+
+
+PROF4 = AsymptoticProfile(1 + 0j, 1.0, 0, 4.0)
+HOMOLOGICAL_CASES = {
+    # name: (map, profile, h, alpha, points, tol, HOMOLOGICAL_MAX_N)
+    "fixture": (FIXTURE, PROF4, lambda z: cmath.exp(-z), 1.0,
+                [4 + 0j, 8 + 0j, 8.5 - 3j, 14 + 1j], 1e-10, 100_000),
+    "one-term": (FIXTURE, PROF4, lambda z: cmath.exp(-z), 1.0, [30 + 0j, 40 - 2j], 1e-10,
+                 100_000),
+    # the first sum ends after one term, the second runs out of terms
+    "one-term-budget": ("zeta - 0.5", PROF4, lambda z: cmath.exp(-z), 1.0, [30.2 + 0j],
+                        2.5e-13, 1),
+    "budget": (FIXTURE, PROF4, lambda z: cmath.exp(-z), 1.0, [8 + 0j], 1e-10, 3),
+    "decay": ("zeta + 1", PROF4, lambda z: 2 * cmath.exp(-z), 1.0, [8 + 0j], 1e-10, 100_000),
+    "late-decay": ("zeta + 1", PROF4, lambda z: cmath.exp(-z) * (1 + (z.real > 25)), 1.0,
+                   [8 + 0j, 24.5 + 0j], 1e-10, 100_000),
+    "loose-tol": ("zeta + 1", PROF4, lambda z: cmath.exp(-z), 1.0, [5 + 0j], 1e-2, 100_000),
+    "image-below-cut": ("zeta - 5", AsymptoticProfile(1 + 0j, 1.0, 0, 30.0),
+                        lambda z: cmath.exp(-z), 1.0, [30 + 0j], 1e-10, 100_000),
+    "start-below-cut": (FIXTURE, PROF4, lambda z: cmath.exp(-z), 1.0, [3 + 0j], 1e-10, 100_000),
+    "guard": ("zeta + 1 + 1e-6*log(zeta - 10)", PROF4, lambda z: cmath.exp(-z), 1.0,
+              [8 + 0j], 1e-10, 100_000),
+    # the first sum ends after one term, the second hits a guard at f(zeta)
+    "late-guard": ("zeta + 1 + 1e-30*log(31 - zeta)", PROF4, lambda z: cmath.exp(-z), 1.0,
+                   [30 + 0j], 1e-10, 100_000),
+}
+
+
+class TestHomologicalSharedOrbit:
+    """Both homological sums from one walk equal two separate sums, value for
+    value and message for message, and the residual check is unchanged."""
+
+    @pytest.mark.parametrize("case", list(HOMOLOGICAL_CASES))
+    def test_with_next_matches_two_reference_sums(self, case, monkeypatch):
+        text, prof, h, alpha, points, tol, max_n = HOMOLOGICAL_CASES[case]
+        monkeypatch.setattr(dulaclin.dynamics, "HOMOLOGICAL_MAX_N", max_n)
+        f = AnalyticMap.from_expression(text, prof)
+        for z in points:
+            got = homological_outcome(
+                lambda: solve_homological_numeric(f, h, alpha, z, tol, with_next=True))
+            assert got == homological_outcome(
+                lambda: reference_homological_pair(f, h, alpha, z, tol))
+            alone = homological_outcome(lambda: solve_homological_numeric(f, h, alpha, z, tol))
+            assert alone == (got[0] if isinstance(got[0], complex) else got)
+
+    def test_one_walk(self):
+        evaluated = []
+        f = AnalyticMap.from_expression(FIXTURE, PROF4)
+        delta = f.delta
+        f.delta = lambda w: evaluated.append(w) or delta(w)
+        solve_homological_numeric(f, lambda z: cmath.exp(-z), 1.0, 8 + 0j, 1e-10)
+        assert len(evaluated) == len(set(evaluated)) == 16
+
+
 class TestHomological:
-    PROF4 = AsymptoticProfile(1 + 0j, 1.0, 0, 4.0)
+    PROF4 = PROF4
 
     def test_zero_rhs(self):
         f = AnalyticMap.from_expression("zeta + 1", self.PROF4)
