@@ -3,14 +3,21 @@ and emit decay-comparison reports.
 
 Every report embeds the tool version, a hash of the effective configuration,
 and the seed, so identical invocations produce byte-identical files.
+
+verify-domain also checks, for every band of a region, that h_u and h_l
+are upper and lower maps beyond the cut.
+
 Exit codes: 0 ok, 2 not hyperbolic, 3 parse error (also a bad or missing
 flag, a NaN or infinite numeric flag, a zero or negative --tol or --alpha,
 --samples below 1, a non-integer or negative --levels, a missing or
-unreadable --input or --region file, no --expr or --input, a malformed
---grid, a non-finite series coefficient, an expression nested too deeply to
-parse or compile, an over-long exponent literal), 4 unconverged grid
-points, 5 violations above tolerance (also linearize --cross-check solvers
-differing by more than --tol), 1 other errors (also an unwritable --output).
+unreadable --input or --region file, a region file with a C, R, t, a, r or
+delta that is not a finite number or with an empty union, no --expr or
+--input, a malformed --grid, a non-finite series coefficient, an expression
+nested too deeply to parse or compile, an over-long exponent literal), 4
+unconverged grid points, 5 violations above tolerance (also linearize
+--cross-check solvers differing by more than --tol, and a band boundary
+failing its upper/lower-map check), 1 other errors (also an unwritable
+--output and a numeric overflow).
 """
 
 from __future__ import annotations
@@ -25,8 +32,12 @@ from pathlib import Path
 from . import __version__
 from .domains import (
     AsymptoticProfile,
+    BandRegion,
     QuadRegion,
+    UnionRegion,
     check_invariance,
+    check_lower_map,
+    check_upper_map,
     find_invariant_cut,
     region_from_json,
 )
@@ -272,23 +283,46 @@ def cmd_koenigs(args) -> int:
 
 
 def cmd_verify_domain(args) -> int:
+    """Sampled invariance of a region; for a band region (or a union with
+    bands), also the sampled upper/lower-map conditions on its h_u and h_l,
+    whose worst margin per side goes on a `# boundary_maps` line."""
     profile = _profile(args)
     f = _load_map(args, profile)
     region = _read_region(args.region) if args.region else QuadRegion(args.quad_c)
     if args.search:
-        R, report = find_invariant_cut(f, region, profile,
+        _, report = find_invariant_cut(f, region, profile,
                                        n_samples=args.samples, seed=args.seed)
     else:
-        R = max(profile.R, region.cut)
         report = check_invariance(f, region, profile,
                                   n_samples=args.samples, seed=args.seed)
+    # every band's h_u and h_l must be upper and lower maps beyond its cut
+    parts = region.parts if isinstance(region, UnionRegion) else (region,)
+    maps = []
+    for band in parts:
+        if isinstance(band, BandRegion):
+            cut = AsymptoticProfile(profile.beta, profile.epsilon, profile.k,
+                                    max(report.R, band.t))
+            maps += [check_upper_map(band.hu, cut), check_lower_map(band.hl, cut)]
     lines = _header_lines(args)
+    if maps:
+        worst = {side: min(m.worst_margin for m in maps if m.side == side)
+                 for side in ("upper", "lower")}
+        lines.append(f"# boundary_maps upper_worst_margin={worst['upper']!r}"
+                     f" lower_worst_margin={worst['lower']!r}")
+    # the R line stays the last comment line before the rows
     lines.append(f"# R={report.R!r} worst_bound_margin={report.worst_bound_margin!r}")
     lines.append("re,im,bound_margin,rect_ok,region_ok")
     for x, y, margin, rect_ok, region_ok in report.rows:
         lines.append(f"{x!r},{y!r},{margin!r},{int(rect_ok)},{int(region_ok)}")
     _write_text(args.output, "\n".join(lines) + "\n")
     print(f"R = {report.R}: {report.n_violations} violations over {report.n_samples} samples")
+    failed = [f"{m.side} map ({m.case}): worst margin {m.worst_margin:.3e},"
+              f" {m.n_violations} of {m.n_samples} samples violate"
+              + ("" if m.monotone_ok else f", not {m.monotone_required}")
+              for m in maps if not m.passed]
+    if failed:
+        print("boundary maps failed: " + "; ".join(failed), file=sys.stderr)
+        return EXIT_VIOLATIONS
     return EXIT_OK if report.passed else EXIT_VIOLATIONS
 
 
@@ -436,6 +470,9 @@ def main(argv=None) -> int:
         return EXIT_NOT_CONVERGED
     except DulaclinError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -3,6 +3,22 @@
 Everything here is sampled verification, not proof: "for x large enough"
 conditions are tested on geometric grids and reports carry worst margins so
 thresholds stay auditable.
+
+The boundary of the quadratic domain kappa(C+) has a closed-form height
+(quad_boundary_height); quad_boundary_param is the parametric route kept as
+its reference.  A band D_{h_l,h_u} is invariant only if h_u is an upper map
+and h_l a lower map.  With b = Im(beta), M the drift envelope and rho_-/rho_+
+the guaranteed real-part steps, the sampled conditions are:
+
+  upper, b >= 0:  h increasing, h(x + rho_-(x)) - h(x) >= b + M(x);
+  upper, b < 0:   h increasing, or h decreasing with
+                  h(x + rho_+(x)) - h(x) >= b + M(x);
+  lower, b > 0:   h decreasing, or h increasing with
+                  h(x + rho_+(x)) - h(x) <= b - M(x);
+  lower, b <= 0:  h decreasing, h(x + rho_-(x)) - h(x) <= b - M(x).
+
+check_upper_map and check_lower_map sample them on a geometric grid from
+max(domain start, R) to MAP_X_MAX; verify-domain runs both on every band.
 """
 
 from __future__ import annotations
@@ -14,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InvalidRho
+from .errors import DomainError
 
 __all__ = [
     "exp_tower",
@@ -42,13 +58,11 @@ __all__ = [
     "MapCheckReport",
     "check_upper_map",
     "check_lower_map",
-    "check_taylor_sufficient",
     "Rect",
     "safety_rect",
     "InvarianceReport",
     "check_invariance",
     "find_invariant_cut",
-    "find_contained_quad_constant",
 ]
 
 MAP_SAMPLES = 512       # geometric sample points of a boundary-map check
@@ -56,7 +70,6 @@ MAP_X_MAX = 1e6         # right end of the sampled range of a boundary-map check
 RECT_SLACK = 1e-12      # rounding allowance of safety-rectangle membership
 INVARIANCE_RE_SPAN = 50.0   # width in Re of the strip sampled beyond the cut
 CUT_DOUBLINGS = 24      # doublings of R tried by find_invariant_cut
-QUAD_C_DOUBLINGS = 20   # doublings of C' tried by find_contained_quad_constant
 
 
 def exp_tower(k: int) -> float:
@@ -182,27 +195,20 @@ def quad_boundary_param(r: float, C: float) -> complex:
 def quad_boundary_height(x: float, C: float) -> float:
     """Height of the quadratic-domain boundary above the point x >= C.
 
-    x(r) is strictly increasing from x(0) = C, so bisection is safe.
+    Writing sqrt(1 + i r) = a + i b, the boundary point kappa(i r) is
+    (C a, r + C b) with a^2 - b^2 = 1 and 2ab = r, so b = sqrt(x^2 - C^2)/C
+    and the height is b (2x/C + C).  The factored x^2 - C^2 keeps full
+    relative accuracy near x = C.
     """
+    if not C > 0:
+        raise DomainError(f"quadratic domain needs C > 0, got {C}")
     if x < C:
         raise DomainError(f"quadratic boundary starts at Re = {C}")
-    if x == C:
-        return 0.0
-    hi = 1.0
-    while quad_boundary_param(hi, C).real < x:
-        hi *= 2.0
-        if hi > 1e18:
-            raise DomainError("boundary inversion out of range")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if quad_boundary_param(mid, C).real < x:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    return quad_boundary_param(0.5 * (lo + hi), C).imag
+    b = math.sqrt((x - C) * (x + C)) / C
+    y = b * (2.0 * x / C + C)
+    if not math.isfinite(y):
+        raise DomainError(f"quadratic boundary height not finite at Re = {x}")
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +217,9 @@ def quad_boundary_height(x: float, C: float) -> float:
 class BoundaryMap:
     """Evaluatable boundary function with declared monotonicity.
 
-    kind is one of power/linear/log/quad/neg; exact derivatives exist for the
-    first three (and negations thereof), which is what the Taylor-type
-    sufficient conditions need.
+    kind is one of power/linear/log/quad/neg.  check_upper_map and
+    check_lower_map test the admissibility of a map by sampling it, its
+    declared monotonicity and its drift difference h(x + rho) - h(x).
     """
 
     def __init__(self, kind, params, domain_start):
@@ -253,36 +259,6 @@ class BoundaryMap:
             return -p["inner"].monotonicity()
         raise ValueError(k)
 
-    def derivative(self, i: int, x: float) -> float:
-        """Exact i-th derivative; unavailable for the quad boundary."""
-        if i == 0:
-            return self(x)
-        k, p = self.kind, self.params
-        if k == "power":
-            a, r = p["a"], p["r"]
-            c = a
-            for j in range(i):
-                c *= r - j
-            return c * x ** (r - i)
-        if k == "linear":
-            return p["a"] if i == 1 else 0.0
-        if k == "log":
-            # closed under d/dx: terms c * (log x)^s * x^-m
-            terms = [(1.0, p["delta"], 0)]
-            for _ in range(i):
-                nxt = []
-                for c, s, m in terms:
-                    if s != 0:
-                        nxt.append((c * s, s - 1, m + 1))
-                    if m != 0:
-                        nxt.append((-c * m, s, m + 1))
-                terms = nxt
-            lx = math.log(x)
-            return sum(c * lx ** s * x ** (-m) for c, s, m in terms)
-        if k == "neg":
-            return -p["inner"].derivative(i, x)
-        raise DomainError(f"derivatives unavailable for boundary map kind {k!r}")
-
     def to_json(self) -> dict:
         k, p = self.kind, self.params
         if k == "power":
@@ -320,17 +296,32 @@ def negated(inner: BoundaryMap) -> BoundaryMap:
     return BoundaryMap("neg", {"inner": inner}, inner.domain_start)
 
 
+def _finite(obj: dict, key: str, default=None):
+    """A finite real field of a region JSON object, as given; a missing field
+    without a default is a KeyError, anything else not finite a ValueError."""
+    v = obj[key] if default is None else obj.get(key, default)
+    try:
+        ok = math.isfinite(v)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{key!r} must be a finite number, got {v!r}")
+    return v
+
+
 def boundary_map_from_json(obj) -> BoundaryMap:
+    if not isinstance(obj, dict):
+        raise ValueError(f"boundary map JSON must be an object, got {obj!r}")
     kind = obj.get("kind")
-    t = obj.get("t", 1.0)
+    t = _finite(obj, "t", 1.0)
     if kind == "power":
-        return power_map(obj["a"], obj["r"], t)
+        return power_map(_finite(obj, "a"), _finite(obj, "r"), t)
     if kind == "linear":
-        return linear_map(obj["a"], t)
+        return linear_map(_finite(obj, "a"), t)
     if kind == "log":
-        return log_map(obj["delta"], t)
+        return log_map(_finite(obj, "delta"), t)
     if kind == "quad":
-        return quad_boundary_map(obj["C"], obj.get("sign", 1), obj.get("t"))
+        return quad_boundary_map(_finite(obj, "C"), obj.get("sign", 1), obj.get("t"))
     if kind == "neg":
         return negated(boundary_map_from_json(obj["inner"]))
     raise ValueError(f"unknown boundary map JSON kind {kind!r}")
@@ -436,13 +427,18 @@ class UnionRegion(Region):
 
 
 def region_from_json(obj) -> Region:
+    """The region of a parsed JSON object; malformed JSON raises ValueError,
+    KeyError or TypeError."""
     if "quad" in obj:
         q = obj["quad"]
-        return QuadRegion(q["C"], q.get("R", 0.0))
+        return QuadRegion(_finite(q, "C"), _finite(q, "R", 0.0))
     if "band" in obj:
         b = obj["band"]
-        return BandRegion(b["t"], boundary_map_from_json(b["hl"]), boundary_map_from_json(b["hu"]))
+        return BandRegion(_finite(b, "t"), boundary_map_from_json(b["hl"]),
+                          boundary_map_from_json(b["hu"]))
     if "union" in obj:
+        if not obj["union"]:
+            raise ValueError("a union region needs at least one part")
         return UnionRegion(tuple(region_from_json(p) for p in obj["union"]))
     raise ValueError("region JSON must be tagged quad | band | union")
 
@@ -474,10 +470,10 @@ class MapCheckReport:
 
 
 def _map_grid(h: BoundaryMap, profile: AsymptoticProfile):
-    """(t, xs): the map's domain start kept above the profile's exp tower,
-    and the geometric sample grid from there to MAP_X_MAX."""
-    t = max(h.domain_start, exp_tower(profile.k) + 1e-9)
-    return t, [float(v) for v in np.geomspace(t, max(MAP_X_MAX, t * 2), MAP_SAMPLES)]
+    """The geometric sample grid from the map's domain start, kept at or above
+    the profile's cut R (so above its exp tower), to MAP_X_MAX."""
+    t = max(h.domain_start, profile.R)
+    return [float(v) for v in np.geomspace(t, max(MAP_X_MAX, t * 2), MAP_SAMPLES)]
 
 
 def _monotone_ok(h: BoundaryMap, xs, required: int) -> bool:
@@ -526,9 +522,9 @@ def _finish_report(side, case, required, mono_ok, margins, flip):
 
 
 def check_upper_map(h: BoundaryMap, profile: AsymptoticProfile) -> MapCheckReport:
-    """Case table by sign of Im(beta); see module docstring for semantics."""
+    """Case table by sign of Im(beta); see the module docstring."""
     imb = complex(profile.beta).imag
-    _, xs = _map_grid(h, profile)
+    xs = _map_grid(h, profile)
     if imb >= 0:
         mono_ok = _monotone_ok(h, xs, 1)
         margins = _drift_check(h, profile, xs, use_rho_plus=False, rhs_sign=+1, imb=imb)
@@ -543,7 +539,7 @@ def check_upper_map(h: BoundaryMap, profile: AsymptoticProfile) -> MapCheckRepor
 
 def check_lower_map(h: BoundaryMap, profile: AsymptoticProfile) -> MapCheckReport:
     imb = complex(profile.beta).imag
-    _, xs = _map_grid(h, profile)
+    xs = _map_grid(h, profile)
     if imb > 0:
         if h.monotonicity() < 0 and _monotone_ok(h, xs, -1):
             return MapCheckReport("lower", "im>0 decreasing", True, "decreasing", True,
@@ -554,42 +550,6 @@ def check_lower_map(h: BoundaryMap, profile: AsymptoticProfile) -> MapCheckRepor
     mono_ok = _monotone_ok(h, xs, -1)
     margins = _drift_check(h, profile, xs, use_rho_plus=False, rhs_sign=-1, imb=imb)
     return _finish_report("lower", "im<=0", -1, mono_ok, margins, flip=True)
-
-
-def check_taylor_sufficient(h: BoundaryMap, n: int, rho: float, profile: AsymptoticProfile,
-                            side: str = "upper") -> bool:
-    """Sampled Taylor sufficient condition for upper/lower maps.
-
-    sum_{i=1}^{n} h^(i)(x) rho^i / i!  compared against Im(beta) +/- M(x);
-    the admissible open range of rho depends on the case and is enforced
-    strictly.
-    """
-    if side not in ("upper", "lower"):
-        raise ValueError("side must be 'upper' or 'lower'")
-    imb = complex(profile.beta).imag
-    t, xs = _map_grid(h, profile)
-    small_rho = (side == "upper" and imb >= 0) or (side == "lower" and imb <= 0)
-    if small_rho:
-        limit = profile.rho_minus(t)
-        if not 0 < rho < limit:
-            raise InvalidRho(f"need 0 < rho < rho_minus(t) = {limit}, got {rho}")
-    else:
-        limit = profile.rho_plus(t)
-        if not rho > limit:
-            raise InvalidRho(f"need rho > rho_plus(t) = {limit}, got {rho}")
-    for x in xs:
-        s = 0.0
-        rp = 1.0
-        for i in range(1, n + 1):
-            rp *= rho
-            s += h.derivative(i, x) * rp / math.factorial(i)
-        if side == "upper":
-            if s < imb + profile.M(x):
-                return False
-        else:
-            if s > imb - profile.M(x):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -726,18 +686,3 @@ def find_invariant_cut(f, region: Region, profile: AsymptoticProfile,
         R *= 2.0
     raise DomainError(f"no invariant cut found up to R = {R}")
 
-
-def find_contained_quad_constant(C: float, R: float, n_samples: int = 400,
-                                 seed: int = 0) -> float:
-    """Search upward for C' with every sampled point of the C'-domain inside
-    the cut domain (R_C)_R."""
-    outer = QuadRegion(C, R)
-    rng = np.random.default_rng(seed)
-    ws = [complex(100.0 * rng.random() + 1e-6, 200.0 * rng.random() - 100.0)
-          for _ in range(n_samples)]
-    Cp = max(C, R) + 1.0
-    for _ in range(QUAD_C_DOUBLINGS):
-        if all(outer.contains(kappa(w, Cp)) for w in ws):
-            return Cp
-        Cp *= 2.0
-    raise DomainError(f"no contained subdomain constant found up to C' = {Cp}")

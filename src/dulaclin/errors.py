@@ -47,10 +47,6 @@ class DomainError(DulaclinError):
     """Argument outside the domain of a bound function or iterated logarithm."""
 
 
-class InvalidRho(DulaclinError):
-    """Taylor-condition step size outside the admissible open range."""
-
-
 class EvalDomainError(DulaclinError):
     """Expression evaluation hit a guard (log of nonpositive real part, pole)."""
 

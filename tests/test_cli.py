@@ -205,6 +205,63 @@ def test_solve_homological(tmp_path):
     assert abs(psi - (-math.exp(-8) / (1 - math.exp(-1)))) < 1e-10
 
 
+DOMAIN_ARGS = ["verify-domain", "--expr", "zeta + 1 + exp(-zeta)", "--beta", "1", "--eps", "1",
+               "--k", "0", "--cut", "5.0", "--samples", "500", "--seed", "1"]
+SQRT_MAP = {"kind": "power", "a": 2.0, "r": 0.5}
+
+
+def write_band(tmp_path, hu, union=False) -> Path:
+    """The band -2 sqrt(x) < Im < hu(x) beyond Re = 5; with `union`, its union
+    with the band under 2 sqrt(x), which holds it."""
+    def band(h):
+        return {"band": {"t": 5.0, "hl": {"kind": "neg", "inner": SQRT_MAP}, "hu": h}}
+    region = {"union": [band(SQRT_MAP), band(hu)]} if union else band(hu)
+    p = tmp_path / "band.json"
+    p.write_text(json.dumps(region))
+    return p
+
+
+def test_verify_domain_band_reports_boundary_map_margins(tmp_path):
+    out = tmp_path / "band.csv"
+    assert main(DOMAIN_ARGS + ["--region", str(write_band(tmp_path, SQRT_MAP)),
+                               "--output", str(out)]) == 0
+    comments = [l for l in out.read_text().splitlines() if l.startswith("#")]
+    # the R line stays last: readers take R from the last comment line
+    assert comments[3].startswith("# boundary_maps ") and comments[4].startswith("# R=5.0 ")
+    margins = dict(kv.split("=") for kv in comments[3].split()[2:])
+    assert sorted(margins) == ["lower_worst_margin", "upper_worst_margin"]
+    assert all(0 < float(m) < 2e-3 for m in margins.values())
+
+
+@pytest.mark.parametrize("union", [False, True], ids=["band", "union"])
+def test_verify_domain_non_upper_map_exits_5(tmp_path, capsys, union):
+    # the constant 3 is no upper map for real beta, yet no sample shows it
+    out = tmp_path / "band.csv"
+    region = write_band(tmp_path, {"kind": "power", "a": 3, "r": 0}, union)
+    assert main(DOMAIN_ARGS + ["--region", str(region), "--output", str(out)]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("boundary maps failed: upper map (im>=0): ")
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == 500
+    assert all(float(r[2]) >= 0 and r[3:] == ["1", "1"] for r in rows)
+
+
+def test_verify_domain_quad_at_a_large_cut(tmp_path):
+    assert main(["verify-domain", "--expr", "zeta + 1 + exp(-zeta)", "--quad-c", "2",
+                 "--cut", "1e10", "--samples", "10", "--output", str(tmp_path / "v.csv")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["koenigs", "--expr", "zeta + 1 + zeta^99999999", "--eps", "2.5", "--grid", "8:8:1,0:0:1"],
+    ["solve-homological", "--expr", "zeta + 1", "--h-expr", "exp(zeta*1000)", "--alpha", "1",
+     "--cut", "4", "--grid", "8:8:1,0:0:1"],
+], ids=["power", "exp"])
+def test_overflow_is_one_line_error(tmp_path, capsys, argv):
+    assert main(argv + ["--output", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: numeric overflow: ")
+
+
 def assert_parse_error(capsys, argv):
     assert main(argv) == 3
     err = capsys.readouterr().err.splitlines()
@@ -235,9 +292,21 @@ def test_malformed_grid_is_parse_error(tmp_path, capsys):
 
 def test_bad_region_file_is_parse_error(tmp_path, capsys):
     region = tmp_path / "region.json"
-    region.write_text('{"disk": {}}')
-    assert_parse_error(capsys, ["verify-domain", "--expr", "zeta + 1",
-                                "--region", str(region), "--output", str(tmp_path / "v.csv")])
+    root = '{"kind": "power", "a": 2.0, "r": 0.5}'
+    band = '{"band": {"t": %s, "hl": {"kind": "neg", "inner": %s}, "hu": %s}}'
+    cases = ['{"disk": {}}', '{"union": []}', '{"quad": {"C": "x"}}', '{"quad": {"C": NaN}}',
+             '{"quad": {"C": 2.0, "R": Infinity}}', band % ("NaN", root, root),
+             band % ("5.0", root, '{"kind": "power", "a": -Infinity, "r": 0.5}'),
+             band % ("5.0", root, '{"kind": "power", "a": 2.0, "r": NaN}'),
+             band % ("5.0", root, '{"kind": "log", "delta": Infinity}'),
+             band % ("5.0", root, '{"kind": "linear", "a": 1.0, "t": NaN}'),
+             band % ("5.0", '{"kind": "quad", "C": Infinity}', root),
+             band % ("5.0", root, "[]"),
+             '{"union": [{"quad": {"C": 2.0}}, %s]}' % (band % ("NaN", root, root))]
+    for text in cases:
+        region.write_text(text)
+        assert_parse_error(capsys, ["verify-domain", "--expr", "zeta + 1",
+                                    "--region", str(region), "--output", str(tmp_path / "v.csv")])
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", '"inf"'])

@@ -11,10 +11,8 @@ from dulaclin.domains import (
     UnionRegion,
     check_invariance,
     check_lower_map,
-    check_taylor_sufficient,
     check_upper_map,
     exp_tower,
-    find_contained_quad_constant,
     find_invariant_cut,
     iterated_log,
     iterated_log_real,
@@ -26,6 +24,7 @@ from dulaclin.domains import (
     M_tail_integral,
     negated,
     power_map,
+    quad_boundary_height,
     quad_boundary_map,
     quad_boundary_param,
     region_from_json,
@@ -33,7 +32,7 @@ from dulaclin.domains import (
     safety_rect,
 )
 from dulaclin.dynamics import AnalyticMap
-from dulaclin.errors import DomainError, InvalidRho
+from dulaclin.errors import DomainError
 
 
 class TestBoundFunctions:
@@ -141,6 +140,21 @@ class TestQuadBoundary:
         hs = [quad_boundary_param(r, 2.0).imag for r in np.linspace(0, 10, 100)]
         assert all(b > a for a, b in zip(hs, hs[1:]))
 
+    @pytest.mark.parametrize("C", [0.5, 2.0, 11.0])
+    def test_height_inverts_the_parametrization(self, C):
+        for r in np.linspace(0.0, 1e4, 4001):
+            p = quad_boundary_param(float(r), C)
+            assert abs(quad_boundary_height(p.real, C) - p.imag) <= 1e-12 * max(1.0, p.imag)
+
+    def test_height_outside_its_domain_raises(self):
+        with pytest.raises(DomainError):
+            quad_boundary_height(1.999, 2.0)
+        with pytest.raises(DomainError):
+            quad_boundary_height(1e200, 2.0)  # the height overflows
+        with pytest.raises(DomainError):
+            quad_boundary_height(1.0, 0.0)
+        assert quad_boundary_height(2.0, 2.0) == 0.0
+
 
 class TestRegions:
     def test_strip_membership(self):
@@ -204,6 +218,14 @@ class TestUpperLowerMaps:
             assert up.passed, (beta, up.case, up.worst_margin)
             assert low.passed, (beta, low.case, low.worst_margin)
 
+    def test_square_root_upper_from_the_profile_cut(self):
+        # the map's own domain starts at t = 1, where rho_minus(1) = 0 and the
+        # drift condition fails; the grid starts at the cut R = 5 instead
+        prof = AsymptoticProfile(1 + 0j, 1.0, 0, 5.0)
+        report = check_upper_map(power_map(2.0, 0.5), prof)
+        assert report.passed, report.worst_margin
+        assert 0 < report.worst_margin < 2e-3
+
     def test_quad_boundary_is_upper(self):
         prof = AsymptoticProfile(1 + 0j, 1.0, 0, 5.0)
         report = check_upper_map(quad_boundary_map(2.0, t=5.0), prof)
@@ -213,39 +235,6 @@ class TestUpperLowerMaps:
         prof = AsymptoticProfile(1 + 2j, 1.0, 0, 5.0)
         report = check_lower_map(power_map(-1.0, 1.0, t=5.0), prof)
         assert report.passed and report.case == "im>0 decreasing"
-
-
-class TestTaylorSufficient:
-    def test_log_map_second_order(self):
-        prof = AsymptoticProfile(1 + 0j, 1.0, 1, 20.0)
-        assert check_taylor_sufficient(log_map(1.0, t=20.0), 2, 0.9, prof, side="upper")
-
-    def test_linear_first_order(self):
-        prof = AsymptoticProfile(1 + 0j, 1.0, 1, 10.0)
-        assert check_taylor_sufficient(linear_map(1.0, t=10.0), 1, 0.5, prof, side="upper")
-
-    def test_rho_at_boundary_is_invalid(self):
-        prof = AsymptoticProfile(1 + 0j, 1.0, 1, 10.0)
-        rho = prof.rho_minus(10.0)
-        with pytest.raises(InvalidRho):
-            check_taylor_sufficient(linear_map(1.0, t=10.0), 1, rho, prof, side="upper")
-
-    def test_negated_log_is_lower(self):
-        prof = AsymptoticProfile(1 + 0j, 1.0, 1, 20.0)
-        assert check_taylor_sufficient(negated(log_map(1.0, t=20.0)), 2, 0.9, prof,
-                                       side="lower")
-
-    def test_taylor_condition_implies_drift_condition(self):
-        # the Taylor criterion is sufficient: whenever it passes, the direct
-        # finite-difference check must pass on the same grid
-        cases = [
-            (log_map(1.0, t=20.0), 2, 0.9, AsymptoticProfile(1 + 0j, 1.0, 1, 20.0)),
-            (linear_map(1.0, t=10.0), 1, 0.5, AsymptoticProfile(1 + 0j, 1.0, 1, 10.0)),
-            (power_map(2.0, 0.5, t=30.0), 2, 0.8, AsymptoticProfile(1 + 0j, 1.0, 0, 30.0)),
-        ]
-        for h, n, rho, prof in cases:
-            if check_taylor_sufficient(h, n, rho, prof, side="upper"):
-                assert check_upper_map(h, prof).passed
 
 
 class TestSafetyRect:
@@ -313,11 +302,3 @@ class TestInvariance:
         f = AnalyticMap.from_expression("zeta + 1 + exp(-zeta)", prof)
         R, report = find_invariant_cut(f, QuadRegion(2.0), prof, n_samples=800, seed=4)
         assert report.passed and R >= 5.0
-
-    def test_contained_quad_constant(self):
-        Cp = find_contained_quad_constant(2.0, 50.0, n_samples=300, seed=5)
-        assert Cp > 50.0
-        # spot check some boundary points of the inner domain
-        outer = QuadRegion(2.0, 50.0)
-        for w in (0.001 + 0j, 1 + 30j, 20 - 100j):
-            assert outer.contains(kappa(w, Cp))

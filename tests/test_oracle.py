@@ -1,17 +1,19 @@
-"""Independent 50-digit oracle for formal coefficients and Koenigs values.
+"""Independent 50-digit oracle for formal coefficients, Koenigs values and
+the quadratic-domain boundary.
 
 For f = zeta + 1 + exp(-zeta) the first two linearizing coefficients have
-closed forms; the classical Koenigs coordinate of z/2 + z^2 has b2 = 4; and
-the Koenigs limit of each germ below is reached far below double precision
-after 200 steps.  All are recomputed here with mpmath, sharing no code with
-the package.
+closed forms; the classical Koenigs coordinate of z/2 + z^2 has b2 = 4; the
+Koenigs limit of each germ below is reached far below double precision
+after 200 steps; and the boundary point kappa(i r) above Re = x follows from
+Re sqrt(1 + i r) = x/C.  All are recomputed here with mpmath, sharing no
+code with the package.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from dulaclin.domains import AsymptoticProfile
+from dulaclin.domains import AsymptoticProfile, quad_boundary_height
 from dulaclin.dynamics import AnalyticMap, koenigs_limit
 from dulaclin.linearize import linearize_by_picard, linearize_level_by_level, picard_linearize
 from dulaclin.series import ExpPolySeries
@@ -82,3 +84,16 @@ def test_koenigs_value(germ, zeta):
     kr = koenigs_limit(f, zeta, 1e-9)
     assert kr.converged and kr.tail_bound <= 1e-9
     assert abs(kr.value - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("C", [0.5, 2.0, 11.0])
+def test_quad_boundary_height(C):
+    # a = Re sqrt(1 + i r) = x/C gives sqrt(1 + r^2) = 2a^2 - 1; the height
+    # is Im kappa(i r) = r + C Im sqrt(1 + i r)
+    for k in range(15, -7, -1):
+        x = C * (1 + 10.0 ** -k)
+        with mp.workdps(50):
+            a = mpmath.mpf(x) / C
+            r = mpmath.sqrt((2 * a * a - 1) ** 2 - 1)
+            expected = float(r + C * mpmath.im(mpmath.sqrt(1 + 1j * r)))
+        assert abs(quad_boundary_height(x, C) - expected) <= 1e-15 * expected, k
