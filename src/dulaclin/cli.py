@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -122,8 +123,7 @@ def _cnum(text: str) -> complex:
 
 def _config_hash(args: argparse.Namespace) -> str:
     # the output path does not affect any computed value
-    payload = {k: repr(v) for k, v in sorted(vars(args).items())
-               if k not in ("func", "output")}
+    payload = {k: repr(v) for k, v in sorted(vars(args).items()) if k != "output"}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -397,13 +397,14 @@ def _add_profile_flags(p):
     p.add_argument("--cut", type=_num, default=8.0, help="real-part cut R")
 
 
-def _add_output_flags(p, func):
+def _add_output_flags(p):
     p.add_argument("--output", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=func)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; `main` dispatches on `args.command`."""
     ap = _Parser(prog="dulaclin", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -412,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=parse_exponent, default=None)
     p.add_argument("--tol", type=_positive, default=1e-9)
     p.add_argument("--cross-check", action="store_true")
-    _add_output_flags(p, cmd_linearize)
+    _add_output_flags(p)
 
     p = sub.add_parser("koenigs", help="numeric linearization over a grid")
     p.add_argument("--expr")
@@ -422,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_positive, default=1e-9)
     p.add_argument("--region", help="region JSON file for the in_region flag")
     p.add_argument("--allow-partial", action="store_true")
-    _add_output_flags(p, cmd_koenigs)
+    _add_output_flags(p)
 
     p = sub.add_parser("verify-domain", help="sampled invariance verification")
     p.add_argument("--expr")
@@ -433,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count, default=10_000)
     p.add_argument("--search", action="store_true",
                    help="raise R geometrically until the checks pass")
-    _add_output_flags(p, cmd_verify_domain)
+    _add_output_flags(p)
 
     p = sub.add_parser("compare", help="decay slopes of numeric minus partial sums")
     p.add_argument("--input", required=True, help="series JSON for the germ")
@@ -442,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True)
     p.add_argument("--levels", default="0,1", help="comma list of partial-sum levels")
     p.add_argument("--tol", type=_positive, default=1e-9)
-    _add_output_flags(p, cmd_compare)
+    _add_output_flags(p)
 
     p = sub.add_parser("solve-homological", help="orbit sum for psi o f - psi = h")
     p.add_argument("--expr", required=True, help="the map f")
@@ -451,14 +452,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile_flags(p)
     p.add_argument("--grid", required=True)
     p.add_argument("--tol", type=_positive, default=1e-10)
-    _add_output_flags(p, cmd_solve_homological)
+    _add_output_flags(p)
     return ap
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # looked up when called, so a command rebound on this module runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except NotHyperbolic as exc:
         print(f"not hyperbolic: {exc}", file=sys.stderr)
         return EXIT_NOT_HYPERBOLIC

@@ -623,6 +623,9 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
     the modulus drift bound, membership of f(zeta) in the safety rectangle,
     and membership of f(zeta) in the region itself.
 
+    Sample j is drawn at Re = x from the parts of a union whose cut is at
+    most x, cycling through them by j; a region with one part is its own.
+
     `f` is an AnalyticMap-like object: callable, with `.delta(zeta)` for the
     drift and `.profile` matching the supplied profile.
     """
@@ -633,13 +636,17 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
     rng = np.random.default_rng(seed)
     n_strata = max(1, min(64, n_samples))
     parts = region.parts if isinstance(region, UnionRegion) else (region,)
+    # a sample at x comes from the parts with cut <= x, at least one part as
+    # x >= R >= region.cut, and every part from the largest cut on
+    top = max(p.cut for p in parts)
     rows = []
     nb = nr = ng = 0
     worst = math.inf
     for j in range(n_samples):
         u1, u2 = rng.random(), rng.random()
         x = R + INVARIANCE_RE_SPAN * ((j % n_strata) + u1) / n_strata
-        lo, hi = parts[j % len(parts)].im_bounds(x)
+        live = parts if x >= top else [p for p in parts if p.cut <= x]
+        lo, hi = live[j % len(live)].im_bounds(x)
         y = lo + (hi - lo) * u2
         zeta = complex(x, y)
         if not cut_region.contains(zeta):

@@ -34,12 +34,11 @@ from .series import (
     conjugacy_residual,
     derivative,
     effective_order,
-    exp_order,
     format_exponent,
     from_z_chart,
+    lattice_points,
     mul,
     powers,
-    semigroup_points,
     series_to_json,
     to_z_chart,
     translate,
@@ -134,23 +133,23 @@ def linearize_level_by_level(f: ExpPolySeries) -> LinearizationResult:
     back-substitution: a solved level is never touched again.
     """
     beta = _hyperbolic_beta(f)
-    N, gens = f.trunc, f.gens
-    phi = ExpPolySeries.affine(0.0, N, gens)
+    L = f.L
+    phi = f._raw({0: CPoly([0.0, 1.0])})
     r = f.tail()  # conjugacy_residual(zeta, f, beta), exactly
-    levels = sorted(v for v in semigroup_points(gens, N) if v > 0)
     solved = []
-    for nu in levels:
-        P = r.block(nu)
+    for nu in sorted(lattice_points(f.g, f.n))[1:]:  # level nu/L > 0, ascending
+        P = r._block(nu)
         if P.is_zero:
             continue
-        c = cmath.exp(-float(nu) * beta)
+        c = cmath.exp(-(nu / L) * beta)
         if abs(c) >= 1.0:
-            raise NotHyperbolic(f"level {nu}: |exp(-nu*beta)| = {abs(c)} is not below 1")
+            raise NotHyperbolic(f"level {Fraction(nu, L)}: |exp(-nu*beta)| = {abs(c)}"
+                                " is not below 1")
         Q = solve_difference_eq(P, c, beta)
-        term = ExpPolySeries(N, gens, {nu: Q})
+        term = f._raw({nu: Q})
         phi = add(phi, term)
         r = add(r, compose(term, f) - term)
-        solved.append(nu)
+        solved.append(Fraction(nu, L))
     scale = max(1.0, f.max_abs_coeff(), phi.max_abs_coeff())
     return LinearizationResult(
         phi=phi,
@@ -176,9 +175,10 @@ class SchroederOperators:
     """
 
     def __init__(self, f1: ExpPolySeries, beta: complex | None = None):
-        if f1.terms and f1.terms[0][0] < 1:
+        L = f1.L
+        if f1.items and f1.items[0][0] < L:
             raise NotHyperbolic("z-chart series must have order >= 1")
-        b1 = f1.block(1)
+        b1 = f1._block(L)
         if b1.degree != 0:
             raise NotHyperbolic("z-chart head block must be a nonzero constant")
         lam = b1.coeffs[0]
@@ -188,8 +188,8 @@ class SchroederOperators:
             beta = -cmath.log(lam)
         elif abs(cmath.exp(-beta) - lam) > HEAD_TOL * max(1.0, abs(lam)):
             raise NotHyperbolic("beta inconsistent with the multiplier")
-        g1 = f1._raw({m: b for m, b in f1.terms if m != 1})
-        if not g1.is_zero and exp_order(g1) <= 1:
+        g1 = f1._raw({k: b for k, b in f1.items if k != L})
+        if g1.items and g1.items[0][0] <= L:
             raise OrderTooLow("perturbation must have z-order > 1")
         self.f1 = f1
         self.lam = lam
@@ -199,23 +199,22 @@ class SchroederOperators:
         # g1/z, known to order trunc - 1 but declared at trunc: every product
         # it enters in s_apply has a factor w_i(lambda z) of z-order > 1, so
         # the unknown terms land beyond trunc.
-        self._g_shift = ExpPolySeries(self.trunc, f1.gens, {m - 1: b for m, b in g1.terms})
+        self._g_shift = f1._raw({k - L: b for k, b in g1.items})
 
     def s_apply(self, h: ExpPolySeries) -> ExpPolySeries:
         acc = self.g1.scale_div(self.lam)
         if h.is_zero:
             return acc
-        if exp_order(h) <= 1:
+        if h.items[0][0] <= h.L:
             raise OrderTooLow("S requires z-order > 1")
-        d = exp_order(self._g_shift)
         # w_i = z^i h^(i) stays in nonnegative exponents: w_0 = h and
         # w_{i+1} = z (w_i)' - i w_i, where z d/dz = -d/dzeta.  Then
         #   h^(i)(lambda z) g1^i = exp(i beta) w_i(lambda z) (g1/z)^i,
         # and lambda z = exp(-(zeta + beta)) makes w_i(lambda z) a translation.
+        # Powers stop at order trunc - 1, as the term of z-order 1 + i*ord(g1/z)
+        # must lie within the order.
         w = h
-        for i, g_pow in enumerate(powers(self._g_shift), 1):
-            if 1 + i * d > self.trunc:
-                break
+        for i, g_pow in enumerate(powers(self._g_shift, self.trunc - 1), 1):
             w = -derivative(w) - w.scale(float(i - 1))
             if w.is_zero:
                 break
@@ -225,23 +224,21 @@ class SchroederOperators:
         return acc
 
     def t_apply(self, h: ExpPolySeries) -> ExpPolySeries:
-        acc = {}
-        for m, b in h.terms:
-            c = cmath.exp(-float(m - 1) * self.beta)
-            nb = b - b.shift(self.beta).scale(c)
-            if not nb.is_zero:
-                acc[m] = nb
-        return h._raw(acc)
+        L = h.L
+        return h._raw({k: b - b.shift(self.beta).scale(cmath.exp(-((k - L) / L) * self.beta))
+                       for k, b in h.items})
 
     def t_inv(self, h: ExpPolySeries) -> ExpPolySeries:
-        if not h.is_zero and exp_order(h) <= 1:
+        L = h.L
+        if h.items and h.items[0][0] <= L:
             raise OrderTooLow("T^-1 requires z-order > 1")
         acc = {}
-        for m, b in h.terms:
-            c = cmath.exp(-float(m - 1) * self.beta)
-            if abs(c) >= 1.0:  # m > 1, so Re(beta) <= 0
-                raise NotHyperbolic(f"block {m}: |exp(-(m-1)*beta)| = {abs(c)} is not below 1")
-            acc[m] = solve_difference_eq(b, c, self.beta)
+        for k, b in h.items:
+            c = cmath.exp(-((k - L) / L) * self.beta)
+            if abs(c) >= 1.0:  # k/L > 1, so Re(beta) <= 0
+                raise NotHyperbolic(f"block {Fraction(k, L)}: |exp(-(m-1)*beta)| = {abs(c)}"
+                                    " is not below 1")
+            acc[k] = solve_difference_eq(b, c, self.beta)
         return h._raw(acc)
 
 
@@ -259,9 +256,9 @@ def picard_linearize(
     the parabolic linearization, verified there against f.
     """
     ops = SchroederOperators(f1, beta)
-    n_levels = sum(1 for v in semigroup_points(f1.gens, f1.trunc) if v > 1)
+    n_levels = sum(1 for k in lattice_points(f1.g, f1.n) if k > f1.L)
     budget = max(4 * n_levels, 8)
-    psi = ExpPolySeries.zero(f1.trunc, f1.gens)
+    psi = f1._raw({})
     scale = max(1.0, f1.max_abs_coeff())
     for _ in range(budget):
         nxt = ops.t_inv(ops.s_apply(psi))
@@ -272,7 +269,7 @@ def picard_linearize(
             break
     else:
         raise IterationBudgetExceeded(f"Picard iteration not stationary after {budget} steps")
-    phi1 = add(psi, ExpPolySeries(f1.trunc, f1.gens, {Fraction(1): CPoly([1.0])}))
+    phi1 = add(psi, f1._raw({f1.L: CPoly([1.0])}))
     phi = from_z_chart(phi1)  # parabolic head: multiplier 1, beta 0
     if gens_out is not None:
         phi = phi.with_gens(gens_out)
@@ -305,9 +302,8 @@ def partial_sums(phi: ExpPolySeries, n: int) -> ExpPolySeries:
     """First n exponential levels of a parabolic series; n = 0 gives zeta."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    levels = [m for m, _ in phi.terms if m > 0][:n]
-    keep = set(levels) | {Fraction(0)}
-    return phi._raw({m: b for m, b in phi.terms if m in keep})
+    keep = {0, *[k for k, _ in phi.items if k > 0][:n]}
+    return phi._raw({k: b for k, b in phi.items if k in keep})
 
 
 def partial_linearization_residual(f: ExpPolySeries, n: int) -> ExpPolySeries:

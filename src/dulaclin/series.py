@@ -10,13 +10,16 @@ a rational order ``N`` (terms with ``mu > N`` are dropped and considered
 unknown).  Under ``z = exp(-zeta)`` the same data reads as a z-chart series
 ``sum_mu z^mu * B_mu(-log z)``; both charts share this one carrier.
 
-Exponent arithmetic is exact (``fractions.Fraction``); coefficients are
-double-precision complex.  No small-coefficient cleanup ever happens
-implicitly: only exact zeros are stripped.  Approximate checks read named
+Exponents, the order and the generators are exact ints k on the lattice
+(1/L)Z, L the lcm of the denominators of the generators and the order.
+``Fraction``s appear only at the boundary: the constructor and the JSON reader
+parse and check them, and ``trunc``, ``gens``, ``terms``, ``block`` and the
+order functions are views.  Every result is checked for semigroup membership
+by an int set lookup (`lattice_points`).  Coefficients are double-precision
+complex; only exact zeros are ever stripped.  Approximate checks read named
 module constants: `HEAD_TOL` here, `SOLVER_TOL` and `BACKSUB_TOL` in
-`linearize`.  A series' powers `v, v^2, ...` are built once per series
-value (`powers`) and shared by `compose`, the chart conversions and the
-z-chart operator S.
+`linearize`.  A series' powers `v, v^2, ...` are built once per series value
+(`powers`) and shared by `compose`, the chart conversions and the operator S.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ __all__ = [
     "series_to_json",
     "evaluate",
     "evaluate_tail",
+    "lattice_points",
     "semigroup_points",
     "max_rel_coeff_diff",
 ]
@@ -68,7 +72,7 @@ HEAD_TOL = 1e-9   # parabolic |beta|; relative gap of exp(-beta) to a given mult
 
 
 # ---------------------------------------------------------------------------
-# rational helpers
+# rational helpers and the exponent lattice
 
 def format_exponent(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
@@ -82,23 +86,38 @@ def parse_exponent(text) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def semigroup_points(gens: tuple, bound: Fraction) -> frozenset:
-    """All nonnegative-integer combinations of `gens` that are <= `bound`.
-
-    Zero is always included; generators must be positive rationals.
-    """
-    pts = {Fraction(0)}
-    frontier = [Fraction(0)]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = p + g
-                if q <= bound and q not in pts:
-                    pts.add(q)
-                    nxt.append(q)
-        frontier = nxt
+def lattice_points(g: tuple, n: int) -> frozenset:
+    """All nonnegative-integer combinations k <= n of the positive ints `g`,
+    zero included: the semigroup points of any one lattice 1/L, as ints."""
+    pts = {0}
+    for k in range(1, n + 1):
+        if any(k - x in pts for x in g):
+            pts.add(k)
     return frozenset(pts)
+
+
+def semigroup_points(gens, bound) -> frozenset:
+    """All nonnegative-integer combinations of `gens` that are <= `bound`, zero
+    included; generators must be positive rationals."""
+    L, n, g = _lattice(Fraction(bound), map(Fraction, gens))
+    return frozenset(Fraction(k, L) for k in lattice_points(g, n))
+
+
+def _lattice(trunc: Fraction, gens) -> tuple:
+    """(L, n, g) for order `trunc` and Fraction generators `gens`: the lcm L
+    of their denominators, the order as n/L and the sorted generators as g/L."""
+    if trunc < 0:
+        raise ValueError("truncation order must be nonnegative")
+    gv = sorted(set(gens))
+    if any(x <= 0 for x in gv):
+        raise ValueError("generators must be positive rationals")
+    L = math.lcm(trunc.denominator, *(x.denominator for x in gv))
+    return L, int(trunc * L), tuple(int(x * L) for x in gv)
+
+
+@lru_cache(maxsize=64)
+def _binomials(d: int) -> tuple:
+    return tuple(comb(d, j) for j in range(d + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +129,7 @@ class CPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[complex] = ()):
-        cs = [complex(c) for c in coeffs]
+        cs = list(map(complex, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -180,8 +199,8 @@ class CPoly:
         for d, bd in enumerate(self.coeffs):
             if bd == 0:
                 continue
-            for j in range(d + 1):
-                out[j] += bd * comb(d, j) * cpow[d - j]
+            for j, binom in enumerate(_binomials(d)):
+                out[j] += bd * binom * cpow[d - j]
         return CPoly(out)
 
     def deriv(self) -> "CPoly":
@@ -207,19 +226,18 @@ class CPoly:
 # the series carrier
 
 class ExpPolySeries:
-    """Truncated exponential-polynomial series; immutable after construction."""
+    """Truncated exponential-polynomial series; immutable after construction.
 
-    __slots__ = ("trunc", "gens", "terms")
+    `items` are the (k, block) pairs of the nonzero blocks, k ascending, for
+    exponent k/L; `n` is the order and `g` the sorted generators, in steps of
+    1/L.  `trunc`, `gens` and `terms` are Fraction views of the same data."""
+
+    __slots__ = ("L", "n", "g", "items")
 
     def __init__(self, trunc, gens, terms: Mapping):
         trunc = Fraction(trunc)
-        if trunc < 0:
-            raise ValueError("truncation order must be nonnegative")
-        gv = tuple(sorted({Fraction(g) for g in gens}))
-        if any(g <= 0 for g in gv):
-            raise ValueError("generators must be positive rationals")
-        allowed = semigroup_points(gv, trunc)
-        items = []
+        L, n, g = _lattice(trunc, map(Fraction, gens))
+        acc = {}
         for mu, block in terms.items():
             mu = Fraction(mu)
             if not isinstance(block, CPoly):
@@ -228,97 +246,79 @@ class ExpPolySeries:
                 continue
             if mu < 0 or mu > trunc:
                 raise ValueError(f"exponent {mu} outside [0, {trunc}]")
-            if mu not in allowed:
-                raise ExponentNotInSemigroup(
-                    f"exponent {mu} not generated by {[str(g) for g in gv]}"
-                )
-            items.append((mu, block))
-        items.sort(key=lambda kv: kv[0])
-        self.trunc = trunc
-        self.gens = gv
-        self.terms = tuple(items)
-
-    # -- constructors ------------------------------------------------------
+            k = mu * L  # a k off the lattice stays a Fraction and fails the check
+            acc[k.numerator if k.denominator == 1 else k] = block
+        _series(L, n, g, acc, self)
 
     @staticmethod
     def zero(trunc, gens) -> "ExpPolySeries":
         return ExpPolySeries(trunc, gens, {})
 
-    @staticmethod
-    def constant(c: complex, trunc, gens) -> "ExpPolySeries":
-        return ExpPolySeries(trunc, gens, {Fraction(0): CPoly([c])})
+    # -- inspection; Fraction views --------------------------------------
 
-    @staticmethod
-    def affine(beta: complex, trunc, gens) -> "ExpPolySeries":
-        """The series zeta + beta."""
-        return ExpPolySeries(trunc, gens, {Fraction(0): CPoly([beta, 1.0])})
+    @property
+    def trunc(self) -> Fraction:
+        return Fraction(self.n, self.L)
 
-    # -- inspection --------------------------------------------------------
+    @property
+    def gens(self) -> tuple:
+        return tuple(Fraction(x, self.L) for x in self.g)
+
+    @property
+    def terms(self) -> tuple:
+        return tuple((Fraction(k, self.L), b) for k, b in self.items)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.items
 
     def block(self, mu) -> CPoly:
-        mu = Fraction(mu)
-        for m, b in self.terms:
-            if m == mu:
-                return b
-            if m > mu:
-                break
-        return CPoly()
+        return self._block(Fraction(mu) * self.L)
+
+    def _block(self, k: int) -> CPoly:
+        return next((b for m, b in self.items if m == k), CPoly())
 
     def support(self):
-        return tuple(m for m, _ in self.terms)
+        return tuple(Fraction(k, self.L) for k, _ in self.items)
 
     def tail(self) -> "ExpPolySeries":
         """Terms with exponent > 0."""
-        return self._raw({m: b for m, b in self.terms if m > 0})
+        return self._raw({k: b for k, b in self.items if k > 0})
 
     def max_abs_coeff(self) -> float:
-        return max((b.max_abs() for _, b in self.terms), default=0.0)
+        return max((b.max_abs() for _, b in self.items), default=0.0)
 
     def max_imag_coeff(self) -> float:
-        return max((b.max_imag() for _, b in self.terms), default=0.0)
+        return max((b.max_imag() for _, b in self.items), default=0.0)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ExpPolySeries)
-            and self.trunc == other.trunc
-            and self.gens == other.gens
-            and self.terms == other.terms
-        )
+        return isinstance(other, ExpPolySeries) and (self.n, self.L, self.g, self.items) \
+            == (other.n, other.L, other.g, other.items)
 
     def __hash__(self):
-        return hash((self.trunc, self.gens, self.terms))
+        return hash((self.n, self.L, self.g, self.items))
 
     def __repr__(self):
         body = ", ".join(f"{m}: {list(b.coeffs)}" for m, b in self.terms)
         return f"ExpPolySeries(N={self.trunc}, {{{body}}})"
 
-    # -- structural helpers ------------------------------------------------
-
-    def _raw(self, terms: Mapping) -> "ExpPolySeries":
-        return ExpPolySeries(self.trunc, self.gens, terms)
+    def _raw(self, acc: Mapping) -> "ExpPolySeries":
+        """A series with this lattice, order and generators, from int-keyed blocks."""
+        return _series(self.L, self.n, self.g, acc)
 
     def with_trunc(self, trunc) -> "ExpPolySeries":
-        """Change the truncation order, dropping terms beyond it.
-
-        Raising the order is only valid when the caller can justify that no
-        term of the exact object lives in the uncovered range; the z-chart
-        operators use this under an order-counting argument.
-        """
-        trunc = Fraction(trunc)
-        return ExpPolySeries(trunc, self.gens, {m: b for m, b in self.terms if m <= trunc})
+        """Change the truncation order, dropping terms beyond it.  Raising it
+        is valid only when no term of the exact object lives in the new range."""
+        return _recast(self, *_lattice(Fraction(trunc), self.gens))
 
     def with_gens(self, gens) -> "ExpPolySeries":
-        return ExpPolySeries(self.trunc, gens, dict(self.terms))
+        return _recast(self, *_lattice(self.trunc, map(Fraction, gens)))
 
     def scale(self, c: complex) -> "ExpPolySeries":
-        return self._raw({m: b.scale(c) for m, b in self.terms})
+        return self._raw({k: b.scale(c) for k, b in self.items})
 
     def scale_div(self, c: complex) -> "ExpPolySeries":
-        return self._raw({m: b.scale_div(c) for m, b in self.terms})
+        return self._raw({k: b.scale_div(c) for k, b in self.items})
 
     def __neg__(self) -> "ExpPolySeries":
         return self.scale(-1.0)
@@ -333,62 +333,74 @@ class ExpPolySeries:
         return mul(self, other)
 
 
-def _merge_params(a: ExpPolySeries, b: ExpPolySeries):
-    return min(a.trunc, b.trunc), tuple(sorted(set(a.gens) | set(b.gens)))
+def _series(L: int, n: int, g: tuple, acc: Mapping, s=None) -> ExpPolySeries:
+    """The series (into `s` if given) of the blocks `acc` keyed by exponent*L,
+    on the lattice (L, n, g); an exponent g does not generate raises."""
+    pts = lattice_points(g, n)
+    items = sorted((k, b) for k, b in acc.items() if b.coeffs)
+    for k, _ in items:
+        if k not in pts:
+            raise ExponentNotInSemigroup(f"exponent {Fraction(k, L)} not generated by "
+                                         f"{[str(Fraction(x, L)) for x in g]}")
+    s = object.__new__(ExpPolySeries) if s is None else s
+    s.L, s.n, s.g, s.items = L, n, g, tuple(items)
+    return s
+
+
+def _common(a: ExpPolySeries, b: ExpPolySeries) -> tuple:
+    """a and b recast to the smaller order and the union of the generators."""
+    if a.L == b.L:  # then the union's lattice is L too
+        lat = a.L, min(a.n, b.n), a.g if a.g == b.g else tuple(sorted({*a.g, *b.g}))
+    else:
+        lat = _lattice(min(a.trunc, b.trunc), a.gens + b.gens)
+    return _recast(a, *lat), _recast(b, *lat)
+
+
+def _recast(a: ExpPolySeries, L: int, n: int, g: tuple) -> ExpPolySeries:
+    """`a` on the lattice 1/L with order n and generators g, terms beyond the
+    order dropped; an exponent that g does not generate raises."""
+    if a.L == L and a.n == n and a.g == g:
+        return a
+    acc = {}
+    for k, b in a.items:
+        q, r = divmod(k * L, a.L)
+        if q <= n:  # a k off the lattice stays a Fraction and fails the check
+            acc[Fraction(k * L, a.L) if r else q] = b
+    return _series(L, n, g, acc)
 
 
 def add(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
     """Blockwise sum at the minimum of the two truncation orders."""
-    trunc, gens = _merge_params(a, b)
-    acc = {}
-    for m, blk in a.terms:
-        if m <= trunc:
-            acc[m] = blk
-    for m, blk in b.terms:
-        if m > trunc:
-            continue
-        acc[m] = acc[m] + blk if m in acc else blk
-    return ExpPolySeries(trunc, gens, acc)
+    a, b = _common(a, b)
+    acc = dict(a.items)
+    for k, blk in b.items:
+        acc[k] = acc[k] + blk if k in acc else blk
+    return a._raw(acc)
 
 
 def mul(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
     """Product; exponents add, blocks multiply, terms beyond the order drop."""
-    trunc, gens = _merge_params(a, b)
-    acc = {}
-    for m1, b1 in a.terms:
-        if m1 > trunc:
-            break
-        for m2, b2 in b.terms:
-            m = m1 + m2
-            if m > trunc:
+    a, b = _common(a, b)
+    n, acc = a.n, {}
+    for k1, b1 in a.items:
+        for k2, b2 in b.items:
+            k = k1 + k2
+            if k > n:
                 break
             prod = b1 * b2
-            if prod.is_zero:
-                continue
-            acc[m] = acc[m] + prod if m in acc else prod
-    return ExpPolySeries(trunc, gens, acc)
+            acc[k] = acc[k] + prod if k in acc else prod
+    return a._raw(acc)
 
 
 def derivative(a: ExpPolySeries) -> ExpPolySeries:
     """d/dzeta, term by term: exp(-mu*zeta)*B -> exp(-mu*zeta)*(B' - mu*B)."""
-    acc = {}
-    for m, b in a.terms:
-        nb = b.deriv() - b.scale(float(m))
-        if not nb.is_zero:
-            acc[m] = nb
-    return a._raw(acc)
+    return a._raw({k: b.deriv() - b.scale(k / a.L) for k, b in a.items})
 
 
 def translate(a: ExpPolySeries, c: complex) -> ExpPolySeries:
     """zeta -> zeta + c: each block shifts and picks up exp(-mu*c)."""
-    acc = {}
-    for m, b in a.terms:
-        nb = b.shift(c)
-        if m != 0:
-            nb = nb.scale(cmath.exp(-float(m) * complex(c)))
-        if not nb.is_zero:
-            acc[m] = nb
-    return a._raw(acc)
+    return a._raw({k: b.shift(c).scale(cmath.exp(-(k / a.L) * complex(c))) if k else b.shift(c)
+                   for k, b in a.items})
 
 
 def max_rel_coeff_diff(a: ExpPolySeries, b: ExpPolySeries) -> float:
@@ -404,39 +416,37 @@ def max_rel_coeff_diff(a: ExpPolySeries, b: ExpPolySeries) -> float:
 
 def exp_order(a: ExpPolySeries):
     """Least exponent carrying a nonzero block; +inf for the zero series."""
-    return a.terms[0][0] if a.terms else INF
+    return Fraction(a.items[0][0], a.L) if a.items else INF
 
 
 def effective_order(a: ExpPolySeries, tol: float):
     """Least exponent whose block has a coefficient of magnitude > tol."""
-    for m, b in a.terms:
-        if b.max_abs() > tol:
-            return m
-    return INF
+    return next((Fraction(k, a.L) for k, b in a.items if b.max_abs() > tol), INF)
 
 
 # one formal solve with its cross-check raises six distinct series to powers
 @lru_cache(maxsize=8)
-def powers(v: ExpPolySeries) -> tuple:
+def powers(v: ExpPolySeries, bound=None) -> tuple:
     """(v, v^2, ..., v^k) for ord(v) > 0, with k the largest integer such
-    that k*ord(v) <= v.trunc; () for the zero series.
+    that k*ord(v) <= bound (default v.trunc); () for the zero series.
 
     Memoized by value: a germ's perturbation is raised to the same powers at
     every level of a solve, and callers rebuild it as a new object each time.
     """
     if v.is_zero:
         return ()
-    d = exp_order(v)
+    d = v.items[0][0]
     if d <= 0:
         raise ValueError("powers need an argument of strictly positive order")
-    out = [v]
-    while (len(out) + 1) * d <= v.trunc:
-        out.append(mul(out[-1], v))
+    top = v.n if bound is None else math.floor(bound * v.L)
+    out = []
+    while (len(out) + 1) * d <= top:
+        out.append(mul(out[-1], v) if out else v)
     return tuple(out)
 
 
 def _affine_head(f: ExpPolySeries) -> complex:
-    b0 = f.block(0)
+    b0 = f._block(0)
     if b0.degree == 1 and b0.coeffs[1] == 1:
         return b0.coeffs[0]
     raise NonUnitSlope(f"inner series head must be zeta + beta, got block {list(b0.coeffs)}")
@@ -450,9 +460,9 @@ def compose(g: ExpPolySeries, f: ExpPolySeries) -> ExpPolySeries:
     summed until i*ord(delta) exceeds the common truncation order.
     """
     beta = _affine_head(f)
-    trunc, gens = _merge_params(g, f)
-    delta = f.tail().with_trunc(trunc).with_gens(gens)
-    result = translate(g, beta).with_trunc(trunc).with_gens(gens)
+    g, f = _common(g, f)
+    delta = f.tail()
+    result = translate(g, beta)
     gi = g
     fact = 1.0
     for i, dpow in enumerate(powers(delta), 1):
@@ -460,16 +470,16 @@ def compose(g: ExpPolySeries, f: ExpPolySeries) -> ExpPolySeries:
         if gi.is_zero:
             break
         fact *= i
-        term = mul(translate(gi, beta).with_gens(gens), dpow)
+        term = mul(translate(gi, beta), dpow)
         result = add(result, term.scale(1.0 / fact))
     return result
 
 
 def conjugacy_residual(phi: ExpPolySeries, f: ExpPolySeries, beta: complex) -> ExpPolySeries:
     """compose(phi, f) - phi - beta; the zero series iff phi linearizes f."""
-    trunc, gens = _merge_params(phi, f)
-    r = compose(phi, f) - phi.with_trunc(trunc).with_gens(gens)
-    return r - ExpPolySeries.constant(beta, trunc, gens)
+    phi, f = _common(phi, f)
+    r = compose(phi, f) - phi
+    return r - r._raw({0: CPoly([beta])})
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +495,7 @@ def classify(a: ExpPolySeries) -> DulacForm:
     """Head classification: zeta + beta with Re beta > 0 is hyperbolic,
     |beta| <= HEAD_TOL is parabolic, anything else is general.  The slope must
     be exactly 1, as `compose` requires; `HEAD_TOL` applies to beta only."""
-    b0 = a.block(0)
+    b0 = a._block(0)
     if b0.degree == 1 and b0.coeffs[1] == 1:
         beta = b0.coeffs[0]
         if abs(beta) <= HEAD_TOL:
@@ -497,22 +507,12 @@ def classify(a: ExpPolySeries) -> DulacForm:
 
 
 # ---------------------------------------------------------------------------
-# chart conversions (zeta-chart <-> z-chart, z = exp(-zeta))
-
-def _shift_exponents(a: ExpPolySeries, offset: Fraction, new_trunc, gens) -> ExpPolySeries:
-    terms = {}
-    for m, b in a.terms:
-        nm = m + offset
-        if nm < 0:
-            raise ValueError("exponent shift below zero")
-        if nm <= new_trunc:
-            terms[nm] = b
-    return ExpPolySeries(new_trunc, gens, terms)
-
+# chart conversions (zeta-chart <-> z-chart, z = exp(-zeta)); exponent 1 is
+# the lattice point L, and both charts share one lattice
 
 def _power_series(v: ExpPolySeries, c0: complex, coeff) -> ExpPolySeries:
     """c0 + sum_{j>=1} coeff(j) * v^j for ord(v) > 0, up to the truncation order."""
-    acc = ExpPolySeries.constant(c0, v.trunc, v.gens)
+    acc = v._raw({0: CPoly([c0])})
     for j, p in enumerate(powers(v), 1):
         acc = add(acc, p.scale(coeff(j)))
     return acc
@@ -530,8 +530,8 @@ def to_z_chart(a: ExpPolySeries) -> ExpPolySeries:
         raise NotNormalized("head must be zeta + beta with Re(beta) > 0 or beta = 0")
     lam = cmath.exp(-form.beta)
     factor = _power_series(-a.tail(), 1.0, lambda j: 1.0 / factorial(j)).scale(lam)
-    gens = tuple(sorted(set(a.gens) | {Fraction(1)}))
-    return _shift_exponents(factor, Fraction(1), a.trunc + 1, gens)
+    L = a.L  # the lattice of gens + {1} and order N + 1 too
+    return _series(L, a.n + L, tuple(sorted({*a.g, L})), {k + L: b for k, b in factor.items})
 
 
 def from_z_chart(a: ExpPolySeries, beta: complex | None = None) -> ExpPolySeries:
@@ -540,9 +540,10 @@ def from_z_chart(a: ExpPolySeries, beta: complex | None = None) -> ExpPolySeries
     `beta` fixes the logarithm determination; the principal branch of
     -log(lambda) is used when it is omitted (exact for parabolic heads).
     """
-    if a.terms and a.terms[0][0] < 1:
+    L = a.L
+    if a.items and a.items[0][0] < L:
         raise NotNormalized("z-chart series must have order >= 1")
-    b1 = a.block(1)
+    b1 = a._block(L)
     if b1.degree != 0:
         raise NotNormalized("z-chart head block must be a nonzero constant")
     lam = b1.coeffs[0]
@@ -550,13 +551,11 @@ def from_z_chart(a: ExpPolySeries, beta: complex | None = None) -> ExpPolySeries
         beta = -cmath.log(lam)
     elif abs(cmath.exp(-beta) - lam) > HEAD_TOL * max(1.0, abs(lam)):
         raise NotNormalized("provided beta is inconsistent with the head coefficient")
-    new_trunc = a.trunc - 1
     # drop the head term structurally before dividing: complex division is
     # inexact in the last ulp, so lam*z/(lam*z) - 1 would leave an order-zero
     # dust block and break every order-driven loop downstream
-    g = a._raw({m: b for m, b in a.terms if m != 1})
-    u = _shift_exponents(g.scale_div(lam), Fraction(-1), new_trunc, a.gens)
-    head = ExpPolySeries.affine(beta, new_trunc, a.gens)
+    u = _series(L, a.n - L, a.g, {k - L: b.scale_div(lam) for k, b in a.items if k != L})
+    head = u._raw({0: CPoly([beta, 1.0])})
     return head - _power_series(u, 0.0, lambda j: (-1.0) ** (j + 1) / j)  # log(1 + u)
 
 
@@ -565,11 +564,11 @@ def from_z_chart(a: ExpPolySeries, beta: complex | None = None) -> ExpPolySeries
 
 def evaluate(a: ExpPolySeries, zeta: complex) -> complex:
     acc = 0j
-    for m, b in a.terms:
-        if m == 0:
+    for k, b in a.items:
+        if k == 0:
             acc += b(zeta)
         else:
-            acc += cmath.exp(-float(m) * zeta) * b(zeta)
+            acc += cmath.exp(-(k / a.L) * zeta) * b(zeta)
     return acc
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from dulaclin.cli import main
+from dulaclin.cli import build_parser, main
 from dulaclin.series import ExpPolySeries, parse_series, serialize_series
 
 
@@ -361,6 +361,20 @@ def test_bad_flag_is_parse_error(tmp_path, capsys, argv):
 def test_unparsable_expression_is_parse_error(tmp_path, capsys, expr):
     assert_parse_error(capsys, KOENIGS_ARGS[:1] + ["--expr", expr] + KOENIGS_ARGS[3:]
                        + ["--output", str(tmp_path / "x")])
+
+
+def test_calls_in_one_process_share_one_parser(tmp_path, capsys):
+    src = write_fixture(tmp_path)
+    out = tmp_path / "lin"
+    runs = []
+    for _ in range(2):
+        code = main(["linearize", "--input", str(src), "--cross-check", "--output", str(out)])
+        runs.append((code, capsys.readouterr(),
+                     [(tmp_path / f"lin.{x}.json").read_bytes() for x in ("report", "phi")]))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    assert_parse_error(capsys, ["linearize", "--input", str(src), "--bogus",
+                                "--output", str(tmp_path / "x")])
+    assert build_parser() is build_parser()
 
 
 def test_help_still_exits_0(capsys):

@@ -297,6 +297,17 @@ class TestInvariance:
         report = check_invariance(f, QuadRegion(2.0), prof, n_samples=500, seed=3)
         assert report.n_bound_violations > 0
 
+    def test_union_samples_lie_in_the_cut_region(self):
+        # the second band starts at Re = 60: below that, every sample comes
+        # from the first
+        prof = AsymptoticProfile(1 + 0j, 1.0, 0, 5.0)
+        f = AnalyticMap.from_expression("zeta + 1 + exp(-zeta)", prof)
+        region = UnionRegion((BandRegion(5.0, power_map(-1.0, 0.0), power_map(1.0, 1.0)),
+                              BandRegion(60.0, power_map(100.0, 0.0), power_map(10.0, 1.0))))
+        report = check_invariance(f, region, prof, n_samples=100, seed=0)
+        cut = region.with_cut(report.R)
+        assert all(cut.contains(complex(x, y)) for x, y, *_ in report.rows)
+
     def test_search_increases_cut(self):
         prof = AsymptoticProfile(1 + 0j, 1.0, 0, 5.0)
         f = AnalyticMap.from_expression("zeta + 1 + exp(-zeta)", prof)

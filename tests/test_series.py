@@ -1,5 +1,7 @@
 import cmath
+import hashlib
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dulaclin.errors import ExponentNotInSemigroup, NonUnitSlope, NotNormalized, ParseError
+from dulaclin.linearize import SchroederOperators, linearize_level_by_level, picard_linearize
 from dulaclin.series import (
     CPoly,
     ExpPolySeries,
@@ -213,6 +216,26 @@ class TestPowers:
         assert compose(g, f) == first
         assert calls == []
 
+    def test_picard_builds_no_power_past_trunc_minus_one(self, monkeypatch):
+        import dulaclin.series
+
+        # g1/z has order 1/2 and S uses its powers up to trunc - 1 = 2 only
+        f1 = S(3, [F(1, 2)], {1: [0.5], F(3, 2): [0.25, 0.1], 2: [-0.3]})
+        g_shift = SchroederOperators(f1)._g_shift
+        built = []
+        product = dulaclin.series.mul
+
+        def recording(a, b):
+            out = product(a, b)
+            if b == g_shift:
+                built.append(out)
+            return out
+
+        monkeypatch.setattr(dulaclin.series, "mul", recording)
+        powers.cache_clear()
+        picard_linearize(f1)
+        assert [exp_order(p) for p in built] == [1, F(3, 2), 2]  # g_shift^2 .. ^4
+
 
 class TestOrder:
     def test_zero_series(self):
@@ -347,21 +370,69 @@ class TestSemigroup:
             S(2, [F(2, 3)], {F(1, 2): [1.0]})
 
 
+class TestLattice:
+    def test_with_trunc_across_a_change_of_lattice(self):
+        a = S(F(5, 2), [1], {0: [1.0], 1: [2.0], 2: [3.0]})
+        b = a.with_trunc(2)  # lattice step 1/2 -> 1
+        assert (a.L, b.L) == (2, 1)
+        assert b == S(2, [1], {0: [1.0], 1: [2.0], 2: [3.0]})
+        c = S(2, [F(1, 2)], {0: [1.0], F(1, 2): [2.0], F(3, 2): [3.0]}).with_trunc(F(4, 3))
+        assert c.L == 6 and c.trunc == F(4, 3)
+        assert c == S(F(4, 3), [F(1, 2)], {0: [1.0], F(1, 2): [2.0]})
+
+    def test_one_series_built_by_two_routes(self):
+        direct = S(2, [F(1, 2)], {F(1, 2): [1.0], 1: [2.0]})
+        mixed = S(2, [1], {1: [2.0]}) + S(F(5, 2), [F(1, 2)], {F(1, 2): [1.0]})
+        assert mixed.gens == (F(1, 2), 1)
+        routed = mixed.with_gens([F(1, 2)])
+        assert routed == direct and hash(routed) == hash(direct)
+        assert parse_series(serialize_series(direct)) == direct
+
+    def test_shifted_exponent_outside_the_semigroup_raises(self):
+        # 4/3 = 2/3 + 2/3, but the shifted 1/3 is not generated by 2/3 and 1
+        a = S(3, [F(2, 3), 1], {1: [0.5], F(4, 3): [1.0]})
+        with pytest.raises(ExponentNotInSemigroup):
+            from_z_chart(a)
+        with pytest.raises(ExponentNotInSemigroup):
+            SchroederOperators(a)
+        with pytest.raises(ExponentNotInSemigroup):
+            S(2, [F(1, 2)], {F(1, 2): [1.0]}).with_gens([1])
+
+    def test_deep_order_8_solution_bytes(self):
+        # the benchmark's deep series (seed 8): generators 1/2, 2/3, order 8,
+        # degree-3 blocks on the four lowest levels; the digest was recorded
+        # with exponents stored as Fractions
+        rng = random.Random(8)
+        gens = (F(1, 2), F(2, 3))
+        terms = {F(0): [complex(1.0, 0.3 * (2 * rng.random() - 1)), 1.0]}
+        for mu in sorted(p for p in semigroup_points(gens, 8) if p > 0)[:4]:
+            terms[mu] = [complex(0.5 * rng.uniform(-1, 1), 0.5 * rng.uniform(-1, 1))
+                         for _ in range(4)]
+        phi = linearize_level_by_level(S(8, gens, terms)).phi
+        assert hashlib.sha256(serialize_series(phi).encode()).hexdigest() == \
+            "6911597b001be36cfe8ac036ae6d022cfac5882aafe0e21ed84bb08a107eed59"
+
+
 # -- property tests ----------------------------------------------------------
 
 small_int = st.integers(min_value=-3, max_value=3)
+# (generators, order): operands on different lattices are rescaled to a common one
+LATTICES = [((1,), 3), ((1,), 2), ((F(1, 2),), F(5, 2)), ((F(2, 3),), 2),
+            ((F(1, 2), F(2, 3)), 3), ((1, F(1, 2)), F(3, 2))]
 
 
 @st.composite
-def int_series(draw, trunc=3):
+def int_series(draw):
     # integer coefficients keep the ring laws exact in floating point
+    gens, trunc = draw(st.sampled_from(LATTICES))
+    points = sorted(semigroup_points(gens, trunc))
     n_terms = draw(st.integers(min_value=0, max_value=3))
     terms = {}
     for _ in range(n_terms):
-        mu = draw(st.sampled_from([F(0), F(1), F(2), F(3)]))
+        mu = draw(st.sampled_from(points))
         coeffs = draw(st.lists(small_int, min_size=1, max_size=3))
         terms[mu] = CPoly([complex(c) for c in coeffs])
-    return ExpPolySeries(trunc, [1], terms)
+    return ExpPolySeries(trunc, gens, terms)
 
 
 @settings(max_examples=60, deadline=None)
