@@ -636,16 +636,14 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
     rng = np.random.default_rng(seed)
     n_strata = max(1, min(64, n_samples))
     parts = region.parts if isinstance(region, UnionRegion) else (region,)
-    # a sample at x comes from the parts with cut <= x, at least one part as
-    # x >= R >= region.cut, and every part from the largest cut on
-    top = max(p.cut for p in parts)
     rows = []
     nb = nr = ng = 0
     worst = math.inf
     for j in range(n_samples):
         u1, u2 = rng.random(), rng.random()
         x = R + INVARIANCE_RE_SPAN * ((j % n_strata) + u1) / n_strata
-        live = parts if x >= top else [p for p in parts if p.cut <= x]
+        # at least one part has cut <= x, as x >= R >= region.cut
+        live = [p for p in parts if p.cut <= x]
         lo, hi = live[j % len(live)].im_bounds(x)
         y = lo + (hi - lo) * u2
         zeta = complex(x, y)

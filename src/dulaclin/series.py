@@ -63,7 +63,6 @@ __all__ = [
     "evaluate",
     "evaluate_tail",
     "lattice_points",
-    "semigroup_points",
     "max_rel_coeff_diff",
 ]
 
@@ -88,19 +87,13 @@ def parse_exponent(text) -> Fraction:
 @lru_cache(maxsize=None)
 def lattice_points(g: tuple, n: int) -> frozenset:
     """All nonnegative-integer combinations k <= n of the positive ints `g`,
-    zero included: the semigroup points of any one lattice 1/L, as ints."""
-    pts = {0}
-    for k in range(1, n + 1):
-        if any(k - x in pts for x in g):
-            pts.add(k)
+    zero included: the semigroup points of any one lattice 1/L, as ints.
+    The search visits only those points, so its cost does not grow with L."""
+    pts = frontier = {0}
+    while frontier:
+        frontier = {k + x for k in frontier for x in g if k + x <= n} - pts
+        pts = pts | frontier
     return frozenset(pts)
-
-
-def semigroup_points(gens, bound) -> frozenset:
-    """All nonnegative-integer combinations of `gens` that are <= `bound`, zero
-    included; generators must be positive rationals."""
-    L, n, g = _lattice(Fraction(bound), map(Fraction, gens))
-    return frozenset(Fraction(k, L) for k in lattice_points(g, n))
 
 
 def _lattice(trunc: Fraction, gens) -> tuple:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dulaclin.series import CPoly, ExpPolySeries, semigroup_points
+from dulaclin.series import CPoly, ExpPolySeries, lattice_points
 
 GEN_CHOICES = [
     (F(1),),
@@ -14,6 +14,13 @@ GEN_CHOICES = [
     (F(1), F(1, 2), F(2, 3)),
 ]
 ORDER_CHOICES = [F(1), F(3, 2), F(2), F(2), F(5, 2), F(3), F(3), F(4)]
+
+
+def semigroup_points(gens, bound) -> list:
+    """The sorted nonnegative-integer combinations of `gens` up to `bound`,
+    zero included, as Fractions: the lattice points of a series' semigroup."""
+    s = ExpPolySeries.zero(bound, gens)
+    return [F(k, s.L) for k in sorted(lattice_points(s.g, s.n))]
 
 
 def random_hyperbolic_series(rng: random.Random, real: bool = False) -> ExpPolySeries:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import random_hyperbolic_series
+from conftest import random_hyperbolic_series, semigroup_points
 from dulaclin.errors import (
     NotHyperbolic,
     OrderTooLow,
@@ -27,7 +27,6 @@ from dulaclin.series import (
     conjugacy_residual,
     exp_order,
     max_rel_coeff_diff,
-    semigroup_points,
     to_z_chart,
 )
 

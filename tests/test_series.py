@@ -2,12 +2,14 @@ import cmath
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import semigroup_points
 from dulaclin.errors import ExponentNotInSemigroup, NonUnitSlope, NotNormalized, ParseError
 from dulaclin.linearize import SchroederOperators, linearize_level_by_level, picard_linearize
 from dulaclin.series import (
@@ -26,7 +28,6 @@ from dulaclin.series import (
     mul,
     parse_series,
     powers,
-    semigroup_points,
     serialize_series,
     to_z_chart,
     translate,
@@ -379,6 +380,16 @@ class TestLattice:
         c = S(2, [F(1, 2)], {0: [1.0], F(1, 2): [2.0], F(3, 2): [3.0]}).with_trunc(F(4, 3))
         assert c.L == 6 and c.trunc == F(4, 3)
         assert c == S(F(4, 3), [F(1, 2)], {0: [1.0], F(1, 2): [2.0]})
+
+    def test_an_order_with_a_large_denominator_is_cheap(self):
+        # lattice steps of 1e-9 and 1/3e6; only the semigroup points are visited
+        t0 = time.perf_counter()
+        a = S(3, [1], {0: [1.0], 2: [2.0], 3: [3.0]}).with_trunc(F(2000000001, 10**9))
+        b = S(F(8000001, 10**6), [F(1, 2), F(2, 3)], {F(15, 2): [1.0], 8: [2.0]})
+        assert time.perf_counter() - t0 < 1.0
+        assert a.L == 10**9 and a == S(F(2000000001, 10**9), [1], {0: [1.0], 2: [2.0]})
+        assert b.L == 3 * 10**6 and semigroup_points(b.gens, b.trunc)[-3:] == [F(23, 3), F(47, 6), 8]
+        assert semigroup_points([1], a.trunc) == [0, 1, 2]
 
     def test_one_series_built_by_two_routes(self):
         direct = S(2, [F(1, 2)], {F(1, 2): [1.0], 1: [2.0]})
