@@ -1,8 +1,9 @@
 """Batch front-end: linearize series, run Koenigs grids, verify domains,
 and emit decay-comparison reports.
 
-Every report embeds the tool version, a hash of the effective configuration,
-and the seed, so identical invocations produce byte-identical files.
+Every report embeds the tool version, a hash of the effective configuration
+(input files by their contents) and the seed, so identical invocations
+produce byte-identical files.
 
 verify-domain also checks, for every band of a region, that h_u and h_l
 are upper and lower maps beyond the cut.
@@ -11,13 +12,13 @@ Exit codes: 0 ok, 2 not hyperbolic, 3 parse error (also a bad or missing
 flag, a NaN or infinite numeric flag, a zero or negative --tol or --alpha,
 --samples below 1, a non-integer or negative --levels, a missing or
 unreadable --input or --region file, a region file with a C, R, t, a, r or
-delta that is not a finite number or with an empty union, no --expr or
---input, a malformed --grid, a non-finite series coefficient, an expression
-nested too deeply to parse or compile, an over-long exponent literal), 4
-unconverged grid points, 5 violations above tolerance (also linearize
---cross-check solvers differing by more than --tol, and a band boundary
-failing its upper/lower-map check), 1 other errors (also an unwritable
---output and a numeric overflow).
+delta that is not a finite number, a quad map sign other than 1 or -1 or
+an empty union, no --expr or --input, a malformed --grid, a non-finite
+series coefficient, an expression nested too deeply to parse or compile,
+an over-long exponent literal), 4 unconverged grid points, 5 violations
+above tolerance (also linearize --cross-check solvers differing by more
+than --tol, and a band boundary failing its upper/lower-map check), 1
+other errors (also an unwritable --output and a numeric overflow).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .errors import (
     ParseError,
     ExponentNotInSemigroup,
 )
+from .exprparse import compile_ast, parse_expression
 from .linearize import linearize_by_picard, linearize_level_by_level, partial_sums
 from .series import (
     ExpPolySeries,
@@ -121,10 +123,16 @@ def _cnum(text: str) -> complex:
     return complex(_num(t), 0.0)
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _config_hash(args: argparse.Namespace) -> str:
-    # the output path does not affect any computed value
-    payload = {k: repr(v) for k, v in sorted(vars(args).items()) if k != "output"}
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+    # the output path does not affect any computed value; an input file
+    # enters by its contents, so the hash identifies the input, not its path
+    payload = {k: repr(_sha256(_read_text(v)) if k in ("input", "region") and v else v)
+               for k, v in vars(args).items() if k != "output"}
+    return _sha256(json.dumps(payload, sort_keys=True))[:16]
 
 
 def _header_lines(args) -> list:
@@ -363,18 +371,17 @@ def cmd_compare(args) -> int:
 def cmd_solve_homological(args) -> int:
     profile = _profile(args)
     f = _load_map(args, profile)
-    h = AnalyticMap.from_expression(args.h_expr, profile)
+    h = compile_ast(parse_expression(args.h_expr))
     grid = _grid(args.grid)
     rows = []
     for z in grid:
         # psi(z) and psi(f(z)) from one orbit; the solver checks their residual
         try:
-            psi, psi_next = solve_homological_numeric(f, h.evaluator, args.alpha, z,
-                                                      args.tol, with_next=True)
+            psi, psi_next = solve_homological_numeric(f, h, args.alpha, z, args.tol, with_next=True)
         except NotConverged as exc:
             print(f"not converged at {z}: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED
-        resid = abs(psi_next - psi - h.evaluator(z))
+        resid = abs(psi_next - psi - h(z))
         rows.append({"zeta": [z.real, z.imag], "psi": [psi.real, psi.imag],
                      "residual": resid})
     payload = {
@@ -438,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="decay slopes of numeric minus partial sums")
     p.add_argument("--input", required=True, help="series JSON for the germ")
-    p.add_argument("--expr", help="optional expression overriding the evaluator")
+    p.add_argument("--expr", help="optional expression for the map; the series still gives phi")
     _add_profile_flags(p)
     p.add_argument("--grid", required=True)
     p.add_argument("--levels", default="0,1", help="comma list of partial-sum levels")

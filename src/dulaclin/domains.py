@@ -6,19 +6,26 @@ thresholds stay auditable.
 
 The boundary of the quadratic domain kappa(C+) has a closed-form height
 (quad_boundary_height); quad_boundary_param is the parametric route kept as
-its reference.  A band D_{h_l,h_u} is invariant only if h_u is an upper map
-and h_l a lower map.  With b = Im(beta), M the drift envelope and rho_-/rho_+
-the guaranteed real-part steps, the sampled conditions are:
+its reference.  A boundary map is one record of its function, declared
+monotonicity and JSON object, built by one of five factories; a union
+region holds the parts of the unions it is built from.
+
+A band D_{h_l,h_u} is invariant only if h_u is an upper map (s = 1) and h_l
+a lower map (s = -1).  With b = Im(beta), M the drift envelope and
+rho_-/rho_+ the guaranteed real-part steps, the sampled conditions are:
 
   upper, b >= 0:  h increasing, h(x + rho_-(x)) - h(x) >= b + M(x);
   upper, b < 0:   h increasing, or h decreasing with
                   h(x + rho_+(x)) - h(x) >= b + M(x);
   lower, b > 0:   h decreasing, or h increasing with
                   h(x + rho_+(x)) - h(x) <= b - M(x);
-  lower, b <= 0:  h decreasing, h(x + rho_-(x)) - h(x) <= b - M(x).
+  lower, b <= 0:  h decreasing, h(x + rho_-(x)) - h(x) <= b - M(x);
 
-check_upper_map and check_lower_map sample them on a geometric grid from
-max(domain start, R) to MAP_X_MAX; verify-domain runs both on every band.
+that is, h monotone like s, and if s*b >= 0 also s*(diff - (b + s*M)) >= 0
+for diff at rho_-; if s*b < 0, h monotone like -s with that at rho_+ will
+do instead.  check_upper_map and check_lower_map sample this on a geometric
+grid from max(domain start, R) to MAP_X_MAX; verify-domain runs both on
+every band.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -214,86 +221,61 @@ def quad_boundary_height(x: float, C: float) -> float:
 # ---------------------------------------------------------------------------
 # boundary maps
 
+@dataclass(frozen=True, eq=False)
 class BoundaryMap:
-    """Evaluatable boundary function with declared monotonicity.
-
-    kind is one of power/linear/log/quad/neg.  check_upper_map and
-    check_lower_map test the admissibility of a map by sampling it, its
-    declared monotonicity and its drift difference h(x + rho) - h(x).
+    """A boundary function h with its declared monotonicity (+1 increasing,
+    -1 decreasing, 0 constant, on the declared domain) and its JSON object,
+    whose "t" is the domain start.  The five factories below build every map.
     """
 
-    def __init__(self, kind, params, domain_start):
-        self.kind = kind
-        self.params = params
-        self.domain_start = float(domain_start)
+    fn: Callable[[float], float]
+    monotonicity: int
+    json: dict
 
     def __call__(self, x: float) -> float:
-        k, p = self.kind, self.params
-        if k == "power":
-            return p["a"] * x ** p["r"]
-        if k == "linear":
-            return p["a"] * x
-        if k == "log":
-            if x < 1.0:
-                raise DomainError("log map needs x >= 1")
-            return math.log(x) ** p["delta"]
-        if k == "quad":
-            return p["sign"] * quad_boundary_height(x, p["C"])
-        if k == "neg":
-            return -p["inner"](x)
-        raise ValueError(f"unknown boundary map kind {k!r}")
+        return self.fn(x)
 
-    def monotonicity(self) -> int:
-        """+1 increasing, -1 decreasing, 0 constant, on the declared domain."""
-        k, p = self.kind, self.params
-        if k == "power":
-            s = p["a"] * p["r"]
-            return (s > 0) - (s < 0)
-        if k == "linear":
-            return (p["a"] > 0) - (p["a"] < 0)
-        if k == "log":
-            return 1
-        if k == "quad":
-            return 1 if p["sign"] > 0 else -1
-        if k == "neg":
-            return -p["inner"].monotonicity()
-        raise ValueError(k)
+    @property
+    def domain_start(self) -> float:
+        return self.json["t"]
 
     def to_json(self) -> dict:
-        k, p = self.kind, self.params
-        if k == "power":
-            return {"kind": "power", "a": p["a"], "r": p["r"], "t": self.domain_start}
-        if k == "linear":
-            return {"kind": "linear", "a": p["a"], "t": self.domain_start}
-        if k == "log":
-            return {"kind": "log", "delta": p["delta"], "t": self.domain_start}
-        if k == "quad":
-            return {"kind": "quad", "C": p["C"], "sign": p["sign"], "t": self.domain_start}
-        if k == "neg":
-            return {"kind": "neg", "inner": p["inner"].to_json(), "t": self.domain_start}
-        raise ValueError(k)
+        return self.json
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
 
 
 def power_map(a: float, r: float, t: float = 1.0) -> BoundaryMap:
-    return BoundaryMap("power", {"a": a, "r": r}, t)
+    return BoundaryMap(lambda x: a * x ** r, _sign(a * r),
+                       {"kind": "power", "a": a, "r": r, "t": float(t)})
 
 
 def linear_map(a: float, t: float = 1.0) -> BoundaryMap:
-    return BoundaryMap("linear", {"a": a}, t)
+    return BoundaryMap(lambda x: a * x, _sign(a), {"kind": "linear", "a": a, "t": float(t)})
 
 
 def log_map(delta: float, t: float = 2.0) -> BoundaryMap:
     if delta <= 0:
         raise ValueError("log map needs delta > 0")
-    return BoundaryMap("log", {"delta": delta}, max(t, 1.0))
+
+    def h(x):
+        if x < 1.0:
+            raise DomainError("log map needs x >= 1")
+        return math.log(x) ** delta
+    return BoundaryMap(h, 1, {"kind": "log", "delta": delta, "t": float(max(t, 1.0))})
 
 
 def quad_boundary_map(C: float, sign: int = 1, t: Optional[float] = None) -> BoundaryMap:
-    return BoundaryMap("quad", {"C": C, "sign": 1 if sign >= 0 else -1}, C if t is None else t)
+    sign = 1 if sign >= 0 else -1
+    return BoundaryMap(lambda x: sign * quad_boundary_height(x, C), sign,
+                       {"kind": "quad", "C": C, "sign": sign, "t": float(C if t is None else t)})
 
 
 def negated(inner: BoundaryMap) -> BoundaryMap:
-    return BoundaryMap("neg", {"inner": inner}, inner.domain_start)
+    return BoundaryMap(lambda x: -inner(x), -inner.monotonicity,
+                       {"kind": "neg", "inner": inner.to_json(), "t": inner.domain_start})
 
 
 def _finite(obj: dict, key: str, default=None):
@@ -321,7 +303,10 @@ def boundary_map_from_json(obj) -> BoundaryMap:
     if kind == "log":
         return log_map(_finite(obj, "delta"), t)
     if kind == "quad":
-        return quad_boundary_map(_finite(obj, "C"), obj.get("sign", 1), obj.get("t"))
+        sign = obj.get("sign", 1)
+        if isinstance(sign, bool) or sign not in (1, -1):
+            raise ValueError(f"'sign' must be 1 or -1, got {sign!r}")
+        return quad_boundary_map(_finite(obj, "C"), sign, obj.get("t"))
     if kind == "neg":
         return negated(boundary_map_from_json(obj["inner"]))
     raise ValueError(f"unknown boundary map JSON kind {kind!r}")
@@ -342,6 +327,7 @@ class Region:
         raise NotImplementedError
 
     def im_bounds(self, x: float):
+        """(lo, hi) of Im at Re = x, for a quad or band region (a union part)."""
         raise NotImplementedError
 
 
@@ -400,7 +386,13 @@ class BandRegion(Region):
 
 @dataclass(frozen=True)
 class UnionRegion(Region):
+    """A union of quad and band regions; a nested union's parts are its own."""
+
     parts: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(
+            q for p in self.parts for q in (p.parts if isinstance(p, UnionRegion) else (p,))))
 
     def contains(self, zeta: complex) -> bool:
         return any(p.contains(zeta) for p in self.parts)
@@ -411,19 +403,6 @@ class UnionRegion(Region):
     @property
     def cut(self) -> float:
         return min(p.cut for p in self.parts)
-
-    def im_bounds(self, x: float):
-        los, his = [], []
-        for p in self.parts:
-            try:
-                lo, hi = p.im_bounds(x)
-            except DomainError:
-                continue
-            los.append(lo)
-            his.append(hi)
-        if not los:
-            raise DomainError(f"no union part defined at Re = {x}")
-        return min(los), max(his)
 
 
 def region_from_json(obj) -> Region:
@@ -476,80 +455,48 @@ def _map_grid(h: BoundaryMap, profile: AsymptoticProfile):
     return [float(v) for v in np.geomspace(t, max(MAP_X_MAX, t * 2), MAP_SAMPLES)]
 
 
+_MONOTONE = {1: "increasing", -1: "decreasing"}
+# s -> the case for s*Im(beta) >= 0, for s*Im(beta) < 0 with h monotone
+# like s, and for s*Im(beta) < 0 otherwise
+_CASES = {1: ("im>=0", "im<0 increasing", "im<0 decreasing"),
+          -1: ("im<=0", "im>0 decreasing", "im>0 increasing")}
+
+
 def _monotone_ok(h: BoundaryMap, xs, required: int) -> bool:
-    if required == 0:
-        return True
-    if h.monotonicity() not in (required, 0):
+    if h.monotonicity not in (required, 0):
         return False
     vals = [h(x) for x in xs]
-    if required > 0:
-        return all(b >= a for a, b in zip(vals, vals[1:]))
-    return all(b <= a for a, b in zip(vals, vals[1:]))
+    pairs = zip(vals, vals[1:]) if required > 0 else zip(vals[1:], vals)
+    return all(b >= a for a, b in pairs)
 
 
-def _drift_check(h, profile, xs, use_rho_plus, rhs_sign, imb):
-    """Margins of  sign * (h(x + rho(x)) - h(x)) >= sign-adjusted bound."""
-    margins = []
-    for x in xs:
-        rho = profile.rho_plus(x) if use_rho_plus else profile.rho_minus(x)
-        diff = h(x + rho) - h(x)
-        bound = imb + rhs_sign * profile.M(x)
-        # upper maps need diff >= bound, lower maps need diff <= bound
-        margins.append((x, diff - bound))
-    return margins
-
-
-def _finish_report(side, case, required, mono_ok, margins, flip):
-    worst = math.inf
-    bad = []
-    for x, m in margins:
-        signed = -m if flip else m
-        worst = min(worst, signed)
-        if signed < 0:
-            bad.append((x, signed))
-    passed = mono_ok and not bad
-    return MapCheckReport(
-        side=side,
-        case=case,
-        passed=passed,
-        monotone_required={1: "increasing", -1: "decreasing", 0: "any"}[required],
-        monotone_ok=mono_ok,
-        n_samples=len(margins),
-        n_violations=len(bad),
-        worst_margin=worst,
-        violations=bad[:10],
-    )
+def _check_map(h: BoundaryMap, profile: AsymptoticProfile, s: int) -> MapCheckReport:
+    """The case table of the module docstring for an upper (s = 1) or a
+    lower (s = -1) map: each sample's margin is s * (diff - (b + s*M(x)))
+    with diff = h(x + rho(x)) - h(x), so a negative margin is a violation."""
+    imb = complex(profile.beta).imag
+    xs = _map_grid(h, profile)
+    side = "upper" if s > 0 else "lower"
+    same, own, other = _CASES[s]
+    if s * imb >= 0:
+        case, required, rho = same, s, profile.rho_minus
+    elif h.monotonicity == s and _monotone_ok(h, xs, s):
+        return MapCheckReport(side, own, True, _MONOTONE[s], True, len(xs), 0, math.inf)
+    else:
+        case, required, rho = other, -s, profile.rho_plus
+    mono_ok = _monotone_ok(h, xs, required)
+    margins = [(x, s * (h(x + rho(x)) - h(x) - (imb + s * profile.M(x)))) for x in xs]
+    bad = [(x, m) for x, m in margins if m < 0]
+    return MapCheckReport(side, case, mono_ok and not bad, _MONOTONE[required], mono_ok,
+                          len(xs), len(bad), min(math.inf, *(m for _, m in margins)), bad[:10])
 
 
 def check_upper_map(h: BoundaryMap, profile: AsymptoticProfile) -> MapCheckReport:
-    """Case table by sign of Im(beta); see the module docstring."""
-    imb = complex(profile.beta).imag
-    xs = _map_grid(h, profile)
-    if imb >= 0:
-        mono_ok = _monotone_ok(h, xs, 1)
-        margins = _drift_check(h, profile, xs, use_rho_plus=False, rhs_sign=+1, imb=imb)
-        return _finish_report("upper", "im>=0", 1, mono_ok, margins, flip=False)
-    if h.monotonicity() > 0 and _monotone_ok(h, xs, 1):
-        return MapCheckReport("upper", "im<0 increasing", True, "increasing", True,
-                              len(xs), 0, math.inf)
-    mono_ok = _monotone_ok(h, xs, -1)
-    margins = _drift_check(h, profile, xs, use_rho_plus=True, rhs_sign=+1, imb=imb)
-    return _finish_report("upper", "im<0 decreasing", -1, mono_ok, margins, flip=False)
+    return _check_map(h, profile, 1)
 
 
 def check_lower_map(h: BoundaryMap, profile: AsymptoticProfile) -> MapCheckReport:
-    imb = complex(profile.beta).imag
-    xs = _map_grid(h, profile)
-    if imb > 0:
-        if h.monotonicity() < 0 and _monotone_ok(h, xs, -1):
-            return MapCheckReport("lower", "im>0 decreasing", True, "decreasing", True,
-                                  len(xs), 0, math.inf)
-        mono_ok = _monotone_ok(h, xs, 1)
-        margins = _drift_check(h, profile, xs, use_rho_plus=True, rhs_sign=-1, imb=imb)
-        return _finish_report("lower", "im>0 increasing", 1, mono_ok, margins, flip=True)
-    mono_ok = _monotone_ok(h, xs, -1)
-    margins = _drift_check(h, profile, xs, use_rho_plus=False, rhs_sign=-1, imb=imb)
-    return _finish_report("lower", "im<=0", -1, mono_ok, margins, flip=True)
+    return _check_map(h, profile, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -626,13 +573,14 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
     Sample j is drawn at Re = x from the parts of a union whose cut is at
     most x, cycling through them by j; a region with one part is its own.
 
-    `f` is an AnalyticMap-like object: callable, with `.delta(zeta)` for the
-    drift and `.profile` matching the supplied profile.
+    `f` is an AnalyticMap-like object: `.delta(zeta)` for the drift and
+    `.profile` matching the supplied profile; f(zeta) is zeta + beta + delta.
     """
     R = max(profile.R, region.cut)
     cut_region = region.with_cut(R)
     if isinstance(region, QuadRegion) and R <= region.C:
         raise DomainError("cut must exceed the quadratic-domain constant C")
+    beta = complex(f.profile.beta)
     rng = np.random.default_rng(seed)
     n_strata = max(1, min(64, n_samples))
     parts = region.parts if isinstance(region, UnionRegion) else (region,)
@@ -651,8 +599,8 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
             # boundary-exact draws; resample toward the centerline
             y = 0.5 * (lo + hi)
             zeta = complex(x, y)
-        w = f(zeta)
         d = f.delta(zeta)
+        w = zeta + beta + d
         margin = _eq_new_bound(zeta, profile.epsilon, profile.k) - abs(d)
         rect_ok = safety_rect(zeta, profile).contains(w)
         region_ok = cut_region.contains(w)

@@ -4,9 +4,9 @@ homological-equation sums, and decay-slope verification.
 Maps carry a split perturbation  f(zeta) = zeta + beta + delta(zeta)  so the
 small quantities that drive every estimate are evaluated without catastrophic
 cancellation; displacement sums then inherit the relative accuracy of delta.
-`AnalyticMap.delta` is an attribute: one function, built once with the map
-(a compiled expression or a series evaluator with its exponents already
-floats), that every step calls directly.
+An AnalyticMap is that delta and its profile: one function, built once with
+the map (a compiled expression or a series evaluator with its exponents
+already floats), that every step calls directly.
 All certified bounds are floating-point quantities, conditional on the
 declared drift profile, and per-step checks validate that hypothesis along
 every computed orbit.
@@ -64,53 +64,39 @@ ENVELOPE_MARGIN = 1e-12  # relative rounding allowance of the hoisted envelope
 DECAY_SLACK = 0.1        # slope slack of decay_slope
 
 
+@dataclass(eq=False)
 class AnalyticMap:
-    """Evaluatable map zeta -> zeta + beta + delta(zeta) with a drift profile.
+    """The map zeta -> zeta + beta + delta(zeta) with a drift profile.
 
     `delta` is an attribute holding the function zeta -> delta(zeta), so a
-    step calls it directly.  Given no `delta`, it is f(zeta) - zeta - beta,
-    which is cancellation-limited and only used for expressions that are not
-    top-level sums.
+    step calls it directly.  For an expression that is not a top-level sum
+    it is f(zeta) - zeta - beta, which is cancellation-limited.
     """
 
-    def __init__(self, evaluator: Callable, profile: AsymptoticProfile,
-                 delta: Optional[Callable] = None, exact_translation: bool = False):
-        self.evaluator = evaluator
-        self.profile = profile
-        if delta is None:
-            beta = complex(profile.beta)
-
-            def delta(z):
-                return evaluator(z) - z - beta
-        self.delta = delta
-        self.exact_translation = exact_translation
+    delta: Callable
+    profile: AsymptoticProfile
+    exact_translation: bool = False
 
     def __call__(self, zeta: complex) -> complex:
-        return self.evaluator(zeta)
+        return zeta + complex(self.profile.beta) + self.delta(zeta)
 
     @staticmethod
     def from_expression(text: str, profile: AsymptoticProfile) -> "AnalyticMap":
         ast = parse_expression(text)
-        split = split_affine(ast, complex(profile.beta))
+        beta = complex(profile.beta)
+        split = split_affine(ast, beta)
         if split is None:
-            return AnalyticMap(compile_ast(ast), profile)
+            g = compile_ast(ast)
+            return AnalyticMap(lambda z: g(z) - z - beta, profile)
         offset, others = split
         exact = not others and offset == 0
-        return AnalyticMap._with_delta(compile_signed_sum(offset, others), profile, exact)
+        return AnalyticMap(compile_signed_sum(offset, others), profile, exact)
 
     @staticmethod
     def from_series(series: ExpPolySeries, profile: AsymptoticProfile) -> "AnalyticMap":
         beta = complex(profile.beta)
         exact = series.block(0) == CPoly([beta, 1.0]) and series.tail().is_zero
-        return AnalyticMap._with_delta(_series_delta(series, beta), profile, exact)
-
-    @staticmethod
-    def _with_delta(delta: Callable, profile: AsymptoticProfile, exact: bool) -> "AnalyticMap":
-        beta = complex(profile.beta)
-
-        def evaluator(z):
-            return z + beta + delta(z)
-        return AnalyticMap(evaluator, profile, delta=delta, exact_translation=exact)
+        return AnalyticMap(_series_delta(series, beta), profile, exact)
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,7 @@ def test_koenigs_partial_row_when_only_the_image_fails(tmp_path, monkeypatch, ca
 
     def delta(w):
         return complex(prof.M(8.0 + round(w.real - 8.0) * rho) * (1 - 1e-6))
-    f = AnalyticMap(lambda w: w + 1 + delta(w), prof, delta=delta)
+    f = AnalyticMap(delta, prof)
     monkeypatch.setattr(dulaclin.cli, "_load_map", lambda args, profile: f)
     alone = koenigs_limit(f, 8 + 0j, 1e-9)
     out = tmp_path / "k.csv"
@@ -210,12 +210,15 @@ DOMAIN_ARGS = ["verify-domain", "--expr", "zeta + 1 + exp(-zeta)", "--beta", "1"
 SQRT_MAP = {"kind": "power", "a": 2.0, "r": 0.5}
 
 
-def write_band(tmp_path, hu, union=False) -> Path:
-    """The band -2 sqrt(x) < Im < hu(x) beyond Re = 5; with `union`, its union
-    with the band under 2 sqrt(x), which holds it."""
+def write_band(tmp_path, hu, nest=0) -> Path:
+    """The band -2 sqrt(x) < Im < hu(x) beyond Re = 5; with `nest` > 0, its
+    union with the band under 2 sqrt(x), which holds it, inside nest - 1
+    more unions."""
     def band(h):
         return {"band": {"t": 5.0, "hl": {"kind": "neg", "inner": SQRT_MAP}, "hu": h}}
-    region = {"union": [band(SQRT_MAP), band(hu)]} if union else band(hu)
+    region = {"union": [band(SQRT_MAP), band(hu)]} if nest else band(hu)
+    for _ in range(nest - 1):
+        region = {"union": [region]}
     p = tmp_path / "band.json"
     p.write_text(json.dumps(region))
     return p
@@ -233,11 +236,12 @@ def test_verify_domain_band_reports_boundary_map_margins(tmp_path):
     assert all(0 < float(m) < 2e-3 for m in margins.values())
 
 
-@pytest.mark.parametrize("union", [False, True], ids=["band", "union"])
-def test_verify_domain_non_upper_map_exits_5(tmp_path, capsys, union):
-    # the constant 3 is no upper map for real beta, yet no sample shows it
+@pytest.mark.parametrize("nest", [0, 1, 2], ids=["band", "union", "nested-union"])
+def test_verify_domain_non_upper_map_exits_5(tmp_path, capsys, nest):
+    # the constant 3 is no upper map for real beta, yet no sample shows it;
+    # a union nested in a union still has its bands checked
     out = tmp_path / "band.csv"
-    region = write_band(tmp_path, {"kind": "power", "a": 3, "r": 0}, union)
+    region = write_band(tmp_path, {"kind": "power", "a": 3, "r": 0}, nest)
     assert main(DOMAIN_ARGS + ["--region", str(region), "--output", str(out)]) == 5
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("boundary maps failed: upper map (im>=0): ")
@@ -302,6 +306,8 @@ def test_bad_region_file_is_parse_error(tmp_path, capsys):
              band % ("5.0", root, '{"kind": "linear", "a": 1.0, "t": NaN}'),
              band % ("5.0", '{"kind": "quad", "C": Infinity}', root),
              band % ("5.0", root, "[]"),
+             *(band % ("5.0", root, '{"kind": "quad", "C": 2.0, "sign": %s}' % sign)
+               for sign in ("NaN", "0.5", "0", "2", "true", '"1"')),
              '{"union": [{"quad": {"C": 2.0}}, %s]}' % (band % ("NaN", root, root))]
     for text in cases:
         region.write_text(text)
@@ -316,6 +322,32 @@ def test_non_finite_coefficient_is_parse_error(tmp_path, capsys, value):
                    '[1.0,0.0]]},{"exp":"1/1","poly":[[%s,0.0]]}]}' % value)
     assert_parse_error(capsys, ["linearize", "--input", str(src),
                                 "--output", str(tmp_path / "x")])
+
+
+def test_config_hash_identifies_input_contents(tmp_path):
+    def config_hash(src):
+        assert main(["linearize", "--input", str(src), "--output", str(tmp_path / "lin")]) == 0
+        return json.loads((tmp_path / "lin.report.json").read_text())["config_hash"]
+
+    def region_hash(region):
+        out = tmp_path / "v.csv"
+        assert main(DOMAIN_ARGS + ["--samples", "10", "--region", str(region),
+                                   "--output", str(out)]) == 0
+        return out.read_text().splitlines()[1]
+
+    src = write_fixture(tmp_path)
+    first = config_hash(src)
+    write_fixture(tmp_path, {0: [1.0, 1.0], 1: [2.0]})    # the same path, other contents
+    assert config_hash(src) != first
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(src.read_bytes())
+    assert config_hash(copy) == config_hash(src)
+    band = write_band(tmp_path, SQRT_MAP)
+    band_copy = tmp_path / "band_copy.json"
+    band_copy.write_bytes(band.read_bytes())
+    assert region_hash(band_copy) == region_hash(band)
+    band.write_text(band.read_text().replace("5.0", "6.0"))
+    assert region_hash(band_copy) != region_hash(band)
 
 
 KOENIGS_ARGS = ["koenigs", "--expr", "zeta + 1 + exp(-zeta)", "--eps", "2.5",

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from dulaclin.domains import (
     BandRegion,
     QuadRegion,
     UnionRegion,
+    boundary_map_from_json,
     check_invariance,
     check_lower_map,
     check_upper_map,
@@ -235,6 +237,32 @@ class TestUpperLowerMaps:
         prof = AsymptoticProfile(1 + 2j, 1.0, 0, 5.0)
         report = check_lower_map(power_map(-1.0, 1.0, t=5.0), prof)
         assert report.passed and report.case == "im>0 decreasing"
+
+
+# maps of all five kinds, increasing, decreasing and constant
+PINNED_MAPS = [power_map(2.0, 0.5), power_map(-1.0, 1.0), power_map(3.0, 0.0), linear_map(0.5),
+               log_map(1.0), quad_boundary_map(2.0), quad_boundary_map(2.0, sign=-1),
+               negated(quad_boundary_map(2.0)), negated(power_map(2.0, 0.5))]
+
+
+class TestMapCheckPins:
+    def test_reports_are_pinned(self):
+        # Im(beta) below, at and above 0, k = 0 and 1: every row of the case table
+        reports = [check(h, AsymptoticProfile(beta, 1.0, k, 10.0))
+                   for beta in (1 - 0.5j, 1 + 0j, 1 + 0.5j) for k in (0, 1)
+                   for h in PINNED_MAPS for check in (check_upper_map, check_lower_map)]
+        assert {r.case for r in reports} == {"im>=0", "im<0 increasing", "im<0 decreasing",
+                                             "im>0 decreasing", "im>0 increasing", "im<=0"}
+        assert {r.passed for r in reports} == {True, False}
+        digest = hashlib.sha256("\n".join(map(repr, reports)).encode()).hexdigest()
+        assert digest == "9112c13e4a98959cf8dbdf3078cb6d65c4bd8be32695b62df623b98587b22caf"
+
+    @pytest.mark.parametrize("h", PINNED_MAPS)
+    def test_json_round_trip(self, h):
+        back = boundary_map_from_json(h.to_json())
+        assert back.to_json() == h.to_json()
+        for x in np.geomspace(max(h.domain_start, 2.0), 1e6, 50):
+            assert back(float(x)) == h(float(x))
 
 
 class TestSafetyRect:

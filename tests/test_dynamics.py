@@ -290,11 +290,10 @@ def drift_between_envelopes(prof, x0):
     """A map whose steps along the orbit of x0 sit just under that start's
     envelope, and so above the envelope of the orbit's next point."""
     rho = prof.rho_minus(x0)
-    beta = complex(prof.beta)
 
     def delta(w):
         return complex(prof.M(x0 + round(w.real - x0) * rho) * (1 - 1e-6))
-    return AnalyticMap(lambda w: w + beta + delta(w), prof, delta=delta)
+    return AnalyticMap(delta, prof)
 
 
 SMALL_RHO = AsymptoticProfile(1 + 0j, 1.0, 0, 1.05)   # rho_minus(R) = 0.093
