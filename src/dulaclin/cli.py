@@ -9,16 +9,17 @@ verify-domain also checks, for every band of a region, that h_u and h_l
 are upper and lower maps beyond the cut.
 
 Exit codes: 0 ok, 2 not hyperbolic, 3 parse error (also a bad or missing
-flag, a NaN or infinite numeric flag, a zero or negative --tol or --alpha,
---samples below 1, a non-integer or negative --levels, a missing or
-unreadable --input or --region file, a region file with a C, R, t, a, r or
-delta that is not a finite number, a quad map sign other than 1 or -1 or
-an empty union, no --expr or --input, a malformed --grid, a non-finite
-series coefficient, an expression nested too deeply to parse or compile,
-an over-long exponent literal), 4 unconverged grid points, 5 violations
-above tolerance (also linearize --cross-check solvers differing by more
-than --tol, and a band boundary failing its upper/lower-map check), 1
-other errors (also an unwritable --output and a numeric overflow).
+flag, a NaN or infinite numeric flag, a zero or negative --tol, --alpha or
+--quad-c, --samples below 1, a non-integer or negative --levels, a missing
+or unreadable --input or --region file, a region file with a non-finite C,
+R, t, a, r or delta, a quad C <= 0, a quad map sign other than 1 or -1, a
+band map undefined at its t or an empty union, no --expr or --input, a
+malformed --grid, a non-finite series coefficient, an expression nested
+too deeply to parse or compile, an over-long exponent literal), 4
+unconverged grid points, 5 violations above tolerance (also linearize
+--cross-check solvers differing by more than --tol, and a band boundary
+failing its upper/lower-map check), 1 other errors (also an unwritable
+--output and a numeric overflow).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .dynamics import (
     solve_homological_numeric,
 )
 from .errors import (
+    DomainError,
     DulaclinError,
     NotConverged,
     NotHyperbolic,
@@ -95,7 +97,7 @@ def _num(text: str) -> float:
 
 
 def _positive(text: str) -> float:
-    """Positive numeric flag value (a tolerance or a decay rate)."""
+    """Positive numeric flag value (a tolerance, a decay rate or a quad C)."""
     x = _num(text)
     if x <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
@@ -135,12 +137,14 @@ def _config_hash(args: argparse.Namespace) -> str:
     return _sha256(json.dumps(payload, sort_keys=True))[:16]
 
 
+def _header(args) -> dict:
+    """The fields every report starts with: JSON keys, or `# key=value` lines."""
+    return {"tool": f"dulaclin {__version__}", "config_hash": _config_hash(args),
+            "seed": args.seed}
+
+
 def _header_lines(args) -> list:
-    return [
-        f"# tool=dulaclin {__version__}",
-        f"# config_hash={_config_hash(args)}",
-        f"# seed={getattr(args, 'seed', 0)}",
-    ]
+    return [f"# {key}={value}" for key, value in _header(args).items()]
 
 
 def _write_text(path: str, text: str):
@@ -171,7 +175,7 @@ def _read_series(path: str) -> ExpPolySeries:
 def _read_region(path: str):
     try:
         return region_from_json(json.loads(_read_text(path)))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, DomainError) as exc:
         raise ParseError(f"bad region file {path}: {exc}") from None
 
 
@@ -218,9 +222,7 @@ def cmd_linearize(args) -> int:
     max_resid = residual.max_abs_coeff() / scale
     out = args.output
     report = {
-        "tool": f"dulaclin {__version__}",
-        "config_hash": _config_hash(args),
-        "seed": args.seed,
+        **_header(args),
         "max_residual_coeff_rel": max_resid,
         "tolerance": args.tol,
         "levels": [f"{v.numerator}/{v.denominator}" for v in level.levels_solved],
@@ -258,14 +260,13 @@ def cmd_koenigs(args) -> int:
     f = _load_map(args, profile)
     region = _read_region(args.region) if args.region else None
     grid = _grid(args.grid)
-    beta = complex(profile.beta)
     rows = []
     failures = 0
     max_resid = 0.0
     for z in grid:
         try:
             kr = koenigs_limit(f, z, args.tol, with_next=True)
-            resid = abs(kr.next.value - kr.value - beta)
+            resid = abs(kr.next.value - kr.value - profile.beta)
             max_resid = max(max_resid, resid)
             phi = kr.value
             row = (z.real, z.imag, phi.real, phi.imag, kr.n_used, kr.tail_bound, resid)
@@ -385,9 +386,7 @@ def cmd_solve_homological(args) -> int:
         rows.append({"zeta": [z.real, z.imag], "psi": [psi.real, psi.imag],
                      "residual": resid})
     payload = {
-        "tool": f"dulaclin {__version__}",
-        "config_hash": _config_hash(args),
-        "seed": args.seed,
+        **_header(args),
         "alpha": args.alpha,
         "rows": rows,
     }
@@ -437,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input")
     _add_profile_flags(p)
     p.add_argument("--region", help="region JSON file; default quadratic domain")
-    p.add_argument("--quad-c", type=_num, default=2.0)
+    p.add_argument("--quad-c", type=_positive, default=2.0)
     p.add_argument("--samples", type=_count, default=10_000)
     p.add_argument("--search", action="store_true",
                    help="raise R geometrically until the checks pass")

@@ -105,12 +105,7 @@ def M_tail_integral(x: float, epsilon: float, k: int) -> float:
     Substituting u -> log u peels one factor per level, so the antiderivative
     telescopes down to the k = 0 case.
     """
-    if x <= exp_tower(k):
-        raise DomainError(f"tail integral undefined at x = {x} for k = {k}")
-    v = x
-    for _ in range(k):
-        v = math.log(v)
-    return v ** (-epsilon) / epsilon
+    return iterated_log_real(x, k) ** -epsilon / epsilon
 
 
 def iterated_log_real(x: float, m: int) -> float:
@@ -134,7 +129,7 @@ def iterated_log(zeta: complex, m: int) -> complex:
 
 @dataclass(frozen=True)
 class AsymptoticProfile:
-    """Drift data (beta, epsilon, k) and the real-part cut R."""
+    """Drift data (beta, stored as a complex, epsilon, k) and the cut R."""
 
     beta: complex
     epsilon: float
@@ -142,7 +137,8 @@ class AsymptoticProfile:
     R: float
 
     def __post_init__(self):
-        if complex(self.beta).real <= 0:
+        object.__setattr__(self, "beta", complex(self.beta))
+        if self.beta.real <= 0:
             raise DomainError("profile requires Re(beta) > 0")
         if self.epsilon <= 0:
             raise DomainError("profile requires epsilon > 0")
@@ -160,10 +156,10 @@ class AsymptoticProfile:
         return M_tail_integral(x, self.epsilon, self.k)
 
     def rho_minus(self, x: float) -> float:
-        return complex(self.beta).real - self.M(x)
+        return self.beta.real - self.M(x)
 
     def rho_plus(self, x: float) -> float:
-        return complex(self.beta).real + self.M(x)
+        return self.beta.real + self.M(x)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +235,6 @@ class BoundaryMap:
     def domain_start(self) -> float:
         return self.json["t"]
 
-    def to_json(self) -> dict:
-        return self.json
-
 
 def _sign(v) -> int:
     return (v > 0) - (v < 0)
@@ -275,7 +268,7 @@ def quad_boundary_map(C: float, sign: int = 1, t: Optional[float] = None) -> Bou
 
 def negated(inner: BoundaryMap) -> BoundaryMap:
     return BoundaryMap(lambda x: -inner(x), -inner.monotonicity,
-                       {"kind": "neg", "inner": inner.to_json(), "t": inner.domain_start})
+                       {"kind": "neg", "inner": inner.json, "t": inner.domain_start})
 
 
 def _finite(obj: dict, key: str, default=None):
@@ -335,6 +328,10 @@ class Region:
 class QuadRegion(Region):
     C: float
     R_cut: float = 0.0
+
+    def __post_init__(self):
+        if not self.C > 0:
+            raise DomainError(f"quadratic domain needs C > 0, got {self.C}")
 
     def contains(self, zeta: complex) -> bool:
         if zeta.real < self.R_cut:
@@ -426,7 +423,7 @@ def region_to_json(region: Region) -> dict:
     if isinstance(region, QuadRegion):
         return {"quad": {"C": region.C, "R": region.R_cut}}
     if isinstance(region, BandRegion):
-        return {"band": {"t": region.t, "hl": region.hl.to_json(), "hu": region.hu.to_json()}}
+        return {"band": {"t": region.t, "hl": region.hl.json, "hu": region.hu.json}}
     if isinstance(region, UnionRegion):
         return {"union": [region_to_json(p) for p in region.parts]}
     raise ValueError(f"not a region: {region!r}")
@@ -474,7 +471,7 @@ def _check_map(h: BoundaryMap, profile: AsymptoticProfile, s: int) -> MapCheckRe
     """The case table of the module docstring for an upper (s = 1) or a
     lower (s = -1) map: each sample's margin is s * (diff - (b + s*M(x)))
     with diff = h(x + rho(x)) - h(x), so a negative margin is a violation."""
-    imb = complex(profile.beta).imag
+    imb = profile.beta.imag
     xs = _map_grid(h, profile)
     side = "upper" if s > 0 else "lower"
     same, own, other = _CASES[s]
@@ -521,12 +518,12 @@ def safety_rect(zeta: complex, profile: AsymptoticProfile) -> Rect:
     if x < profile.R:
         raise DomainError(f"safety rect needs Re >= R = {profile.R}")
     m = profile.M(x)
-    b = complex(profile.beta)
+    b = profile.beta.imag
     return Rect(
         re_lo=x + profile.rho_minus(x),
         re_hi=x + profile.rho_plus(x),
-        im_lo=zeta.imag + b.imag - m,
-        im_hi=zeta.imag + b.imag + m,
+        im_lo=zeta.imag + b - m,
+        im_hi=zeta.imag + b + m,
     )
 
 
@@ -580,7 +577,6 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
     cut_region = region.with_cut(R)
     if isinstance(region, QuadRegion) and R <= region.C:
         raise DomainError("cut must exceed the quadratic-domain constant C")
-    beta = complex(f.profile.beta)
     rng = np.random.default_rng(seed)
     n_strata = max(1, min(64, n_samples))
     parts = region.parts if isinstance(region, UnionRegion) else (region,)
@@ -600,7 +596,7 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
             y = 0.5 * (lo + hi)
             zeta = complex(x, y)
         d = f.delta(zeta)
-        w = zeta + beta + d
+        w = zeta + f.profile.beta + d
         margin = _eq_new_bound(zeta, profile.epsilon, profile.k) - abs(d)
         rect_ok = safety_rect(zeta, profile).contains(w)
         region_ok = cut_region.contains(w)

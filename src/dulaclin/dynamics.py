@@ -5,8 +5,9 @@ Maps carry a split perturbation  f(zeta) = zeta + beta + delta(zeta)  so the
 small quantities that drive every estimate are evaluated without catastrophic
 cancellation; displacement sums then inherit the relative accuracy of delta.
 An AnalyticMap is that delta and its profile: one function, built once with
-the map (a compiled expression or a series evaluator with its exponents
-already floats), that every step calls directly.
+the map (one compiled expression AST or a series evaluator with its exponents
+already floats), that every step calls directly.  The profile holds the rest:
+beta as a complex, and the envelope M and its tail integral M_tail.
 All certified bounds are floating-point quantities, conditional on the
 declared drift profile, and per-step checks validate that hypothesis along
 every computed orbit.
@@ -42,7 +43,7 @@ from .errors import (
     InsufficientData,
     NotConverged,
 )
-from .exprparse import compile_ast, compile_signed_sum, parse_expression, split_affine
+from .exprparse import compile_ast, parse_expression, split_affine
 from .series import CPoly, ExpPolySeries, evaluate_tail
 
 __all__ = [
@@ -69,8 +70,10 @@ class AnalyticMap:
     """The map zeta -> zeta + beta + delta(zeta) with a drift profile.
 
     `delta` is an attribute holding the function zeta -> delta(zeta), so a
-    step calls it directly.  For an expression that is not a top-level sum
-    it is f(zeta) - zeta - beta, which is cancellation-limited.
+    step calls it directly.  An expression's delta is one compiled AST: for
+    a top-level sum zeta + ... it is offset + s_1*t_1 + s_2*t_2 + ... over
+    split_affine's signed terms, otherwise f(zeta) - zeta - beta, which is
+    cancellation-limited.
     """
 
     delta: Callable
@@ -78,25 +81,25 @@ class AnalyticMap:
     exact_translation: bool = False
 
     def __call__(self, zeta: complex) -> complex:
-        return zeta + complex(self.profile.beta) + self.delta(zeta)
+        return zeta + self.profile.beta + self.delta(zeta)
 
     @staticmethod
     def from_expression(text: str, profile: AsymptoticProfile) -> "AnalyticMap":
         ast = parse_expression(text)
-        beta = complex(profile.beta)
-        split = split_affine(ast, beta)
+        split = split_affine(ast, profile.beta)
         if split is None:
-            g = compile_ast(ast)
-            return AnalyticMap(lambda z: g(z) - z - beta, profile)
+            body = ("sub", ("sub", ast, ("zeta",)), ("num", profile.beta))
+            return AnalyticMap(compile_ast(body), profile)
         offset, others = split
-        exact = not others and offset == 0
-        return AnalyticMap(compile_signed_sum(offset, others), profile, exact)
+        body = ("num", offset)
+        for sign, node in others:
+            body = ("add", body, ("mul", ("num", complex(sign)), node))
+        return AnalyticMap(compile_ast(body), profile, not others and offset == 0)
 
     @staticmethod
     def from_series(series: ExpPolySeries, profile: AsymptoticProfile) -> "AnalyticMap":
-        beta = complex(profile.beta)
-        exact = series.block(0) == CPoly([beta, 1.0]) and series.tail().is_zero
-        return AnalyticMap(_series_delta(series, beta), profile, exact)
+        exact = series.block(0) == CPoly([profile.beta, 1.0]) and series.tail().is_zero
+        return AnalyticMap(_series_delta(series, profile.beta), profile, exact)
 
 
 @dataclass(frozen=True)
@@ -130,11 +133,10 @@ def orbit(f: AnalyticMap, zeta0: complex, n: int) -> list:
     if zeta0.real < prof.R:
         raise DomainError(f"orbit start needs Re >= R = {prof.R}")
     rho = prof.rho_minus(zeta0.real)
-    beta = complex(prof.beta)
     pts = [zeta0]
     w = zeta0
     for m in range(1, n + 1):
-        w = w + beta + f.delta(w)
+        w = f(w)
         floor = zeta0.real + m * rho
         if w.real < floor - 1e-12 * max(1.0, abs(w)):
             raise GrowthBoundViolated(
@@ -143,17 +145,10 @@ def orbit(f: AnalyticMap, zeta0: complex, n: int) -> list:
     return pts
 
 
-def _bound_funcs(prof: AsymptoticProfile):
-    eps, k = prof.epsilon, prof.k
-    if k == 0:
-        return (lambda y: y ** (-1.0 - eps)), (lambda y: y ** (-eps) / eps)
-    return (lambda y: prof.M(y)), (lambda y: prof.M_tail(y))
-
-
 def _orbit_deltas(f: AnalyticMap, zeta: complex):
     """The steps delta(w_n) of the orbit w_{n+1} = w_n + beta + delta(w_n)
     from w_0 = zeta, each evaluated when it is first asked for."""
-    beta = complex(f.profile.beta)
+    beta = f.profile.beta
     delta = f.delta
     w = zeta
     while True:
@@ -183,7 +178,7 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
         return _certify(f, zeta, deltas, tol, max_n)
     deltas, shifted = itertools.tee(deltas)
     result = _certify(f, zeta, deltas, tol, max_n)
-    w1 = zeta + complex(f.profile.beta) + next(shifted)
+    w1 = zeta + f.profile.beta + next(shifted)
     try:
         return replace(result, next=_certify(f, w1, shifted, tol, max_n))
     except NotConverged as exc:
@@ -199,18 +194,17 @@ def _certify(f: AnalyticMap, zeta: complex, deltas, tol: float, max_n: int) -> K
         raise DomainError(f"Koenigs start needs Re >= R = {prof.R}")
     if f.exact_translation:
         return KoenigsResult(zeta, 1, 0.0, True, 0j, 0, 0.0)
-    Mf, Mtail = _bound_funcs(prof)
     rho = prof.rho_minus(x0)
 
     def tail_at(n):
         y = x0 + n * rho
-        return Mf(y) + Mtail(y) / rho
+        return prof.M(y) + prof.M_tail(y) / rho
 
     # the last step count n_lo whose tail bound provably exceeds tol
     n_lo = bisect.bisect(range(1, max_n + 1), False,
                          key=lambda n: tail_at(n) <= tol * (1.0 + ENVELOPE_MARGIN))
     # at most the drift check's threshold M(x0 + n*rho) * (1 + 1e-9) at every n < n_lo
-    floor = (Mf(x0 + (n_lo - 1) * rho) * (1.0 - ENVELOPE_MARGIN) * (1.0 + 1e-9)
+    floor = (prof.M(x0 + (n_lo - 1) * rho) * (1.0 - ENVELOPE_MARGIN) * (1.0 + 1e-9)
              if n_lo else -1.0)
     disp = 0j
     violations = 0
@@ -222,7 +216,7 @@ def _certify(f: AnalyticMap, zeta: complex, deltas, tol: float, max_n: int) -> K
     for d in itertools.islice(deltas, max_n):
         step = abs(d)
         if step > floor or n >= n_lo:
-            bound = Mf(x0 + n * rho)    # the drift envelope of this step
+            bound = prof.M(x0 + n * rho)    # the drift envelope of this step
             if step > bound * (1.0 + 1e-9):
                 if not violations:
                     first_violation = (f", first at step {n + 1}: |delta| = {step:.3e}"
@@ -238,7 +232,6 @@ def _certify(f: AnalyticMap, zeta: complex, deltas, tol: float, max_n: int) -> K
     if n and not converged:
         tail = tail_at(n)
     value = zeta + disp
-    logk = iterated_log_real(x0, prof.k) if prof.k > 0 else x0
     result = KoenigsResult(
         value=value,
         n_used=n,
@@ -246,7 +239,7 @@ def _certify(f: AnalyticMap, zeta: complex, deltas, tol: float, max_n: int) -> K
         converged=converged,
         displacement=disp,
         joj_violations=violations,
-        hahh_constant=abs(disp) * logk ** (prof.epsilon / 2.0),
+        hahh_constant=abs(disp) * iterated_log_real(x0, prof.k) ** (prof.epsilon / 2.0),
     )
     if not converged:
         reason = (f"per-step drift bound violated {violations} times{first_violation}"
@@ -276,7 +269,7 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
         raise ValueError("alpha must be positive")
     rho = prof.rho_minus(prof.R)
     denom = 1.0 - math.exp(-alpha * rho)
-    beta = complex(prof.beta)
+    beta = prof.beta
     delta = f.delta
     w = zeta
     acc = acc_next = 0j
@@ -319,7 +312,7 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
 
 def _series_delta(series: ExpPolySeries, beta: complex) -> Callable:
     """z -> series(z) - z - beta, the head differenced on its coefficients."""
-    rest = series.block(0) - CPoly([complex(beta), 1.0])
+    rest = series.block(0) - CPoly([beta, 1.0])
     tail = tuple((-float(m), b) for m, b in series.terms if m > 0)
 
     def delta(z):

@@ -16,7 +16,8 @@ so `L1^-2` is shorthand for `L1(zeta)^-2`.  Parse failures carry the
 character offset; an expression nested or chained too deeply for the
 recursive parser or for split_affine's walk is a ParseError too.
 
-compile_ast turns an AST into one Python function, compiled once, that
+compile_ast, the one compile route (a map's delta is an AST too, built by
+dynamics), turns an AST into one Python function, compiled once, that
 evaluates it operand by operand: left first, except that a divisor is
 evaluated and checked before its dividend.  Evaluation guards: division by
 zero, zero to a negative power and any log whose argument has nonpositive
@@ -31,8 +32,7 @@ import re
 
 from .errors import EvalDomainError, ParseError
 
-__all__ = ["parse_expression", "compile_ast", "compile_signed_sum", "eval_ast",
-           "contains_zeta", "split_affine"]
+__all__ = ["parse_expression", "compile_ast", "eval_ast", "contains_zeta", "split_affine"]
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
@@ -264,26 +264,15 @@ class _Compiler:
         return src if own >= prec else f"({src})"
 
 
-def _compile(emit_body):
-    compiler = _Compiler()
-    try:
-        code = compile(f"lambda z: {emit_body(compiler)}", "<expression>", "eval")
-    except (SyntaxError, RecursionError):
-        raise ParseError("expression nested too deeply to compile") from None
-    return eval(code, compiler.names)  # the source holds no input text
-
-
 def compile_ast(node):
     """The AST as one compiled function z -> value, with the evaluation order,
     floating-point operations and EvalDomainError guards of the grammar."""
-    return _compile(lambda c: c.emit(node))
-
-
-def compile_signed_sum(offset: complex, terms):
-    """z -> offset + sign_1 * t_1(z) + sign_2 * t_2(z) + ..., summed left to
-    right, for the `(offset, terms)` that split_affine returns."""
-    return _compile(lambda c: c.const(offset) + "".join(
-        f" + {sign:d} * {c.emit(node, _MUL + 1)}" for sign, node in terms))
+    compiler = _Compiler()
+    try:
+        code = compile(f"lambda z: {compiler.emit(node)}", "<expression>", "eval")
+    except (SyntaxError, RecursionError):
+        raise ParseError("expression nested too deeply to compile") from None
+    return eval(code, compiler.names)  # the source holds no input text
 
 
 def eval_ast(node, zeta: complex) -> complex:

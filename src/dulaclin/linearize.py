@@ -25,7 +25,6 @@ from .errors import (
     ResonantCoefficient,
 )
 from .series import (
-    HEAD_TOL,
     CPoly,
     ExpPolySeries,
     add,
@@ -42,6 +41,7 @@ from .series import (
     series_to_json,
     to_z_chart,
     translate,
+    z_chart_head,
 )
 
 __all__ = [
@@ -176,18 +176,9 @@ class SchroederOperators:
 
     def __init__(self, f1: ExpPolySeries, beta: complex | None = None):
         L = f1.L
-        if f1.items and f1.items[0][0] < L:
-            raise NotHyperbolic("z-chart series must have order >= 1")
-        b1 = f1._block(L)
-        if b1.degree != 0:
-            raise NotHyperbolic("z-chart head block must be a nonzero constant")
-        lam = b1.coeffs[0]
+        lam, beta = z_chart_head(f1, beta)
         if not 0 < abs(lam) < 1:
             raise NotHyperbolic(f"multiplier must satisfy 0 < |lambda| < 1, got {lam}")
-        if beta is None:
-            beta = -cmath.log(lam)
-        elif abs(cmath.exp(-beta) - lam) > HEAD_TOL * max(1.0, abs(lam)):
-            raise NotHyperbolic("beta inconsistent with the multiplier")
         g1 = f1._raw({k: b for k, b in f1.items if k != L})
         if g1.items and g1.items[0][0] <= L:
             raise OrderTooLow("perturbation must have z-order > 1")

@@ -56,6 +56,7 @@ __all__ = [
     "conjugacy_residual",
     "to_z_chart",
     "from_z_chart",
+    "z_chart_head",
     "parse_series",
     "serialize_series",
     "series_from_json",
@@ -527,12 +528,11 @@ def to_z_chart(a: ExpPolySeries) -> ExpPolySeries:
     return _series(L, a.n + L, tuple(sorted({*a.g, L})), {k + L: b for k, b in factor.items})
 
 
-def from_z_chart(a: ExpPolySeries, beta: complex | None = None) -> ExpPolySeries:
-    """Inverse chart map: lambda*z + h.o.t. back to zeta + beta + ... .
-
-    `beta` fixes the logarithm determination; the principal branch of
-    -log(lambda) is used when it is omitted (exact for parabolic heads).
-    """
+def z_chart_head(a: ExpPolySeries, beta: complex | None = None) -> tuple:
+    """(lambda, beta) of a z-chart series lambda*z + h.o.t. of order >= 1.
+    `beta` fixes the logarithm determination, within HEAD_TOL of lambda; the
+    principal branch of -log(lambda) is used when it is omitted (exact for
+    parabolic heads)."""
     L = a.L
     if a.items and a.items[0][0] < L:
         raise NotNormalized("z-chart series must have order >= 1")
@@ -544,6 +544,13 @@ def from_z_chart(a: ExpPolySeries, beta: complex | None = None) -> ExpPolySeries
         beta = -cmath.log(lam)
     elif abs(cmath.exp(-beta) - lam) > HEAD_TOL * max(1.0, abs(lam)):
         raise NotNormalized("provided beta is inconsistent with the head coefficient")
+    return lam, beta
+
+
+def from_z_chart(a: ExpPolySeries, beta: complex | None = None) -> ExpPolySeries:
+    """Inverse chart map: lambda*z + h.o.t. back to zeta + beta + ... ."""
+    L = a.L
+    lam, beta = z_chart_head(a, beta)
     # drop the head term structurally before dividing: complex division is
     # inexact in the last ulp, so lam*z/(lam*z) - 1 would leave an order-zero
     # dust block and break every order-driven loop downstream

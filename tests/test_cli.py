@@ -306,6 +306,8 @@ def test_bad_region_file_is_parse_error(tmp_path, capsys):
              band % ("5.0", root, '{"kind": "linear", "a": 1.0, "t": NaN}'),
              band % ("5.0", '{"kind": "quad", "C": Infinity}', root),
              band % ("5.0", root, "[]"),
+             '{"quad": {"C": 0}}', '{"quad": {"C": -1.0, "R": 5.0}}',
+             band % ("0.5", root, '{"kind": "log", "delta": 1.0}'),
              *(band % ("5.0", root, '{"kind": "quad", "C": 2.0, "sign": %s}' % sign)
                for sign in ("NaN", "0.5", "0", "2", "true", '"1"')),
              '{"union": [{"quad": {"C": 2.0}}, %s]}' % (band % ("NaN", root, root))]
@@ -367,13 +369,16 @@ HOMOLOGICAL_ARGS = ["solve-homological", "--expr", "zeta + 1", "--h-expr", "exp(
     KOENIGS_ARGS + ["--eps", "nan"],
     KOENIGS_ARGS + ["--beta", "1+infi"],
     ["verify-domain", "--expr", "zeta + 1", "--quad-c=-inf"],
+    ["verify-domain", "--expr", "zeta + 1", "--quad-c", "0"],
+    ["verify-domain", "--expr", "zeta + 1", "--quad-c=-1"],
     ["verify-domain", "--expr", "zeta + 1", "--samples", "-5"],
     KOENIGS_ARGS + ["--tol", "0"],
     ["linearize", "--tol=-1e-9"],
     HOMOLOGICAL_ARGS + ["--alpha", "0"],
     HOMOLOGICAL_ARGS + ["--alpha=-1"],
 ], ids=["tol-abc", "missing-grid", "order-1/0", "levels-non-integer", "levels-negative",
-        "tol-nan", "tol-inf", "eps-nan", "beta-inf", "quad-c-inf", "samples-negative",
+        "tol-nan", "tol-inf", "eps-nan", "beta-inf", "quad-c-inf", "quad-c-zero",
+        "quad-c-negative", "samples-negative",
         "tol-zero", "tol-negative", "alpha-zero", "alpha-negative"])
 def test_bad_flag_is_parse_error(tmp_path, capsys, argv):
     src = write_fixture(tmp_path)

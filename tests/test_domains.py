@@ -79,6 +79,12 @@ class TestBoundFunctions:
         chunk = sum(M_eps_k(x + n * y, eps, k) for n in range(5000, 6000))
         assert chunk < 1e-2  # increments die out
 
+    def test_tail_integral_is_the_iterated_log_power(self):
+        assert M_tail_integral(4.0, 0.5, 0) == 4.0 ** -0.5 / 0.5
+        assert M_tail_integral(math.exp(4.0), 0.5, 1) == 4.0 ** -0.5 / 0.5
+        with pytest.raises(DomainError):
+            M_tail_integral(1.0, 1.0, 1)
+
     def test_exp_tower(self):
         assert exp_tower(0) == 0.0
         assert exp_tower(1) == 1.0
@@ -95,6 +101,11 @@ class TestProfile:
             AsymptoticProfile(1 + 0j, 1.0, 2, 2.0)  # R below the tower
         with pytest.raises(DomainError):
             AsymptoticProfile(0.1 + 0j, 1.0, 0, 2.0)  # rho_minus(R) < 0
+
+    def test_beta_is_stored_complex(self):
+        for beta in (1, 1.0, 1 + 0j):
+            prof = AsymptoticProfile(beta, 1.0, 0, 5.0)
+            assert type(prof.beta) is complex and prof.beta == 1
 
 
 class TestKappa:
@@ -169,6 +180,11 @@ class TestRegions:
         region = QuadRegion(2.0)
         assert region.contains(100 + 0j)
         assert not region.contains(-1 + 0j)
+
+    def test_quad_requires_positive_C(self):
+        for C in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                QuadRegion(C)
 
     def test_cut(self):
         region = QuadRegion(2.0, R_cut=50.0)
@@ -259,8 +275,8 @@ class TestMapCheckPins:
 
     @pytest.mark.parametrize("h", PINNED_MAPS)
     def test_json_round_trip(self, h):
-        back = boundary_map_from_json(h.to_json())
-        assert back.to_json() == h.to_json()
+        back = boundary_map_from_json(h.json)
+        assert back.json == h.json
         for x in np.geomspace(max(h.domain_start, 2.0), 1e6, 50):
             assert back(float(x)) == h(float(x))
 

@@ -8,7 +8,6 @@ import dulaclin.dynamics
 from dulaclin.domains import AsymptoticProfile, iterated_log_real
 from dulaclin.dynamics import (
     KoenigsResult,
-    _bound_funcs,
     AnalyticMap,
     decay_slope,
     expansion_residual_check,
@@ -211,7 +210,7 @@ def reference_koenigs(f, zeta, tol, max_n=200_000):
         raise DomainError(f"Koenigs start needs Re >= R = {prof.R}")
     if f.exact_translation:
         return KoenigsResult(zeta, 1, 0.0, True, 0j, 0, 0.0)
-    Mf, Mtail = _bound_funcs(prof)
+    Mf, Mtail = prof.M, prof.M_tail
     rho = prof.rho_minus(x0)
     delta = f.delta
     w = zeta

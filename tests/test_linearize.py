@@ -8,6 +8,7 @@ import pytest
 from conftest import random_hyperbolic_series, semigroup_points
 from dulaclin.errors import (
     NotHyperbolic,
+    NotNormalized,
     OrderTooLow,
     ResonantCoefficient,
 )
@@ -192,6 +193,20 @@ class TestZChartOperators:
             ops.t_inv(h)
         with pytest.raises(OrderTooLow):
             ops.s_apply(h)
+
+    def test_malformed_head_is_not_normalized(self):
+        # the head is read as in from_z_chart: order below 1, a head block
+        # that is not a nonzero constant, a beta that does not match lambda
+        for f1, beta in [(S(2, [F(1, 2)], {F(1, 2): [1.0], 1: [0.5]}), None),
+                         (S(2, [1], {1: [0.5, 1.0]}), None),
+                         (S(2, [1], {2: [1.0]}), None),
+                         (self.f1, 1.0 + 0j)]:
+            with pytest.raises(NotNormalized):
+                SchroederOperators(f1, beta)
+
+    def test_multiplier_outside_the_unit_disk_is_not_hyperbolic(self):
+        with pytest.raises(NotHyperbolic):
+            SchroederOperators(S(2, [1], {1: [2.0], 2: [1.0]}))
 
     def test_t_inv_guard_without_asserts(self):
         # beta within tolerance of the multiplier but Re(beta) < 0: the
