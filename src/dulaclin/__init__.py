@@ -25,7 +25,7 @@ from .linearize import (
     picard_linearize,
     solve_difference_eq,
 )
-from .domains import AsymptoticProfile, QuadRegion, check_invariance, kappa, kappa_inv
+from .domains import AsymptoticProfile, QuadRegion, check_invariance, kappa_inv
 from .dynamics import AnalyticMap, KoenigsResult, koenigs_limit
 
 __version__ = "0.1.0"

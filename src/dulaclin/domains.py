@@ -5,10 +5,9 @@ conditions are tested on geometric grids and reports carry worst margins so
 thresholds stay auditable.
 
 The boundary of the quadratic domain kappa(C+) has a closed-form height
-(quad_boundary_height); quad_boundary_param is the parametric route kept as
-its reference.  A boundary map is one record of its function, declared
-monotonicity and JSON object, built by one of five factories; a union
-region holds the parts of the unions it is built from.
+(quad_boundary_height).  A boundary map is one record of its function,
+declared monotonicity and JSON object, built by one of five factories; a
+union region holds the parts of the unions it is built from.
 
 A band D_{h_l,h_u} is invariant only if h_u is an upper map (s = 1) and h_l
 a lower map (s = -1).  With b = Im(beta), M the drift envelope and
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,11 +43,8 @@ __all__ = [
     "M_eps_k",
     "M_tail_integral",
     "AsymptoticProfile",
-    "iterated_log",
     "iterated_log_real",
-    "kappa",
     "kappa_inv",
-    "quad_boundary_param",
     "quad_boundary_height",
     "BoundaryMap",
     "power_map",
@@ -61,7 +57,6 @@ __all__ = [
     "BandRegion",
     "UnionRegion",
     "region_from_json",
-    "region_to_json",
     "MapCheckReport",
     "check_upper_map",
     "check_lower_map",
@@ -116,17 +111,6 @@ def iterated_log_real(x: float, m: int) -> float:
     return x
 
 
-def iterated_log(zeta: complex, m: int) -> complex:
-    """Principal-branch log applied m times; guarded so every intermediate
-    stays in the right half plane and |L_m| >= log^m(Re zeta)."""
-    if zeta.real <= exp_tower(m):
-        raise DomainError(f"iterated log needs Re > exp tower({m}), got {zeta.real}")
-    w = zeta
-    for _ in range(m):
-        w = cmath.log(w)
-    return w
-
-
 @dataclass(frozen=True)
 class AsymptoticProfile:
     """Drift data (beta, stored as a complex, epsilon, k) and the cut R."""
@@ -165,11 +149,6 @@ class AsymptoticProfile:
 # ---------------------------------------------------------------------------
 # standard quadratic domains
 
-def kappa(w: complex, C: float) -> complex:
-    """w + C*sqrt(w + 1), principal square root."""
-    return w + C * cmath.sqrt(w + 1.0)
-
-
 def kappa_inv(zeta: complex, C: float):
     """Closed-form inverse; returns (w, inside) with inside = Re(w) > 0.
 
@@ -180,19 +159,6 @@ def kappa_inv(zeta: complex, C: float):
     s = (-C + cmath.sqrt(C * C + 4.0 * (zeta + 1.0))) / 2.0
     w = s * s - 1.0
     return w, w.real > 0
-
-
-def quad_boundary_param(r: float, C: float) -> complex:
-    """Upper boundary point of the quadratic domain at parameter r >= 0.
-
-    x(r) = C (r^2+1)^(1/4) cos(arctan(r)/2),
-    y(r) = r + C (r^2+1)^(1/4) sin(arctan(r)/2);  equals kappa(i r).
-    """
-    if r < 0:
-        raise DomainError("parameter r must be nonnegative")
-    half = 0.5 * math.atan(r)
-    rad = C * (r * r + 1.0) ** 0.25
-    return complex(rad * math.cos(half), r + rad * math.sin(half))
 
 
 def quad_boundary_height(x: float, C: float) -> float:
@@ -308,24 +274,8 @@ def boundary_map_from_json(obj) -> BoundaryMap:
 # ---------------------------------------------------------------------------
 # regions
 
-class Region:
-    def contains(self, zeta: complex) -> bool:
-        raise NotImplementedError
-
-    def with_cut(self, R: float) -> "Region":
-        raise NotImplementedError
-
-    @property
-    def cut(self) -> float:
-        raise NotImplementedError
-
-    def im_bounds(self, x: float):
-        """(lo, hi) of Im at Re = x, for a quad or band region (a union part)."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class QuadRegion(Region):
+class QuadRegion:
     C: float
     R_cut: float = 0.0
 
@@ -352,7 +302,7 @@ class QuadRegion(Region):
 
 
 @dataclass(frozen=True)
-class BandRegion(Region):
+class BandRegion:
     """D_{h_l,h_u}: Re >= t and h_l(Re) < Im < h_u(Re)."""
 
     t: float
@@ -382,7 +332,7 @@ class BandRegion(Region):
 
 
 @dataclass(frozen=True)
-class UnionRegion(Region):
+class UnionRegion:
     """A union of quad and band regions; a nested union's parts are its own."""
 
     parts: tuple
@@ -402,6 +352,10 @@ class UnionRegion(Region):
         return min(p.cut for p in self.parts)
 
 
+# contains(zeta), with_cut(R) and cut; a union's parts also have im_bounds(x)
+Region = QuadRegion | BandRegion | UnionRegion
+
+
 def region_from_json(obj) -> Region:
     """The region of a parsed JSON object; malformed JSON raises ValueError,
     KeyError or TypeError."""
@@ -417,16 +371,6 @@ def region_from_json(obj) -> Region:
             raise ValueError("a union region needs at least one part")
         return UnionRegion(tuple(region_from_json(p) for p in obj["union"]))
     raise ValueError("region JSON must be tagged quad | band | union")
-
-
-def region_to_json(region: Region) -> dict:
-    if isinstance(region, QuadRegion):
-        return {"quad": {"C": region.C, "R": region.R_cut}}
-    if isinstance(region, BandRegion):
-        return {"band": {"t": region.t, "hl": region.hl.json, "hu": region.hu.json}}
-    if isinstance(region, UnionRegion):
-        return {"union": [region_to_json(p) for p in region.parts]}
-    raise ValueError(f"not a region: {region!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +462,10 @@ def safety_rect(zeta: complex, profile: AsymptoticProfile) -> Rect:
     if x < profile.R:
         raise DomainError(f"safety rect needs Re >= R = {profile.R}")
     m = profile.M(x)
-    b = profile.beta.imag
-    return Rect(
-        re_lo=x + profile.rho_minus(x),
-        re_hi=x + profile.rho_plus(x),
-        im_lo=zeta.imag + b - m,
-        im_hi=zeta.imag + b + m,
-    )
+    a, b = profile.beta.real, profile.beta.imag
+    # rho_minus(x) and rho_plus(x) are a - m and a + m
+    return Rect(re_lo=x + (a - m), re_hi=x + (a + m), im_lo=zeta.imag + b - m,
+                im_hi=zeta.imag + b + m)
 
 
 def _eq_new_bound(zeta: complex, epsilon: float, k: int) -> float:
@@ -628,8 +569,8 @@ def find_invariant_cut(f, region: Region, profile: AsymptoticProfile,
     if isinstance(region, QuadRegion):
         R = max(R, region.C + 1.0)
     for _ in range(CUT_DOUBLINGS):
-        prof = AsymptoticProfile(profile.beta, profile.epsilon, profile.k, R)
-        report = check_invariance(f, region, prof, n_samples=n_samples, seed=seed)
+        report = check_invariance(f, region, replace(profile, R=R),
+                                  n_samples=n_samples, seed=seed)
         if report.passed:
             return R, report
         R *= 2.0

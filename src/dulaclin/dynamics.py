@@ -38,8 +38,6 @@ import numpy as np
 from .domains import AsymptoticProfile, DomainError, iterated_log_real
 from .errors import (
     DecayHypothesisViolated,
-    EvalDomainError,
-    GrowthBoundViolated,
     InsufficientData,
     NotConverged,
 )
@@ -50,17 +48,14 @@ __all__ = [
     "AnalyticMap",
     "KoenigsResult",
     "SlopeFit",
-    "orbit",
     "koenigs_limit",
     "solve_homological_numeric",
-    "expansion_residual_check",
     "decay_slope",
     "parse_grid",
 ]
 
 NOISE_FLOOR = 1e-14
 HOMOLOGICAL_MAX_N = 100_000
-EXPANSION_SLACK = 0.05   # slope slack of expansion_residual_check
 ENVELOPE_MARGIN = 1e-12  # relative rounding allowance of the hoisted envelope
 DECAY_SLACK = 0.1        # slope slack of decay_slope
 
@@ -126,25 +121,6 @@ class SlopeFit:
     bound: Optional[float]
 
 
-def orbit(f: AnalyticMap, zeta0: complex, n: int) -> list:
-    """[zeta0, f(zeta0), ..., f^n(zeta0)] with the real-part growth check
-    Re f^m >= Re zeta0 + m * rho_minus(Re zeta0) asserted at every step."""
-    prof = f.profile
-    if zeta0.real < prof.R:
-        raise DomainError(f"orbit start needs Re >= R = {prof.R}")
-    rho = prof.rho_minus(zeta0.real)
-    pts = [zeta0]
-    w = zeta0
-    for m in range(1, n + 1):
-        w = f(w)
-        floor = zeta0.real + m * rho
-        if w.real < floor - 1e-12 * max(1.0, abs(w)):
-            raise GrowthBoundViolated(
-                f"Re(f^{m}) = {w.real} below {floor}; profile mismatch")
-        pts.append(w)
-    return pts
-
-
 def _orbit_deltas(f: AnalyticMap, zeta: complex):
     """The steps delta(w_n) of the orbit w_{n+1} = w_n + beta + delta(w_n)
     from w_0 = zeta, each evaluated when it is first asked for."""
@@ -164,8 +140,9 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
     Stops only when the analytic tail bound (per-step envelope M plus its
     integral) and the empirical step are both below `tol`; any per-step
     violation of |f^{n+1} - f^n - beta| <= M(Re + n*rho_minus) voids the
-    certificate and the run ends in NotConverged, which is the expected
-    outcome for maps outside the hypothesis.
+    certificate and the run ends at that step in NotConverged, which is the
+    expected outcome for maps outside the hypothesis.  When the tail bound
+    after max_n steps is still above `tol`, it ends so before the first step.
 
     With `with_next`, the same walk also certifies the orbit's next point
     zeta + beta + delta(zeta), with its own envelope, sum and stopping rule,
@@ -203,51 +180,50 @@ def _certify(f: AnalyticMap, zeta: complex, deltas, tol: float, max_n: int) -> K
     # the last step count n_lo whose tail bound provably exceeds tol
     n_lo = bisect.bisect(range(1, max_n + 1), False,
                          key=lambda n: tail_at(n) <= tol * (1.0 + ENVELOPE_MARGIN))
+    if n_lo == max_n:  # then tail_at(max_n) > tol: no step count within max_n certifies
+        raise NotConverged(f"Koenigs sequence not certified at {zeta}: the envelope needs"
+                           f" more than {max_n} steps; tail bound {tail_at(max_n):.3e} after"
+                           f" {max_n} steps, tol {tol:.3e}",
+                           max_n=0, partial=_koenigs_result(prof, zeta, 0j, 0, math.inf, 0))
     # at most the drift check's threshold M(x0 + n*rho) * (1 + 1e-9) at every n < n_lo
     floor = (prof.M(x0 + (n_lo - 1) * rho) * (1.0 - ENVELOPE_MARGIN) * (1.0 + 1e-9)
              if n_lo else -1.0)
     disp = 0j
-    violations = 0
-    first_violation = ""
-    tail = math.inf
-    step = math.inf
+    violated = False
     n = 0
-    converged = False
     for d in itertools.islice(deltas, max_n):
         step = abs(d)
-        if step > floor or n >= n_lo:
+        if not step <= floor or n >= n_lo:  # a NaN step is checked, and violates
             bound = prof.M(x0 + n * rho)    # the drift envelope of this step
-            if step > bound * (1.0 + 1e-9):
-                if not violations:
-                    first_violation = (f", first at step {n + 1}: |delta| = {step:.3e}"
-                                       f" > M = {bound:.3e}")
-                violations += 1
+            violated = not step <= bound * (1.0 + 1e-9)
         disp += d
         n += 1
-        if n > n_lo and violations == 0 and step <= tol:
+        if violated:  # the certificate is void from this step on
+            break
+        if n > n_lo and step <= tol:
             tail = tail_at(n)
             if tail <= tol:
-                converged = True
-                break
-    if n and not converged:
-        tail = tail_at(n)
-    value = zeta + disp
-    result = KoenigsResult(
-        value=value,
+                return _koenigs_result(prof, zeta, disp, n, tail, 0)
+    reason = (f"per-step drift bound violated, first at step {n}: |delta| = {step:.3e}"
+              f" > M = {bound:.3e}" if violated else "budget exhausted")
+    raise NotConverged(f"Koenigs sequence not certified at {zeta}: {reason}; after {n}"
+                       f" steps tail bound {tail_at(n):.3e}, step {step:.3e}, tol {tol:.3e}",
+                       max_n=n, partial=_koenigs_result(prof, zeta, disp, n, math.inf,
+                                                        int(violated)))
+
+
+def _koenigs_result(prof, zeta, disp, n, tail_bound, violations) -> KoenigsResult:
+    """A walk of n steps from zeta with displacement disp; converged when the
+    tail bound is finite."""
+    return KoenigsResult(
+        value=zeta + disp,
         n_used=n,
-        tail_bound=tail if converged else math.inf,
-        converged=converged,
+        tail_bound=tail_bound,
+        converged=tail_bound < math.inf,
         displacement=disp,
         joj_violations=violations,
-        hahh_constant=abs(disp) * iterated_log_real(x0, prof.k) ** (prof.epsilon / 2.0),
+        hahh_constant=abs(disp) * iterated_log_real(zeta.real, prof.k) ** (prof.epsilon / 2.0),
     )
-    if not converged:
-        reason = (f"per-step drift bound violated {violations} times{first_violation}"
-                  if violations else "budget exhausted")
-        raise NotConverged(f"Koenigs sequence not certified at {zeta}: {reason}; after {n}"
-                           f" steps tail bound {tail:.3e}, step {step:.3e}, tol {tol:.3e}",
-                           max_n=n, partial=result)
-    return result
 
 
 def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
@@ -260,7 +236,8 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
     orbit point w1 = zeta + beta + delta(zeta) along the same walk; its sum
     ends at the same orbit point as zeta's, or, when zeta's ends after one
     term, at the next one whose tail is below tol.  The defining equation is
-    verified at zeta to 10*tol.  With `with_next`, returns (psi(zeta), psi(w1)).
+    verified at zeta to 10*tol: a larger or NaN residual is NotConverged.
+    With `with_next`, returns (psi(zeta), psi(w1)).
     """
     prof = f.profile
     if zeta.real < prof.R:
@@ -302,7 +279,7 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
                            f" after {n - 1} terms", max_n=n - 1)
     psi_next = -acc_next
     resid = abs(psi_next - psi - h(zeta))
-    if resid > 10.0 * tol:
+    if not resid <= 10.0 * tol:  # a NaN residual fails too
         raise NotConverged(f"homological equation residual {resid} > 10*tol")
     return (psi, psi_next) if with_next else psi
 
@@ -343,24 +320,6 @@ def _fit(grid, residuals, bound, slack):
     passed = None if bound is None else bool(slope <= bound + slack)
     return SlopeFit(float(slope), float(intercept), len(pts), n_floor,
                     n_skipped, False, passed, bound)
-
-
-def expansion_residual_check(f: AnalyticMap, series: ExpPolySeries, nu: float,
-                             grid: Sequence[complex]) -> SlopeFit:
-    """Least-squares slope of log|f - series| against Re zeta.
-
-    Passing means slope <= -nu + EXPANSION_SLACK, i.e. the truncation error
-    decays at least like exp(-nu Re).  Points below the double-precision
-    noise floor are excluded; guard failures are skipped and counted.
-    """
-    series_delta = _series_delta(series, f.profile.beta)
-    residuals = []
-    for z in grid:
-        try:
-            residuals.append(f.delta(z) - series_delta(z))
-        except EvalDomainError:
-            residuals.append(None)
-    return _fit(grid, residuals, -float(nu), EXPANSION_SLACK)
 
 
 def decay_slope(displacements: Sequence[complex], phi_n: ExpPolySeries,

@@ -51,10 +51,6 @@ class EvalDomainError(DulaclinError):
     """Expression evaluation hit a guard (log of nonpositive real part, pole)."""
 
 
-class GrowthBoundViolated(DulaclinError):
-    """An orbit step fell short of the guaranteed real-part growth."""
-
-
 class DecayHypothesisViolated(DulaclinError):
     """|h| exceeded its declared exponential envelope at a visited point."""
 

@@ -52,8 +52,6 @@ __all__ = [
     "picard_linearize",
     "linearize_by_picard",
     "partial_sums",
-    "partial_linearization_residual",
-    "check_real_preservation",
 ]
 
 SOLVER_TOL = 1e-12    # relative size of a residual, Picard step or imaginary part taken as 0
@@ -112,6 +110,15 @@ def solve_difference_eq(P: CPoly, c: complex, beta: complex) -> CPoly:
     return Q
 
 
+def _level_solve(P: CPoly, m: float, beta: complex) -> CPoly:
+    """Q with Q - exp(-m*beta) * Q(. + beta) = P: the level equation at m > 0
+    of both solvers, not resonant while |exp(-m*beta)| < 1."""
+    c = cmath.exp(-m * beta)
+    if abs(c) >= 1.0:
+        raise NotHyperbolic(f"level m = {m}: |exp(-m*beta)| = {abs(c)} is not below 1")
+    return solve_difference_eq(P, c, beta)
+
+
 def _hyperbolic_beta(f: ExpPolySeries) -> complex:
     form = classify(f)
     if form.kind != "hyperbolic":
@@ -141,11 +148,7 @@ def linearize_level_by_level(f: ExpPolySeries) -> LinearizationResult:
         P = r._block(nu)
         if P.is_zero:
             continue
-        c = cmath.exp(-(nu / L) * beta)
-        if abs(c) >= 1.0:
-            raise NotHyperbolic(f"level {Fraction(nu, L)}: |exp(-nu*beta)| = {abs(c)}"
-                                " is not below 1")
-        Q = solve_difference_eq(P, c, beta)
+        Q = _level_solve(P, nu / L, beta)
         term = f._raw({nu: Q})
         phi = add(phi, term)
         r = add(r, compose(term, f) - term)
@@ -214,23 +217,11 @@ class SchroederOperators:
             acc = add(acc, term.scale(coeff))
         return acc
 
-    def t_apply(self, h: ExpPolySeries) -> ExpPolySeries:
-        L = h.L
-        return h._raw({k: b - b.shift(self.beta).scale(cmath.exp(-((k - L) / L) * self.beta))
-                       for k, b in h.items})
-
     def t_inv(self, h: ExpPolySeries) -> ExpPolySeries:
         L = h.L
         if h.items and h.items[0][0] <= L:
             raise OrderTooLow("T^-1 requires z-order > 1")
-        acc = {}
-        for k, b in h.items:
-            c = cmath.exp(-((k - L) / L) * self.beta)
-            if abs(c) >= 1.0:  # k/L > 1, so Re(beta) <= 0
-                raise NotHyperbolic(f"block {Fraction(k, L)}: |exp(-(m-1)*beta)| = {abs(c)}"
-                                    " is not below 1")
-            acc[k] = solve_difference_eq(b, c, self.beta)
-        return h._raw(acc)
+        return h._raw({k: _level_solve(b, (k - L) / L, self.beta) for k, b in h.items})
 
 
 def picard_linearize(
@@ -287,7 +278,7 @@ def linearize_by_picard(f: ExpPolySeries) -> LinearizationResult:
 
 
 # ---------------------------------------------------------------------------
-# partial sums and their approximate-conjugacy residuals
+# partial sums
 
 def partial_sums(phi: ExpPolySeries, n: int) -> ExpPolySeries:
     """First n exponential levels of a parabolic series; n = 0 gives zeta."""
@@ -295,30 +286,3 @@ def partial_sums(phi: ExpPolySeries, n: int) -> ExpPolySeries:
         raise ValueError("n must be nonnegative")
     keep = {0, *[k for k, _ in phi.items if k > 0][:n]}
     return phi._raw({k: b for k, b in phi.items if k in keep})
-
-
-def partial_linearization_residual(f: ExpPolySeries, n: int) -> ExpPolySeries:
-    """Residual of the n-th partial linearization: compose(phi_n, f) - phi_n - beta.
-
-    Its effective order must exceed the n-th solved exponent (0 for n = 0);
-    violation is raised since it falsifies the construction.
-    """
-    beta = _hyperbolic_beta(f)
-    phi = linearize_level_by_level(f).phi
-    phi_n = partial_sums(phi, n)
-    r = conjugacy_residual(phi_n, f, beta)
-    levels = [m for m, _ in phi.terms if m > 0]
-    beta_n = levels[n - 1] if 0 < n <= len(levels) else (levels[-1] if levels and n > 0 else Fraction(0))
-    scale = max(1.0, f.max_abs_coeff(), phi.max_abs_coeff())
-    order = effective_order(r, SOLVER_TOL * scale)
-    if order <= beta_n:
-        raise ArithmeticError(f"partial residual order {order} not beyond level {beta_n}")
-    return r
-
-
-def check_real_preservation(f: ExpPolySeries) -> bool:
-    """True iff the linearization of a real hyperbolic series is real."""
-    if f.max_imag_coeff() != 0.0:
-        raise ValueError("precondition: f must have all-real coefficients")
-    result = linearize_level_by_level(f)
-    return result.phi.max_imag_coeff() <= SOLVER_TOL

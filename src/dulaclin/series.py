@@ -51,7 +51,6 @@ __all__ = [
     "translate",
     "compose",
     "powers",
-    "exp_order",
     "effective_order",
     "conjugacy_residual",
     "to_z_chart",
@@ -61,7 +60,6 @@ __all__ = [
     "serialize_series",
     "series_from_json",
     "series_to_json",
-    "evaluate",
     "evaluate_tail",
     "lattice_points",
     "max_rel_coeff_diff",
@@ -209,9 +207,6 @@ class CPoly:
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs), default=0.0)
 
-    def max_imag(self) -> float:
-        return max((abs(c.imag) for c in self.coeffs), default=0.0)
-
     def coeff(self, d: int) -> complex:
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0j
 
@@ -243,10 +238,6 @@ class ExpPolySeries:
             k = mu * L  # a k off the lattice stays a Fraction and fails the check
             acc[k.numerator if k.denominator == 1 else k] = block
         _series(L, n, g, acc, self)
-
-    @staticmethod
-    def zero(trunc, gens) -> "ExpPolySeries":
-        return ExpPolySeries(trunc, gens, {})
 
     # -- inspection; Fraction views --------------------------------------
 
@@ -281,9 +272,6 @@ class ExpPolySeries:
 
     def max_abs_coeff(self) -> float:
         return max((b.max_abs() for _, b in self.items), default=0.0)
-
-    def max_imag_coeff(self) -> float:
-        return max((b.max_imag() for _, b in self.items), default=0.0)
 
     def __eq__(self, other):
         return isinstance(other, ExpPolySeries) and (self.n, self.L, self.g, self.items) \
@@ -406,11 +394,6 @@ def max_rel_coeff_diff(a: ExpPolySeries, b: ExpPolySeries) -> float:
             x, y = pa.coeff(d), pb.coeff(d)
             worst = max(worst, abs(x - y) / max(1.0, abs(x), abs(y)))
     return worst
-
-
-def exp_order(a: ExpPolySeries):
-    """Least exponent carrying a nonzero block; +inf for the zero series."""
-    return Fraction(a.items[0][0], a.L) if a.items else INF
 
 
 def effective_order(a: ExpPolySeries, tol: float):
@@ -561,16 +544,6 @@ def from_z_chart(a: ExpPolySeries, beta: complex | None = None) -> ExpPolySeries
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-def evaluate(a: ExpPolySeries, zeta: complex) -> complex:
-    acc = 0j
-    for k, b in a.items:
-        if k == 0:
-            acc += b(zeta)
-        else:
-            acc += cmath.exp(-(k / a.L) * zeta) * b(zeta)
-    return acc
-
 
 def evaluate_tail(pairs, zeta: complex) -> complex:
     """Sum of the exponential terms only; accurate for small values.

@@ -12,20 +12,17 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_hyperbolic_series
+from conftest import check_real_preservation, kappa, quad_boundary_param, random_hyperbolic_series
 from dulaclin.domains import (
     AsymptoticProfile,
     QuadRegion,
     check_invariance,
     find_invariant_cut,
-    kappa,
     kappa_inv,
-    quad_boundary_param,
 )
 from dulaclin.dynamics import AnalyticMap, decay_slope, koenigs_limit, solve_homological_numeric
 from dulaclin.errors import NotConverged, ResonantCoefficient
 from dulaclin.linearize import (
-    check_real_preservation,
     linearize_by_picard,
     linearize_level_by_level,
     partial_sums,

@@ -376,10 +376,15 @@ HOMOLOGICAL_ARGS = ["solve-homological", "--expr", "zeta + 1", "--h-expr", "exp(
     ["linearize", "--tol=-1e-9"],
     HOMOLOGICAL_ARGS + ["--alpha", "0"],
     HOMOLOGICAL_ARGS + ["--alpha=-1"],
+    KOENIGS_ARGS + ["--eps", "0"],
+    KOENIGS_ARGS + ["--eps=-1"],
+    KOENIGS_ARGS + ["--k=-1"],
+    KOENIGS_ARGS + ["--cut", "1"],
 ], ids=["tol-abc", "missing-grid", "order-1/0", "levels-non-integer", "levels-negative",
         "tol-nan", "tol-inf", "eps-nan", "beta-inf", "quad-c-inf", "quad-c-zero",
         "quad-c-negative", "samples-negative",
-        "tol-zero", "tol-negative", "alpha-zero", "alpha-negative"])
+        "tol-zero", "tol-negative", "alpha-zero", "alpha-negative",
+        "eps-zero", "eps-negative", "k-negative", "cut-below-rho-minus"])
 def test_bad_flag_is_parse_error(tmp_path, capsys, argv):
     src = write_fixture(tmp_path)
     extra = ["--input", str(src)] if argv[0] in ("linearize", "compare") else []
@@ -450,6 +455,15 @@ def test_solve_homological_two_orbit_sums_per_point(tmp_path, monkeypatch):
     assert code == 0
     # one call per point sums psi(z) and psi(f(z)) along one orbit
     assert calls == [8, 8 + 1j, 9, 9 + 1j, 10, 10 + 1j]
+
+
+def test_solve_homological_nan_residual_exits_4(tmp_path, capsys):
+    # h is NaN at every point, so the residual of psi o f - psi = h is NaN
+    code = main(HOMOLOGICAL_ARGS[:4] + ["0*(zeta*1e300*1e300)", "--alpha", "1"]
+                + HOMOLOGICAL_ARGS[5:] + ["--output", str(tmp_path / "h.json")])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["not converged at (8+0j): homological equation residual nan > 10*tol"]
 
 
 def test_complex_flag_parsing():

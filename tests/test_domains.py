@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import kappa, quad_boundary_param
 from dulaclin.domains import (
     AsymptoticProfile,
     BandRegion,
@@ -16,9 +17,7 @@ from dulaclin.domains import (
     check_upper_map,
     exp_tower,
     find_invariant_cut,
-    iterated_log,
     iterated_log_real,
-    kappa,
     kappa_inv,
     linear_map,
     log_map,
@@ -28,13 +27,32 @@ from dulaclin.domains import (
     power_map,
     quad_boundary_height,
     quad_boundary_map,
-    quad_boundary_param,
     region_from_json,
-    region_to_json,
     safety_rect,
 )
 from dulaclin.dynamics import AnalyticMap
 from dulaclin.errors import DomainError
+
+
+def iterated_log(zeta: complex, m: int) -> complex:
+    """Principal-branch log applied m times; guarded so every intermediate
+    stays in the right half plane and |L_m| >= log^m(Re zeta)."""
+    if zeta.real <= exp_tower(m):
+        raise DomainError(f"iterated log needs Re > exp tower({m}), got {zeta.real}")
+    w = zeta
+    for _ in range(m):
+        w = cmath.log(w)
+    return w
+
+
+def region_to_json(region) -> dict:
+    if isinstance(region, QuadRegion):
+        return {"quad": {"C": region.C, "R": region.R_cut}}
+    if isinstance(region, BandRegion):
+        return {"band": {"t": region.t, "hl": region.hl.json, "hu": region.hu.json}}
+    if isinstance(region, UnionRegion):
+        return {"union": [region_to_json(p) for p in region.parts]}
+    raise ValueError(f"not a region: {region!r}")
 
 
 class TestBoundFunctions:

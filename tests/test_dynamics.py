@@ -1,26 +1,30 @@
 import cmath
 import math
+import time
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
 import dulaclin.dynamics
 from dulaclin.domains import AsymptoticProfile, iterated_log_real
 from dulaclin.dynamics import (
+    ENVELOPE_MARGIN,
     KoenigsResult,
     AnalyticMap,
+    SlopeFit,
+    _fit,
+    _series_delta,
     decay_slope,
-    expansion_residual_check,
     koenigs_limit,
-    orbit,
     parse_grid,
     solve_homological_numeric,
 )
 from dulaclin.errors import (
     DecayHypothesisViolated,
     DomainError,
+    DulaclinError,
     EvalDomainError,
-    GrowthBoundViolated,
     InsufficientData,
     NotConverged,
 )
@@ -38,6 +42,36 @@ def koenigs_displacements(f, grid):
 
 def fixture_map(profile=PROF):
     return AnalyticMap.from_expression(FIXTURE, profile)
+
+
+def tail_after(prof, x0, n):
+    """The Koenigs tail bound after n steps from Re = x0."""
+    rho = prof.rho_minus(x0)
+    y = x0 + n * rho
+    return prof.M(y) + prof.M_tail(y) / rho
+
+
+class GrowthBoundViolated(DulaclinError):
+    """An orbit step fell short of the guaranteed real-part growth."""
+
+
+def orbit(f: AnalyticMap, zeta0: complex, n: int) -> list:
+    """[zeta0, f(zeta0), ..., f^n(zeta0)] with the real-part growth check
+    Re f^m >= Re zeta0 + m * rho_minus(Re zeta0) asserted at every step."""
+    prof = f.profile
+    if zeta0.real < prof.R:
+        raise DomainError(f"orbit start needs Re >= R = {prof.R}")
+    rho = prof.rho_minus(zeta0.real)
+    pts = [zeta0]
+    w = zeta0
+    for m in range(1, n + 1):
+        w = f(w)
+        floor = zeta0.real + m * rho
+        if w.real < floor - 1e-12 * max(1.0, abs(w)):
+            raise GrowthBoundViolated(
+                f"Re(f^{m}) = {w.real} below {floor}; profile mismatch")
+        pts.append(w)
+    return pts
 
 
 class TestOrbit:
@@ -130,23 +164,55 @@ class TestKoenigs:
     def test_divergent_map_not_converged(self):
         prof = AsymptoticProfile(1 + 0j, 1.0, 0, 10.0)
         f = AnalyticMap.from_expression("zeta + 1 + 1/zeta", prof)
+        # at tol 1e-9 the tail bound after 20000 steps is above tol: no walk
         with pytest.raises(NotConverged) as err:
             koenigs_limit(f, 10 + 0j, 1e-9, max_n=20000)
+        assert err.value.partial.n_used == 0 and err.value.max_n == 0
+        assert str(err.value).endswith("the envelope needs more than 20000 steps;"
+                                       " tail bound 5.099e-05 after 20000 steps, tol 1.000e-09")
+        # at tol 1e-3 the walk starts and ends at the first violating step
+        with pytest.raises(NotConverged) as err:
+            koenigs_limit(f, 10 + 0j, 1e-3, max_n=20000)
         assert err.value.partial.joj_violations > 0
         # the reason names the first violating step and the final values
         msg = str(err.value)
-        assert "violated 20000 times, first at step 1: |delta| = 1.000e-01 > M = 1.000e-02" in msg
-        assert msg.endswith("after 20000 steps tail bound 5.099e-05, step 4.996e-05, tol 1.000e-09")
+        assert "violated, first at step 1: |delta| = 1.000e-01 > M = 1.000e-02" in msg
+        assert msg.endswith("after 1 steps tail bound 1.002e-01, step 1.000e-01, tol 1.000e-03")
+
+    def test_nan_step_violates_at_once(self):
+        f = AnalyticMap.from_expression("zeta + 1 + 0*(zeta*1e300*1e300)", PROF)
+        with pytest.raises(NotConverged) as err:
+            koenigs_limit(f, 8 + 0j, 1e-9)
+        assert err.value.partial.n_used == 1 and err.value.partial.joj_violations == 1
+        assert "violated, first at step 1: |delta| = nan > M = 6.905e-04" in str(err.value)
+
+    @pytest.mark.parametrize("eps", [1.0, 2.5])
+    def test_divergent_control_ends_fast(self, eps):
+        # eps 1: the budget cannot reach tol; eps 2.5: step 1 violates the envelope
+        f = AnalyticMap.from_expression("zeta + 1 + 1/zeta", AsymptoticProfile(1, eps, 0, 10.0))
+        t0 = time.perf_counter()
+        with pytest.raises(NotConverged):
+            koenigs_limit(f, 10 + 0j, 1e-9)
+        assert time.perf_counter() - t0 < 0.05
 
     def test_exhausted_budget_message(self):
         f = fixture_map()
+        tail5 = tail_after(PROF, 12.0, 5)
+        # the tail bound after 5 steps is above tol 1e-9, so the walk never starts
         with pytest.raises(NotConverged) as err:
             koenigs_limit(f, 12 + 0j, 1e-9, max_n=5)
+        assert str(err.value).endswith(f"the envelope needs more than 5 steps; tail bound"
+                                       f" {tail5:.3e} after 5 steps, tol 1.000e-09")
+        # a tol inside the envelope's rounding margin below that bound: the
+        # walk starts and spends the budget
+        tol = tail5 * (1 - 5e-13)
+        with pytest.raises(NotConverged) as err:
+            koenigs_limit(f, 12 + 0j, tol, max_n=5)
         msg = str(err.value)
-        assert "budget exhausted; after 5 steps tail bound " in msg
+        assert f"budget exhausted; after 5 steps tail bound {tail5:.3e}" in msg
         assert float(msg.split("tail bound ")[1].split(",")[0]) > 1e-9
         last_step = abs(f.delta(orbit(f, 12 + 0j, 4)[-1]))
-        assert msg.endswith(f"step {last_step:.3e}, tol 1.000e-09")
+        assert msg.endswith(f"step {last_step:.3e}, tol {tol:.3e}")
 
     def test_start_below_cut(self):
         with pytest.raises(DomainError):
@@ -202,7 +268,9 @@ class TestBitExact:
 
 def reference_koenigs(f, zeta, tol, max_n=200_000):
     """koenigs_limit as it was before orbits were shared and the envelope was
-    hoisted: one start, M and the tail bound evaluated at every step."""
+    hoisted: one start, M and the tail bound evaluated at every step.  It
+    ends before the first step when the tail bound after max_n steps is above
+    tol, and at the first step that violates the drift bound."""
     prof = f.profile
     beta = complex(prof.beta)
     x0 = zeta.real
@@ -212,6 +280,12 @@ def reference_koenigs(f, zeta, tol, max_n=200_000):
         return KoenigsResult(zeta, 1, 0.0, True, 0j, 0, 0.0)
     Mf, Mtail = prof.M, prof.M_tail
     rho = prof.rho_minus(x0)
+    y = x0 + max_n * rho
+    if Mf(y) + Mtail(y) / rho > tol * (1.0 + ENVELOPE_MARGIN):
+        raise NotConverged(f"Koenigs sequence not certified at {zeta}: the envelope needs"
+                           f" more than {max_n} steps; tail bound {Mf(y) + Mtail(y) / rho:.3e}"
+                           f" after {max_n} steps, tol {tol:.3e}",
+                           max_n=0, partial=KoenigsResult(zeta, 0, math.inf, False, 0j, 0, 0.0))
     delta = f.delta
     w = zeta
     disp = 0j
@@ -225,10 +299,9 @@ def reference_koenigs(f, zeta, tol, max_n=200_000):
     while n < max_n:
         d = delta(w)
         step = abs(d)
-        if step > bound * (1.0 + 1e-9):
-            if not violations:
-                first_violation = (f", first at step {n + 1}: |delta| = {step:.3e}"
-                                   f" > M = {bound:.3e}")
+        if not step <= bound * (1.0 + 1e-9):
+            first_violation = (f", first at step {n + 1}: |delta| = {step:.3e}"
+                               f" > M = {bound:.3e}")
             violations += 1
         disp += d
         w = w + beta + d
@@ -236,7 +309,9 @@ def reference_koenigs(f, zeta, tol, max_n=200_000):
         y = x0 + n * rho
         bound = Mf(y)
         tail = bound + Mtail(y) / rho
-        if violations == 0 and tail <= tol and step <= tol:
+        if violations:
+            break
+        if tail <= tol and step <= tol:
             converged = True
             break
     value = zeta + disp
@@ -251,7 +326,7 @@ def reference_koenigs(f, zeta, tol, max_n=200_000):
         hahh_constant=abs(disp) * logk ** (prof.epsilon / 2.0),
     )
     if not converged:
-        reason = (f"per-step drift bound violated {violations} times{first_violation}"
+        reason = (f"per-step drift bound violated{first_violation}"
                   if violations else "budget exhausted")
         raise NotConverged(f"Koenigs sequence not certified at {zeta}: {reason}; after {n}"
                            f" steps tail bound {tail:.3e}, step {step:.3e}, tol {tol:.3e}",
@@ -303,6 +378,11 @@ EQUIVALENCE_CASES = {
     "half": (BENCH_MAPS["half"], [8 + 0j, 9 + 2j, 14.5 - 1.5j], 1e-9, 200_000),
     "divergent": (lambda: AnalyticMap.from_expression(
         "zeta + 1 + 1/zeta", AsymptoticProfile(1 + 0j, 1.0, 0, 10.0)), [10 + 0j], 1e-9, 20_000),
+    "divergent-walk": (lambda: AnalyticMap.from_expression(
+        "zeta + 1 + 1/zeta", AsymptoticProfile(1 + 0j, 1.0, 0, 10.0)), [10 + 0j], 1e-3, 20_000),
+    # tol just under the tail bound after 5 steps, inside the envelope's margin
+    "budget-in-margin": (BENCH_MAPS["germ"], [12 + 0j], tail_after(PROF, 12.0, 5) * (1 - 5e-13),
+                         5),
     "late-violation": (lambda: AnalyticMap.from_expression(
         "zeta + 1 + 20*exp(-zeta)", PROF), [8 + 0j, 12 + 1j], 1e-9, 200_000),
     "max_n=0": (BENCH_MAPS["germ"], [9 + 2j], 1e-9, 0),
@@ -403,7 +483,7 @@ def reference_homological_pair(f, h, alpha, zeta, tol):
     psi = reference_homological(f, h, alpha, zeta, tol)
     psi_next = reference_homological(f, h, alpha, f(zeta), tol)
     resid = abs(psi_next - psi - h(zeta))
-    if resid > 10.0 * tol:
+    if not resid <= 10.0 * tol:
         raise NotConverged(f"homological equation residual {resid} > 10*tol")
     return psi, psi_next
 
@@ -426,6 +506,9 @@ HOMOLOGICAL_CASES = {
     "image-below-cut": ("zeta - 5", AsymptoticProfile(1 + 0j, 1.0, 0, 30.0),
                         lambda z: cmath.exp(-z), 1.0, [30 + 0j], 1e-10, 100_000),
     "start-below-cut": (FIXTURE, PROF4, lambda z: cmath.exp(-z), 1.0, [3 + 0j], 1e-10, 100_000),
+    # h is NaN everywhere, so is the residual of psi o f - psi = h
+    "nan-residual": ("zeta + 1", PROF4, lambda z: complex(math.nan, 0.0), 1.0, [8 + 0j], 1e-10,
+                     100_000),
     "guard": ("zeta + 1 + 1e-6*log(zeta - 10)", PROF4, lambda z: cmath.exp(-z), 1.0,
               [8 + 0j], 1e-10, 100_000),
     # the first sum ends after one term, the second hits a guard at f(zeta)
@@ -507,6 +590,27 @@ class TestHomological:
             psi = solve_homological_numeric(f, lambda z: cmath.exp(-z), 1.0,
                                             complex(x, 0), 1e-12)
             assert abs(psi) * math.exp(x) <= cap + 1e-6
+
+
+EXPANSION_SLACK = 0.05   # slope slack of expansion_residual_check
+
+
+def expansion_residual_check(f: AnalyticMap, series: ExpPolySeries, nu: float,
+                             grid: Sequence[complex]) -> SlopeFit:
+    """Least-squares slope of log|f - series| against Re zeta.
+
+    Passing means slope <= -nu + EXPANSION_SLACK, i.e. the truncation error
+    decays at least like exp(-nu Re).  Points below the double-precision
+    noise floor are excluded; guard failures are skipped and counted.
+    """
+    series_delta = _series_delta(series, f.profile.beta)
+    residuals = []
+    for z in grid:
+        try:
+            residuals.append(f.delta(z) - series_delta(z))
+        except EvalDomainError:
+            residuals.append(None)
+    return _fit(grid, residuals, -float(nu), EXPANSION_SLACK)
 
 
 class TestSlopeFits:
