@@ -17,10 +17,11 @@ R, t, a, r or delta, a quad C <= 0, a quad map sign other than 1 or -1, a
 band map undefined at its t or an empty union, no --expr or --input, a
 malformed --grid, a non-finite series coefficient, an expression nested
 too deeply to parse or compile, an over-long exponent literal), 4
-unconverged grid points (also a solve-homological residual above 10*tol,
-or NaN), 5 violations above tolerance (also linearize --cross-check
-solvers differing by more than --tol, and a band boundary failing its
-upper/lower-map check), 1 other errors (also an unwritable --output and a
+unconverged grid points (also a solve-homological residual above 10*tol),
+5 violations above tolerance (also linearize --cross-check solvers
+differing by more than --tol, and a band boundary failing its
+upper/lower-map check), 1 other errors (also a solve-homological |h| above
+exp(-alpha Re) or NaN at an orbit point, an unwritable --output and a
 numeric overflow).
 """
 
@@ -67,6 +68,7 @@ from .linearize import linearize_by_picard, linearize_level_by_level, partial_su
 from .series import (
     ExpPolySeries,
     conjugacy_residual,
+    format_exponent,
     max_rel_coeff_diff,
     parse_exponent,
     parse_series,
@@ -231,7 +233,7 @@ def cmd_linearize(args) -> int:
         **_header(args),
         "max_residual_coeff_rel": max_resid,
         "tolerance": args.tol,
-        "levels": [f"{v.numerator}/{v.denominator}" for v in level.levels_solved],
+        "levels": [format_exponent(v) for v in level.levels_solved],
     }
     _write_text(f"{out}.phi.json", json.dumps(level.to_json(), indent=1))
     if args.cross_check:
@@ -348,7 +350,7 @@ def cmd_compare(args) -> int:
          else AnalyticMap.from_series(fhat, profile))
     grid = _grid(args.grid)
     ns = _levels(args.levels)
-    levels = [m for m, _ in result.phi.terms if m > 0]
+    levels = result.levels_solved
     lines = _header_lines(args)
     lines.append("n,exponent,slope,bound,passed,n_points,exact")
     ok = True

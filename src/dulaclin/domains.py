@@ -485,7 +485,6 @@ def _eq_new_bound(zeta: complex, epsilon: float, k: int) -> float:
 @dataclass
 class InvarianceReport:
     n_samples: int
-    seed: int
     R: float
     n_bound_violations: int
     n_rect_violations: int
@@ -548,7 +547,6 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
         rows.append((x, y, margin, rect_ok, region_ok))
     return InvarianceReport(
         n_samples=n_samples,
-        seed=seed,
         R=R,
         n_bound_violations=nb,
         n_rect_violations=nr,

@@ -23,6 +23,12 @@ past n_lo, and the tail bound only past n_lo.  The margin covers the
 rounding of pow and log, so only the exact envelope must be monotone, not
 its floating-point evaluation: every check and every value is the one that
 evaluating both at every step gives.
+
+A KoenigsResult is one certified start: the limit value and its
+displacement from zeta, the steps used, the tail bound, whether it
+converged and the drift violations met.  A SlopeFit is the slope over the
+points whose residual is not below NOISE_FLOOR, their count, `exact` when
+there are none, and whether the slope passed its bound.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .domains import AsymptoticProfile, DomainError, iterated_log_real
+from .domains import AsymptoticProfile, DomainError
 from .errors import (
     DecayHypothesisViolated,
     InsufficientData,
@@ -105,20 +111,15 @@ class KoenigsResult:
     converged: bool
     displacement: complex      # value - zeta, the running sum of the steps delta
     joj_violations: int
-    hahh_constant: float       # fitted C in |phi - id| <= C / (log^k Re)^(eps/2)
     next: Optional["KoenigsResult"] = None   # with with_next, the orbit's next point
 
 
 @dataclass(frozen=True)
 class SlopeFit:
-    slope: Optional[float]
-    intercept: Optional[float]
-    n_used: int
-    n_floor: int
-    n_skipped: int
+    slope: Optional[float]     # None when every residual is below NOISE_FLOOR
+    n_used: int                # points above the noise floor
     exact: bool
-    passed: Optional[bool]
-    bound: Optional[float]
+    passed: Optional[bool]     # None without a bound
 
 
 def _orbit_deltas(f: AnalyticMap, zeta: complex):
@@ -170,7 +171,7 @@ def _certify(f: AnalyticMap, zeta: complex, deltas, tol: float, max_n: int) -> K
     if x0 < prof.R:
         raise DomainError(f"Koenigs start needs Re >= R = {prof.R}")
     if f.exact_translation:
-        return KoenigsResult(zeta, 1, 0.0, True, 0j, 0, 0.0)
+        return KoenigsResult(zeta, 1, 0.0, True, 0j, 0)
     rho = prof.rho_minus(x0)
 
     def tail_at(n):
@@ -184,7 +185,7 @@ def _certify(f: AnalyticMap, zeta: complex, deltas, tol: float, max_n: int) -> K
         raise NotConverged(f"Koenigs sequence not certified at {zeta}: the envelope needs"
                            f" more than {max_n} steps; tail bound {tail_at(max_n):.3e} after"
                            f" {max_n} steps, tol {tol:.3e}",
-                           max_n=0, partial=_koenigs_result(prof, zeta, 0j, 0, math.inf, 0))
+                           max_n=0, partial=_koenigs_result(zeta, 0j, 0, math.inf, 0))
     # at most the drift check's threshold M(x0 + n*rho) * (1 + 1e-9) at every n < n_lo
     floor = (prof.M(x0 + (n_lo - 1) * rho) * (1.0 - ENVELOPE_MARGIN) * (1.0 + 1e-9)
              if n_lo else -1.0)
@@ -203,16 +204,16 @@ def _certify(f: AnalyticMap, zeta: complex, deltas, tol: float, max_n: int) -> K
         if n > n_lo and step <= tol:
             tail = tail_at(n)
             if tail <= tol:
-                return _koenigs_result(prof, zeta, disp, n, tail, 0)
+                return _koenigs_result(zeta, disp, n, tail, 0)
     reason = (f"per-step drift bound violated, first at step {n}: |delta| = {step:.3e}"
               f" > M = {bound:.3e}" if violated else "budget exhausted")
     raise NotConverged(f"Koenigs sequence not certified at {zeta}: {reason}; after {n}"
                        f" steps tail bound {tail_at(n):.3e}, step {step:.3e}, tol {tol:.3e}",
-                       max_n=n, partial=_koenigs_result(prof, zeta, disp, n, math.inf,
+                       max_n=n, partial=_koenigs_result(zeta, disp, n, math.inf,
                                                         int(violated)))
 
 
-def _koenigs_result(prof, zeta, disp, n, tail_bound, violations) -> KoenigsResult:
+def _koenigs_result(zeta, disp, n, tail_bound, violations) -> KoenigsResult:
     """A walk of n steps from zeta with displacement disp; converged when the
     tail bound is finite."""
     return KoenigsResult(
@@ -222,7 +223,6 @@ def _koenigs_result(prof, zeta, disp, n, tail_bound, violations) -> KoenigsResul
         converged=tail_bound < math.inf,
         displacement=disp,
         joj_violations=violations,
-        hahh_constant=abs(disp) * iterated_log_real(zeta.real, prof.k) ** (prof.epsilon / 2.0),
     )
 
 
@@ -230,12 +230,13 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
                               zeta: complex, tol: float, with_next: bool = False):
     """psi(zeta) = -sum_n h(f^n(zeta)), solving psi o f - psi = h.
 
-    Requires |h| <= exp(-alpha Re) on the visited orbit (checked pointwise);
-    the geometric tail exp(-alpha Re f^n) / (1 - exp(-alpha rho_minus(R)))
-    drives the stopping rule.  A second accumulator sums psi at the next
-    orbit point w1 = zeta + beta + delta(zeta) along the same walk; its sum
-    ends at the same orbit point as zeta's, or, when zeta's ends after one
-    term, at the next one whose tail is below tol.  The defining equation is
+    Requires |h| <= exp(-alpha Re) on the visited orbit (checked pointwise,
+    so a NaN value of h is DecayHypothesisViolated at its point); the
+    geometric tail exp(-alpha Re f^n) / (1 - exp(-alpha rho_minus(R))) drives
+    the stopping rule.  A second accumulator sums psi at the next orbit
+    point w1 = zeta + beta + delta(zeta) along the same walk; its sum ends
+    at the same orbit point as zeta's, or, when zeta's ends after one term,
+    at the next one whose tail is below tol.  The defining equation is
     verified at zeta to 10*tol: a larger or NaN residual is NotConverged.
     With `with_next`, returns (psi(zeta), psi(w1)).
     """
@@ -254,7 +255,7 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
     envelope = math.exp(-alpha * w.real)    # exp(-alpha Re w) at the current w
     for n in range(1, HOMOLOGICAL_MAX_N + 2):
         hv = h(w)
-        if abs(hv) > envelope * (1.0 + 1e-9):
+        if not abs(hv) <= envelope * (1.0 + 1e-9):  # a NaN h violates too
             raise DecayHypothesisViolated(
                 f"|h| = {abs(hv)} exceeds exp(-alpha Re) at {w}")
         acc += hv
@@ -298,28 +299,20 @@ def _series_delta(series: ExpPolySeries, beta: complex) -> Callable:
 
 
 def _fit(grid, residuals, bound, slack):
-    """Least-squares slope of log|r| against Re zeta; None marks a skipped
-    point, and points below the double-precision noise floor are counted apart."""
-    pts = []
-    n_floor = n_skipped = 0
-    for z, r in zip(grid, residuals, strict=True):
-        if r is None:
-            n_skipped += 1
-        elif abs(r) < NOISE_FLOOR:
-            n_floor += 1
-        else:
-            pts.append((z.real, math.log(abs(r))))
+    """Least-squares slope of log|r| against Re zeta over the points whose
+    residual is not below the double-precision noise floor."""
+    pts = [(z.real, math.log(abs(r))) for z, r in zip(grid, residuals, strict=True)
+           if not abs(r) < NOISE_FLOOR]
     if not pts:
         # everything at the noise floor: residual is exact at double precision
-        return SlopeFit(None, None, 0, n_floor, n_skipped, True, True, bound)
+        return SlopeFit(None, 0, True, True)
     if len(pts) < 8:
         raise InsufficientData(f"only {len(pts)} usable points")
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
-    slope, intercept = np.polyfit(xs, ys, 1)
+    slope, _ = np.polyfit(xs, ys, 1)
     passed = None if bound is None else bool(slope <= bound + slack)
-    return SlopeFit(float(slope), float(intercept), len(pts), n_floor,
-                    n_skipped, False, passed, bound)
+    return SlopeFit(float(slope), len(pts), False, passed)
 
 
 def decay_slope(displacements: Sequence[complex], phi_n: ExpPolySeries,

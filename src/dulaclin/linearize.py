@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 
 from .errors import (
@@ -62,9 +61,14 @@ BACKSUB_TOL = 1e-10   # relative back-substitution error allowed in solve_differ
 class LinearizationResult:
     phi: ExpPolySeries          # parabolic: head zeta, all other exponents > 0
     beta: complex
-    levels_solved: tuple        # exponents handled, ascending
     residual_ord: object        # Fraction or math.inf in the truncated algebra
     algorithm: str              # 'level_solver' | 'picard'
+
+    @property
+    def levels_solved(self) -> tuple:
+        """The exponents of phi above 0, ascending: the levels a solver
+        filled, since a nonzero level residual gives a nonzero block."""
+        return tuple(m for m in self.phi.support() if m > 0)
 
     def to_json(self) -> dict:
         ro = "inf" if self.residual_ord == math.inf else format_exponent(self.residual_ord)
@@ -143,7 +147,6 @@ def linearize_level_by_level(f: ExpPolySeries) -> LinearizationResult:
     L = f.L
     phi = f._raw({0: CPoly([0.0, 1.0])})
     r = f.tail()  # conjugacy_residual(zeta, f, beta), exactly
-    solved = []
     for nu in sorted(lattice_points(f.g, f.n))[1:]:  # level nu/L > 0, ascending
         P = r._block(nu)
         if P.is_zero:
@@ -152,12 +155,10 @@ def linearize_level_by_level(f: ExpPolySeries) -> LinearizationResult:
         term = f._raw({nu: Q})
         phi = add(phi, term)
         r = add(r, compose(term, f) - term)
-        solved.append(Fraction(nu, L))
     scale = max(1.0, f.max_abs_coeff(), phi.max_abs_coeff())
     return LinearizationResult(
         phi=phi,
         beta=beta,
-        levels_solved=tuple(solved),
         residual_ord=effective_order(r, SOLVER_TOL * scale),
         algorithm="level_solver",
     )
@@ -185,7 +186,6 @@ class SchroederOperators:
         g1 = f1._raw({k: b for k, b in f1.items if k != L})
         if g1.items and g1.items[0][0] <= L:
             raise OrderTooLow("perturbation must have z-order > 1")
-        self.f1 = f1
         self.lam = lam
         self.beta = beta
         self.trunc = f1.trunc
@@ -260,11 +260,9 @@ def picard_linearize(
         f_zeta = f_zeta.with_gens(gens_out)
     r = conjugacy_residual(phi, f_zeta, ops.beta)
     res_ord = effective_order(r, SOLVER_TOL * max(scale, phi.max_abs_coeff()) * 100)
-    levels = tuple(m for m, _ in phi.terms if m > 0)
     return LinearizationResult(
         phi=phi,
         beta=ops.beta,
-        levels_solved=levels,
         residual_ord=res_ord,
         algorithm="picard",
     )

@@ -457,13 +457,13 @@ def test_solve_homological_two_orbit_sums_per_point(tmp_path, monkeypatch):
     assert calls == [8, 8 + 1j, 9, 9 + 1j, 10, 10 + 1j]
 
 
-def test_solve_homological_nan_residual_exits_4(tmp_path, capsys):
-    # h is NaN at every point, so the residual of psi o f - psi = h is NaN
+def test_solve_homological_nan_h_exits_1(tmp_path, capsys):
+    # h is NaN at every point, so the decay check fails at the first one
     code = main(HOMOLOGICAL_ARGS[:4] + ["0*(zeta*1e300*1e300)", "--alpha", "1"]
                 + HOMOLOGICAL_ARGS[5:] + ["--output", str(tmp_path / "h.json")])
-    assert code == 4
+    assert code == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["not converged at (8+0j): homological equation residual nan > 10*tol"]
+    assert err == ["error: |h| = nan exceeds exp(-alpha Re) at (8+0j)"]
 
 
 def test_complex_flag_parsing():

@@ -1,11 +1,19 @@
 """Every function, class and method defined in `src/dulaclin` is on a path that
-the package's own code reaches: a name that only the tests use belongs in
-`tests/`.
+the package's own code reaches, and every field a class in it stores is read
+there: a name that only the tests use belongs in `tests/`, and a field that
+nothing reads is not stored.
 
-The scan is syntactic.  A definition counts as referenced when an `ast.Name`
-or `ast.Attribute` somewhere in `src/` spells its name, leaving out its own
-body and the modules' `__all__` lists.  It iterates, so a name referenced
-only from code that is itself unreferenced is reported too.
+Both scans are syntactic.  A definition counts as referenced when an
+`ast.Name` or `ast.Attribute` somewhere in `src/` spells its name, leaving out
+its own body and the modules' `__all__` lists.  It iterates, so a name
+referenced only from code that is itself unreferenced is reported too.
+
+A stored field is an annotated name in a class body (a dataclass field), a
+`__slots__` entry or a `self.<name>` assignment in a method.  It counts as
+read when an `ast.Attribute` in `src/` loads its name.  The match is by
+attribute name alone, whatever the object, so a field escapes when another
+object's attribute shares its name: a report's `seed` field was once taken
+as read because the CLI reads `args.seed`.
 """
 
 import ast
@@ -15,6 +23,15 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "dulaclin"
 
 # dispatched by name or called by the standard library, not spelled in src/
 EXEMPT = {"main", "_Parser.error"}
+
+# stored for callers outside src/
+EXEMPT_FIELDS = {
+    "KoenigsResult.converged",       # read by the acceptance criteria
+    "KoenigsResult.joj_violations",  # read by the acceptance criteria
+    "MapCheckReport.violations",     # part of the report's pinned repr
+    "NotConverged.max_n",            # exception payload for callers
+    "ParseError.position",           # exception payload for callers
+}
 
 
 def _is_all(node) -> bool:
@@ -75,6 +92,34 @@ def unreached_names(src: Path = SRC) -> list:
         flagged.update(new)
 
 
+def _stored_fields(cls):
+    """The names a class stores: annotated names of its body, its `__slots__`
+    entries and the attributes its methods assign on `self`."""
+    for item in cls.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            yield item.target.id
+        elif isinstance(item, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets):
+            yield from (c.value for c in ast.walk(item.value)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                and isinstance(node.value, ast.Name) and node.value.id == "self":
+            yield node.attr
+
+
+def unread_fields(src: Path = SRC, exempt=EXEMPT_FIELDS) -> list:
+    """Qualified names of the fields stored by classes under `src` whose
+    name no attribute load in `src` spells, but for the `exempt` ones."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted({f"{module}.{cls.name}.{name}"
+                   for module, tree in trees.items() for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for name in _stored_fields(cls)
+                   if name not in read and f"{cls.name}.{name}" not in exempt})
+
+
 def test_every_definition_is_reached_from_src():
     assert unreached_names() == []
 
@@ -93,3 +138,26 @@ def test_the_scan_follows_chains(tmp_path):
         "def cmd_run(args):\n    return used()\n"
         "def main():\n    return Box()\n")
     assert unreached_names(tmp_path) == ["a.Box.dropped", "a.chained", "a.only_tests"]
+
+
+def test_every_stored_field_is_read_in_src():
+    assert unread_fields() == []
+
+
+def test_every_exempt_field_is_stored_and_unread():
+    assert {q.split(".", 1)[1] for q in unread_fields(exempt=())} == EXEMPT_FIELDS
+
+
+def test_a_write_only_field_is_flagged(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Record:\n    kept: int\n    dropped: int\n"
+        "class Slotted:\n    __slots__ = ('used', 'unused')\n"
+        "class Plain:\n"
+        "    def __init__(self):\n        self.read = 1\n        self.written = 2\n"
+        "        self.count = 0\n"
+        "    def bump(self):\n        self.count += 1\n"
+        "def use(r, s, p):\n    return r.kept + s.used + p.read\n")
+    assert unread_fields(tmp_path) == ["a.Plain.count", "a.Plain.written",
+                                       "a.Record.dropped", "a.Slotted.unused"]
