@@ -11,18 +11,18 @@ are upper and lower maps beyond the cut.
 Exit codes: 0 ok, 2 not hyperbolic, 3 parse error (also a bad or missing
 flag, a NaN or infinite numeric flag, a zero or negative --tol, --alpha or
 --quad-c, --samples below 1, a profile (--beta, --eps, --k, --cut) that
-AsymptoticProfile rejects, a non-integer or negative --levels, a missing
-or unreadable --input or --region file, a region file with a non-finite C,
-R, t, a, r or delta, a quad C <= 0, a quad map sign other than 1 or -1, a
-band map undefined at its t or an empty union, no --expr or --input, a
-malformed --grid, a non-finite series coefficient, an expression nested
-too deeply to parse or compile, an over-long exponent literal), 4
-unconverged grid points (also a solve-homological residual above 10*tol),
-5 violations above tolerance (also linearize --cross-check solvers
+AsymptoticProfile rejects, a non-integer or negative --levels, a missing or
+unreadable --input or --region file, a region file with a non-finite C, R,
+t, a, r or delta, a quad C <= 0, a quad map sign other than 1 or -1, a band
+map undefined at its t or an empty union, no --expr or --input, a malformed
+--grid or one with a non-finite value, a non-finite series coefficient, an
+expression nested too deeply to parse or compile, an over-long exponent
+literal), 4 unconverged grid points (also a solve-homological residual above
+10*tol), 5 violations above tolerance (also linearize --cross-check solvers
 differing by more than --tol, and a band boundary failing its
 upper/lower-map check), 1 other errors (also a solve-homological |h| above
-exp(-alpha Re) or NaN at an orbit point, an unwritable --output and a
-numeric overflow).
+exp(-alpha Re) or NaN at an orbit point, a solve-homological map step to a
+non-finite point, an unwritable --output and a numeric overflow).
 """
 
 from __future__ import annotations
@@ -376,31 +376,42 @@ def cmd_compare(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATIONS
 
 
+# solve-homological's rows (psi.re, psi.im, residual, zeta.re, zeta.im) where
+# json.dumps(indent=1, sort_keys=True) puts each as {psi, residual, zeta} in the
+# "rows" list; json writes a float by float.__repr__, as %r does
+_HOMOLOGICAL_ROW = ('  {\n   "psi": [\n    %r,\n    %r\n   ],\n   "residual": %r,\n'
+                    '   "zeta": [\n    %r,\n    %r\n   ]\n  }')
+
+
+def _homological_json(fields: dict, rows: list) -> str:
+    lines = json.dumps({**fields, "rows": []}, indent=1, sort_keys=True).split("\n")
+    at = 1 + sorted([*fields, "rows"]).index("rows")  # one line per scalar field, sorted
+    # %r writes nan and inf where json writes NaN and Infinity; the template has neither
+    body = ",\n".join(_HOMOLOGICAL_ROW % r for r in rows)
+    body = body.replace("nan", "NaN").replace("inf", "Infinity")
+    lines[at] = lines[at].replace("[]", "[\n" + body + "\n ]")
+    return "\n".join(lines)
+
+
 def cmd_solve_homological(args) -> int:
+    """psi o f - psi = h on a grid, psi(z) and psi(f(z)) from one orbit (the
+    solver raises NotConverged when their residual is above 10*tol).  The report
+    is json's indent=1 layout with sorted keys, all its values finite."""
     profile = _profile(args)
     f = _load_map(args, profile)
     h = compile_ast(parse_expression(args.h_expr))
     grid = _grid(args.grid)
     rows = []
     for z in grid:
-        # psi(z) and psi(f(z)) from one orbit; the solver raises NotConverged
-        # when their residual is above 10*tol
         try:
             psi, psi_next = solve_homological_numeric(f, h, args.alpha, z, args.tol, with_next=True)
         except NotConverged as exc:
             print(f"not converged at {z}: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED
         resid = abs(psi_next - psi - h(z))
-        rows.append({"zeta": [z.real, z.imag], "psi": [psi.real, psi.imag],
-                     "residual": resid})
-    payload = {
-        **_header(args),
-        "alpha": args.alpha,
-        "rows": rows,
-    }
-    _write_text(args.output, json.dumps(payload, indent=1, sort_keys=True))
-    worst = max(r["residual"] for r in rows)
-    print(f"max homological residual {worst:.3e} over {len(rows)} points")
+        rows.append((psi.real, psi.imag, resid, z.real, z.imag))
+    _write_text(args.output, _homological_json({**_header(args), "alpha": args.alpha}, rows))
+    print(f"max homological residual {max(r[2] for r in rows):.3e} over {len(rows)} points")
     return EXIT_OK
 
 

@@ -34,6 +34,7 @@ there are none, and whether the slope passed its bound.
 from __future__ import annotations
 
 import bisect
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -44,6 +45,7 @@ import numpy as np
 from .domains import AsymptoticProfile, DomainError
 from .errors import (
     DecayHypothesisViolated,
+    DulaclinError,
     InsufficientData,
     NotConverged,
 )
@@ -256,6 +258,11 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
     for n in range(1, HOMOLOGICAL_MAX_N + 2):
         hv = h(w)
         if not abs(hv) <= envelope * (1.0 + 1e-9):  # a NaN h violates too
+            if n > 1 and not cmath.isfinite(w):  # the map left the plane, not h
+                last, step = zeta, 1  # the same walk again, to its first non-finite point
+                while cmath.isfinite(nxt := last + beta + delta(last)):
+                    last, step = nxt, step + 1
+                raise DulaclinError(f"map step {step} from {last} is not finite: {nxt}")
             raise DecayHypothesisViolated(
                 f"|h| = {abs(hv)} exceeds exp(-alpha Re) at {w}")
         acc += hv
@@ -333,7 +340,7 @@ def decay_slope(displacements: Sequence[complex], phi_n: ExpPolySeries,
 
 
 def parse_grid(spec: str):
-    """Grid spec "re0:re1:steps,im0:im1:steps" to a row-major point list."""
+    """Grid spec "re0:re1:steps,im0:im1:steps" to a row-major list of finite points."""
     def axis(part):
         bits = part.split(":")
         if len(bits) != 3:
@@ -341,9 +348,10 @@ def parse_grid(spec: str):
         lo, hi, n = float(bits[0]), float(bits[1]), int(bits[2])
         if n < 1:
             raise ValueError("grid steps must be >= 1")
-        if n == 1:
-            return [lo]
-        return [lo + (hi - lo) * j / (n - 1) for j in range(n)]
+        pts = [lo] if n == 1 else [lo + (hi - lo) * j / (n - 1) for j in range(n)]
+        if not all(map(math.isfinite, [lo, hi, *pts])):  # also hi - lo overflowing
+            raise ValueError(f"non-finite grid value in {part!r}")
+        return pts
 
     parts = spec.split(",")
     if len(parts) != 2:

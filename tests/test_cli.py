@@ -391,6 +391,19 @@ def test_bad_flag_is_parse_error(tmp_path, capsys, argv):
     assert_parse_error(capsys, argv + extra + ["--output", str(tmp_path / "x")])
 
 
+@pytest.mark.parametrize("grid", ["inf:inf:1,0:0:1", "8:9:2,nan:0:1", "8:1e309:2,0:0:1",
+                                  "-1e308:1e308:3,0:0:1", "8:8:1,0:-inf:1"],
+                         ids=["inf", "nan", "1e309", "span-overflow", "ignored-bound"])
+@pytest.mark.parametrize("command", ["koenigs", "compare", "solve-homological"])
+def test_non_finite_grid_is_parse_error(tmp_path, capsys, command, grid):
+    # no point of a grid may be inf or NaN, nor the span hi - lo overflow
+    argv = {"koenigs": KOENIGS_ARGS[:3],
+            "compare": ["compare", "--input", str(write_fixture(tmp_path))],
+            "solve-homological": HOMOLOGICAL_ARGS[:5] + ["--alpha", "1"]}[command]
+    assert_parse_error(capsys, argv + [f"--grid={grid}", "--output", str(tmp_path / "x")])
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("expr", [
     "zeta + 1 + " + "(" * 220 + "zeta" + ")" * 220,
     "zeta + 1" + " + exp(-zeta)" * 1200,
@@ -464,6 +477,16 @@ def test_solve_homological_nan_h_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: |h| = nan exceeds exp(-alpha Re) at (8+0j)"]
+
+
+def test_solve_homological_non_finite_orbit_point_blames_the_map(tmp_path, capsys):
+    # h = exp(-zeta) is finite; the map's first step is NaN
+    code = main(["solve-homological", "--expr", "zeta + 1 + 0*(zeta*1e300*1e300)"]
+                + HOMOLOGICAL_ARGS[3:5] + ["--alpha", "1"] + HOMOLOGICAL_ARGS[5:]
+                + ["--output", str(tmp_path / "h.json")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: map step 1 from (8+0j) is not finite: (nan+nanj)"]
 
 
 def test_complex_flag_parsing():

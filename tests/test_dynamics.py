@@ -461,6 +461,13 @@ def reference_homological(f, h, alpha, zeta, tol):
     for n in range(1, dulaclin.dynamics.HOMOLOGICAL_MAX_N + 1):
         hv = h(w)
         if not abs(hv) <= envelope * (1.0 + 1e-9):
+            if n > 1 and not cmath.isfinite(w):
+                last = zeta
+                for step in range(1, n):
+                    w = last + beta + f.delta(last)
+                    if not cmath.isfinite(w):
+                        raise DulaclinError(f"map step {step} from {last} is not finite: {w}")
+                    last = w
             raise DecayHypothesisViolated(
                 f"|h| = {abs(hv)} exceeds exp(-alpha Re) at {w}")
         acc += hv
@@ -478,7 +485,7 @@ def reference_homological(f, h, alpha, zeta, tol):
 def homological_outcome(call):
     try:
         return call()
-    except (NotConverged, DomainError, EvalDomainError, DecayHypothesisViolated) as exc:
+    except DulaclinError as exc:
         return type(exc), str(exc), getattr(exc, "max_n", None)
 
 
@@ -512,6 +519,11 @@ HOMOLOGICAL_CASES = {
     # h is NaN everywhere: the decay check fails at the first point
     "nan-residual": ("zeta + 1", PROF4, lambda z: complex(math.nan, 0.0), 1.0, [8 + 0j], 1e-10,
                      100_000),
+    # the map's step is NaN: the first one, or the eleventh, from Re = 18
+    "nan-map": ("zeta + 1 + 0*(zeta*1e300*1e300)", PROF4, lambda z: cmath.exp(-z), 1.0,
+                [8 + 0j], 1e-10, 100_000),
+    "late-nan-map": ("zeta + 1 + 0*(zeta*1e306*10)", PROF4, lambda z: cmath.exp(-z), 1.0,
+                     [8 + 0j, 8.5 + 1j], 1e-10, 100_000),
     "guard": ("zeta + 1 + 1e-6*log(zeta - 10)", PROF4, lambda z: cmath.exp(-z), 1.0,
               [8 + 0j], 1e-10, 100_000),
     # the first sum ends after one term, the second hits a guard at f(zeta)
@@ -697,9 +709,16 @@ class TestGrid:
 
     def test_single_step_axes(self):
         assert parse_grid("5:9:1,0:0:1") == [5 + 0j]
+        assert parse_grid("-1e308:1e308:1,0:0:1") == [-1e308 + 0j]
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             parse_grid("8:20:0,0:0:1")
         with pytest.raises(ValueError):
             parse_grid("8:20:5")
+
+    @pytest.mark.parametrize("spec", ["inf:inf:1,0:0:1", "8:20:2,0:nan:3", "8:1e309:2,0:0:1",
+                                      "-1e308:1e308:3,0:0:1", "8:8:1,0:-inf:1"])
+    def test_non_finite_value(self, spec):
+        with pytest.raises(ValueError, match="non-finite grid value"):
+            parse_grid(spec)
