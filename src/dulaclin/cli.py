@@ -22,7 +22,8 @@ literal), 4 unconverged grid points (also a solve-homological residual above
 differing by more than --tol, and a band boundary failing its
 upper/lower-map check), 1 other errors (also a solve-homological |h| above
 exp(-alpha Re) or NaN at an orbit point, a solve-homological map step to a
-non-finite point, an unwritable --output and a numeric overflow).
+NaN or infinite point, even where h and its bound are both 0, an unwritable
+--output and a numeric overflow).
 """
 
 from __future__ import annotations

@@ -60,8 +60,7 @@ __all__ = [
     "MapCheckReport",
     "check_upper_map",
     "check_lower_map",
-    "Rect",
-    "safety_rect",
+    "in_safety_rect",
     "InvarianceReport",
     "check_invariance",
     "find_invariant_cut",
@@ -443,29 +442,17 @@ def check_lower_map(h: BoundaryMap, profile: AsymptoticProfile) -> MapCheckRepor
 # ---------------------------------------------------------------------------
 # invariance of regions under hyperbolic maps
 
-@dataclass(frozen=True)
-class Rect:
-    re_lo: float
-    re_hi: float
-    im_lo: float
-    im_hi: float
-
-    def contains(self, w: complex) -> bool:
-        return (self.re_lo - RECT_SLACK <= w.real <= self.re_hi + RECT_SLACK
-                and self.im_lo - RECT_SLACK <= w.imag <= self.im_hi + RECT_SLACK)
-
-
-def safety_rect(zeta: complex, profile: AsymptoticProfile) -> Rect:
-    """Box guaranteed to contain f(zeta) under the drift hypothesis:
-    horizontally [rho_minus, rho_plus] ahead, vertically Im(beta) +/- M."""
+def in_safety_rect(zeta: complex, w: complex, profile: AsymptoticProfile) -> bool:
+    """Whether w is, to RECT_SLACK, in the box that holds f(zeta) under the drift
+    hypothesis: horizontally [rho_minus, rho_plus] ahead, vertically Im(beta) +/- M."""
     x = zeta.real
     if x < profile.R:
         raise DomainError(f"safety rect needs Re >= R = {profile.R}")
     m = profile.M(x)
     a, b = profile.beta.real, profile.beta.imag
     # rho_minus(x) and rho_plus(x) are a - m and a + m
-    return Rect(re_lo=x + (a - m), re_hi=x + (a + m), im_lo=zeta.imag + b - m,
-                im_hi=zeta.imag + b + m)
+    return (x + (a - m) - RECT_SLACK <= w.real <= x + (a + m) + RECT_SLACK
+            and zeta.imag + b - m - RECT_SLACK <= w.imag <= zeta.imag + b + m + RECT_SLACK)
 
 
 def _eq_new_bound(zeta: complex, epsilon: float, k: int) -> float:
@@ -538,7 +525,7 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
         d = f.delta(zeta)
         w = zeta + f.profile.beta + d
         margin = _eq_new_bound(zeta, profile.epsilon, profile.k) - abs(d)
-        rect_ok = safety_rect(zeta, profile).contains(w)
+        rect_ok = in_safety_rect(zeta, w, profile)
         region_ok = cut_region.contains(w)
         worst = min(worst, margin)
         nb += margin < 0

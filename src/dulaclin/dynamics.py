@@ -24,11 +24,11 @@ rounding of pow and log, so only the exact envelope must be monotone, not
 its floating-point evaluation: every check and every value is the one that
 evaluating both at every step gives.
 
-A KoenigsResult is one certified start: the limit value and its
-displacement from zeta, the steps used, the tail bound, whether it
-converged and the drift violations met.  A SlopeFit is the slope over the
-points whose residual is not below NOISE_FLOOR, their count, `exact` when
-there are none, and whether the slope passed its bound.
+A KoenigsResult is one certified start: zeta and the displacement its walk
+summed (the limit value is their sum), the steps used, the tail bound,
+whether it converged and the drift violations met.  A SlopeFit is the slope
+over the points whose residual is not below NOISE_FLOOR, their count,
+`exact` when there are none, and whether the slope passed its bound.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .errors import (
     InsufficientData,
     NotConverged,
 )
-from .exprparse import compile_ast, parse_expression, split_affine
+from .exprparse import compile_ast, delta_ast, parse_expression
 from .series import CPoly, ExpPolySeries, evaluate_tail
 
 __all__ = [
@@ -73,10 +73,9 @@ class AnalyticMap:
     """The map zeta -> zeta + beta + delta(zeta) with a drift profile.
 
     `delta` is an attribute holding the function zeta -> delta(zeta), so a
-    step calls it directly.  An expression's delta is one compiled AST: for
-    a top-level sum zeta + ... it is offset + s_1*t_1 + s_2*t_2 + ... over
-    split_affine's signed terms, otherwise f(zeta) - zeta - beta, which is
-    cancellation-limited.
+    step calls it directly.  An expression's delta is delta_ast's AST,
+    compiled: for a top-level sum zeta + ... it is offset +/- t_1 +/- t_2
+    ..., otherwise f(zeta) - zeta - beta, which is cancellation-limited.
     """
 
     delta: Callable
@@ -88,16 +87,8 @@ class AnalyticMap:
 
     @staticmethod
     def from_expression(text: str, profile: AsymptoticProfile) -> "AnalyticMap":
-        ast = parse_expression(text)
-        split = split_affine(ast, profile.beta)
-        if split is None:
-            body = ("sub", ("sub", ast, ("zeta",)), ("num", profile.beta))
-            return AnalyticMap(compile_ast(body), profile)
-        offset, others = split
-        body = ("num", offset)
-        for sign, node in others:
-            body = ("add", body, ("mul", ("num", complex(sign)), node))
-        return AnalyticMap(compile_ast(body), profile, not others and offset == 0)
+        delta, exact = delta_ast(parse_expression(text), profile.beta)
+        return AnalyticMap(compile_ast(delta), profile, exact)
 
     @staticmethod
     def from_series(series: ExpPolySeries, profile: AsymptoticProfile) -> "AnalyticMap":
@@ -107,13 +98,17 @@ class AnalyticMap:
 
 @dataclass(frozen=True)
 class KoenigsResult:
-    value: complex
+    zeta: complex
+    displacement: complex      # the running sum of the steps delta
     n_used: int
     tail_bound: float
     converged: bool
-    displacement: complex      # value - zeta, the running sum of the steps delta
     joj_violations: int
     next: Optional["KoenigsResult"] = None   # with with_next, the orbit's next point
+
+    @property
+    def value(self) -> complex:
+        return self.zeta + self.displacement
 
 
 @dataclass(frozen=True)
@@ -172,8 +167,8 @@ def _certify(f: AnalyticMap, zeta: complex, deltas, tol: float, max_n: int) -> K
     x0 = zeta.real
     if x0 < prof.R:
         raise DomainError(f"Koenigs start needs Re >= R = {prof.R}")
-    if f.exact_translation:
-        return KoenigsResult(zeta, 1, 0.0, True, 0j, 0)
+    if f.exact_translation:  # -0j is the additive identity, signed zeros included
+        return KoenigsResult(zeta, -0j, 1, 0.0, True, 0)
     rho = prof.rho_minus(x0)
 
     def tail_at(n):
@@ -187,7 +182,7 @@ def _certify(f: AnalyticMap, zeta: complex, deltas, tol: float, max_n: int) -> K
         raise NotConverged(f"Koenigs sequence not certified at {zeta}: the envelope needs"
                            f" more than {max_n} steps; tail bound {tail_at(max_n):.3e} after"
                            f" {max_n} steps, tol {tol:.3e}",
-                           max_n=0, partial=_koenigs_result(zeta, 0j, 0, math.inf, 0))
+                           max_n=0, partial=KoenigsResult(zeta, 0j, 0, math.inf, False, 0))
     # at most the drift check's threshold M(x0 + n*rho) * (1 + 1e-9) at every n < n_lo
     floor = (prof.M(x0 + (n_lo - 1) * rho) * (1.0 - ENVELOPE_MARGIN) * (1.0 + 1e-9)
              if n_lo else -1.0)
@@ -206,26 +201,13 @@ def _certify(f: AnalyticMap, zeta: complex, deltas, tol: float, max_n: int) -> K
         if n > n_lo and step <= tol:
             tail = tail_at(n)
             if tail <= tol:
-                return _koenigs_result(zeta, disp, n, tail, 0)
+                return KoenigsResult(zeta, disp, n, tail, True, 0)
     reason = (f"per-step drift bound violated, first at step {n}: |delta| = {step:.3e}"
               f" > M = {bound:.3e}" if violated else "budget exhausted")
     raise NotConverged(f"Koenigs sequence not certified at {zeta}: {reason}; after {n}"
                        f" steps tail bound {tail_at(n):.3e}, step {step:.3e}, tol {tol:.3e}",
-                       max_n=n, partial=_koenigs_result(zeta, disp, n, math.inf,
-                                                        int(violated)))
-
-
-def _koenigs_result(zeta, disp, n, tail_bound, violations) -> KoenigsResult:
-    """A walk of n steps from zeta with displacement disp; converged when the
-    tail bound is finite."""
-    return KoenigsResult(
-        value=zeta + disp,
-        n_used=n,
-        tail_bound=tail_bound,
-        converged=tail_bound < math.inf,
-        displacement=disp,
-        joj_violations=violations,
-    )
+                       max_n=n, partial=KoenigsResult(zeta, disp, n, math.inf, False,
+                                                      int(violated)))
 
 
 def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
@@ -259,10 +241,7 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
         hv = h(w)
         if not abs(hv) <= envelope * (1.0 + 1e-9):  # a NaN h violates too
             if n > 1 and not cmath.isfinite(w):  # the map left the plane, not h
-                last, step = zeta, 1  # the same walk again, to its first non-finite point
-                while cmath.isfinite(nxt := last + beta + delta(last)):
-                    last, step = nxt, step + 1
-                raise DulaclinError(f"map step {step} from {last} is not finite: {nxt}")
+                raise _non_finite_step(f, zeta)
             raise DecayHypothesisViolated(
                 f"|h| = {abs(hv)} exceeds exp(-alpha Re) at {w}")
         acc += hv
@@ -281,6 +260,8 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
             if w1.real < prof.R:
                 raise DomainError(f"start point needs Re >= R = {prof.R}")
         if n > 1 and tail <= tol:
+            if not cmath.isfinite(w):  # at Re = +inf, h and its envelope are both 0
+                raise _non_finite_step(f, zeta)
             break
     else:
         raise NotConverged(f"homological tail {tail:.3e} above tol {tol:.3e}"
@@ -290,6 +271,14 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
     if not resid <= 10.0 * tol:  # a NaN residual fails too
         raise NotConverged(f"homological equation residual {resid} > 10*tol")
     return (psi, psi_next) if with_next else psi
+
+
+def _non_finite_step(f: AnalyticMap, zeta: complex) -> DulaclinError:
+    """The error naming the first step of zeta's orbit to a non-finite point."""
+    last, step = zeta, 1
+    while cmath.isfinite(nxt := f(last)):
+        last, step = nxt, step + 1
+    return DulaclinError(f"map step {step} from {last} is not finite: {nxt}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,14 @@ Numbers are decimal literals; rational constants are spelled with '/'.
 L1..L9 are iterated principal logarithms; written bare they apply to zeta,
 so `L1^-2` is shorthand for `L1(zeta)^-2`.  Parse failures carry the
 character offset; an expression nested or chained too deeply for the
-recursive parser or for split_affine's walk is a ParseError too.
+recursive parser or for delta_ast's walk is a ParseError too.
 
-compile_ast, the one compile route (a map's delta is an AST too, built by
-dynamics), turns an AST into one Python function, compiled once, that
-evaluates it operand by operand: left first, except that a divisor is
-evaluated and checked before its dividend.  Evaluation guards: division by
-zero, zero to a negative power and any log whose argument has nonpositive
-real part raise EvalDomainError.
+delta_ast returns the AST of a map's perturbation f - zeta - beta, and
+compile_ast, the one compile route, turns an AST into one Python function,
+compiled once, that evaluates it operand by operand: left first, except that
+a divisor is evaluated and checked before its dividend.  Evaluation guards:
+division by zero, zero to a negative power and any log whose argument has
+nonpositive real part raise EvalDomainError.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import re
 
 from .errors import EvalDomainError, ParseError
 
-__all__ = ["parse_expression", "compile_ast", "eval_ast", "contains_zeta", "split_affine"]
+__all__ = ["parse_expression", "compile_ast", "eval_ast", "contains_zeta", "delta_ast"]
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
@@ -54,14 +54,8 @@ def _tokenize(text: str):
                 break
             at = len(text) - len(stripped)
             raise ParseError(f"unexpected character {text[at]!r}", position=at)
-        start = m.start("num") if m.group("num") else (
-            m.start("name") if m.group("name") else m.start("op"))
-        if m.group("num"):
-            tokens.append(("num", m.group(0).strip(), start))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), start))
-        else:
-            tokens.append(("op", m.group("op"), start))
+        kind = m.lastgroup  # the match is blanks, then the token (a number's exponent too)
+        tokens.append((kind, m.group(0).strip(), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -286,24 +280,24 @@ def contains_zeta(node) -> bool:
     return any(contains_zeta(c) for c in node[1:] if isinstance(c, tuple))
 
 
-def split_affine(node, beta: complex):
-    """Split a top-level sum zeta + ... into (offset, other_terms).
+def delta_ast(node, beta: complex):
+    """(ast, exact): the AST of the perturbation f - zeta - beta of the
+    expression f, and whether it is exactly zero.
 
-    Used to evaluate the perturbation f - zeta - beta without catastrophic
-    cancellation: when the expression is a sum containing a bare `zeta` term,
-    the identity part is removed structurally and the declared beta is
-    subtracted from the (exactly evaluated) constant part, giving `offset`.
-    `other_terms` lists the remaining (sign, node) terms that depend on zeta.
-    Returns None when the expression has no such shape.  A sum or a term
-    nested too deeply to walk is a ParseError.
+    A top-level sum's bare `+zeta` term is removed structurally: its
+    zeta-free terms fold, evaluated in order, into one constant less beta,
+    and each other term is added to it or subtracted by its sign, so delta
+    has no catastrophic cancellation.  Any other f gives f - zeta - beta,
+    which is cancellation-limited.  A sum or a term nested too deeply to
+    walk is a ParseError.
     """
     try:
-        return _split_affine(node, beta)
+        return _delta_ast(node, beta)
     except RecursionError:
         raise ParseError("expression nested too deeply to split") from None
 
 
-def _split_affine(node, beta: complex):
+def _delta_ast(node, beta: complex):
     flat = []
 
     def walk(n, sign):
@@ -319,20 +313,19 @@ def _split_affine(node, beta: complex):
             flat.append((sign, n))
 
     walk(node, 1)
-    zeta_idx = None
-    for idx, (sign, n) in enumerate(flat):
-        if n == ("zeta",) and sign == 1:
-            zeta_idx = idx
-            break
-    if zeta_idx is None:
-        return None
-    rest = [sn for idx, sn in enumerate(flat) if idx != zeta_idx]
-    const = 0j
-    others = []
-    for sign, n in rest:
-        if contains_zeta(n):
-            others.append((sign, n))
+    has_zeta, consts, others = False, [], []
+    for sign, n in flat:
+        if n[0] == "zeta" and sign == 1 and not has_zeta:
+            has_zeta = True
         else:
-            const += sign * eval_ast(n, 0j)
+            (others if contains_zeta(n) else consts).append((sign, n))
+    if not has_zeta:
+        return ("sub", ("sub", node, ("zeta",)), ("num", beta)), False
+    const = 0j
+    for sign, n in consts:
+        const += sign * eval_ast(n, 0j)
     offset = const - beta
-    return offset, others
+    body = ("num", offset)
+    for sign, n in others:
+        body = ("add" if sign == 1 else "sub", body, n)
+    return body, not others and offset == 0

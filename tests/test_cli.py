@@ -129,6 +129,16 @@ def test_koenigs_exact_translation_columns(tmp_path):
         assert row[4] == "1" and row[5] == "0.0"      # n_used, tail_bound
 
 
+def test_koenigs_exact_translation_keeps_negative_zero(tmp_path):
+    out = tmp_path / "t.csv"
+    assert main(["koenigs", "--expr", "zeta + 1", "--beta", "1", "--eps", "1",
+                 "--k", "0", "--cut", "4", "--grid", "5:5:1,-0:-0:1",
+                 "--output", str(out)]) == 0
+    row = out.read_text().splitlines()[4].split(",")
+    # phi = zeta bit for bit: a displacement of 0j would turn -0.0 into 0.0
+    assert row[:4] == ["5.0", "-0.0", "5.0", "-0.0"]
+
+
 def test_koenigs_partial_row_when_only_the_image_fails(tmp_path, monkeypatch, capsys):
     import dulaclin.cli
     from dulaclin.domains import AsymptoticProfile
@@ -487,6 +497,18 @@ def test_solve_homological_non_finite_orbit_point_blames_the_map(tmp_path, capsy
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: map step 1 from (8+0j) is not finite: (nan+nanj)"]
+
+
+def test_solve_homological_orbit_point_at_infinity_blames_the_map(tmp_path, capsys):
+    # at Re = +inf, h = exp(-zeta) and the bound exp(-alpha Re) are both 0
+    out = tmp_path / "h.json"
+    code = main(["solve-homological", "--expr", "zeta + 1 + 1e300*1e300"]
+                + HOMOLOGICAL_ARGS[3:5] + ["--alpha", "1"] + HOMOLOGICAL_ARGS[5:]
+                + ["--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: map step 1 from (8+0j) is not finite: (inf+nanj)"]
+    assert not out.exists()
 
 
 def test_complex_flag_parsing():

@@ -17,6 +17,7 @@ from dulaclin.domains import (
     check_upper_map,
     exp_tower,
     find_invariant_cut,
+    in_safety_rect,
     iterated_log_real,
     kappa_inv,
     linear_map,
@@ -27,8 +28,8 @@ from dulaclin.domains import (
     power_map,
     quad_boundary_height,
     quad_boundary_map,
+    RECT_SLACK,
     region_from_json,
-    safety_rect,
 )
 from dulaclin.dynamics import AnalyticMap
 from dulaclin.errors import DomainError
@@ -301,22 +302,25 @@ class TestMapCheckPins:
 
 class TestSafetyRect:
     def test_explicit_rectangle(self):
+        # f(10) lands in [11 - m, 11 + m] x [-m, m], with m = M(10) = 0.01
         prof = AsymptoticProfile(1 + 0j, 1.0, 0, 5.0)
-        rect = safety_rect(10 + 0j, prof)
-        assert abs(rect.re_lo - (11 - 0.01)) < 1e-12
-        assert abs(rect.re_hi - (11 + 0.01)) < 1e-12
-        assert abs(rect.im_lo + 0.01) < 1e-12 and abs(rect.im_hi - 0.01) < 1e-12
+        m = prof.M(10.0)
+        assert abs(m - 0.01) < 1e-15
+        # each edge's midpoint, with the outward direction
+        for edge, out in [(11 - m, -1), (11 + m, 1), (11 - m * 1j, -1j), (11 + m * 1j, 1j)]:
+            assert in_safety_rect(10 + 0j, edge + 0.5 * RECT_SLACK * out, prof)
+            assert not in_safety_rect(10 + 0j, edge + 2 * RECT_SLACK * out, prof)
 
     def test_fixture_lands_inside(self):
         prof = AsymptoticProfile(1 + 0j, 1.0, 0, 5.0)
         z = 10 + 0j
         fz = z + 1 + cmath.exp(-z)
-        assert safety_rect(z, prof).contains(fz)
+        assert in_safety_rect(z, fz, prof)
 
     def test_below_cut_raises(self):
         prof = AsymptoticProfile(1 + 0j, 1.0, 0, 5.0)
         with pytest.raises(DomainError):
-            safety_rect(2 + 0j, prof)
+            in_safety_rect(2 + 0j, 3 + 0j, prof)
 
 
 class TestIteratedLog:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -282,7 +283,7 @@ def reference_koenigs(f, zeta, tol, max_n=200_000):
     if x0 < prof.R:
         raise DomainError(f"Koenigs start needs Re >= R = {prof.R}")
     if f.exact_translation:
-        return KoenigsResult(zeta, 1, 0.0, True, 0j, 0)
+        return KoenigsResult(zeta, -0j, 1, 0.0, True, 0)
     Mf, Mtail = prof.M, prof.M_tail
     rho = prof.rho_minus(x0)
     y = x0 + max_n * rho
@@ -290,7 +291,7 @@ def reference_koenigs(f, zeta, tol, max_n=200_000):
         raise NotConverged(f"Koenigs sequence not certified at {zeta}: the envelope needs"
                            f" more than {max_n} steps; tail bound {Mf(y) + Mtail(y) / rho:.3e}"
                            f" after {max_n} steps, tol {tol:.3e}",
-                           max_n=0, partial=KoenigsResult(zeta, 0, math.inf, False, 0j, 0))
+                           max_n=0, partial=KoenigsResult(zeta, 0j, 0, math.inf, False, 0))
     delta = f.delta
     w = zeta
     disp = 0j
@@ -319,13 +320,12 @@ def reference_koenigs(f, zeta, tol, max_n=200_000):
         if tail <= tol and step <= tol:
             converged = True
             break
-    value = zeta + disp
     result = KoenigsResult(
-        value=value,
+        zeta=zeta,
+        displacement=disp,
         n_used=n,
         tail_bound=tail if converged else math.inf,
         converged=converged,
-        displacement=disp,
         joj_violations=violations,
     )
     if not converged:
@@ -358,9 +358,9 @@ def reference_pair(f, zeta, tol, max_n):
     try:
         second = reference_koenigs(f, f(zeta), tol, max_n)
     except NotConverged as exc:
-        exc.partial = KoenigsResult(*fields(first), next=exc.partial)
+        exc.partial = replace(first, next=exc.partial)
         raise
-    return KoenigsResult(*fields(first), next=second)
+    return replace(first, next=second)
 
 
 def drift_between_envelopes(prof, x0):
@@ -446,6 +446,17 @@ class TestSharedOrbit:
         assert len(set(evaluated)) == len(evaluated)
 
 
+def reference_map_step(f, zeta, n):
+    """Raise the map-step error at the first non-finite one of the n orbit
+    points after zeta, if there is one."""
+    last = zeta
+    for step in range(1, n + 1):
+        w = last + f.profile.beta + f.delta(last)
+        if not cmath.isfinite(w):
+            raise DulaclinError(f"map step {step} from {last} is not finite: {w}")
+        last = w
+
+
 def reference_homological(f, h, alpha, zeta, tol):
     """One orbit sum as solve_homological_numeric made it before both sums
     shared a walk, without its verification run."""
@@ -462,12 +473,7 @@ def reference_homological(f, h, alpha, zeta, tol):
         hv = h(w)
         if not abs(hv) <= envelope * (1.0 + 1e-9):
             if n > 1 and not cmath.isfinite(w):
-                last = zeta
-                for step in range(1, n):
-                    w = last + beta + f.delta(last)
-                    if not cmath.isfinite(w):
-                        raise DulaclinError(f"map step {step} from {last} is not finite: {w}")
-                    last = w
+                reference_map_step(f, zeta, n - 1)
             raise DecayHypothesisViolated(
                 f"|h| = {abs(hv)} exceeds exp(-alpha Re) at {w}")
         acc += hv
@@ -475,6 +481,8 @@ def reference_homological(f, h, alpha, zeta, tol):
         envelope = math.exp(-alpha * w.real)
         tail = envelope / denom
         if tail <= tol:
+            if not cmath.isfinite(w):
+                reference_map_step(f, zeta, n)
             break
     else:
         raise NotConverged(f"homological tail {tail:.3e} above tol {tol:.3e} after {n} terms",
@@ -524,6 +532,9 @@ HOMOLOGICAL_CASES = {
                 [8 + 0j], 1e-10, 100_000),
     "late-nan-map": ("zeta + 1 + 0*(zeta*1e306*10)", PROF4, lambda z: cmath.exp(-z), 1.0,
                      [8 + 0j, 8.5 + 1j], 1e-10, 100_000),
+    # the map's first step lands at Re = +inf, where h and its envelope are both 0
+    "inf-map": ("zeta + 1 + 1e300*1e300", PROF4, lambda z: cmath.exp(-z), 1.0, [8 + 0j],
+                1e-10, 100_000),
     "guard": ("zeta + 1 + 1e-6*log(zeta - 10)", PROF4, lambda z: cmath.exp(-z), 1.0,
               [8 + 0j], 1e-10, 100_000),
     # the first sum ends after one term, the second hits a guard at f(zeta)

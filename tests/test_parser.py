@@ -6,7 +6,7 @@ import pytest
 from dulaclin.domains import AsymptoticProfile
 from dulaclin.dynamics import AnalyticMap
 from dulaclin.errors import EvalDomainError, ParseError
-from dulaclin.exprparse import compile_ast, eval_ast, parse_expression, split_affine
+from dulaclin.exprparse import _tokenize, compile_ast, delta_ast, eval_ast, parse_expression
 
 PROF = AsymptoticProfile(1 + 0j, 1.0, 0, 2.0)
 
@@ -51,6 +51,16 @@ class TestParsing:
             parse_expression("zeta^1.5")
         with pytest.raises(ParseError):
             parse_expression("zeta^zeta")
+
+    @pytest.mark.parametrize("text, tokens", [
+        ("12E+3*zeta - .5", [("num", "12E+3", 0), ("op", "*", 5), ("name", "zeta", 6),
+                             ("op", "-", 11), ("num", ".5", 13), ("end", "", 15)]),
+        ("  L1 ^ -2 ", [("name", "L1", 2), ("op", "^", 5), ("op", "-", 7), ("num", "2", 8),
+                        ("end", "", 10)]),
+    ])
+    def test_tokens(self, text, tokens):
+        # kind, text and offset; a number's exponent belongs to its token
+        assert _tokenize(text) == tokens
 
     def test_precedence(self):
         assert ev("2 + 3 * 4 ^ 2", 0j) == 50
@@ -106,20 +116,36 @@ class TestCompile:
             compile_ast(parse_expression("1/" * 300 + "zeta"))
 
 
+EXP = ("call", "exp", ("neg", ("zeta",)))   # exp(-zeta)
+
+
+def unit_products(node) -> list:
+    """The ("mul", ("num", +/-1), .) nodes of an AST."""
+    own = [node] if node[0] == "mul" and node[1] in (("num", 1 + 0j), ("num", -1 + 0j)) else []
+    return own + [m for c in node[1:] if isinstance(c, tuple) for m in unit_products(c)]
+
+
 class TestAffineSplit:
     def test_exact_translation_detected(self):
         f = AnalyticMap.from_expression("zeta + 1", PROF)
         assert f.exact_translation
         assert f.delta(13 + 2j) == 0j
+        assert delta_ast(parse_expression("zeta + 1"), 1.0 + 0j) == (("num", 0j), True)
 
     def test_offset_folds_constants(self):
         ast = parse_expression("zeta + 1 + exp(-zeta)")
-        offset, others = split_affine(ast, 1.0 + 0j)
-        assert offset == 0j and len(others) == 1
+        assert delta_ast(ast, 1.0 + 0j) == (("add", ("num", 0j), EXP), False)
+
+    def test_only_the_first_bare_zeta_is_removed(self):
+        ast = parse_expression("2*zeta - zeta + 1 + zeta + zeta")
+        assert delta_ast(ast, 1.0 + 0j) == (
+            ("add", ("sub", ("add", ("num", 0j), ("mul", ("num", 2 + 0j), ("zeta",))), ("zeta",)),
+             ("zeta",)), False)
 
     def test_no_split_without_top_level_zeta(self):
         ast = parse_expression("(zeta^2 + 1)/zeta")
-        assert split_affine(ast, 1.0) is None
+        assert delta_ast(ast, 1.0 + 0j) == (("sub", ("sub", ast, ("zeta",)), ("num", 1.0 + 0j)),
+                                            False)
 
     def test_fallback_map_still_evaluates(self):
         prof = AsymptoticProfile(0.5 + 0j, 1.0, 0, 3.0)
@@ -133,3 +159,22 @@ class TestAffineSplit:
         # beta declared as 1, expression constants sum to -1: offset = -2
         f = AnalyticMap.from_expression("zeta - 1 - exp(-zeta)", PROF)
         assert abs(f.delta(100 + 0j) + 2.0) < 1e-12
+        ast = parse_expression("zeta - 1 - exp(-zeta)")
+        assert delta_ast(ast, 1.0 + 0j) == (("sub", ("num", -2 + 0j), EXP), False)
+        ast = parse_expression("zeta - (zeta^-1 - 2) + exp(-zeta) - -zeta^-2")
+        assert delta_ast(ast, 1.0 + 0j) == (("add", ("add", ("sub", ("num", 1 + 0j),
+                                                              ("pow", ("zeta",), -1)),
+                                                       EXP), ("pow", ("zeta",), -2)), False)
+
+    @pytest.mark.parametrize("text", [
+        "zeta + 1 + exp(-zeta)",
+        "zeta - 1 - exp(-zeta)",
+        "zeta + 1 + 0.5*i + exp(-zeta) - (zeta^2/4 - 1)*exp(-2*zeta)",
+        "-(exp(-zeta) - zeta) + 1 - zeta^-1*L1^-2",
+        "(zeta^2 + 1)/zeta",
+    ])
+    def test_terms_keep_their_sign_without_a_unit_product(self, text):
+        ast = parse_expression(text)
+        assert unit_products(ast) == []
+        delta, _ = delta_ast(ast, 1.0 + 0j)
+        assert unit_products(delta) == []
