@@ -4,25 +4,26 @@ homological-equation sums, and decay-slope verification.
 Maps carry a split perturbation  f(zeta) = zeta + beta + delta(zeta)  so the
 small quantities that drive every estimate are evaluated without catastrophic
 cancellation; displacement sums then inherit the relative accuracy of delta.
-An AnalyticMap is that delta and its profile: one function, built once with
-the map (one compiled expression AST or a series evaluator with its exponents
-already floats), that every step calls directly.  The profile holds the rest:
-beta as a complex, and the envelope M and its tail integral M_tail.
+An AnalyticMap is that delta and its profile: one function, compiled once
+with the map (an expression's AST, or a series' straight-line evaluator from
+`series.evaluate_tail`), that every step calls directly.  The profile holds
+the rest: beta as a complex, and the envelope M and its tail integral M_tail.
 All certified bounds are floating-point quantities, conditional on the
 declared drift profile, and per-step checks validate that hypothesis along
 every computed orbit.
 
 One orbit serves two start points: `koenigs_limit(..., with_next=True)`
-certifies zeta and zeta + beta + delta(zeta) from one walk, and
-`solve_homological_numeric` sums from both with two accumulators.  The
+certifies zeta and zeta + beta + delta(zeta), and `solve_homological_numeric`
+sums from both, each in one loop over the orbit with two accumulators.  The
 Koenigs envelope is hoisted: per start, a bisection finds the last step
 count n_lo whose tail bound exceeds tol by ENVELOPE_MARGIN, and the envelope
 at step n_lo - 1, shrunk by that margin, is a floor under every earlier
-step's.  A step evaluates M only when |delta| is above the floor or it is
-past n_lo, and the tail bound only past n_lo.  The margin covers the
-rounding of pow and log, so only the exact envelope must be monotone, not
-its floating-point evaluation: every check and every value is the one that
-evaluating both at every step gives.
+step's.  A step takes |delta| once; it evaluates a start's M only when
+|delta| is above that start's floor or the step is past its n_lo, and the
+tail bound only past n_lo, so nearly every step only sums.  The margin
+covers the rounding of pow and log, so only the exact envelope must be
+monotone, not its floating-point evaluation: every check and every value is
+the one that evaluating both at every step gives.
 
 A KoenigsResult is one certified start: zeta and the displacement its walk
 summed (the limit value is their sum), the steps used, the tail bound,
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import bisect
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -93,7 +93,7 @@ class AnalyticMap:
     @staticmethod
     def from_series(series: ExpPolySeries, profile: AsymptoticProfile) -> "AnalyticMap":
         exact = series.block(0) == CPoly([profile.beta, 1.0]) and series.tail().is_zero
-        return AnalyticMap(_series_delta(series, profile.beta), profile, exact)
+        return AnalyticMap(evaluate_tail(series, profile.beta), profile, exact)
 
 
 @dataclass(frozen=True)
@@ -119,18 +119,6 @@ class SlopeFit:
     passed: Optional[bool]     # None without a bound
 
 
-def _orbit_deltas(f: AnalyticMap, zeta: complex):
-    """The steps delta(w_n) of the orbit w_{n+1} = w_n + beta + delta(w_n)
-    from w_0 = zeta, each evaluated when it is first asked for."""
-    beta = f.profile.beta
-    delta = f.delta
-    w = zeta
-    while True:
-        d = delta(w)
-        yield d
-        w = w + beta + d
-
-
 def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
                   max_n: int = 200_000, *, with_next: bool = False) -> KoenigsResult:
     """Limit of f^n - n*beta at zeta with a certified stopping rule.
@@ -148,66 +136,112 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
     NotConverged's partial result is zeta's, holding the next point's in
     `next` when only that one failed.
     """
-    deltas = _orbit_deltas(f, zeta)
-    if not with_next:
-        return _certify(f, zeta, deltas, tol, max_n)
-    deltas, shifted = itertools.tee(deltas)
-    result = _certify(f, zeta, deltas, tol, max_n)
-    w1 = zeta + f.profile.beta + next(shifted)
-    try:
-        return replace(result, next=_certify(f, w1, shifted, tol, max_n))
-    except NotConverged as exc:
-        exc.partial = replace(result, next=exc.partial)
-        raise
-
-
-def _certify(f: AnalyticMap, zeta: complex, deltas, tol: float, max_n: int) -> KoenigsResult:
-    """The Koenigs limit at zeta from `deltas`, the steps of its orbit."""
     prof = f.profile
-    x0 = zeta.real
-    if x0 < prof.R:
-        raise DomainError(f"Koenigs start needs Re >= R = {prof.R}")
     if f.exact_translation:  # -0j is the additive identity, signed zeros included
-        return KoenigsResult(zeta, -0j, 1, 0.0, True, 0)
-    rho = prof.rho_minus(x0)
-
-    def tail_at(n):
-        y = x0 + n * rho
-        return prof.M(y) + prof.M_tail(y) / rho
-
-    # the last step count n_lo whose tail bound provably exceeds tol
-    n_lo = bisect.bisect(range(1, max_n + 1), False,
-                         key=lambda n: tail_at(n) <= tol * (1.0 + ENVELOPE_MARGIN))
-    if n_lo == max_n:  # then tail_at(max_n) > tol: no step count within max_n certifies
-        raise NotConverged(f"Koenigs sequence not certified at {zeta}: the envelope needs"
-                           f" more than {max_n} steps; tail bound {tail_at(max_n):.3e} after"
-                           f" {max_n} steps, tol {tol:.3e}",
-                           max_n=0, partial=KoenigsResult(zeta, 0j, 0, math.inf, False, 0))
-    # at most the drift check's threshold M(x0 + n*rho) * (1 + 1e-9) at every n < n_lo
-    floor = (prof.M(x0 + (n_lo - 1) * rho) * (1.0 - ENVELOPE_MARGIN) * (1.0 + 1e-9)
-             if n_lo else -1.0)
-    disp = 0j
-    violated = False
-    n = 0
-    for d in itertools.islice(deltas, max_n):
+        _check_start(prof, zeta)
+        result = KoenigsResult(zeta, -0j, 1, 0.0, True, 0)
+        return replace(result, next=koenigs_limit(f, f(zeta), tol, max_n)) if with_next else result
+    first = _Certificate(prof, zeta, 0, tol, max_n)
+    second = result = result_next = None
+    beta, delta = prof.beta, f.delta
+    w, disp, disp_next = zeta, 0j, 0j
+    # a step takes the full path when it is above a walking start's floor or
+    # past its n_lo; the first one always does, to set up the next point
+    floor, lo = first.floor, 0
+    for j in range(max_n + 1):  # each start ends within its budget, so the loop ends by break
+        d = delta(w)
         step = abs(d)
-        if not step <= floor or n >= n_lo:  # a NaN step is checked, and violates
-            bound = prof.M(x0 + n * rho)    # the drift envelope of this step
-            violated = not step <= bound * (1.0 + 1e-9)
         disp += d
+        disp_next += d
+        if not step <= floor or j >= lo:  # a NaN step is checked too
+            if result is None:
+                result = first.advance(j, step, disp)
+                if isinstance(result, NotConverged):
+                    raise result  # zeta's error comes first
+            if j == 0 and with_next:
+                disp_next = 0j  # the next point's sum starts at its own first step
+                try:
+                    second = _Certificate(prof, w + beta + d, 1, tol, max_n)
+                except (DomainError, NotConverged) as exc:
+                    result_next = exc
+            elif second is not None and result_next is None:
+                result_next = second.advance(j, step, disp_next)
+            walking = [c for c, r in ((first, result), (second, result_next))
+                       if c is not None and r is None]
+            if not walking:
+                break
+            floor = min(c.floor for c in walking)
+            lo = min(c.start + c.n_lo for c in walking)
+        w = w + beta + d
+    if not with_next:
+        return result
+    if isinstance(result_next, NotConverged):
+        result_next.partial = replace(result, next=result_next.partial)
+    if isinstance(result_next, Exception):
+        raise result_next
+    return replace(result, next=result_next)
+
+
+def _check_start(prof: AsymptoticProfile, zeta: complex):
+    if zeta.real < prof.R:
+        raise DomainError(f"Koenigs start needs Re >= R = {prof.R}")
+
+
+class _Certificate:
+    """The stopping rule of one Koenigs start, whose first step is the
+    orbit's step `start`: its drift envelope and tail bound, the last step
+    count n_lo whose tail bound provably exceeds tol, and `floor`, at most
+    the drift check's threshold at every step before n_lo."""
+
+    __slots__ = ("prof", "zeta", "start", "tol", "budget", "x0", "rho", "n_lo", "floor")
+
+    def __init__(self, prof: AsymptoticProfile, zeta: complex, start: int, tol: float,
+                 max_n: int):
+        _check_start(prof, zeta)
+        self.prof, self.zeta, self.start, self.tol, self.budget = prof, zeta, start, tol, max_n
+        self.x0 = zeta.real
+        self.rho = prof.rho_minus(self.x0)
+        # the last step count n_lo whose tail bound provably exceeds tol
+        self.n_lo = n_lo = bisect.bisect(
+            range(1, max_n + 1), False,
+            key=lambda n: self.tail_at(n) <= tol * (1.0 + ENVELOPE_MARGIN))
+        if n_lo == max_n:  # then tail_at(max_n) > tol: no step count within max_n certifies
+            raise NotConverged(f"Koenigs sequence not certified at {zeta}: the envelope needs"
+                               f" more than {max_n} steps; tail bound {self.tail_at(max_n):.3e}"
+                               f" after {max_n} steps, tol {tol:.3e}",
+                               max_n=0, partial=KoenigsResult(zeta, 0j, 0, math.inf, False, 0))
+        # M(x0 + n*rho) * (1 + 1e-9) at every n < n_lo is at least this
+        self.floor = (prof.M(self.x0 + (n_lo - 1) * self.rho) * (1.0 - ENVELOPE_MARGIN)
+                      * (1.0 + 1e-9) if n_lo else -1.0)
+
+    def tail_at(self, n: int) -> float:
+        y = self.x0 + n * self.rho
+        return self.prof.M(y) + self.prof.M_tail(y) / self.rho
+
+    def advance(self, j: int, step: float, disp: complex):
+        """The outcome of the orbit's step j, of size `step`, that brings this
+        start's sum to `disp`: None to walk on, the KoenigsResult once it is
+        certified, or the NotConverged that ends it uncertified."""
+        n = j - self.start
+        violated = False
+        if not step <= self.floor or n >= self.n_lo:  # a NaN step is checked, and violates
+            bound = self.prof.M(self.x0 + n * self.rho)  # the drift envelope of this step
+            violated = not step <= bound * (1.0 + 1e-9)
         n += 1
         if violated:  # the certificate is void from this step on
-            break
-        if n > n_lo and step <= tol:
-            tail = tail_at(n)
-            if tail <= tol:
-                return KoenigsResult(zeta, disp, n, tail, True, 0)
-    reason = (f"per-step drift bound violated, first at step {n}: |delta| = {step:.3e}"
-              f" > M = {bound:.3e}" if violated else "budget exhausted")
-    raise NotConverged(f"Koenigs sequence not certified at {zeta}: {reason}; after {n}"
-                       f" steps tail bound {tail_at(n):.3e}, step {step:.3e}, tol {tol:.3e}",
-                       max_n=n, partial=KoenigsResult(zeta, disp, n, math.inf, False,
-                                                      int(violated)))
+            reason = (f"per-step drift bound violated, first at step {n}: |delta| = {step:.3e}"
+                      f" > M = {bound:.3e}")
+        elif n > self.n_lo and step <= self.tol and (tail := self.tail_at(n)) <= self.tol:
+            return KoenigsResult(self.zeta, disp, n, tail, True, 0)
+        elif n < self.budget:
+            return None
+        else:
+            reason = "budget exhausted"
+        return NotConverged(f"Koenigs sequence not certified at {self.zeta}: {reason}; after {n}"
+                            f" steps tail bound {self.tail_at(n):.3e}, step {step:.3e},"
+                            f" tol {self.tol:.3e}", max_n=n,
+                            partial=KoenigsResult(self.zeta, disp, n, math.inf, False,
+                                                  int(violated)))
 
 
 def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
@@ -284,16 +318,6 @@ def _non_finite_step(f: AnalyticMap, zeta: complex) -> DulaclinError:
 # ---------------------------------------------------------------------------
 # slope fits
 
-def _series_delta(series: ExpPolySeries, beta: complex) -> Callable:
-    """z -> series(z) - z - beta, the head differenced on its coefficients."""
-    rest = series.block(0) - CPoly([beta, 1.0])
-    tail = tuple((-float(m), b) for m, b in series.terms if m > 0)
-
-    def delta(z):
-        return rest(z) + evaluate_tail(tail, z)
-    return delta
-
-
 def _fit(grid, residuals, bound, slack):
     """Least-squares slope of log|r| against Re zeta over the points whose
     residual is not below the double-precision noise floor."""
@@ -322,7 +346,7 @@ def decay_slope(displacements: Sequence[complex], phi_n: ExpPolySeries,
     res = [z.real for z in grid]
     if max(res) - min(res) < 15.0:
         raise InsufficientData("grid must span at least 15 units of Re")
-    phi_delta = _series_delta(phi_n, 0.0)
+    phi_delta = evaluate_tail(phi_n, 0.0)
     residuals = [d - phi_delta(z) for d, z in zip(displacements, grid, strict=True)]
     bound = None if exponent is None else -float(exponent)
     return _fit(grid, residuals, bound, DECAY_SLACK)

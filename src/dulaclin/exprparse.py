@@ -285,9 +285,10 @@ def delta_ast(node, beta: complex):
     expression f, and whether it is exactly zero.
 
     A top-level sum's bare `+zeta` term is removed structurally: its
-    zeta-free terms fold, evaluated in order, into one constant less beta,
-    and each other term is added to it or subtracted by its sign, so delta
-    has no catastrophic cancellation.  Any other f gives f - zeta - beta,
+    zeta-free terms fold, evaluated in order and each added to -0j or
+    subtracted by its sign, into one constant less beta, so an infinite or
+    signed-zero constant keeps its value; each other term is added to it or
+    subtracted by its sign, so delta has no catastrophic cancellation.  Any other f gives f - zeta - beta,
     which is cancellation-limited.  A sum or a term nested too deeply to
     walk is a ParseError.
     """
@@ -321,9 +322,10 @@ def _delta_ast(node, beta: complex):
             (others if contains_zeta(n) else consts).append((sign, n))
     if not has_zeta:
         return ("sub", ("sub", node, ("zeta",)), ("num", beta)), False
-    const = 0j
+    const = -0j  # the additive identity, signed zeros included
     for sign, n in consts:
-        const += sign * eval_ast(n, 0j)
+        value = eval_ast(n, 0j)
+        const = const + value if sign == 1 else const - value
     offset = const - beta
     body = ("num", offset)
     for sign, n in others:

@@ -20,6 +20,8 @@ complex; only exact zeros are ever stripped.  Approximate checks read named
 module constants: `HEAD_TOL` here, `SOLVER_TOL` and `BACKSUB_TOL` in
 `linearize`.  A series' powers `v, v^2, ...` are built once per series value
 (`powers`) and shared by `compose`, the chart conversions and the operator S.
+A series is evaluated as a map's perturbation only: `evaluate_tail` compiles
+z -> a(z) - z - beta into one straight-line function, once per series.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     ExponentNotInSemigroup,
@@ -197,12 +199,6 @@ class CPoly:
 
     def deriv(self) -> "CPoly":
         return CPoly([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs), default=0.0)
@@ -545,16 +541,44 @@ def from_z_chart(a: ExpPolySeries, beta: complex | None = None) -> ExpPolySeries
 # ---------------------------------------------------------------------------
 # evaluation
 
-def evaluate_tail(pairs, zeta: complex) -> complex:
-    """Sum of the exponential terms only; accurate for small values.
+def evaluate_tail(a: ExpPolySeries, beta: complex) -> Callable:
+    """The function z -> a(z) - z - beta, what a series map adds to the
+    translation z + beta, compiled once as straight-line Python.
 
-    `pairs` are a series' terms of exponent m > 0, given as (-float(m), block)
-    so that a caller evaluating one series many times converts them once.
+    The head block is differenced on its coefficients, so what is evaluated
+    is the remainder B_0 - zeta - beta and the terms exp(-m*z) * B_m of
+    exponent m > 0: accurate for small values.  Each Horner step is one
+    assignment, acc*z + c from acc = 0j, and each term one more, t +
+    exp(-m*z) * p from t = 0j, with -m a float; the sum is head + tail.  The
+    coefficients and exponents are bound by name, so every value is exact,
+    signed zeros included, and no block's degree or series' length nests
+    the source.
     """
-    acc = 0j
-    for mu, b in pairs:
-        acc += cmath.exp(mu * zeta) * b(zeta)
-    return acc
+    names = {"__builtins__": {}, "_exp": cmath.exp}
+    lines = ["def delta(z):"]
+
+    def bind(value) -> str:
+        name = f"_c{len(names)}"
+        names[name] = value
+        return name
+
+    def horner(var: str, block: CPoly) -> str:
+        acc = "0j"
+        for c in reversed(block.coeffs):
+            lines.append(f"    {var} = {acc} * z + {bind(c)}")
+            acc = var
+        return acc
+
+    head = horner("h", a._block(0) - CPoly([beta, 1.0]))
+    tail = "0j"
+    for m, b in a.terms:
+        if m > 0:
+            p = horner("p", b)
+            lines.append(f"    t = {tail} + _exp({bind(-float(m))} * z) * {p}")
+            tail = "t"
+    lines.append(f"    return {head} + {tail}")
+    exec(compile("\n".join(lines), "<series>", "exec"), names)  # the source holds no input text
+    return names["delta"]
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,43 @@ def random_hyperbolic_series(rng: random.Random, real: bool = False) -> ExpPolyS
     return ExpPolySeries(N, gens, terms)
 
 
+def horner(block: CPoly, x: complex) -> complex:
+    """The value of a block at x, from acc = 0j: the polynomial evaluator
+    `CPoly.__call__` was before series maps were compiled."""
+    acc = 0j
+    for c in reversed(block.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def interpreted_tail(pairs, zeta: complex) -> complex:
+    """The loop `series.evaluate_tail` was before it compiled its series:
+    the sum of exp(mu*zeta) * B(zeta) over `pairs` (-float(m), block)."""
+    acc = 0j
+    for mu, b in pairs:
+        acc += cmath.exp(mu * zeta) * horner(b, zeta)
+    return acc
+
+
+def interpreted_series_delta(series: ExpPolySeries, beta: complex):
+    """z -> series(z) - z - beta as a series map stepped it before it was
+    compiled: the head differenced on its coefficients, then the tail; the
+    bit-for-bit reference of `series.evaluate_tail`."""
+    rest = series.block(0) - CPoly([beta, 1.0])
+    tail = tuple((-float(m), b) for m, b in series.terms if m > 0)
+
+    def delta(z):
+        return horner(rest, z) + interpreted_tail(tail, z)
+    return delta
+
+
 def evaluate(a: ExpPolySeries, zeta: complex) -> complex:
     acc = 0j
     for k, b in a.items:
         if k == 0:
-            acc += b(zeta)
+            acc += horner(b, zeta)
         else:
-            acc += cmath.exp(-(k / a.L) * zeta) * b(zeta)
+            acc += cmath.exp(-(k / a.L) * zeta) * horner(b, zeta)
     return acc
 
 

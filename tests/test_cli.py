@@ -507,7 +507,7 @@ def test_solve_homological_orbit_point_at_infinity_blames_the_map(tmp_path, caps
                 + ["--output", str(out)])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error: map step 1 from (8+0j) is not finite: (inf+nanj)"]
+        "error: map step 1 from (8+0j) is not finite: (inf+0j)"]
     assert not out.exists()
 
 

@@ -15,7 +15,6 @@ from dulaclin.dynamics import (
     AnalyticMap,
     SlopeFit,
     _fit,
-    _series_delta,
     decay_slope,
     koenigs_limit,
     parse_grid,
@@ -31,7 +30,7 @@ from dulaclin.errors import (
 )
 from dulaclin.exprparse import compile_ast, parse_expression
 from dulaclin.linearize import linearize_level_by_level, partial_sums
-from dulaclin.series import ExpPolySeries
+from dulaclin.series import ExpPolySeries, evaluate_tail
 
 PROF = AsymptoticProfile(1 + 0j, 2.5, 0, 8.0)
 FIXTURE = "zeta + 1 + exp(-zeta)"
@@ -373,6 +372,13 @@ def drift_between_envelopes(prof, x0):
     return AnalyticMap(delta, prof)
 
 
+def series_map_off_head(remainder):
+    """A series map at beta = 1 + 0.5i whose head block is zeta + beta + remainder."""
+    beta = 1 + 0.5j
+    series = ExpPolySeries(2, [1], {0: [beta + remainder, 1.0], 1: [1.0, 0.25j], 2: [-0.5j]})
+    return AnalyticMap.from_series(series, AsymptoticProfile(beta, 2.5, 0, 8.0))
+
+
 SMALL_RHO = AsymptoticProfile(1 + 0j, 1.0, 0, 1.05)   # rho_minus(R) = 0.093
 K1 = AsymptoticProfile(1 + 0j, 6.0, 1, 8.0)
 EQUIVALENCE_CASES = {
@@ -402,6 +408,11 @@ EQUIVALENCE_CASES = {
         "zeta + 1", AsymptoticProfile(1 + 0j, 1.0, 0, 2.0)), [2 + 0j, 5 + 1j], 1e-12, 200_000),
     "start-below-cut": (BENCH_MAPS["germ"], [7.5 + 0j], 1e-9, 200_000),
     "only-image-fails": (lambda: drift_between_envelopes(PROF, 8.0), [8 + 0j], 1e-9, 200_000),
+    # series maps whose head block is off zeta + beta by a constant, at a complex beta
+    "series-remainder": (lambda: series_map_off_head(1e-13), [8 + 0j, 9 + 2j, 14.5 - 1.5j],
+                         1e-9, 200_000),
+    "series-remainder-violation": (lambda: series_map_off_head(1e-6 + 1e-6j),
+                                   [9 + 2j, 14.5 - 1.5j], 1e-9, 200_000),
 }
 
 
@@ -443,6 +454,15 @@ class TestSharedOrbit:
         f.delta = lambda w: evaluated.append(w) or delta(w)
         res = koenigs_limit(f, 9 + 2j, 1e-9, with_next=True)
         assert len(evaluated) == max(res.n_used, res.next.n_used + 1)
+        assert len(set(evaluated)) == len(evaluated)
+
+    def test_one_walk_single_start(self):
+        evaluated = []
+        f = BENCH_MAPS["half"]()
+        delta = f.delta
+        f.delta = lambda w: evaluated.append(w) or delta(w)
+        res = koenigs_limit(f, 9 + 2j, 1e-9)
+        assert len(evaluated) == res.n_used
         assert len(set(evaluated)) == len(evaluated)
 
 
@@ -629,7 +649,7 @@ def expansion_residual_check(f: AnalyticMap, series: ExpPolySeries, nu: float,
     decays at least like exp(-nu Re).  Points below the double-precision
     noise floor are excluded, and so are points where the map hits a guard.
     """
-    series_delta = _series_delta(series, f.profile.beta)
+    series_delta = evaluate_tail(series, f.profile.beta)
     points, residuals = [], []
     for z in grid:
         try:

@@ -5,7 +5,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import check_real_preservation, evaluate, random_hyperbolic_series, semigroup_points
+from conftest import (
+    check_real_preservation,
+    evaluate,
+    horner,
+    random_hyperbolic_series,
+    semigroup_points,
+)
 from dulaclin.errors import (
     NotHyperbolic,
     NotNormalized,
@@ -75,7 +81,7 @@ class TestDifferenceEq:
         assert max(abs(a - b) for a, b in zip(Q.coeffs, [2 + 0j, 2 + 0j])) < 1e-14
         xs = [0.3, -1.2, 5.0]
         for x in xs:
-            assert abs(Q(x) - 0.5 * Q(x + 1.0) - x) < 1e-12
+            assert abs(horner(Q, x) - 0.5 * horner(Q, x + 1.0) - x) < 1e-12
 
     def test_resonant_coefficient(self):
         with pytest.raises(ResonantCoefficient):

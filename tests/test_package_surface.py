@@ -14,12 +14,19 @@ read when an `ast.Attribute` in `src/` loads its name.  The match is by
 attribute name alone, whatever the object, so a field escapes when another
 object's attribute shares its name: a report's `seed` field was once taken
 as read because the CLI reads `args.seed`.
+
+The benchmark's tracer, `perfbench/tracer.py`, wraps package functions by
+module and attribute name; every name it lists must resolve, or the traced
+benchmark stops with an `AttributeError`.  The list is read from the file's
+syntax tree, so the file is neither edited nor imported.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dulaclin"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dulaclin"
 
 # dispatched by name or called by the standard library, not spelled in src/
 EXEMPT = {"main", "_Parser.error"}
@@ -161,3 +168,24 @@ def test_a_write_only_field_is_flagged(tmp_path):
         "def use(r, s, p):\n    return r.kept + s.used + p.read\n")
     assert unread_fields(tmp_path) == ["a.Plain.count", "a.Plain.written",
                                        "a.Record.dropped", "a.Slotted.unused"]
+
+
+def trace_targets(tracer: Path = ROOT / "perfbench" / "tracer.py") -> list:
+    """The (span name, module, attribute) entries of the tracer's TARGETS list."""
+    for node in ast.parse(tracer.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TARGETS list in {tracer}")
+
+
+def test_every_trace_target_resolves():
+    targets = trace_targets()
+    assert targets
+    for _, module, attr in targets:
+        owner = importlib.import_module(f"dulaclin.{module}")
+        if "." in attr:  # a method, wrapped where its class defines it
+            cls_name, attr = attr.split(".")
+            assert callable(vars(getattr(owner, cls_name)).get(attr)), (module, cls_name, attr)
+        else:
+            assert callable(getattr(owner, attr, None)), (module, attr)

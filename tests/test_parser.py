@@ -136,6 +136,19 @@ class TestAffineSplit:
         ast = parse_expression("zeta + 1 + exp(-zeta)")
         assert delta_ast(ast, 1.0 + 0j) == (("add", ("num", 0j), EXP), False)
 
+    @pytest.mark.parametrize("text, offset", [("zeta + 1 + 1e300*1e300", "(inf+0j)"),
+                                              ("zeta + 1 - 1e300*1e300", "(-inf+0j)")])
+    def test_infinite_constant_folds_without_nan(self, text, offset):
+        # an int sign times inf+0j is inf+nanj: the constant is added or subtracted
+        (kind, value), exact = delta_ast(parse_expression(text), 1.0 + 0j)
+        assert (kind, repr(value), exact) == ("num", offset, False)
+
+    def test_constant_keeps_a_negative_zero(self):
+        # 1*complex(2.0, -0.0) and 0j + complex(2.0, -0.0) both drop the zero's sign
+        node = ("add", ("zeta",), ("num", complex(2.0, -0.0)))
+        (kind, value), exact = delta_ast(node, 1.0 + 0j)
+        assert (kind, repr(value), exact) == ("num", "(1-0j)", False)
+
     def test_only_the_first_bare_zeta_is_removed(self):
         ast = parse_expression("2*zeta - zeta + 1 + zeta + zeta")
         assert delta_ast(ast, 1.0 + 0j) == (

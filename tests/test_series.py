@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import evaluate, max_imag_coeff, semigroup_points
+from conftest import evaluate, interpreted_series_delta, max_imag_coeff, semigroup_points
 from dulaclin.errors import ExponentNotInSemigroup, NonUnitSlope, NotNormalized, ParseError
 from dulaclin.linearize import SchroederOperators, linearize_level_by_level, picard_linearize
 from dulaclin.series import (
@@ -21,6 +21,7 @@ from dulaclin.series import (
     conjugacy_residual,
     derivative,
     effective_order,
+    evaluate_tail,
     from_z_chart,
     max_rel_coeff_diff,
     mul,
@@ -507,3 +508,54 @@ def test_evaluate_matches_direct_formula():
     z = 1.3 + 0.4j
     direct = z + 1.0 + cmath.exp(-z) * (2.0 + z)
     assert abs(evaluate(f, z) - direct) < 1e-14
+
+
+def _value_or_error(delta, z):
+    """delta(z) as the repr of each part, so signed zeros count, or the error it raised."""
+    try:
+        w = delta(z)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+    return repr(w.real), repr(w.imag)
+
+
+_RNG = random.Random(15)
+NEG0 = complex(-0.0, -0.0)
+EVALUATOR_CASES = {
+    # the head block is zeta + beta exactly: the remainder is zero
+    "zero-remainder": (S(2, [F(1, 2)], {0: [1.0, 1.0], F(1, 2): [0.5], 1: [1.0, -2.0],
+                                       F(3, 2): [0.5, 0.1, 0.25j], 2: [1, 2j, -3, 0.5 - 1j]}),
+                       1.0 + 0j),
+    "remainder-complex-beta": (S(2, [1], {0: [1 + 0.75j, 1.0, 1e-3], 1: [2.0 - 1j, 1.0]}),
+                               1 + 0.5j),
+    "no-head-block": (S(3, [1], {1: [1.0], 3: [0.0, 0.0, 2.5]}), 0.0),
+    "negative-zeros": (S(2, [1], {0: [complex(1.0, -0.0), 1.0], 1: [NEG0, complex(1.5, -0.0)],
+                                  2: [complex(-0.0, 2.0), NEG0, -1.0]}), complex(1.0, -0.0)),
+    # a -0.0 in the head remainder and in the tail at a point with Re < 0, Im = -0.0
+    "negative-zero-parts": (S(1, [1], {0: [complex(1.5, -0.0), 1.0], 1: [complex(-2.0, -0.0)]}),
+                            1.0 + 0j),
+    "degree-0": (S(1, [F(1, 2)], {0: [1.0, 1.0], F(1, 2): [0.5 - 0.25j], 1: [2.0]}), 1.0 + 0j),
+    "degree-300": (S(1, [1], {0: [1.0, 1.0],
+                              1: [complex(_RNG.uniform(-1, 1), _RNG.uniform(-1, 1)) / (k + 1)
+                                  for k in range(301)]}), 1.0 + 0j),
+    "3000-terms": (S(1, [F(1, 3000)], {0: [1 + 0.5j, 1.0], **{
+        F(k, 3000): [complex(_RNG.uniform(-1, 1), _RNG.uniform(-1, 1))] * (1 + k % 3)
+        for k in range(1, 3001)}}), 1 + 0.5j),
+}
+EVALUATOR_POINTS = [9 + 0j, complex(9.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
+                    complex(-1.0, -0.0), 12.5 + 3j, 2 - 7.25j, complex(1e-3, -0.0),
+                    complex(-40.0, 1e-300),
+                    complex(-720.0, 0.5), complex(math.inf, 0.0), complex(8.0, math.nan)]
+
+
+class TestCompiledEvaluator:
+    """evaluate_tail's compiled function against the interpreter series maps
+    were stepped by before, part for part and bit for bit."""
+
+    @pytest.mark.parametrize("case", list(EVALUATOR_CASES))
+    def test_bit_for_bit(self, case):
+        series, beta = EVALUATOR_CASES[case]
+        compiled, reference = evaluate_tail(series, beta), interpreted_series_delta(series, beta)
+        for z in EVALUATOR_POINTS:
+            assert _value_or_error(compiled, z) == _value_or_error(reference, z), z
+
