@@ -288,9 +288,6 @@ class QuadRegion:
         _, inside = kappa_inv(zeta, self.C)
         return inside
 
-    def with_cut(self, R: float) -> "QuadRegion":
-        return QuadRegion(self.C, max(self.R_cut, R))
-
     @property
     def cut(self) -> float:
         return self.R_cut
@@ -319,9 +316,6 @@ class BandRegion:
             return False
         return self.hl(x) < zeta.imag < self.hu(x)
 
-    def with_cut(self, R: float) -> "BandRegion":
-        return BandRegion(max(self.t, R), self.hl, self.hu)
-
     @property
     def cut(self) -> float:
         return self.t
@@ -343,15 +337,12 @@ class UnionRegion:
     def contains(self, zeta: complex) -> bool:
         return any(p.contains(zeta) for p in self.parts)
 
-    def with_cut(self, R: float) -> "UnionRegion":
-        return UnionRegion(tuple(p.with_cut(R) for p in self.parts))
-
     @property
     def cut(self) -> float:
         return min(p.cut for p in self.parts)
 
 
-# contains(zeta), with_cut(R) and cut; a union's parts also have im_bounds(x)
+# contains(zeta) and cut; a union's parts also have im_bounds(x)
 Region = QuadRegion | BandRegion | UnionRegion
 
 
@@ -501,7 +492,6 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
     `.profile` matching the supplied profile; f(zeta) is zeta + beta + delta.
     """
     R = max(profile.R, region.cut)
-    cut_region = region.with_cut(R)
     if isinstance(region, QuadRegion) and R <= region.C:
         raise DomainError("cut must exceed the quadratic-domain constant C")
     rng = np.random.default_rng(seed)
@@ -518,7 +508,7 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
         lo, hi = live[j % len(live)].im_bounds(x)
         y = lo + (hi - lo) * u2
         zeta = complex(x, y)
-        if not cut_region.contains(zeta):
+        if not region.contains(zeta):  # x >= R: the cut holds
             # boundary-exact draws; resample toward the centerline
             y = 0.5 * (lo + hi)
             zeta = complex(x, y)
@@ -526,7 +516,7 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
         w = zeta + f.profile.beta + d
         margin = _eq_new_bound(zeta, profile.epsilon, profile.k) - abs(d)
         rect_ok = in_safety_rect(zeta, w, profile)
-        region_ok = cut_region.contains(w)
+        region_ok = w.real >= R and region.contains(w)
         worst = min(worst, margin)
         nb += margin < 0
         nr += not rect_ok

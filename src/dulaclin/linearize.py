@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb, factorial
 
 from .errors import (
@@ -224,18 +224,15 @@ class SchroederOperators:
         return h._raw({k: _level_solve(b, (k - L) / L, self.beta) for k, b in h.items})
 
 
-def picard_linearize(
-    f1: ExpPolySeries,
-    beta: complex | None = None,
-    gens_out=None,
-) -> LinearizationResult:
+def picard_linearize(f1: ExpPolySeries, beta: complex | None = None) -> LinearizationResult:
     """z-chart route: iterate psi <- T^-1(S(psi)) from 0 until stationary.
 
     The order of psi_{n+1} - psi_n increases strictly through the semigroup,
     so stationarity at the truncation order is guaranteed; the budget is a
     bug guard, not a convergence knob.  The fixed point gives phi1 = z + psi
-    with phi1 o f1 = lambda*phi1; converting back to the zeta-chart yields
-    the parabolic linearization, verified there against f.
+    with phi1 o f1 = lambda*phi1; `from_z_chart` takes it back to the
+    parabolic linearization, verified on f1's own lattice against
+    f = from_z_chart(f1, beta).
     """
     ops = SchroederOperators(f1, beta)
     n_levels = sum(1 for k in lattice_points(f1.g, f1.n) if k > f1.L)
@@ -253,12 +250,7 @@ def picard_linearize(
         raise IterationBudgetExceeded(f"Picard iteration not stationary after {budget} steps")
     phi1 = add(psi, f1._raw({f1.L: CPoly([1.0])}))
     phi = from_z_chart(phi1)  # parabolic head: multiplier 1, beta 0
-    if gens_out is not None:
-        phi = phi.with_gens(gens_out)
-    f_zeta = from_z_chart(f1, beta=ops.beta)
-    if gens_out is not None:
-        f_zeta = f_zeta.with_gens(gens_out)
-    r = conjugacy_residual(phi, f_zeta, ops.beta)
+    r = conjugacy_residual(phi, from_z_chart(f1, beta=ops.beta), ops.beta)
     res_ord = effective_order(r, SOLVER_TOL * max(scale, phi.max_abs_coeff()) * 100)
     return LinearizationResult(
         phi=phi,
@@ -269,10 +261,11 @@ def picard_linearize(
 
 
 def linearize_by_picard(f: ExpPolySeries) -> LinearizationResult:
-    """Convenience pipeline: zeta-chart f -> z-chart -> Picard -> zeta-chart."""
+    """Convenience pipeline: zeta-chart f -> z-chart -> Picard -> zeta-chart,
+    with phi recast to the generators of f."""
     beta = _hyperbolic_beta(f)
-    f1 = to_z_chart(f)
-    return picard_linearize(f1, beta=beta, gens_out=f.gens)
+    res = picard_linearize(to_z_chart(f), beta=beta)
+    return replace(res, phi=res.phi.with_gens(f.gens))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,18 @@ def random_hyperbolic_series(rng: random.Random, real: bool = False) -> ExpPolyS
     return ExpPolySeries(N, gens, terms)
 
 
+def deep_series(order=8) -> ExpPolySeries:
+    """The benchmark's deep series (seed 8): generators 1/2, 2/3, order 8,
+    degree-3 blocks on the four lowest levels; truncated at `order`."""
+    rng = random.Random(8)
+    gens = (F(1, 2), F(2, 3))
+    terms = {F(0): [complex(1.0, 0.3 * (2 * rng.random() - 1)), 1.0]}
+    for mu in sorted(p for p in semigroup_points(gens, 8) if p > 0)[:4]:
+        terms[mu] = [complex(0.5 * rng.uniform(-1, 1), 0.5 * rng.uniform(-1, 1))
+                     for _ in range(4)]
+    return ExpPolySeries(8, gens, terms).with_trunc(order)
+
+
 def horner(block: CPoly, x: complex) -> complex:
     """The value of a block at x, from acc = 0j: the polynomial evaluator
     `CPoly.__call__` was before series maps were compiled."""

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     check_real_preservation,
+    deep_series,
     evaluate,
     horner,
     random_hyperbolic_series,
@@ -284,6 +285,12 @@ class TestPicard:
             a = linearize_level_by_level(f)
             b = linearize_by_picard(f)
             assert max_rel_coeff_diff(a.phi, b.phi) < 1e-9
+
+    def test_deep_series_residual_clears_the_order(self):
+        # z-chart coefficients reach 2e15 at order 6; the residual is taken
+        # against f on f1's own lattice and must vanish to the order
+        res = linearize_by_picard(deep_series(6))
+        assert res.residual_ord == math.inf
 
     def test_budget_guard_is_generous(self, rng):
         # stationarity must arrive well inside the iteration budget

@@ -7,10 +7,13 @@ workloads from `./perfbench/workloads.py`, which is only read.  For each seed
 and each workload in `workloads.WORKLOADS`, it builds the inputs in one fixed
 work directory, so that every input path is the same from checkout to
 checkout, and runs the warm-up and then the operations in-process through
-`dulaclin.cli.main`.  It prints the number of invocations and one sha256 over
-each invocation's argv, exit code, stdout, stderr and output files.  Two
-checkouts that print the same line wrote the same bytes.  To check a
-checkout that predates this script, run this copy from that checkout's root.
+`dulaclin.cli.main`.  It prints one line `<workload> seed <s> sha256 <hex>`
+per workload and seed, then a total line: the number of invocations and one
+sha256 over every invocation's argv, exit code, stdout, stderr and output
+files.  Two checkouts that print the same line wrote the same bytes; the
+per-workload lines show which workloads a change moved and which held.  To
+check a checkout that predates this script, run this copy from that
+checkout's root.
 """
 
 import contextlib
@@ -51,7 +54,8 @@ def main() -> int:
     pins = json.loads((ROOT / "perfbench" / "pins.json").read_text())
     digest, count = hashlib.sha256(), 0
     for seed in seeds:
-        for build in workloads.WORKLOADS.values():
+        for name, build in workloads.WORKLOADS.items():
+            own = hashlib.sha256()
             shutil.rmtree(WORK, ignore_errors=True)
             WORK.mkdir(parents=True)
             ops, warm = build(WORK, seed, pins)
@@ -63,7 +67,9 @@ def main() -> int:
                           for p in op.outputs]
                 for part in parts:
                     digest.update(b"%d:%s" % (len(part), part))
+                    own.update(b"%d:%s" % (len(part), part))
                 count += 1
+            print(f"{name} seed {seed} sha256 {own.hexdigest()}")
     shutil.rmtree(WORK, ignore_errors=True)
     print(f"{count} invocations sha256 {digest.hexdigest()}")
     return 0
