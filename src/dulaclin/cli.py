@@ -10,8 +10,9 @@ are upper and lower maps beyond the cut.
 
 Exit codes: 0 ok, 2 not hyperbolic, 3 parse error (also a bad or missing
 flag, a NaN or infinite numeric flag, a zero or negative --tol, --alpha or
---quad-c, --samples below 1, a profile (--beta, --eps, --k, --cut) that
-AsymptoticProfile rejects, a non-integer or negative --levels, a missing or
+--quad-c, a negative --order, --samples below 1, a profile (--beta, --eps,
+--k, --cut) that AsymptoticProfile rejects, a non-integer or negative
+--levels, a missing or
 unreadable --input or --region file, a region file with a non-finite C, R,
 t, a, r or delta, a quad C <= 0, a quad map sign other than 1 or -1, a band
 map undefined at its t or an empty union, no --expr or --input, a malformed
@@ -34,6 +35,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -108,6 +110,14 @@ def _positive(text: str) -> float:
     if x <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
     return x
+
+
+def _order(text: str) -> Fraction:
+    """Nonnegative rational flag value (a truncation order)."""
+    q = parse_exponent(text)
+    if q < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative: {text!r}")
+    return q
 
 
 def _count(text: str) -> int:
@@ -436,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("linearize", help="formal linearization of a series file")
     p.add_argument("--input", required=True)
-    p.add_argument("--order", type=parse_exponent, default=None)
+    p.add_argument("--order", type=_order, default=None)
     p.add_argument("--tol", type=_positive, default=1e-9)
     p.add_argument("--cross-check", action="store_true")
     _add_output_flags(p)

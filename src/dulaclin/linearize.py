@@ -37,6 +37,7 @@ from .series import (
     lattice_points,
     mul,
     powers,
+    prune,
     series_to_json,
     to_z_chart,
     translate,
@@ -206,15 +207,18 @@ class SchroederOperators:
         #   h^(i)(lambda z) g1^i = exp(i beta) w_i(lambda z) (g1/z)^i,
         # and lambda z = exp(-(zeta + beta)) makes w_i(lambda z) a translation.
         # Powers stop at order trunc - 1, as the term of z-order 1 + i*ord(g1/z)
-        # must lie within the order.
+        # must lie within the order.  Term i takes only the blocks of w that
+        # its product with (g1/z)^i keeps (`prune`); it is added even when
+        # empty, which puts acc on the common lattice of h and f1.
         w = h
         for i, g_pow in enumerate(powers(self._g_shift, self.trunc - 1), 1):
+            w = prune(w, g_pow)
             w = -derivative(w) - w.scale(float(i - 1))
-            if w.is_zero:
-                break
             coeff = cmath.exp(complex(i) * self.beta) / (factorial(i) * self.lam)
             term = mul(translate(w, self.beta), g_pow)
             acc = add(acc, term.scale(coeff))
+            if w.is_zero:
+                break
         return acc
 
     def t_inv(self, h: ExpPolySeries) -> ExpPolySeries:

@@ -52,6 +52,7 @@ __all__ = [
     "derivative",
     "translate",
     "compose",
+    "prune",
     "powers",
     "effective_order",
     "conjugacy_residual",
@@ -360,7 +361,10 @@ def mul(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
     """Product; exponents add, blocks multiply, terms beyond the order drop."""
     a, b = _common(a, b)
     n, acc = a.n, {}
+    top = n - b.items[0][0] if b.items else -1  # the last k1 that meets b
     for k1, b1 in a.items:
+        if k1 > top:
+            break
         for k2, b2 in b.items:
             k = k1 + k2
             if k > n:
@@ -368,6 +372,16 @@ def mul(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
             prod = b1 * b2
             acc[k] = acc[k] + prod if k in acc else prod
     return a._raw(acc)
+
+
+def prune(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
+    """`a` without the blocks that `mul(a, b)` drops: those whose exponent
+    plus ord(b) passes the smaller order, compared on the common lattice.
+    It keeps `a`'s lattice and order, so mul(prune(a, b), b) == mul(a, b)."""
+    if not b.items:
+        return a._raw({})
+    top = min(a.n * b.L, b.n * a.L) - b.items[0][0] * a.L
+    return a._raw({k: blk for k, blk in a.items if k * b.L <= top})
 
 
 def derivative(a: ExpPolySeries) -> ExpPolySeries:
@@ -431,7 +445,9 @@ def compose(g: ExpPolySeries, f: ExpPolySeries) -> ExpPolySeries:
 
     Taylor expansion around zeta + beta:
         g(f) = sum_i  g^(i)(zeta + beta) * delta^i / i!,
-    summed until i*ord(delta) exceeds the common truncation order.
+    summed until i*ord(delta) exceeds the common truncation order.  Term i
+    differentiates and translates only the blocks of g that its product with
+    delta^i keeps (`prune`); a dropped block never reaches a kept coefficient.
     """
     beta = _affine_head(f)
     g, f = _common(g, f)
@@ -440,7 +456,7 @@ def compose(g: ExpPolySeries, f: ExpPolySeries) -> ExpPolySeries:
     gi = g
     fact = 1.0
     for i, dpow in enumerate(powers(delta), 1):
-        gi = derivative(gi)
+        gi = derivative(prune(gi, dpow))
         if gi.is_zero:
             break
         fact *= i

@@ -5,9 +5,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from dulaclin.errors import DomainError
+from dulaclin.errors import DomainError, OrderTooLow
 from dulaclin.linearize import SOLVER_TOL, linearize_level_by_level
-from dulaclin.series import CPoly, ExpPolySeries, lattice_points
+from dulaclin.series import (
+    CPoly,
+    ExpPolySeries,
+    _affine_head,
+    _common,
+    add,
+    derivative,
+    lattice_points,
+    powers,
+    translate,
+)
 
 GEN_CHOICES = [
     (F(1),),
@@ -56,6 +66,60 @@ def deep_series(order=8) -> ExpPolySeries:
         terms[mu] = [complex(0.5 * rng.uniform(-1, 1), 0.5 * rng.uniform(-1, 1))
                      for _ in range(4)]
     return ExpPolySeries(8, gens, terms).with_trunc(order)
+
+
+def reference_mul(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
+    """`series.mul` before its outer loop stopped at the last block that
+    meets b: the bit-for-bit reference of the product."""
+    a, b = _common(a, b)
+    n, acc = a.n, {}
+    for k1, b1 in a.items:
+        for k2, b2 in b.items:
+            k = k1 + k2
+            if k > n:
+                break
+            prod = b1 * b2
+            acc[k] = acc[k] + prod if k in acc else prod
+    return a._raw(acc)
+
+
+def reference_compose(g: ExpPolySeries, f: ExpPolySeries) -> ExpPolySeries:
+    """`series.compose` before its Taylor loop pruned g: every block of every
+    derivative is translated and multiplied, and `reference_mul` drops the
+    products beyond the order."""
+    beta = _affine_head(f)
+    g, f = _common(g, f)
+    delta = f.tail()
+    result = translate(g, beta)
+    gi = g
+    fact = 1.0
+    for i, dpow in enumerate(powers(delta), 1):
+        gi = derivative(gi)
+        if gi.is_zero:
+            break
+        fact *= i
+        term = reference_mul(translate(gi, beta), dpow)
+        result = add(result, term.scale(1.0 / fact))
+    return result
+
+
+def reference_s_apply(ops, h: ExpPolySeries) -> ExpPolySeries:
+    """`SchroederOperators.s_apply` of `ops` before its Taylor loop pruned
+    w, with `reference_mul` for the products."""
+    acc = ops.g1.scale_div(ops.lam)
+    if h.is_zero:
+        return acc
+    if h.items[0][0] <= h.L:
+        raise OrderTooLow("S requires z-order > 1")
+    w = h
+    for i, g_pow in enumerate(powers(ops._g_shift, ops.trunc - 1), 1):
+        w = -derivative(w) - w.scale(float(i - 1))
+        if w.is_zero:
+            break
+        coeff = cmath.exp(complex(i) * ops.beta) / (math.factorial(i) * ops.lam)
+        term = reference_mul(translate(w, ops.beta), g_pow)
+        acc = add(acc, term.scale(coeff))
+    return acc
 
 
 def horner(block: CPoly, x: complex) -> complex:

@@ -49,6 +49,16 @@ def test_linearize_order_flag_retruncates(tmp_path):
     assert phi["levels"] == ["1/1"]
 
 
+@pytest.mark.parametrize("order", ["-1", "-1/2"])
+def test_linearize_bad_order_is_parse_error_naming_the_flag(tmp_path, capsys, order):
+    src = write_fixture(tmp_path)
+    assert main(["linearize", "--input", str(src), f"--order={order}",
+                 "--output", str(tmp_path / "lin")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("parse error: ") and "--order" in err[0]
+    assert not (tmp_path / "lin.phi.json").exists()
+
+
 def test_linearize_cross_check_randomized(tmp_path):
     import random
 

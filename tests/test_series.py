@@ -14,6 +14,10 @@ from conftest import (
     evaluate,
     interpreted_series_delta,
     max_imag_coeff,
+    random_hyperbolic_series,
+    reference_compose,
+    reference_mul,
+    reference_s_apply,
     semigroup_points,
 )
 from dulaclin.errors import ExponentNotInSemigroup, NonUnitSlope, NotNormalized, ParseError
@@ -558,3 +562,116 @@ class TestCompiledEvaluator:
         for z in EVALUATOR_POINTS:
             assert _value_or_error(compiled, z) == _value_or_error(reference, z), z
 
+
+
+# -- the pruned Taylor loops against the loops they replaced -----------------
+# compared by canonical bytes, not by ==, which takes -0.0 for 0.0
+
+def _picard_inputs(f: ExpPolySeries, steps: int = 2) -> tuple:
+    """The S operator of f's z-chart and the first `steps` Picard iterates,
+    the series S is applied to in a solve."""
+    f1 = to_z_chart(f)
+    ops = SchroederOperators(f1, classify(f).beta)
+    psi, inputs = f1._raw({}), []
+    for _ in range(steps):
+        psi = ops.t_inv(ops.s_apply(psi))
+        inputs.append(psi)
+    return ops, inputs
+
+
+def _assert_loops_match_references(f: ExpPolySeries):
+    for g in (f, linearize_level_by_level(f).phi):
+        assert serialize_series(compose(g, f)) == serialize_series(reference_compose(g, f))
+    ops, inputs = _picard_inputs(f)
+    for h in inputs:
+        assert serialize_series(ops.s_apply(h)) == serialize_series(reference_s_apply(ops, h))
+
+
+def test_pruned_loops_match_references_on_the_corpus():
+    rng = random.Random(20260808)
+    for _ in range(100):
+        _assert_loops_match_references(random_hyperbolic_series(rng))
+
+
+@pytest.mark.parametrize("order", [4, 6, 8])
+def test_pruned_loops_match_references_on_the_deep_series(order):
+    _assert_loops_match_references(deep_series(order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_series(), int_series())
+def test_mul_matches_reference_bytes(a, b):
+    assert serialize_series(mul(a, b)) == serialize_series(reference_mul(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_series(), int_series(), st.sampled_from([1.0, 0.5 + 2j, 3 - 1j]))
+def test_compose_matches_reference_bytes(g, b, beta):
+    f = add(b.tail(), S(b.trunc, b.gens, {0: [beta, 1.0]}))
+    assert serialize_series(compose(g, f)) == serialize_series(reference_compose(g, f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_series(), int_series(), st.sampled_from([0.5, 0.3 + 0.4j, -0.25j]))
+def test_s_apply_matches_reference_bytes(g, h, lam):
+    # f1 = lam*z + z*(the terms of g above order 0); h keeps its own lattice
+    f1 = S(g.trunc + 1, (*g.gens, 1), {1: [lam], **{m + 1: b for m, b in g.terms if m > 0}})
+    h = h._raw({k: b for k, b in h.items if k > h.L})
+    ops = SchroederOperators(f1)
+    assert serialize_series(ops.s_apply(h)) == serialize_series(reference_s_apply(ops, h))
+
+
+# f1 = to_z_chart of this f is on the lattice 1/2 at order 4; the cut-off
+# of S's terms must be taken on the common lattice, not in h's own units
+FOREIGN_LATTICE_F = S(3, [F(1, 2)], {0: [1 + 0.5j, 1], F(1, 2): [0.3, 0.2], 2: [0.1j]})
+
+
+@pytest.mark.parametrize("h", [
+    S(3, [1], {2: [0.4, -0.1j], 3: [0.2 + 0.3j, 1.0]}),
+    S(5, [1], {2: [0.4, -0.1j], 4: [1.5j], 5: [0.25]}),
+    S(4, [F(1, 4)], {F(5, 4): [0.3j, 0.1], F(3, 2): [-0.2], F(9, 4): [0.7, 0.0, 0.5j]}),
+    S(3, [F(1, 4)], {F(5, 4): [0.3j, 0.1], F(11, 4): [1.0 - 1j], 3: [2.0]}),
+    # every block is pruned from the first term, which still sets the lattice
+    S(3, [1], {3: [1.0, 0.5]}),
+    S(4, [F(1, 3)], {4: [1.0, 0.5]}),
+], ids=["coarser", "coarser-higher-order", "finer", "finer-lower-order",
+        "coarser-top-block", "other-lattice-top-block"])
+def test_s_apply_on_a_foreign_lattice_matches_reference(h):
+    ops = SchroederOperators(to_z_chart(FOREIGN_LATTICE_F))
+    assert serialize_series(ops.s_apply(h)) == serialize_series(reference_s_apply(ops, h))
+
+
+class TestPrunedWork:
+    """Shifted blocks: the bytes above cannot see a block computed only to
+    be dropped, so the pruning is pinned by its count."""
+
+    @staticmethod
+    def shifted_blocks(monkeypatch) -> list:
+        calls = []
+        shift = CPoly.shift
+
+        def counting(block, c):
+            calls.append(block)
+            return shift(block, c)
+
+        monkeypatch.setattr(CPoly, "shift", counting)
+        return calls
+
+    def test_compose_of_a_top_level_block_shifts_it_once(self, monkeypatch):
+        f = S(3, [F(1, 2)], {0: [1.0, 1.0], F(1, 2): [0.5, 0.2], 1: [-0.3]})
+        g = S(3, [F(1, 2)], {3: [0.25, 1.0, 0.5]})
+        calls = self.shifted_blocks(monkeypatch)
+        compose(g, f)
+        assert len(calls) == 1  # unpruned: once more per power of delta, 7
+
+    def test_s_of_a_top_level_block_shifts_nothing(self, monkeypatch):
+        ops = SchroederOperators(to_z_chart(FOREIGN_LATTICE_F))
+        h = S(4, [F(1, 2), 1], {4: [1.0, 0.5]})
+        calls = self.shifted_blocks(monkeypatch)
+        ops.s_apply(h)
+        assert calls == []  # unpruned: one per power of g1/z, 6
+
+    def test_deep_order_8_level_solve_shifts_406_blocks(self, monkeypatch):
+        calls = self.shifted_blocks(monkeypatch)
+        linearize_level_by_level(deep_series())
+        assert len(calls) == 406  # unpruned: 810

@@ -14,6 +14,11 @@ files.  Two checkouts that print the same line wrote the same bytes; the
 per-workload lines show which workloads a change moved and which held.  To
 check a checkout that predates this script, run this copy from that
 checkout's root.
+
+`tools/workload_digest_seed1.txt` holds this script's output for seed 1
+(Python 3.11, numpy 2.4.6, x86-64 Linux, work directory under /tmp), and CI
+fails when the output differs from it.  A change that moves bytes on purpose
+commits the new output with it and says which workloads moved.
 """
 
 import contextlib
