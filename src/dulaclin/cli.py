@@ -114,7 +114,10 @@ def _positive(text: str) -> float:
 
 def _order(text: str) -> Fraction:
     """Nonnegative rational flag value (a truncation order)."""
-    q = parse_exponent(text)
+    try:
+        q = parse_exponent(text)
+    except ParseError:
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
     if q < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative: {text!r}")
     return q
@@ -148,8 +151,8 @@ def _sha256(text: str) -> str:
 def _config_hash(args: argparse.Namespace) -> str:
     # the output path does not affect any computed value; an input file
     # enters by its contents, so the hash identifies the input, not its path
-    payload = {k: repr(_sha256(_read_text(v)) if k in ("input", "region") and v else v)
-               for k, v in vars(args).items() if k != "output"}
+    payload = {k: repr(_sha256(_input_text(args, v)) if k in ("input", "region") and v else v)
+               for k, v in vars(args).items() if k not in ("output", "texts")}
     return _sha256(json.dumps(payload, sort_keys=True))[:16]
 
 
@@ -184,18 +187,26 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _read_series(path: str) -> ExpPolySeries:
+def _input_text(args, path: str) -> str:
+    """The text of the input file `path`, read once per invocation into
+    `args.texts`: a command parses the text its config hash identifies."""
+    if path not in args.texts:
+        args.texts[path] = _read_text(path)
+    return args.texts[path]
+
+
+def _read_series(args) -> ExpPolySeries:
     try:
-        return parse_series(_read_text(path))
+        return parse_series(_input_text(args, args.input))
     except ExponentNotInSemigroup as exc:
         raise ParseError(str(exc)) from None
 
 
-def _read_region(path: str):
+def _read_region(args):
     try:
-        return region_from_json(json.loads(_read_text(path)))
+        return region_from_json(json.loads(_input_text(args, args.region)))
     except (ValueError, KeyError, TypeError, DomainError) as exc:
-        raise ParseError(f"bad region file {path}: {exc}") from None
+        raise ParseError(f"bad region file {args.region}: {exc}") from None
 
 
 def _grid(spec: str) -> list:
@@ -220,7 +231,7 @@ def _load_map(args, profile) -> AnalyticMap:
         return AnalyticMap.from_expression(args.expr, profile)
     if not args.input:
         raise ParseError("one of --expr or --input is required")
-    return AnalyticMap.from_series(_read_series(args.input), profile)
+    return AnalyticMap.from_series(_read_series(args), profile)
 
 
 def _round_series(series: ExpPolySeries) -> ExpPolySeries:
@@ -232,7 +243,7 @@ def _round_series(series: ExpPolySeries) -> ExpPolySeries:
 
 
 def cmd_linearize(args) -> int:
-    f = _read_series(args.input)
+    f = _read_series(args)
     if args.order is not None and args.order < f.trunc:
         f = f.with_trunc(args.order)
     level = linearize_level_by_level(f)
@@ -277,7 +288,7 @@ def cmd_koenigs(args) -> int:
     """
     profile = _profile(args)
     f = _load_map(args, profile)
-    region = _read_region(args.region) if args.region else None
+    region = _read_region(args) if args.region else None
     grid = _grid(args.grid)
     rows = []
     failures = 0
@@ -316,7 +327,7 @@ def cmd_verify_domain(args) -> int:
     whose worst margin per side goes on a `# boundary_maps` line."""
     profile = _profile(args)
     f = _load_map(args, profile)
-    region = _read_region(args.region) if args.region else QuadRegion(args.quad_c)
+    region = _read_region(args) if args.region else QuadRegion(args.quad_c)
     if args.search:
         _, report = find_invariant_cut(f, region, profile,
                                        n_samples=args.samples, seed=args.seed)
@@ -354,7 +365,7 @@ def cmd_verify_domain(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    fhat = _read_series(args.input)
+    fhat = _read_series(args)
     profile = _profile(args)
     result = linearize_level_by_level(fhat)
     f = (AnalyticMap.from_expression(args.expr, profile) if args.expr
@@ -446,7 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("linearize", help="formal linearization of a series file")
     p.add_argument("--input", required=True)
-    p.add_argument("--order", type=_order, default=None)
+    p.add_argument("--order", type=_order, default=None,
+                   help="truncate the input at this rational order; a value starting"
+                        " with '-' must be written --order=VALUE")
     p.add_argument("--tol", type=_positive, default=1e-9)
     p.add_argument("--cross-check", action="store_true")
     _add_output_flags(p)
@@ -495,6 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        args.texts = {}  # the input files this invocation has read, by path
         # looked up when called, so a command rebound on this module runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except NotHyperbolic as exc:

@@ -196,7 +196,10 @@ class SchroederOperators:
         # the unknown terms land beyond trunc.
         self._g_shift = f1._raw({k - L: b for k, b in g1.items})
 
-    def s_apply(self, h: ExpPolySeries) -> ExpPolySeries:
+    def s_apply(self, h: ExpPolySeries, low: int = 0) -> ExpPolySeries:
+        """S(h).  Block k reads the blocks of h at or below k - ord(g1/z).  The
+        products that land below the lattice int `low` of the common lattice
+        of h and f1 are skipped, so the blocks below `low` are partial."""
         acc = self.g1.scale_div(self.lam)
         if h.is_zero:
             return acc
@@ -215,17 +218,30 @@ class SchroederOperators:
             w = prune(w, g_pow)
             w = -derivative(w) - w.scale(float(i - 1))
             coeff = cmath.exp(complex(i) * self.beta) / (factorial(i) * self.lam)
-            term = mul(translate(w, self.beta), g_pow)
+            term = mul(translate(w, self.beta), g_pow, low)
             acc = add(acc, term.scale(coeff))
             if w.is_zero:
                 break
         return acc
 
-    def t_inv(self, h: ExpPolySeries) -> ExpPolySeries:
+    def t_inv(self, h: ExpPolySeries, low: int = 0) -> ExpPolySeries:
+        """T^-1(h) block by block, on the blocks of h at or above the lattice
+        int `low` only."""
         L = h.L
         if h.items and h.items[0][0] <= L:
             raise OrderTooLow("T^-1 requires z-order > 1")
-        return h._raw({k: _level_solve(b, (k - L) / L, self.beta) for k, b in h.items})
+        return h._raw({k: _level_solve(b, (k - L) / L, self.beta) for k, b in h.items if k >= low})
+
+
+def _first_change(a: ExpPolySeries, b: ExpPolySeries) -> int:
+    """The least lattice int at which two series on one lattice differ: in
+    which blocks are present, or in a coefficient's repr, which is its bits
+    up to a NaN's payload; past the order when they do not differ."""
+    for (ka, pa), (kb, pb) in zip(a.items, b.items):
+        if ka != kb or pa is not pb and repr(pa.coeffs) != repr(pb.coeffs):
+            return min(ka, kb)
+    rest = a.items[len(b.items):] or b.items[len(a.items):]
+    return rest[0][0] if rest else a.n + 1
 
 
 def picard_linearize(f1: ExpPolySeries, beta: complex | None = None) -> LinearizationResult:
@@ -233,22 +249,39 @@ def picard_linearize(f1: ExpPolySeries, beta: complex | None = None) -> Lineariz
 
     The order of psi_{n+1} - psi_n increases strictly through the semigroup,
     so stationarity at the truncation order is guaranteed; the budget is a
-    bug guard, not a convergence knob.  The fixed point gives phi1 = z + psi
-    with phi1 o f1 = lambda*phi1; `from_z_chart` takes it back to the
-    parabolic linearization, verified on f1's own lattice against
-    f = from_z_chart(f1, beta).
+    bug guard, not a convergence knob, and counts sweeps.  The fixed point
+    gives phi1 = z + psi with phi1 o f1 = lambda*phi1; `from_z_chart` takes
+    it back to the parabolic linearization, verified on f1's own lattice
+    against f = from_z_chart(f1, beta).
+
+    Only the blocks that can still change are computed.  Block k of S(h)
+    reads the blocks of h at or below k - d, d = ord(g1/z), by the same
+    operations in the same order, and T^-1 acts block by block.  So when the
+    last two iterates agree below e, bit for bit and in which blocks are
+    present, every later iterate keeps the blocks below settled = e + d: a
+    sweep keeps them, and S skips its products and T^-1 its solves there.
+    Once settled passes the order, the next sweep would return psi itself,
+    so the loop stops without it, exactly as that sweep's step test would.
     """
     ops = SchroederOperators(f1, beta)
     n_levels = sum(1 for k in lattice_points(f1.g, f1.n) if k > f1.L)
     budget = max(4 * n_levels, 8)
     psi = f1._raw({})
     scale = max(1.0, f1.max_abs_coeff())
+    # with g1 = 0, S(h) reads no block of h and one sweep settles every block
+    d = ops._g_shift.items[0][0] if ops._g_shift.items else f1.n + 1
+    settled = 0
     for _ in range(budget):
-        nxt = ops.t_inv(ops.s_apply(psi))
+        head = psi._raw({k: b for k, b in psi.items if k < settled})
+        nxt = add(head, ops.t_inv(ops.s_apply(psi, settled), settled))
         diff = nxt - psi
+        settled = _first_change(nxt, psi) + d
         psi = nxt
         scale = max(scale, psi.max_abs_coeff())
         if diff.max_abs_coeff() <= SOLVER_TOL * scale:
+            break
+        # the skipped sweep's step is psi - psi: zero unless psi is not finite
+        if settled > psi.n and (psi - psi).max_abs_coeff() <= SOLVER_TOL * scale:
             break
     else:
         raise IterationBudgetExceeded(f"Picard iteration not stationary after {budget} steps")

@@ -129,6 +129,17 @@ class CPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
+    @staticmethod
+    def _of(cs: list) -> "CPoly":
+        """The block of `cs`, a fresh list of complex numbers, trailing zeros
+        stripped as the constructor strips them: for CPoly's own results,
+        which are complex already and need no second conversion."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        p = object.__new__(CPoly)
+        p.coeffs = tuple(cs)
+        return p
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -153,10 +164,10 @@ class CPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return CPoly(out)
+        return CPoly._of(out)
 
     def __neg__(self) -> "CPoly":
-        return CPoly([-c for c in self.coeffs])
+        return CPoly._of([-c for c in self.coeffs])
 
     def __sub__(self, other: "CPoly") -> "CPoly":
         return self + (-other)
@@ -168,19 +179,19 @@ class CPoly:
         if len(a) + len(b) > 16:
             import numpy as np
 
-            return CPoly(np.convolve(np.asarray(a), np.asarray(b)).tolist())
+            return CPoly._of(np.convolve(np.asarray(a), np.asarray(b)).tolist())
         out = [0j] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 out[i + j] += x * y
-        return CPoly(out)
+        return CPoly._of(out)
 
     def scale(self, c: complex) -> "CPoly":
-        return CPoly([x * c for x in self.coeffs])
+        return CPoly._of([x * c for x in self.coeffs])
 
     def scale_div(self, c: complex) -> "CPoly":
         # x/x == 1.0 exactly in IEEE, which `scale(1/c)` would not give
-        return CPoly([x / c for x in self.coeffs])
+        return CPoly._of([x / c for x in self.coeffs])
 
     def shift(self, c: complex) -> "CPoly":
         """B(x) -> B(x + c), exact binomial expansion."""
@@ -196,10 +207,10 @@ class CPoly:
                 continue
             for j, binom in enumerate(_binomials(d)):
                 out[j] += bd * binom * cpow[d - j]
-        return CPoly(out)
+        return CPoly._of(out)
 
     def deriv(self) -> "CPoly":
-        return CPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return CPoly._of([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs), default=0.0)
@@ -357,8 +368,10 @@ def add(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
     return a._raw(acc)
 
 
-def mul(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
-    """Product; exponents add, blocks multiply, terms beyond the order drop."""
+def mul(a: ExpPolySeries, b: ExpPolySeries, low: int = 0) -> ExpPolySeries:
+    """Product; exponents add, blocks multiply, terms beyond the order drop.
+    Block products that land below the lattice int `low` of the common
+    lattice are skipped, so the result's blocks below `low` are partial."""
     a, b = _common(a, b)
     n, acc = a.n, {}
     top = n - b.items[0][0] if b.items else -1  # the last k1 that meets b
@@ -369,6 +382,8 @@ def mul(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
             k = k1 + k2
             if k > n:
                 break
+            if k < low:
+                continue
             prod = b1 * b2
             acc[k] = acc[k] + prod if k in acc else prod
     return a._raw(acc)

@@ -5,15 +5,23 @@ from fractions import Fraction as F
 
 import pytest
 
-from dulaclin.errors import DomainError, OrderTooLow
-from dulaclin.linearize import SOLVER_TOL, linearize_level_by_level
+from dulaclin.errors import DomainError, IterationBudgetExceeded, OrderTooLow
+from dulaclin.linearize import (
+    SOLVER_TOL,
+    LinearizationResult,
+    SchroederOperators,
+    linearize_level_by_level,
+)
 from dulaclin.series import (
     CPoly,
     ExpPolySeries,
     _affine_head,
     _common,
     add,
+    conjugacy_residual,
     derivative,
+    effective_order,
+    from_z_chart,
     lattice_points,
     powers,
     translate,
@@ -120,6 +128,37 @@ def reference_s_apply(ops, h: ExpPolySeries) -> ExpPolySeries:
         term = reference_mul(translate(w, ops.beta), g_pow)
         acc = add(acc, term.scale(coeff))
     return acc
+
+
+def reference_picard_linearize(f1: ExpPolySeries, beta: complex | None = None) -> LinearizationResult:
+    """`linearize.picard_linearize` before its sweeps kept the settled
+    blocks: every sweep applies S and T^-1 to every block, and the loop stops
+    on the step test alone, after a sweep that changes no bit; the
+    bit-for-bit reference of the Picard route."""
+    ops = SchroederOperators(f1, beta)
+    n_levels = sum(1 for k in lattice_points(f1.g, f1.n) if k > f1.L)
+    budget = max(4 * n_levels, 8)
+    psi = f1._raw({})
+    scale = max(1.0, f1.max_abs_coeff())
+    for _ in range(budget):
+        nxt = ops.t_inv(ops.s_apply(psi))
+        diff = nxt - psi
+        psi = nxt
+        scale = max(scale, psi.max_abs_coeff())
+        if diff.max_abs_coeff() <= SOLVER_TOL * scale:
+            break
+    else:
+        raise IterationBudgetExceeded(f"Picard iteration not stationary after {budget} steps")
+    phi1 = add(psi, f1._raw({f1.L: CPoly([1.0])}))
+    phi = from_z_chart(phi1)  # parabolic head: multiplier 1, beta 0
+    r = conjugacy_residual(phi, from_z_chart(f1, beta=ops.beta), ops.beta)
+    res_ord = effective_order(r, SOLVER_TOL * max(scale, phi.max_abs_coeff()) * 100)
+    return LinearizationResult(
+        phi=phi,
+        beta=ops.beta,
+        residual_ord=res_ord,
+        algorithm="picard",
+    )
 
 
 def horner(block: CPoly, x: complex) -> complex:

@@ -49,13 +49,14 @@ def test_linearize_order_flag_retruncates(tmp_path):
     assert phi["levels"] == ["1/1"]
 
 
-@pytest.mark.parametrize("order", ["-1", "-1/2"])
+@pytest.mark.parametrize("order", ["-1", "-1/2", "1/0", "abc"])
 def test_linearize_bad_order_is_parse_error_naming_the_flag(tmp_path, capsys, order):
     src = write_fixture(tmp_path)
     assert main(["linearize", "--input", str(src), f"--order={order}",
                  "--output", str(tmp_path / "lin")]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("parse error: ") and "--order" in err[0]
+    assert len(err) == 1 and err[0].startswith("parse error: argument --order: ")
+    assert err[0].endswith(f": {order!r}")
     assert not (tmp_path / "lin.phi.json").exists()
 
 
@@ -399,6 +400,21 @@ def test_config_hash_identifies_input_contents(tmp_path):
     assert region_hash(band_copy) == region_hash(band)
     band.write_text(band.read_text().replace("5.0", "6.0"))
     assert region_hash(band_copy) != region_hash(band)
+
+
+def test_each_input_file_is_read_once(tmp_path, monkeypatch):
+    # the config hash identifies the text the command parsed, not a second read
+    import dulaclin.cli
+
+    reads, read = [], dulaclin.cli._read_text
+    monkeypatch.setattr(dulaclin.cli, "_read_text", lambda path: reads.append(path) or read(path))
+    src = write_fixture(tmp_path)
+    assert main(["linearize", "--input", str(src), "--cross-check",
+                 "--output", str(tmp_path / "lin")]) == 0
+    band = write_band(tmp_path, SQRT_MAP)
+    assert main(DOMAIN_ARGS + ["--samples", "10", "--region", str(band),
+                               "--output", str(tmp_path / "v.csv")]) == 0
+    assert reads == [str(src), str(band)]
 
 
 KOENIGS_ARGS = ["koenigs", "--expr", "zeta + 1 + exp(-zeta)", "--eps", "2.5",

@@ -17,11 +17,24 @@ from conftest import (
     random_hyperbolic_series,
     reference_compose,
     reference_mul,
+    reference_picard_linearize,
     reference_s_apply,
     semigroup_points,
 )
-from dulaclin.errors import ExponentNotInSemigroup, NonUnitSlope, NotNormalized, ParseError
-from dulaclin.linearize import SchroederOperators, linearize_level_by_level, picard_linearize
+from dulaclin import linearize
+from dulaclin.errors import (
+    DulaclinError,
+    ExponentNotInSemigroup,
+    NonUnitSlope,
+    NotNormalized,
+    ParseError,
+)
+from dulaclin.linearize import (
+    SchroederOperators,
+    linearize_by_picard,
+    linearize_level_by_level,
+    picard_linearize,
+)
 from dulaclin.series import (
     CPoly,
     ExpPolySeries,
@@ -675,3 +688,74 @@ class TestPrunedWork:
         calls = self.shifted_blocks(monkeypatch)
         linearize_level_by_level(deep_series())
         assert len(calls) == 406  # unpruned: 810
+
+
+# -- the settled Picard sweeps against the loop they replaced ----------------
+
+def _picard_outcome(solve, f1: ExpPolySeries, beta=None) -> tuple:
+    """phi's canonical bytes and the residual order of a Picard solve, or
+    the error it raised."""
+    try:
+        res = solve(f1, beta)
+    except (DulaclinError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+    return serialize_series(res.phi), res.residual_ord
+
+
+def _assert_picard_matches_reference(f1: ExpPolySeries, beta=None):
+    assert _picard_outcome(picard_linearize, f1, beta) \
+        == _picard_outcome(reference_picard_linearize, f1, beta)
+
+
+def test_settled_picard_matches_reference_on_the_corpus():
+    rng = random.Random(20260808)
+    for _ in range(100):
+        f = random_hyperbolic_series(rng)
+        _assert_picard_matches_reference(to_z_chart(f), classify(f).beta)
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_settled_picard_matches_reference_on_the_deep_series(order):
+    f = deep_series(order)
+    _assert_picard_matches_reference(to_z_chart(f), classify(f).beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_series(), st.sampled_from([0.5, 0.3 + 0.4j, -0.25j, 0.9]))
+def test_settled_picard_matches_reference_bytes(g, lam):
+    # f1 = lam*z + z*(the terms of g above order 0), as for S above
+    f1 = S(g.trunc + 1, (*g.gens, 1), {1: [lam], **{m + 1: b for m, b in g.terms if m > 0}})
+    _assert_picard_matches_reference(f1)
+
+
+@pytest.mark.parametrize("f1", [
+    S(4, [1], {1: [0.5], 2: [1e120]}),
+    S(3, [F(1, 2)], {1: [0.5], F(3, 2): [1e120, 1.0]}),
+], ids=["lattice-1", "lattice-1/2"])
+def test_settled_picard_past_an_overflow_exceeds_the_budget(f1):
+    # psi overflows to NaN at the top block: the step test fails on every
+    # sweep, also once every block has settled, and the sweeps reach the budget
+    assert _picard_outcome(picard_linearize, f1)[0] == "IterationBudgetExceeded"
+    _assert_picard_matches_reference(f1)
+
+
+def test_settled_picard_work_on_the_corpus(monkeypatch):
+    # the bytes above cannot see a sweep or a solve whose result is dropped
+    calls = {"s_apply": 0, "solve_difference_eq": 0}
+    s_apply, solve = SchroederOperators.s_apply, linearize.solve_difference_eq
+
+    def counting_s_apply(ops, h, low=0):
+        calls["s_apply"] += 1
+        return s_apply(ops, h, low)
+
+    def counting_solve(P, c, beta):
+        calls["solve_difference_eq"] += 1
+        return solve(P, c, beta)
+
+    monkeypatch.setattr(SchroederOperators, "s_apply", counting_s_apply)
+    monkeypatch.setattr(linearize, "solve_difference_eq", counting_solve)
+    rng = random.Random(20260808)
+    for _ in range(100):
+        linearize_by_picard(random_hyperbolic_series(rng))
+    # the reference loop: 336 and 1,194, every block of every sweep and one sweep more
+    assert calls == {"s_apply": 236, "solve_difference_eq": 592}

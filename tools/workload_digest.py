@@ -15,10 +15,12 @@ per-workload lines show which workloads a change moved and which held.  To
 check a checkout that predates this script, run this copy from that
 checkout's root.
 
-`tools/workload_digest_seed1.txt` holds this script's output for seed 1
-(Python 3.11, numpy 2.4.6, x86-64 Linux, work directory under /tmp), and CI
-fails when the output differs from it.  A change that moves bytes on purpose
-commits the new output with it and says which workloads moved.
+`tools/workload_digest_seeds_1_2.txt` holds this script's output for seeds
+1,2 (Python 3.11, numpy 2.4.6, x86-64 Linux, work directory in the system
+temp directory), and CI fails when the output of
+`python3 tools/workload_digest.py 1,2` differs from it.  A change that moves
+bytes on purpose commits the new output with it and says which workloads
+moved.
 """
 
 import contextlib
