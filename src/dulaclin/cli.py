@@ -69,6 +69,7 @@ from .errors import (
 from .exprparse import compile_ast, parse_expression
 from .linearize import linearize_by_picard, linearize_level_by_level, partial_sums
 from .series import (
+    CPoly,
     ExpPolySeries,
     conjugacy_residual,
     format_exponent,
@@ -98,7 +99,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _num(text: str) -> float:
     """Numeric flag value: finite decimal or exact rational p/q."""
-    x = float(parse_exponent(text)) if "/" in text else float(text)
+    try:
+        x = float(parse_exponent(text)) if "/" in text else float(text)
+    except ParseError:  # a ValueError argparse reports by itself, naming the flag
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return x
@@ -236,10 +240,8 @@ def _load_map(args, profile) -> AnalyticMap:
 
 def _round_series(series: ExpPolySeries) -> ExpPolySeries:
     q = ROUNDING_QUANTUM
-    terms = {}
-    for m, b in series.terms:
-        terms[m] = [complex(round(c.real / q) * q, round(c.imag / q) * q) for c in b.coeffs]
-    return ExpPolySeries(series.trunc, series.gens, terms)
+    return series._raw({k: CPoly._of([complex(round(c.real / q) * q, round(c.imag / q) * q)
+                                      for c in b.coeffs]) for k, b in series.items})
 
 
 def cmd_linearize(args) -> int:
@@ -402,14 +404,18 @@ def cmd_compare(args) -> int:
 # json.dumps(indent=1, sort_keys=True) puts each as {psi, residual, zeta} in the
 # "rows" list; json writes a float by float.__repr__, as %r does
 _HOMOLOGICAL_ROW = ('  {\n   "psi": [\n    %r,\n    %r\n   ],\n   "residual": %r,\n'
-                    '   "zeta": [\n    %r,\n    %r\n   ]\n  }')
+                    '   "zeta": [\n    %s,\n    %s\n   ]\n  }')
 
 
 def _homological_json(fields: dict, rows: list) -> str:
     lines = json.dumps({**fields, "rows": []}, indent=1, sort_keys=True).split("\n")
     at = 1 + sorted([*fields, "rows"]).index("rows")  # one line per scalar field, sorted
+    # a grid repeats its coordinates, so each distinct nonzero one is formatted
+    # once; a zero is formatted where it stands, as -0.0 == 0.0 would share a key
+    get = {x: repr(x) for x in {x for r in rows for x in r[3:] if x}}.get
     # %r writes nan and inf where json writes NaN and Infinity; the template has neither
-    body = ",\n".join(_HOMOLOGICAL_ROW % r for r in rows)
+    body = ",\n".join(_HOMOLOGICAL_ROW % (a, b, c, get(x) or repr(x), get(y) or repr(y))
+                      for a, b, c, x, y in rows)
     body = body.replace("nan", "NaN").replace("inf", "Infinity")
     lines[at] = lines[at].replace("[]", "[\n" + body + "\n ]")
     return "\n".join(lines)
@@ -426,11 +432,11 @@ def cmd_solve_homological(args) -> int:
     rows = []
     for z in grid:
         try:
-            psi, psi_next = solve_homological_numeric(f, h, args.alpha, z, args.tol, with_next=True)
+            psi, _, resid = solve_homological_numeric(f, h, args.alpha, z, args.tol,
+                                                      with_next=True)
         except NotConverged as exc:
             print(f"not converged at {z}: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED
-        resid = abs(psi_next - psi - h(z))
         rows.append((psi.real, psi.imag, resid, z.real, z.imag))
     _write_text(args.output, _homological_json({**_header(args), "alpha": args.alpha}, rows))
     print(f"max homological residual {max(r[2] for r in rows):.3e} over {len(rows)} points")
@@ -482,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad-c", type=_positive, default=2.0)
     p.add_argument("--samples", type=_count, default=10_000)
     p.add_argument("--search", action="store_true",
-                   help="raise R geometrically until the checks pass")
+                   help="raise R geometrically until the checks pass; a failing cut"
+                        " stops at its first violation")
     _add_output_flags(p)
 
     p = sub.add_parser("compare", help="decay slopes of numeric minus partial sums")

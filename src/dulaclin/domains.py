@@ -480,13 +480,17 @@ class InvarianceReport:
 
 
 def check_invariance(f, region: Region, profile: AsymptoticProfile,
-                     n_samples: int = 1000, seed: int = 0) -> InvarianceReport:
+                     n_samples: int = 1000, seed: int = 0, *,
+                     stop_at_violation: bool = False) -> InvarianceReport:
     """Sample stratified points of the cut region and test, for each:
     the modulus drift bound, membership of f(zeta) in the safety rectangle,
     and membership of f(zeta) in the region itself.
 
     Sample j is drawn at Re = x from the parts of a union whose cut is at
     most x, cycling through them by j; a region with one part is its own.
+    Its two uniforms are entries 2j and 2j + 1 of one draw of 2*n_samples.
+    With `stop_at_violation`, the check ends at the first violating sample,
+    and the report's n_samples counts the samples checked up to it.
 
     `f` is an AnalyticMap-like object: `.delta(zeta)` for the drift and
     `.profile` matching the supplied profile; f(zeta) is zeta + beta + delta.
@@ -494,14 +498,15 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
     R = max(profile.R, region.cut)
     if isinstance(region, QuadRegion) and R <= region.C:
         raise DomainError("cut must exceed the quadratic-domain constant C")
-    rng = np.random.default_rng(seed)
+    # one call draws what 2*n_samples scalar calls would, in the same order
+    u = np.random.default_rng(seed).random(2 * n_samples).tolist()
     n_strata = max(1, min(64, n_samples))
     parts = region.parts if isinstance(region, UnionRegion) else (region,)
     rows = []
     nb = nr = ng = 0
     worst = math.inf
     for j in range(n_samples):
-        u1, u2 = rng.random(), rng.random()
+        u1, u2 = u[2 * j], u[2 * j + 1]
         x = R + INVARIANCE_RE_SPAN * ((j % n_strata) + u1) / n_strata
         # at least one part has cut <= x, as x >= R >= region.cut
         live = [p for p in parts if p.cut <= x]
@@ -522,8 +527,10 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
         nr += not rect_ok
         ng += not region_ok
         rows.append((x, y, margin, rect_ok, region_ok))
+        if stop_at_violation and (margin < 0 or not (rect_ok and region_ok)):
+            break
     return InvarianceReport(
-        n_samples=n_samples,
+        n_samples=len(rows),
         R=R,
         n_bound_violations=nb,
         n_rect_violations=nr,
@@ -538,14 +545,15 @@ def find_invariant_cut(f, region: Region, profile: AsymptoticProfile,
     """Geometric search for a cut R making the sampled invariance checks pass.
 
     Returns (R, report) for the first passing cut; raises DomainError if the
-    search exhausts its doublings.
+    search exhausts its doublings.  A failing cut's report is dropped, so its
+    check stops at its first violation.
     """
     R = profile.R
     if isinstance(region, QuadRegion):
         R = max(R, region.C + 1.0)
     for _ in range(CUT_DOUBLINGS):
-        report = check_invariance(f, region, replace(profile, R=R),
-                                  n_samples=n_samples, seed=seed)
+        report = check_invariance(f, region, replace(profile, R=R), n_samples=n_samples,
+                                  seed=seed, stop_at_violation=True)
         if report.passed:
             return R, report
         R *= 2.0

@@ -255,8 +255,9 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
     point w1 = zeta + beta + delta(zeta) along the same walk; its sum ends
     at the same orbit point as zeta's, or, when zeta's ends after one term,
     at the next one whose tail is below tol.  The defining equation is
-    verified at zeta to 10*tol: a larger or NaN residual is NotConverged.
-    With `with_next`, returns (psi(zeta), psi(w1)).
+    verified at zeta to 10*tol, with the sum's own first term h(zeta): a
+    larger or NaN residual is NotConverged.  With `with_next`, returns
+    (psi(zeta), psi(w1), that residual |psi(w1) - psi(zeta) - h(zeta)|).
     """
     prof = f.profile
     if zeta.real < prof.R:
@@ -283,7 +284,7 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
             acc_next += hv
         w = w + beta + delta(w)
         if n == 1:
-            w1 = w
+            h0, w1 = hv, w
         envelope = math.exp(-alpha * w.real)
         tail = envelope / denom
         if psi is None and (tail <= tol or n == HOMOLOGICAL_MAX_N):
@@ -301,10 +302,10 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
         raise NotConverged(f"homological tail {tail:.3e} above tol {tol:.3e}"
                            f" after {n - 1} terms", max_n=n - 1)
     psi_next = -acc_next
-    resid = abs(psi_next - psi - h(zeta))
+    resid = abs(psi_next - psi - h0)
     if not resid <= 10.0 * tol:  # a NaN residual fails too
         raise NotConverged(f"homological equation residual {resid} > 10*tol")
-    return (psi, psi_next) if with_next else psi
+    return (psi, psi_next, resid) if with_next else psi
 
 
 def _non_finite_step(f: AnalyticMap, zeta: complex) -> DulaclinError:

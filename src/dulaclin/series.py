@@ -14,12 +14,18 @@ Exponents, the order and the generators are exact ints k on the lattice
 (1/L)Z, L the lcm of the denominators of the generators and the order.
 ``Fraction``s appear only at the boundary: the constructor and the JSON reader
 parse and check them, and ``trunc``, ``gens``, ``terms``, ``block`` and the
-order functions are views.  Every result is checked for semigroup membership
-by an int set lookup (`lattice_points`).  Coefficients are double-precision
-complex; only exact zeros are ever stripped.  Approximate checks read named
-module constants: `HEAD_TOL` here, `SOLVER_TOL` and `BACKSUB_TOL` in
-`linearize`.  A series' powers `v, v^2, ...` are built once per series value
-(`powers`) and shared by `compose`, the chart conversions and the operator S.
+order functions are views.  Every new exponent is checked for semigroup
+membership by an int set lookup (`lattice_points`): in the constructor,
+`_recast`, the chart maps and `_raw`.  A result that keeps its operand's
+exponents (`scale`, `scale_div`, `derivative`, `translate`, `prune`, `tail`)
+is built in its operand's order, neither sorted nor looked up; one whose
+exponents are sums (`mul`) or a union (`add`) of its operands' is only
+sorted, as the semigroup is closed under addition.  Coefficients are
+double-precision complex; only exact zeros are ever stripped.  Approximate
+checks read named module constants: `HEAD_TOL` here, `SOLVER_TOL` and
+`BACKSUB_TOL` in `linearize`.  A series' powers `v, v^2, ...` are built once
+per series value (`powers`) and shared by `compose`, the chart conversions and
+the operator S.
 A series is evaluated as a map's perturbation only: `evaluate_tail` compiles
 z -> a(z) - z - beta into one straight-line function, once per series.
 """
@@ -276,7 +282,7 @@ class ExpPolySeries:
 
     def tail(self) -> "ExpPolySeries":
         """Terms with exponent > 0."""
-        return self._raw({k: b for k, b in self.items if k > 0})
+        return _kept(self, [(k, b) for k, b in self.items if k > 0])
 
     def max_abs_coeff(self) -> float:
         return max((b.max_abs() for _, b in self.items), default=0.0)
@@ -305,10 +311,10 @@ class ExpPolySeries:
         return _recast(self, *_lattice(self.trunc, map(Fraction, gens)))
 
     def scale(self, c: complex) -> "ExpPolySeries":
-        return self._raw({k: b.scale(c) for k, b in self.items})
+        return _kept(self, [(k, b.scale(c)) for k, b in self.items])
 
     def scale_div(self, c: complex) -> "ExpPolySeries":
-        return self._raw({k: b.scale_div(c) for k, b in self.items})
+        return _kept(self, [(k, b.scale_div(c)) for k, b in self.items])
 
     def __neg__(self) -> "ExpPolySeries":
         return self.scale(-1.0)
@@ -323,17 +329,28 @@ class ExpPolySeries:
         return mul(self, other)
 
 
-def _series(L: int, n: int, g: tuple, acc: Mapping, s=None) -> ExpPolySeries:
+def _series(L: int, n: int, g: tuple, acc: Mapping, s=None, check=True) -> ExpPolySeries:
     """The series (into `s` if given) of the blocks `acc` keyed by exponent*L,
-    on the lattice (L, n, g); an exponent g does not generate raises."""
-    pts = lattice_points(g, n)
+    on the lattice (L, n, g); with `check`, an exponent g does not generate
+    raises."""
     items = sorted((k, b) for k, b in acc.items() if b.coeffs)
-    for k, _ in items:
-        if k not in pts:
-            raise ExponentNotInSemigroup(f"exponent {Fraction(k, L)} not generated by "
-                                         f"{[str(Fraction(x, L)) for x in g]}")
+    if check:
+        pts = lattice_points(g, n)
+        for k, _ in items:
+            if k not in pts:
+                raise ExponentNotInSemigroup(f"exponent {Fraction(k, L)} not generated by "
+                                             f"{[str(Fraction(x, L)) for x in g]}")
     s = object.__new__(ExpPolySeries) if s is None else s
     s.L, s.n, s.g, s.items = L, n, g, tuple(items)
+    return s
+
+
+def _kept(a: ExpPolySeries, items: list) -> ExpPolySeries:
+    """The series on `a`'s lattice of `items`, (k, block) pairs in the order
+    of a.items with k among a's exponents: zero blocks dropped, nothing sorted
+    or looked up again."""
+    s = object.__new__(ExpPolySeries)
+    s.L, s.n, s.g, s.items = a.L, a.n, a.g, tuple(kb for kb in items if kb[1].coeffs)
     return s
 
 
@@ -365,7 +382,7 @@ def add(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
     acc = dict(a.items)
     for k, blk in b.items:
         acc[k] = acc[k] + blk if k in acc else blk
-    return a._raw(acc)
+    return _series(a.L, a.n, a.g, acc, check=False)  # a union of a's and b's exponents
 
 
 def mul(a: ExpPolySeries, b: ExpPolySeries, low: int = 0) -> ExpPolySeries:
@@ -386,7 +403,7 @@ def mul(a: ExpPolySeries, b: ExpPolySeries, low: int = 0) -> ExpPolySeries:
                 continue
             prod = b1 * b2
             acc[k] = acc[k] + prod if k in acc else prod
-    return a._raw(acc)
+    return _series(a.L, a.n, a.g, acc, check=False)  # sums of a's and b's exponents
 
 
 def prune(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
@@ -396,18 +413,18 @@ def prune(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
     if not b.items:
         return a._raw({})
     top = min(a.n * b.L, b.n * a.L) - b.items[0][0] * a.L
-    return a._raw({k: blk for k, blk in a.items if k * b.L <= top})
+    return _kept(a, [(k, blk) for k, blk in a.items if k * b.L <= top])
 
 
 def derivative(a: ExpPolySeries) -> ExpPolySeries:
     """d/dzeta, term by term: exp(-mu*zeta)*B -> exp(-mu*zeta)*(B' - mu*B)."""
-    return a._raw({k: b.deriv() - b.scale(k / a.L) for k, b in a.items})
+    return _kept(a, [(k, b.deriv() - b.scale(k / a.L)) for k, b in a.items])
 
 
 def translate(a: ExpPolySeries, c: complex) -> ExpPolySeries:
     """zeta -> zeta + c: each block shifts and picks up exp(-mu*c)."""
-    return a._raw({k: b.shift(c).scale(cmath.exp(-(k / a.L) * complex(c))) if k else b.shift(c)
-                   for k, b in a.items})
+    return _kept(a, [(k, b.shift(c).scale(cmath.exp(-(k / a.L) * complex(c))) if k
+                      else b.shift(c)) for k, b in a.items])
 
 
 def max_rel_coeff_diff(a: ExpPolySeries, b: ExpPolySeries) -> float:

@@ -1,10 +1,23 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from dulaclin.domains import (
+    CUT_DOUBLINGS,
+    INVARIANCE_RE_SPAN,
+    AsymptoticProfile,
+    InvarianceReport,
+    QuadRegion,
+    Region,
+    UnionRegion,
+    _eq_new_bound,
+    in_safety_rect,
+)
 from dulaclin.errors import DomainError, IterationBudgetExceeded, OrderTooLow
 from dulaclin.linearize import (
     SOLVER_TOL,
@@ -238,3 +251,67 @@ def quad_boundary_param(r: float, C: float) -> complex:
 @pytest.fixture
 def rng():
     return random.Random(20260808)
+
+
+def reference_check_invariance(f, region: Region, profile: AsymptoticProfile,
+                               n_samples: int = 1000, seed: int = 0) -> InvarianceReport:
+    """`domains.check_invariance` before a failing search round stopped at
+    its first violation and before its uniforms came from one draw: every
+    sample is checked, each taking two scalar `rng.random()` calls."""
+    R = max(profile.R, region.cut)
+    if isinstance(region, QuadRegion) and R <= region.C:
+        raise DomainError("cut must exceed the quadratic-domain constant C")
+    rng = np.random.default_rng(seed)
+    n_strata = max(1, min(64, n_samples))
+    parts = region.parts if isinstance(region, UnionRegion) else (region,)
+    rows = []
+    nb = nr = ng = 0
+    worst = math.inf
+    for j in range(n_samples):
+        u1, u2 = rng.random(), rng.random()
+        x = R + INVARIANCE_RE_SPAN * ((j % n_strata) + u1) / n_strata
+        # at least one part has cut <= x, as x >= R >= region.cut
+        live = [p for p in parts if p.cut <= x]
+        lo, hi = live[j % len(live)].im_bounds(x)
+        y = lo + (hi - lo) * u2
+        zeta = complex(x, y)
+        if not region.contains(zeta):  # x >= R: the cut holds
+            # boundary-exact draws; resample toward the centerline
+            y = 0.5 * (lo + hi)
+            zeta = complex(x, y)
+        d = f.delta(zeta)
+        w = zeta + f.profile.beta + d
+        margin = _eq_new_bound(zeta, profile.epsilon, profile.k) - abs(d)
+        rect_ok = in_safety_rect(zeta, w, profile)
+        region_ok = w.real >= R and region.contains(w)
+        worst = min(worst, margin)
+        nb += margin < 0
+        nr += not rect_ok
+        ng += not region_ok
+        rows.append((x, y, margin, rect_ok, region_ok))
+    return InvarianceReport(
+        n_samples=n_samples,
+        R=R,
+        n_bound_violations=nb,
+        n_rect_violations=nr,
+        n_region_violations=ng,
+        worst_bound_margin=worst,
+        rows=rows,
+    )
+
+
+def reference_find_invariant_cut(f, region: Region, profile: AsymptoticProfile,
+                                 n_samples: int = 2000, seed: int = 0):
+    """`domains.find_invariant_cut` as it was with `reference_check_invariance`:
+    every round, failing or not, checks all its samples; the bit-for-bit
+    reference of the search's (R, report)."""
+    R = profile.R
+    if isinstance(region, QuadRegion):
+        R = max(R, region.C + 1.0)
+    for _ in range(CUT_DOUBLINGS):
+        report = reference_check_invariance(f, region, replace(profile, R=R),
+                                            n_samples=n_samples, seed=seed)
+        if report.passed:
+            return R, report
+        R *= 2.0
+    raise DomainError(f"no invariant cut found up to R = {R}")

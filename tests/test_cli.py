@@ -60,6 +60,42 @@ def test_linearize_bad_order_is_parse_error_naming_the_flag(tmp_path, capsys, or
     assert not (tmp_path / "lin.phi.json").exists()
 
 
+# a valid invocation of each subcommand; a bad flag value is appended to it
+VALID_ARGV = {
+    "linearize": ["--input", "f.json"],
+    "koenigs": ["--expr", "zeta + 1", "--grid", "8:8:1,0:0:1"],
+    "verify-domain": ["--expr", "zeta + 1"],
+    "compare": ["--input", "f.json", "--grid", "8:30:45,0:0:1"],
+    "solve-homological": ["--expr", "zeta + 1", "--h-expr", "exp(-zeta)", "--alpha", "1",
+                          "--grid", "8:8:1,0:0:1"],
+}
+
+
+def typed_flags():
+    """(subcommand, flag) for every option of every subcommand that has a type."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return [(name, act.option_strings[0]) for name, p in sub.choices.items()
+            for act in p._actions if act.type is not None and act.option_strings]
+
+
+def test_every_subcommand_has_valid_argv_and_numeric_flags():
+    assert set(VALID_ARGV) == {name for name, _ in typed_flags()}
+    assert ("koenigs", "--beta") in typed_flags() and ("linearize", "--tol") in typed_flags()
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc", "nan"])
+@pytest.mark.parametrize("command, flag", typed_flags())
+def test_bad_numeric_flag_is_parse_error_naming_the_flag(tmp_path, capsys, command, flag,
+                                                         value):
+    out = tmp_path / "out"
+    argv = [command, *VALID_ARGV[command], f"{flag}={value}", "--output", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"parse error: argument {flag}: ")
+    assert err[0].endswith(f"{value!r}") and "Fraction(" not in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_linearize_cross_check_randomized(tmp_path):
     import random
 
@@ -533,6 +569,34 @@ def test_solve_homological_two_orbit_sums_per_point(tmp_path, monkeypatch):
     assert code == 0
     # one call per point sums psi(z) and psi(f(z)) along one orbit
     assert calls == [8, 8 + 1j, 9, 9 + 1j, 10, 10 + 1j]
+
+
+def test_solve_homological_evaluates_h_once_per_orbit_term(tmp_path, monkeypatch):
+    import dulaclin.cli
+
+    h_calls, steps = [], []
+
+    def counted(fn, calls):
+        return lambda z: calls.append(z) or fn(z)
+
+    # the CLI compiles only h itself; the map's delta is counted on the loaded map
+    compile_ast = dulaclin.cli.compile_ast
+    monkeypatch.setattr(dulaclin.cli, "compile_ast", lambda ast: counted(compile_ast(ast), h_calls))
+    load_map = dulaclin.cli._load_map
+
+    def load_counted(args, profile):
+        f = load_map(args, profile)
+        f.delta = counted(f.delta, steps)
+        return f
+
+    monkeypatch.setattr(dulaclin.cli, "_load_map", load_counted)
+    code = main(["solve-homological", "--expr", "zeta + 1 + exp(-zeta)",
+                 "--h-expr", "exp(-zeta)", "--alpha", "1", "--beta", "1", "--eps", "1",
+                 "--k", "0", "--cut", "4", "--grid", "8:10:3,0:1:2",
+                 "--output", str(tmp_path / "h.json")])
+    assert code == 0
+    # each orbit term takes one h and one step; the residual reuses the first h
+    assert len(h_calls) == len(steps) > 6
 
 
 def test_solve_homological_nan_h_exits_1(tmp_path, capsys):

@@ -1,11 +1,17 @@
 import cmath
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import kappa, quad_boundary_param
+from conftest import (
+    kappa,
+    quad_boundary_param,
+    reference_check_invariance,
+    reference_find_invariant_cut,
+)
 from dulaclin.domains import (
     AsymptoticProfile,
     BandRegion,
@@ -31,6 +37,8 @@ from dulaclin.domains import (
     RECT_SLACK,
     region_from_json,
 )
+import dulaclin.domains
+from dulaclin.cli import main
 from dulaclin.dynamics import AnalyticMap
 from dulaclin.errors import DomainError
 
@@ -379,3 +387,152 @@ class TestInvariance:
         f = AnalyticMap.from_expression("zeta + 1 + exp(-zeta)", prof)
         R, report = find_invariant_cut(f, QuadRegion(2.0), prof, n_samples=800, seed=4)
         assert report.passed and R >= 5.0
+
+
+GERM = "zeta + 1 + exp(-zeta)"
+QUAD_PROF = AsymptoticProfile(1 + 0j, 1.0, 0, 5.0)   # the benchmark's quad profile
+ROOT = power_map(2.0, 0.5)
+BAND = BandRegion(5.0, negated(ROOT), ROOT)   # the benchmark's band, -2 x^0.5 < Im < 2 x^0.5
+UNION = UnionRegion((QuadRegion(2.0), BandRegion(20.0, linear_map(-1.0), linear_map(1.0))))
+
+
+def outcome(call):
+    try:
+        return call()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def first_violation(report) -> int:
+    return next(j for j, (_, _, margin, rect_ok, region_ok) in enumerate(report.rows)
+                if margin < 0 or not (rect_ok and region_ok))
+
+
+def counting_map(text, prof):
+    """The expression map, with the zetas its delta is called at in `calls`."""
+    f = AnalyticMap.from_expression(text, prof)
+    calls, delta = [], f.delta
+    f.delta = lambda z: calls.append(z) or delta(z)
+    return f, calls
+
+
+# name: (map, region, cut, n_samples, seeds)
+SEARCH_CASES = {
+    # round 1 fails at sample 0 (seed 1), 192 (seed 2) and 256 (seed 3); R = 5 then 10
+    "quad": (GERM, QuadRegion(2.0), 5.0, 500, (1, 2, 3)),
+    # round 1's one violation is sample 960 of 1000
+    "quad-late": (GERM, QuadRegion(2.0), 6.5, 1000, (0,)),
+    "band": (GERM, BAND, 5.0, 500, (0, 4)),
+    "band-fails": ("zeta + 1 + 3*exp(-zeta/2)", BAND, 5.0, 300, (0, 7)),
+    "union": (GERM, UNION, 5.0, 500, (1, 5)),
+    "union-fails": ("zeta + 1 + 3*exp(-zeta/2)", UNION, 5.0, 300, (2,)),
+    # no cut within the doublings: both raise
+    "exhausted": ("zeta + 1 + 1/zeta^2", BAND, 5.0, 50, (0,)),
+}
+
+
+BEYOND_BAND = AsymptoticProfile(1 + 0.5j, 1.0, 0, 5.0)
+# name: (map, profile, region, seed, first violating sample of the first cut)
+STOP_CASES = {
+    "quad-first-sample": (GERM, QUAD_PROF, QuadRegion(2.0), 1, 0),
+    "quad": (GERM, QUAD_PROF, QuadRegion(2.0), 2, 192),
+    "quad-late": (GERM, replace(QUAD_PROF, R=6.5), QuadRegion(2.0), 0, 960),
+    # f(zeta) climbs out of the band while the bound and the rectangle hold,
+    # so every violation is a region violation; eight cuts fail
+    "band-region-only": ("zeta + 1 + 0.5*i + exp(-zeta)", BEYOND_BAND, BAND, 3, 151),
+}
+
+
+class TestSearchStopsEarly:
+    """A failing search round stops at its first violation; the search's
+    (R, report) is the reference's, which checks every sample of every round."""
+
+    @pytest.mark.parametrize("case", list(SEARCH_CASES))
+    def test_search_matches_reference(self, case):
+        text, region, cut, n, seeds = SEARCH_CASES[case]
+        prof = replace(QUAD_PROF, R=cut)
+        f = AnalyticMap.from_expression(text, prof)
+        for seed in seeds:
+            got = outcome(lambda: find_invariant_cut(f, region, prof, n_samples=n, seed=seed))
+            assert got == outcome(
+                lambda: reference_find_invariant_cut(f, region, prof, n_samples=n, seed=seed))
+            assert (got[0] is DomainError) == (case == "exhausted")
+
+    @pytest.mark.parametrize("case", list(SEARCH_CASES))
+    def test_full_check_matches_reference(self, case):
+        # one draw of 2n uniforms is the stream of 2n scalar draws: every
+        # report, failing ones included, is the reference's
+        text, region, cut, n, seeds = SEARCH_CASES[case]
+        prof = replace(QUAD_PROF, R=cut)
+        f = AnalyticMap.from_expression(text, prof)
+        for seed in seeds:
+            assert check_invariance(f, region, prof, n, seed) == \
+                reference_check_invariance(f, region, prof, n, seed)
+
+    @pytest.mark.parametrize("case", list(STOP_CASES))
+    def test_failing_round_stops_at_its_first_violation(self, case):
+        text, prof, region, seed, first = STOP_CASES[case]
+        f, calls = counting_map(text, prof)
+        full = reference_check_invariance(f, region, prof, 1000, seed)
+        assert first_violation(full) == first
+        calls.clear()
+        report = check_invariance(f, region, prof, 1000, seed, stop_at_violation=True)
+        assert len(calls) == report.n_samples == first + 1
+        assert report.rows == full.rows[:first + 1] and not report.passed
+        # the search checks each failing cut up to its first violation, then
+        # every sample of the passing one
+        R_pass, _ = reference_find_invariant_cut(f, region, prof, n_samples=1000, seed=seed)
+        R = max(prof.R, region.C + 1.0) if isinstance(region, QuadRegion) else prof.R
+        expected = 1000
+        while R < R_pass:
+            cut = reference_check_invariance(f, region, replace(prof, R=R), 1000, seed)
+            expected += first_violation(cut) + 1
+            R *= 2.0
+        calls.clear()
+        assert find_invariant_cut(f, region, prof, n_samples=1000, seed=seed)[0] == R_pass
+        assert len(calls) == expected < 1000 * round(math.log2(R_pass / prof.R) + 1)
+
+    def test_a_passing_round_checks_every_sample(self):
+        f, calls = counting_map(GERM, QUAD_PROF)
+        report = check_invariance(f, BAND, QUAD_PROF, 700, 3, stop_at_violation=True)
+        assert report.passed and report.n_samples == len(calls) == 700
+
+    def test_a_map_raising_after_the_first_violation_goes_on_to_the_next_cut(self):
+        # delta raises at samples beyond the first violating one, and only at
+        # the first cut: the full check raises, the search moves on
+        prof = replace(QUAD_PROF, R=6.5)
+        f, calls = counting_map(GERM, prof)
+        delta = f.delta
+
+        def raising(z):
+            if len(calls) > 961 and z.real < 13.0:
+                raise DomainError("raised after the first violation")
+            return delta(z)
+
+        f.delta = raising
+        with pytest.raises(DomainError, match="after the first violation"):
+            check_invariance(f, QuadRegion(2.0), prof, 1000, 0)
+        calls.clear()
+        R, report = find_invariant_cut(f, QuadRegion(2.0), prof, n_samples=1000, seed=0)
+        assert R == 13.0 and report.passed
+
+    @pytest.mark.parametrize("seed, samples", [(1, 10_001), (2, 10_193)])
+    def test_benchmark_quad_search_work(self, tmp_path, monkeypatch, seed, samples):
+        # `verify-domain --search` with the benchmark's quad flags: a failing
+        # round checks up to its first violation, the passing one all 10,000;
+        # the search calls the module-level check_invariance, so a wrapper
+        # bound there sees every round
+        checked = []
+        check = dulaclin.domains.check_invariance
+
+        def counting(*args, **kwargs):
+            report = check(*args, **kwargs)
+            checked.append(report.n_samples)
+            return report
+
+        monkeypatch.setattr(dulaclin.domains, "check_invariance", counting)
+        code = main(["verify-domain", "--expr", GERM, "--beta", "1", "--eps", "1", "--k", "0",
+                     "--cut", "5.0", "--samples", "10000", "--seed", str(seed),
+                     "--quad-c", "2.0", "--search", "--output", str(tmp_path / "quad.csv")])
+        assert code == 0
+        assert len(checked) == 2 and sum(checked) == samples

@@ -523,7 +523,7 @@ def reference_homological_pair(f, h, alpha, zeta, tol):
     resid = abs(psi_next - psi - h(zeta))
     if not resid <= 10.0 * tol:
         raise NotConverged(f"homological equation residual {resid} > 10*tol")
-    return psi, psi_next
+    return psi, psi_next, resid
 
 
 PROF4 = AsymptoticProfile(1 + 0j, 1.0, 0, 4.0)

@@ -37,7 +37,8 @@ def reference_solve_homological(args) -> int:
     rows = []
     for z in grid:
         try:
-            psi, psi_next = solve_homological_numeric(f, h, args.alpha, z, args.tol, with_next=True)
+            psi, psi_next, _ = solve_homological_numeric(f, h, args.alpha, z, args.tol,
+                                                         with_next=True)
         except NotConverged as exc:
             print(f"not converged at {z}: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED
@@ -118,7 +119,11 @@ FIELDS = {"tool": 'dulaclin "rows": [] x', "config_hash": "[]", "seed": -3, "alp
     [(5e-324, -1e-310, 2.2250738585072014e-308, 1e16, 1.2345678901234567e22),
      (-1e300, 1 / 3, 9999999999999998.0, -1e16, 0.1),
      (1e-7, 123456789.0, 1e-300, 7e-5, 1.7976931348623157e308)],
-], ids=["zeros", "exponent-forms"])
+    # a grid whose coordinates hold both zeros, each first in one position:
+    # a coordinate formatted once must keep its own sign
+    [(1.0, 2.0, 0.0, x, y) for x in (0.0, -0.0, 8.0) for y in (-0.0, 0.0, 8.0, -0.0)]
+    + [(1.0, 2.0, 0.0, x, y) for x in (-0.0, 0.0) for y in (0.0, -0.0)],
+], ids=["zeros", "exponent-forms", "signed-zero-grid"])
 def test_renderer_is_json(rows):
     # the header is spliced by its structure: no field's value is searched for
     assert _homological_json(FIELDS, rows) == reference_json(FIELDS, rows)

@@ -46,10 +46,12 @@ from dulaclin.series import (
     effective_order,
     evaluate_tail,
     from_z_chart,
+    lattice_points,
     max_rel_coeff_diff,
     mul,
     parse_series,
     powers,
+    prune,
     serialize_series,
     to_z_chart,
     translate,
@@ -609,6 +611,28 @@ def test_pruned_loops_match_references_on_the_corpus():
 @pytest.mark.parametrize("order", [4, 6, 8])
 def test_pruned_loops_match_references_on_the_deep_series(order):
     _assert_loops_match_references(deep_series(order))
+
+
+def assert_well_formed(s: ExpPolySeries):
+    """Every key a point of the series' own semigroup, keys strictly
+    ascending, no zero block: what the constructor's check guarantees."""
+    keys = [k for k, _ in s.items]
+    assert all(k in lattice_points(s.g, s.n) for k in keys)
+    assert keys == sorted(set(keys)) and all(b.coeffs for _, b in s.items)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_series(), int_series(), st.sampled_from([0.0, 1.0, 0.5 + 2j, 3 - 1j]))
+def test_every_result_key_is_a_semigroup_point(a, b, c):
+    # results that keep their operand's keys and those whose keys are sums or
+    # unions are built without the lattice lookup; a scale by 0 empties blocks
+    f = add(b.tail(), S(b.trunc, b.gens, {0: [c or 1.0, 1.0]}))
+    results = [a.scale(c), a.scale_div(c or 2.0), -a, derivative(a), translate(a, c),
+               prune(a, b), prune(a, b.tail()), a.tail(), add(a, b), a - b, mul(a, b),
+               mul(a, b, low=2), compose(a, f), conjugacy_residual(a, f, c or 1.0),
+               *powers(b.tail()), to_z_chart(f), from_z_chart(to_z_chart(f))]
+    for r in results:
+        assert_well_formed(r)
 
 
 @settings(max_examples=60, deadline=None)
