@@ -44,7 +44,6 @@ from .domains import (
     AsymptoticProfile,
     BandRegion,
     QuadRegion,
-    UnionRegion,
     check_invariance,
     check_lower_map,
     check_upper_map,
@@ -337,9 +336,8 @@ def cmd_verify_domain(args) -> int:
         report = check_invariance(f, region, profile,
                                   n_samples=args.samples, seed=args.seed)
     # every band's h_u and h_l must be upper and lower maps beyond its cut
-    parts = region.parts if isinstance(region, UnionRegion) else (region,)
     maps = []
-    for band in parts:
+    for band in region.parts:
         if isinstance(band, BandRegion):
             cut = replace(profile, R=max(report.R, band.t))
             maps += [check_upper_map(band.hu, cut), check_lower_map(band.hl, cut)]

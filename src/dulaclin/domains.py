@@ -112,12 +112,13 @@ def iterated_log_real(x: float, m: int) -> float:
 
 @dataclass(frozen=True)
 class AsymptoticProfile:
-    """Drift data (beta, stored as a complex, epsilon, k) and the cut R."""
+    """Drift data (beta, stored as a complex, epsilon, k), the cut R and rho = rho_minus(R)."""
 
     beta: complex
     epsilon: float
     k: int
     R: float
+    rho: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "beta", complex(self.beta))
@@ -129,7 +130,8 @@ class AsymptoticProfile:
             raise DomainError("k must be a nonnegative integer")
         if self.R <= exp_tower(self.k):
             raise DomainError(f"cut R must exceed exp tower({self.k})")
-        if self.rho_minus(self.R) <= 0:
+        object.__setattr__(self, "rho", self.rho_minus(self.R))
+        if self.rho <= 0:
             raise DomainError("rho_minus(R) must be positive; raise R")
 
     def M(self, x: float) -> float:
@@ -288,6 +290,8 @@ class QuadRegion:
         _, inside = kappa_inv(zeta, self.C)
         return inside
 
+    parts = property(lambda self: (self,))
+
     @property
     def cut(self) -> float:
         return self.R_cut
@@ -316,6 +320,8 @@ class BandRegion:
             return False
         return self.hl(x) < zeta.imag < self.hu(x)
 
+    parts = property(lambda self: (self,))
+
     @property
     def cut(self) -> float:
         return self.t
@@ -331,8 +337,7 @@ class UnionRegion:
     parts: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(
-            q for p in self.parts for q in (p.parts if isinstance(p, UnionRegion) else (p,))))
+        object.__setattr__(self, "parts", tuple(q for p in self.parts for q in p.parts))
 
     def contains(self, zeta: complex) -> bool:
         return any(p.contains(zeta) for p in self.parts)
@@ -342,7 +347,8 @@ class UnionRegion:
         return min(p.cut for p in self.parts)
 
 
-# contains(zeta) and cut; a union's parts also have im_bounds(x)
+# contains(zeta), cut and parts (a plain region is its own part); the parts
+# also have im_bounds(x)
 Region = QuadRegion | BandRegion | UnionRegion
 
 
@@ -490,18 +496,19 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
     most x, cycling through them by j; a region with one part is its own.
     Its two uniforms are entries 2j and 2j + 1 of one draw of 2*n_samples.
     With `stop_at_violation`, the check ends at the first violating sample,
-    and the report's n_samples counts the samples checked up to it.
+    and the report's n_samples counts the samples checked up to it.  A cut
+    R at or below the C of a quad part raises DomainError.
 
     `f` is an AnalyticMap-like object: `.delta(zeta)` for the drift and
     `.profile` matching the supplied profile; f(zeta) is zeta + beta + delta.
     """
     R = max(profile.R, region.cut)
-    if isinstance(region, QuadRegion) and R <= region.C:
+    parts = region.parts
+    if any(isinstance(p, QuadRegion) and R <= p.C for p in parts):
         raise DomainError("cut must exceed the quadratic-domain constant C")
     # one call draws what 2*n_samples scalar calls would, in the same order
     u = np.random.default_rng(seed).random(2 * n_samples).tolist()
     n_strata = max(1, min(64, n_samples))
-    parts = region.parts if isinstance(region, UnionRegion) else (region,)
     rows = []
     nb = nr = ng = 0
     worst = math.inf
@@ -544,13 +551,12 @@ def find_invariant_cut(f, region: Region, profile: AsymptoticProfile,
                        n_samples: int = 2000, seed: int = 0):
     """Geometric search for a cut R making the sampled invariance checks pass.
 
+    The first cut is the largest of profile.R and C + 1 over the quad parts.
     Returns (R, report) for the first passing cut; raises DomainError if the
     search exhausts its doublings.  A failing cut's report is dropped, so its
     check stops at its first violation.
     """
-    R = profile.R
-    if isinstance(region, QuadRegion):
-        R = max(R, region.C + 1.0)
+    R = max([profile.R] + [p.C + 1.0 for p in region.parts if isinstance(p, QuadRegion)])
     for _ in range(CUT_DOUBLINGS):
         report = check_invariance(f, region, replace(profile, R=R), n_samples=n_samples,
                                   seed=seed, stop_at_violation=True)

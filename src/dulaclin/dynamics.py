@@ -264,8 +264,7 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
         raise DomainError(f"start point needs Re >= R = {prof.R}")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    rho = prof.rho_minus(prof.R)
-    denom = 1.0 - math.exp(-alpha * rho)
+    denom = 1.0 - math.exp(-alpha * prof.rho)
     beta = prof.beta
     delta = f.delta
     w = zeta

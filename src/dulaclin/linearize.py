@@ -54,7 +54,7 @@ __all__ = [
     "partial_sums",
 ]
 
-SOLVER_TOL = 1e-12    # relative size of a residual, Picard step or imaginary part taken as 0
+SOLVER_TOL = 1e-12    # relative size of a residual coefficient taken as 0
 BACKSUB_TOL = 1e-10   # relative back-substitution error allowed in solve_difference_eq
 
 
@@ -260,8 +260,10 @@ def picard_linearize(f1: ExpPolySeries, beta: complex | None = None) -> Lineariz
     last two iterates agree below e, bit for bit and in which blocks are
     present, every later iterate keeps the blocks below settled = e + d: a
     sweep keeps them, and S skips its products and T^-1 its solves there.
-    Once settled passes the order, the next sweep would return psi itself,
-    so the loop stops without it, exactly as that sweep's step test would.
+    The loop stops once settled passes the order, where the next sweep would
+    return psi itself, if every coefficient of psi is finite: a NaN agrees
+    with itself bit for bit, so an overflowed psi settles without being a
+    fixed point and runs into the budget.
     """
     ops = SchroederOperators(f1, beta)
     n_levels = sum(1 for k in lattice_points(f1.g, f1.n) if k > f1.L)
@@ -274,14 +276,10 @@ def picard_linearize(f1: ExpPolySeries, beta: complex | None = None) -> Lineariz
     for _ in range(budget):
         head = psi._raw({k: b for k, b in psi.items if k < settled})
         nxt = add(head, ops.t_inv(ops.s_apply(psi, settled), settled))
-        diff = nxt - psi
         settled = _first_change(nxt, psi) + d
         psi = nxt
         scale = max(scale, psi.max_abs_coeff())
-        if diff.max_abs_coeff() <= SOLVER_TOL * scale:
-            break
-        # the skipped sweep's step is psi - psi: zero unless psi is not finite
-        if settled > psi.n and (psi - psi).max_abs_coeff() <= SOLVER_TOL * scale:
+        if settled > psi.n and all(cmath.isfinite(c) for _, b in psi.items for c in b.coeffs):
             break
     else:
         raise IterationBudgetExceeded(f"Picard iteration not stationary after {budget} steps")

@@ -14,13 +14,13 @@ Exponents, the order and the generators are exact ints k on the lattice
 (1/L)Z, L the lcm of the denominators of the generators and the order.
 ``Fraction``s appear only at the boundary: the constructor and the JSON reader
 parse and check them, and ``trunc``, ``gens``, ``terms``, ``block`` and the
-order functions are views.  Every new exponent is checked for semigroup
-membership by an int set lookup (`lattice_points`): in the constructor,
-`_recast`, the chart maps and `_raw`.  A result that keeps its operand's
-exponents (`scale`, `scale_div`, `derivative`, `translate`, `prune`, `tail`)
-is built in its operand's order, neither sorted nor looked up; one whose
-exponents are sums (`mul`) or a union (`add`) of its operands' is only
-sorted, as the semigroup is closed under addition.  Coefficients are
+order functions are views.  The constructor, `_recast`, the chart maps and
+`_raw` build through `_series`, which sorts and checks every exponent for
+semigroup membership by an int set lookup (`lattice_points`).  Every other
+result takes its operand's lattice through `_kept`, unsorted and unchecked:
+`scale`, `scale_div`, `derivative`, `translate`, `prune` and `tail` keep its
+exponents, and `mul` and `add` sort their sums or union of exponents first,
+as the semigroup is closed under addition.  Coefficients are
 double-precision complex; only exact zeros are ever stripped.  Approximate
 checks read named module constants: `HEAD_TOL` here, `SOLVER_TOL` and
 `BACKSUB_TOL` in `linearize`.  A series' powers `v, v^2, ...` are built once
@@ -251,7 +251,8 @@ class ExpPolySeries:
                 raise ValueError(f"exponent {mu} outside [0, {trunc}]")
             k = mu * L  # a k off the lattice stays a Fraction and fails the check
             acc[k.numerator if k.denominator == 1 else k] = block
-        _series(L, n, g, acc, self)
+        s = _series(L, n, g, acc)
+        self.L, self.n, self.g, self.items = s.L, s.n, s.g, s.items
 
     # -- inspection; Fraction views --------------------------------------
 
@@ -329,28 +330,27 @@ class ExpPolySeries:
         return mul(self, other)
 
 
-def _series(L: int, n: int, g: tuple, acc: Mapping, s=None, check=True) -> ExpPolySeries:
-    """The series (into `s` if given) of the blocks `acc` keyed by exponent*L,
-    on the lattice (L, n, g); with `check`, an exponent g does not generate
-    raises."""
-    items = sorted((k, b) for k, b in acc.items() if b.coeffs)
-    if check:
-        pts = lattice_points(g, n)
-        for k, _ in items:
-            if k not in pts:
-                raise ExponentNotInSemigroup(f"exponent {Fraction(k, L)} not generated by "
-                                             f"{[str(Fraction(x, L)) for x in g]}")
-    s = object.__new__(ExpPolySeries) if s is None else s
-    s.L, s.n, s.g, s.items = L, n, g, tuple(items)
+def _series(L: int, n: int, g: tuple, acc: Mapping) -> ExpPolySeries:
+    """The series of the blocks `acc` keyed by exponent*L on the lattice
+    (L, n, g), sorted; an exponent g does not generate raises."""
+    items = tuple(sorted((k, b) for k, b in acc.items() if b.coeffs))
+    pts = lattice_points(g, n)
+    for k, _ in items:
+        if k not in pts:
+            raise ExponentNotInSemigroup(f"exponent {Fraction(k, L)} not generated by "
+                                         f"{[str(Fraction(x, L)) for x in g]}")
+    s = object.__new__(ExpPolySeries)
+    s.L, s.n, s.g, s.items = L, n, g, items
     return s
 
 
 def _kept(a: ExpPolySeries, items: list) -> ExpPolySeries:
-    """The series on `a`'s lattice of `items`, (k, block) pairs in the order
-    of a.items with k among a's exponents: zero blocks dropped, nothing sorted
-    or looked up again."""
+    """The series on `a`'s lattice of `items`, (k, block) pairs with k
+    ascending among the exponents of a's semigroup: zero blocks dropped,
+    nothing sorted or looked up."""
     s = object.__new__(ExpPolySeries)
-    s.L, s.n, s.g, s.items = a.L, a.n, a.g, tuple(kb for kb in items if kb[1].coeffs)
+    # from a list, not a generator: a tuple grown from a generator can keep spare slots
+    s.L, s.n, s.g, s.items = a.L, a.n, a.g, tuple([kb for kb in items if kb[1].coeffs])
     return s
 
 
@@ -382,7 +382,7 @@ def add(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
     acc = dict(a.items)
     for k, blk in b.items:
         acc[k] = acc[k] + blk if k in acc else blk
-    return _series(a.L, a.n, a.g, acc, check=False)  # a union of a's and b's exponents
+    return _kept(a, sorted(acc.items()))  # a union of a's and b's exponents
 
 
 def mul(a: ExpPolySeries, b: ExpPolySeries, low: int = 0) -> ExpPolySeries:
@@ -403,7 +403,7 @@ def mul(a: ExpPolySeries, b: ExpPolySeries, low: int = 0) -> ExpPolySeries:
                 continue
             prod = b1 * b2
             acc[k] = acc[k] + prod if k in acc else prod
-    return _series(a.L, a.n, a.g, acc, check=False)  # sums of a's and b's exponents
+    return _kept(a, sorted(acc.items()))  # sums of a's and b's exponents
 
 
 def prune(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:

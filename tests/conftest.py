@@ -146,8 +146,11 @@ def reference_s_apply(ops, h: ExpPolySeries) -> ExpPolySeries:
 def reference_picard_linearize(f1: ExpPolySeries, beta: complex | None = None) -> LinearizationResult:
     """`linearize.picard_linearize` before its sweeps kept the settled
     blocks: every sweep applies S and T^-1 to every block, and the loop stops
-    on the step test alone, after a sweep that changes no bit; the
-    bit-for-bit reference of the Picard route."""
+    on the step test alone.  It is the bit-for-bit reference of the Picard
+    route wherever that test does not stop before the blocks settle, which
+    holds on every corpus, deep and hypothesis input of the suite.  On a
+    small perturbation a step can fall below SOLVER_TOL before the blocks
+    settle, and it stops short of the fixed point (1e-6 and 1e-15 do)."""
     ops = SchroederOperators(f1, beta)
     n_levels = sum(1 for k in lattice_points(f1.g, f1.n) if k > f1.L)
     budget = max(4 * n_levels, 8)

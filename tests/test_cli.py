@@ -341,6 +341,36 @@ def test_verify_domain_quad_at_a_large_cut(tmp_path):
                  "--cut", "1e10", "--samples", "10", "--output", str(tmp_path / "v.csv")]) == 0
 
 
+def write_quad(tmp_path, union: bool) -> Path:
+    """The quadratic domain of C = 20; with `union`, united with the band
+    -2 sqrt(x) < Im < 2 sqrt(x) beyond Re = 5."""
+    region = {"quad": {"C": 20.0}}
+    if union:
+        region = {"union": [region, json.loads(write_band(tmp_path, SQRT_MAP).read_text())]}
+    p = tmp_path / "quad.json"
+    p.write_text(json.dumps(region))
+    return p
+
+
+@pytest.mark.parametrize("union", [False, True], ids=["quad", "union"])
+def test_verify_domain_cut_below_a_quad_c(tmp_path, capsys, union):
+    # the cut 5 lies below C = 20: in a union too, the quad part's rule says so
+    region = write_quad(tmp_path, union)
+    assert main(DOMAIN_ARGS + ["--region", str(region),
+                               "--output", str(tmp_path / "v.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: cut must exceed the quadratic-domain constant C"]
+
+
+@pytest.mark.parametrize("union", [False, True], ids=["quad", "union"])
+def test_verify_domain_search_starts_past_every_quad_c(tmp_path, union):
+    out = tmp_path / "v.csv"
+    region = write_quad(tmp_path, union)
+    assert main(DOMAIN_ARGS + ["--region", str(region), "--search", "--output", str(out)]) == 0
+    comments = [l for l in out.read_text().splitlines() if l.startswith("#")]
+    assert comments[-1].startswith("# R=21.0 ")
+
+
 @pytest.mark.parametrize("argv", [
     ["koenigs", "--expr", "zeta + 1 + zeta^99999999", "--eps", "2.5", "--grid", "8:8:1,0:0:1"],
     ["solve-homological", "--expr", "zeta + 1", "--h-expr", "exp(zeta*1000)", "--alpha", "1",

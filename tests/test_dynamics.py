@@ -622,6 +622,18 @@ class TestHomological:
         assert str(err.value) == f"homological tail {tail:.3e} above tol 1.000e-10 after 3 terms"
         assert err.value.max_n == 3
 
+    def test_reads_rho_from_the_profile(self, monkeypatch):
+        # rho_minus(R) is computed once, when the profile is built: a point
+        # of the grid evaluates no drift envelope
+        import dulaclin.domains
+
+        f = AnalyticMap.from_expression("zeta + 1", self.PROF4)
+        h = lambda z: cmath.exp(-z)
+        assert self.PROF4.rho == self.PROF4.rho_minus(self.PROF4.R)
+        psi = solve_homological_numeric(f, h, 1.0, 8 + 0j, 1e-10)
+        monkeypatch.setattr(dulaclin.domains, "M_eps_k", None)
+        assert solve_homological_numeric(f, h, 1.0, 8 + 0j, 1e-10) == psi
+
     def test_decay_hypothesis_violated(self):
         f = AnalyticMap.from_expression("zeta + 1", self.PROF4)
         with pytest.raises(DecayHypothesisViolated):

@@ -757,8 +757,9 @@ def test_settled_picard_matches_reference_bytes(g, lam):
     S(3, [F(1, 2)], {1: [0.5], F(3, 2): [1e120, 1.0]}),
 ], ids=["lattice-1", "lattice-1/2"])
 def test_settled_picard_past_an_overflow_exceeds_the_budget(f1):
-    # psi overflows to NaN at the top block: the step test fails on every
-    # sweep, also once every block has settled, and the sweeps reach the budget
+    # psi overflows to NaN at the top block: every block settles, as a NaN
+    # agrees with itself bit for bit, but psi is not finite, and the sweeps
+    # reach the budget (the reference's step test fails on every sweep)
     assert _picard_outcome(picard_linearize, f1)[0] == "IterationBudgetExceeded"
     _assert_picard_matches_reference(f1)
 
@@ -783,3 +784,29 @@ def test_settled_picard_work_on_the_corpus(monkeypatch):
         linearize_by_picard(random_hyperbolic_series(rng))
     # the reference loop: 336 and 1,194, every block of every sweep and one sweep more
     assert calls == {"s_apply": 236, "solve_difference_eq": 592}
+
+
+def _picard_to_no_bit_change(f1: ExpPolySeries, beta) -> ExpPolySeries:
+    """phi of full Picard sweeps, every block of every sweep, run until a
+    sweep changes no bit of psi; at most 64 sweeps."""
+    ops = SchroederOperators(f1, beta)
+    psi = f1._raw({})
+    for _ in range(64):
+        nxt = ops.t_inv(ops.s_apply(psi))
+        if serialize_series(nxt) == serialize_series(psi):
+            return from_z_chart(add(psi, f1._raw({f1.L: CPoly([1.0])})))
+        psi = nxt
+    raise AssertionError("full Picard sweeps still change after 64 sweeps")
+
+
+@pytest.mark.parametrize("eps", [1e-15, 1e-6])
+def test_picard_on_a_tiny_perturbation_reaches_the_fixed_point(eps):
+    # a step of 1e-12 relative would stop the sweeps before they settle
+    f = S(4, [F(1, 2)], {0: [1 + 0.3j, 1.0], F(1, 2): [eps * (1 + 1j)], 1: [eps]})
+    f1, beta = to_z_chart(f), classify(f).beta
+    phi = picard_linearize(f1, beta).phi
+    assert serialize_series(phi) == serialize_series(_picard_to_no_bit_change(f1, beta))
+    level = linearize_level_by_level(f).phi
+    step_stopped = reference_picard_linearize(f1, beta).phi
+    assert max_rel_coeff_diff(phi.with_gens(f.gens), level) \
+        <= max_rel_coeff_diff(step_stopped.with_gens(f.gens), level)
