@@ -237,10 +237,15 @@ def _load_map(args, profile) -> AnalyticMap:
     return AnalyticMap.from_series(_read_series(args), profile)
 
 
+def _round(x: float) -> float:
+    """x on the rounding grid; left as it is where x / quantum is not finite."""
+    y = x / ROUNDING_QUANTUM
+    return round(y) * ROUNDING_QUANTUM if math.isfinite(y) else x
+
+
 def _round_series(series: ExpPolySeries) -> ExpPolySeries:
-    q = ROUNDING_QUANTUM
-    return series._raw({k: CPoly._of([complex(round(c.real / q) * q, round(c.imag / q) * q)
-                                      for c in b.coeffs]) for k, b in series.items})
+    return series._raw({k: CPoly._of([complex(_round(c.real), _round(c.imag)) for c in b.coeffs])
+                        for k, b in series.items})
 
 
 def cmd_linearize(args) -> int:

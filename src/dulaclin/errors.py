@@ -35,10 +35,6 @@ class ResonantCoefficient(DulaclinError):
     """The difference equation Q - c*Q(.+beta) = P is singular for c = 1."""
 
 
-class IterationBudgetExceeded(DulaclinError):
-    """A fixed-point iteration failed to stabilize within its budget."""
-
-
 class OrderTooLow(DulaclinError):
     """Operator input must have order strictly greater than one in the z-chart."""
 

@@ -4,8 +4,8 @@ Both compute the unique parabolic series phi with  phi o f = phi + beta:
 
 * a level-by-level solver working directly in the zeta-chart, clearing one
   exponential level at a time with a polynomial difference equation, and
-* a Picard iteration in the z-chart built from the operators S and T below,
-  converging in the valuation topology.
+* the Picard fixed point psi = T^-1(S(psi)) in the z-chart, built from the
+  operators S and T below and solved block by block in one pass.
 
 Agreement of the two routes is the main internal cross-check of the package.
 """
@@ -15,14 +15,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from math import comb, factorial
 
-from .errors import (
-    IterationBudgetExceeded,
-    NotHyperbolic,
-    OrderTooLow,
-    ResonantCoefficient,
-)
+from .errors import NotHyperbolic, OrderTooLow, ResonantCoefficient
 from .series import (
     CPoly,
     ExpPolySeries,
@@ -189,108 +185,109 @@ class SchroederOperators:
             raise OrderTooLow("perturbation must have z-order > 1")
         self.lam = lam
         self.beta = beta
-        self.trunc = f1.trunc
         self.g1 = g1
         # g1/z, known to order trunc - 1 but declared at trunc: every product
-        # it enters in s_apply has a factor w_i(lambda z) of z-order > 1, so
-        # the unknown terms land beyond trunc.
-        self._g_shift = f1._raw({k - L: b for k, b in g1.items})
+        # it enters in S has a factor w_i(lambda z) of z-order > 1, so the
+        # unknown terms land beyond trunc.  Its powers stop at order
+        # trunc - 1, as the term of z-order 1 + i*ord(g1/z) must lie within
+        # the order; each is paired with its term's coefficient.
+        g_shift = f1._raw({k - L: b for k, b in g1.items})
+        self._factors = [(cmath.exp(complex(i) * beta) / (factorial(i) * lam), g_pow)
+                         for i, g_pow in enumerate(powers(g_shift, f1.trunc - 1), 1)]
 
-    def s_apply(self, h: ExpPolySeries, low: int = 0) -> ExpPolySeries:
-        """S(h).  Block k reads the blocks of h at or below k - ord(g1/z).  The
-        products that land below the lattice int `low` of the common lattice
-        of h and f1 are skipped, so the blocks below `low` are partial."""
+    def s_terms(self, h: ExpPolySeries):
+        """The terms of S(h) after g1/lambda, in order: for each i >= 1,
+        (coeff, (g1/z)^i, w_i(lambda z)), the term being the product of the
+        last two scaled by coeff.
+
+        w_i = z^i h^(i) stays in nonnegative exponents: w_0 = h and
+        w_{i+1} = z (w_i)' - i w_i, where z d/dz = -d/dzeta.  Then
+          h^(i)(lambda z) g1^i = exp(i beta) w_i(lambda z) (g1/z)^i,
+        and lambda z = exp(-(zeta + beta)) makes w_i(lambda z) a translation.
+        Term i takes only the blocks of w that its product with (g1/z)^i
+        keeps (`prune`).  Every step acts block by block, so the w_i(lambda z)
+        of h are the sums of those of its blocks.
+        """
+        w = h
+        for i, (coeff, g_pow) in enumerate(self._factors):
+            w = prune(w, g_pow)
+            w = -derivative(w) - w.scale(float(i))
+            yield coeff, g_pow, translate(w, self.beta)
+            if w.is_zero:
+                return
+
+    def s_apply(self, h: ExpPolySeries) -> ExpPolySeries:
+        """S(h).  Block k reads the blocks of h at or below k - ord(g1/z).
+        Each term is added even when empty, which puts the result on the
+        common lattice of h and f1."""
         acc = self.g1.scale_div(self.lam)
         if h.is_zero:
             return acc
         if h.items[0][0] <= h.L:
             raise OrderTooLow("S requires z-order > 1")
-        # w_i = z^i h^(i) stays in nonnegative exponents: w_0 = h and
-        # w_{i+1} = z (w_i)' - i w_i, where z d/dz = -d/dzeta.  Then
-        #   h^(i)(lambda z) g1^i = exp(i beta) w_i(lambda z) (g1/z)^i,
-        # and lambda z = exp(-(zeta + beta)) makes w_i(lambda z) a translation.
-        # Powers stop at order trunc - 1, as the term of z-order 1 + i*ord(g1/z)
-        # must lie within the order.  Term i takes only the blocks of w that
-        # its product with (g1/z)^i keeps (`prune`); it is added even when
-        # empty, which puts acc on the common lattice of h and f1.
-        w = h
-        for i, g_pow in enumerate(powers(self._g_shift, self.trunc - 1), 1):
-            w = prune(w, g_pow)
-            w = -derivative(w) - w.scale(float(i - 1))
-            coeff = cmath.exp(complex(i) * self.beta) / (factorial(i) * self.lam)
-            term = mul(translate(w, self.beta), g_pow, low)
-            acc = add(acc, term.scale(coeff))
-            if w.is_zero:
-                break
+        for coeff, g_pow, w in self.s_terms(h):
+            acc = add(acc, mul(w, g_pow).scale(coeff))
         return acc
 
-    def t_inv(self, h: ExpPolySeries, low: int = 0) -> ExpPolySeries:
-        """T^-1(h) block by block, on the blocks of h at or above the lattice
-        int `low` only."""
+    def t_inv(self, h: ExpPolySeries) -> ExpPolySeries:
+        """T^-1(h), block by block."""
         L = h.L
         if h.items and h.items[0][0] <= L:
             raise OrderTooLow("T^-1 requires z-order > 1")
-        return h._raw({k: _level_solve(b, (k - L) / L, self.beta) for k, b in h.items if k >= low})
-
-
-def _first_change(a: ExpPolySeries, b: ExpPolySeries) -> int:
-    """The least lattice int at which two series on one lattice differ: in
-    which blocks are present, or in a coefficient's repr, which is its bits
-    up to a NaN's payload; past the order when they do not differ."""
-    for (ka, pa), (kb, pb) in zip(a.items, b.items):
-        if ka != kb or pa is not pb and repr(pa.coeffs) != repr(pb.coeffs):
-            return min(ka, kb)
-    rest = a.items[len(b.items):] or b.items[len(a.items):]
-    return rest[0][0] if rest else a.n + 1
+        return h._raw({k: _level_solve(b, (k - L) / L, self.beta) for k, b in h.items})
 
 
 def picard_linearize(f1: ExpPolySeries, beta: complex | None = None) -> LinearizationResult:
-    """z-chart route: iterate psi <- T^-1(S(psi)) from 0 until stationary.
+    """z-chart route: the fixed point psi = T^-1(S(psi)), solved block by
+    block in lattice order.
 
-    The order of psi_{n+1} - psi_n increases strictly through the semigroup,
-    so stationarity at the truncation order is guaranteed; the budget is a
-    bug guard, not a convergence knob, and counts sweeps.  The fixed point
+    Block k of S(psi) reads only the blocks of psi at or below
+    k - ord(g1/z), and T^-1 acts block by block, so one pass of substitution
+    reaches the fixed point (relaxed evaluation).  S(psi)_k is summed from
+    the blocks already solved exactly as `s_apply` sums it: term i outer,
+    the products of each term in ascending blocks of w_i, each term scaled
+    and then added.  Then psi_k = T^-1(S(psi)_k), which raises OverflowError
+    if it is not finite, and psi_k alone goes through the chain of
+    `s_terms`.  One sweep T^-1(S(psi)) must return psi bit for bit, signed
+    zeros included, or the solve raises ArithmeticError.  The fixed point
     gives phi1 = z + psi with phi1 o f1 = lambda*phi1; `from_z_chart` takes
     it back to the parabolic linearization, verified on f1's own lattice
     against f = from_z_chart(f1, beta).
-
-    Only the blocks that can still change are computed.  Block k of S(h)
-    reads the blocks of h at or below k - d, d = ord(g1/z), by the same
-    operations in the same order, and T^-1 acts block by block.  So when the
-    last two iterates agree below e, bit for bit and in which blocks are
-    present, every later iterate keeps the blocks below settled = e + d: a
-    sweep keeps them, and S skips its products and T^-1 its solves there.
-    The loop stops once settled passes the order, where the next sweep would
-    return psi itself, if every coefficient of psi is finite: a NaN agrees
-    with itself bit for bit, so an overflowed psi settles without being a
-    fixed point and runs into the budget.
     """
     ops = SchroederOperators(f1, beta)
-    n_levels = sum(1 for k in lattice_points(f1.g, f1.n) if k > f1.L)
-    budget = max(4 * n_levels, 8)
-    psi = f1._raw({})
-    scale = max(1.0, f1.max_abs_coeff())
-    # with g1 = 0, S(h) reads no block of h and one sweep settles every block
-    d = ops._g_shift.items[0][0] if ops._g_shift.items else f1.n + 1
-    settled = 0
-    for _ in range(budget):
-        head = psi._raw({k: b for k, b in psi.items if k < settled})
-        nxt = add(head, ops.t_inv(ops.s_apply(psi, settled), settled))
-        settled = _first_change(nxt, psi) + d
-        psi = nxt
-        scale = max(scale, psi.max_abs_coeff())
-        if settled > psi.n and all(cmath.isfinite(c) for _, b in psi.items for c in b.coeffs):
-            break
-    else:
-        raise IterationBudgetExceeded(f"Picard iteration not stationary after {budget} steps")
-    phi1 = add(psi, f1._raw({f1.L: CPoly([1.0])}))
+    L = f1.L
+    const = ops.g1.scale_div(ops.lam)
+    factors = [(coeff, dict(g_pow.items)) for coeff, g_pow in ops._factors]
+    solved = [[] for _ in factors]  # per term i: (k1, block k1 of w_i(lambda z)), k1 ascending
+    psi = {}
+    top = f1.n - min(factors[0][1]) if factors else L  # psi_k enters S for k <= top only
+    for k in sorted(lattice_points(f1.g, f1.n)):
+        if k <= L:
+            continue
+        P = const._block(k)
+        for (coeff, g_pow), w in zip(factors, solved):
+            products = [b1 * g_pow[k - k1] for k1, b1 in w if k - k1 in g_pow]
+            if products:
+                P = P + sum(products[1:], products[0]).scale(coeff)
+        if P.is_zero:
+            continue
+        psi[k] = Q = _level_solve(P, (k - L) / L, ops.beta)
+        if not all(map(cmath.isfinite, Q.coeffs)):
+            raise OverflowError(f"Picard block at z^{Fraction(k, L)} is not finite")
+        if k <= top:
+            for w, (_, _, wk) in zip(solved, ops.s_terms(f1._raw({k: Q}))):
+                w += wk.items
+    psi = f1._raw(psi)
+    if repr(ops.t_inv(ops.s_apply(psi)).items) != repr(psi.items):
+        raise ArithmeticError("Picard solve is not a fixed point of T^-1 S")
+    phi1 = add(psi, f1._raw({L: CPoly([1.0])}))
     phi = from_z_chart(phi1)  # parabolic head: multiplier 1, beta 0
     r = conjugacy_residual(phi, from_z_chart(f1, beta=ops.beta), ops.beta)
-    res_ord = effective_order(r, SOLVER_TOL * max(scale, phi.max_abs_coeff()) * 100)
+    scale = max(1.0, f1.max_abs_coeff(), psi.max_abs_coeff(), phi.max_abs_coeff())
     return LinearizationResult(
         phi=phi,
         beta=ops.beta,
-        residual_ord=res_ord,
+        residual_ord=effective_order(r, SOLVER_TOL * scale * 100),
         algorithm="picard",
     )
 

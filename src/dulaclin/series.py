@@ -385,10 +385,10 @@ def add(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
     return _kept(a, sorted(acc.items()))  # a union of a's and b's exponents
 
 
-def mul(a: ExpPolySeries, b: ExpPolySeries, low: int = 0) -> ExpPolySeries:
+def mul(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
     """Product; exponents add, blocks multiply, terms beyond the order drop.
-    Block products that land below the lattice int `low` of the common
-    lattice are skipped, so the result's blocks below `low` are partial."""
+    Each block of the result sums its products in ascending blocks of `a`,
+    the first product taken as it is."""
     a, b = _common(a, b)
     n, acc = a.n, {}
     top = n - b.items[0][0] if b.items else -1  # the last k1 that meets b
@@ -399,8 +399,6 @@ def mul(a: ExpPolySeries, b: ExpPolySeries, low: int = 0) -> ExpPolySeries:
             k = k1 + k2
             if k > n:
                 break
-            if k < low:
-                continue
             prod = b1 * b2
             acc[k] = acc[k] + prod if k in acc else prod
     return _kept(a, sorted(acc.items()))  # sums of a's and b's exponents

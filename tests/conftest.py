@@ -18,7 +18,7 @@ from dulaclin.domains import (
     _eq_new_bound,
     in_safety_rect,
 )
-from dulaclin.errors import DomainError, IterationBudgetExceeded, OrderTooLow
+from dulaclin.errors import DomainError, DulaclinError, OrderTooLow
 from dulaclin.linearize import (
     SOLVER_TOL,
     LinearizationResult,
@@ -133,7 +133,7 @@ def reference_s_apply(ops, h: ExpPolySeries) -> ExpPolySeries:
     if h.items[0][0] <= h.L:
         raise OrderTooLow("S requires z-order > 1")
     w = h
-    for i, g_pow in enumerate(powers(ops._g_shift, ops.trunc - 1), 1):
+    for i, (_, g_pow) in enumerate(ops._factors, 1):
         w = -derivative(w) - w.scale(float(i - 1))
         if w.is_zero:
             break
@@ -143,14 +143,20 @@ def reference_s_apply(ops, h: ExpPolySeries) -> ExpPolySeries:
     return acc
 
 
+class IterationBudgetExceeded(DulaclinError):
+    """The sweeps of `reference_picard_linearize` did not stop within its budget."""
+
+
 def reference_picard_linearize(f1: ExpPolySeries, beta: complex | None = None) -> LinearizationResult:
-    """`linearize.picard_linearize` before its sweeps kept the settled
-    blocks: every sweep applies S and T^-1 to every block, and the loop stops
-    on the step test alone.  It is the bit-for-bit reference of the Picard
-    route wherever that test does not stop before the blocks settle, which
-    holds on every corpus, deep and hypothesis input of the suite.  On a
-    small perturbation a step can fall below SOLVER_TOL before the blocks
-    settle, and it stops short of the fixed point (1e-6 and 1e-15 do)."""
+    """`linearize.picard_linearize` as a sweep loop, before it kept settled
+    blocks and before it solved in one pass: every sweep applies S and T^-1
+    to every block, and the loop stops on the step test alone.  It is the
+    bit-for-bit reference of the Picard route wherever that test does not
+    stop before the blocks settle, which holds on every corpus, deep and
+    hypothesis input of the suite.  On a small perturbation a step can fall
+    below SOLVER_TOL before the blocks settle, and it stops short of the
+    fixed point (1e-6 and 1e-15 do).  An overflowed psi never passes the
+    step test and runs into the budget."""
     ops = SchroederOperators(f1, beta)
     n_levels = sum(1 for k in lattice_points(f1.g, f1.n) if k > f1.L)
     budget = max(4 * n_levels, 8)

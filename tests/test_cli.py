@@ -382,6 +382,25 @@ def test_overflow_is_one_line_error(tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("error: numeric overflow: ")
 
 
+def test_picard_overflow_is_one_line_error(tmp_path, capsys):
+    # Picard's psi is not finite at z^3; the level solver finishes first
+    src = write_fixture(tmp_path, {0: [0.7, 1.0], 1: [1e200]})
+    assert main(["linearize", "--input", str(src), "--order", "2", "--cross-check",
+                 "--output", str(tmp_path / "lin")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: numeric overflow: ")
+
+
+def test_cross_check_rounds_a_huge_finite_phi(tmp_path):
+    # phi's top coefficient is -1.31e300, which the rounding quantum
+    # divides past the largest double: it is compared unrounded
+    src = write_fixture(tmp_path, {0: [0.7, 1.0], 1: [1e150]})
+    assert main(["linearize", "--input", str(src), "--order", "2", "--cross-check",
+                 "--output", str(tmp_path / "lin")]) == 0
+    report = json.loads((tmp_path / "lin.report.json").read_text())
+    assert report["cross_check"]["max_rel_coeff_diff"] <= 1e-9
+
+
 def assert_parse_error(capsys, argv):
     assert main(argv) == 3
     err = capsys.readouterr().err.splitlines()

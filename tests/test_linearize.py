@@ -293,7 +293,7 @@ class TestPicard:
         assert res.residual_ord == math.inf
 
     def test_budget_guard_is_generous(self, rng):
-        # stationarity must arrive well inside the iteration budget
+        # the one pass reaches the fixed point: the residual clears the order
         f = random_hyperbolic_series(rng)
         f1 = to_z_chart(f)
         n_levels = sum(1 for v in semigroup_points(f1.gens, f1.trunc) if v > 1)

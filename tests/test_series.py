@@ -246,7 +246,7 @@ class TestPowers:
 
         # g1/z has order 1/2 and S uses its powers up to trunc - 1 = 2 only
         f1 = S(3, [F(1, 2)], {1: [0.5], F(3, 2): [0.25, 0.1], 2: [-0.3]})
-        g_shift = SchroederOperators(f1)._g_shift
+        g_shift = SchroederOperators(f1)._factors[0][1]
         built = []
         product = dulaclin.series.mul
 
@@ -629,7 +629,7 @@ def test_every_result_key_is_a_semigroup_point(a, b, c):
     f = add(b.tail(), S(b.trunc, b.gens, {0: [c or 1.0, 1.0]}))
     results = [a.scale(c), a.scale_div(c or 2.0), -a, derivative(a), translate(a, c),
                prune(a, b), prune(a, b.tail()), a.tail(), add(a, b), a - b, mul(a, b),
-               mul(a, b, low=2), compose(a, f), conjugacy_residual(a, f, c or 1.0),
+               compose(a, f), conjugacy_residual(a, f, c or 1.0),
                *powers(b.tail()), to_z_chart(f), from_z_chart(to_z_chart(f))]
     for r in results:
         assert_well_formed(r)
@@ -757,21 +757,20 @@ def test_settled_picard_matches_reference_bytes(g, lam):
     S(3, [F(1, 2)], {1: [0.5], F(3, 2): [1e120, 1.0]}),
 ], ids=["lattice-1", "lattice-1/2"])
 def test_settled_picard_past_an_overflow_exceeds_the_budget(f1):
-    # psi overflows to NaN at the top block: every block settles, as a NaN
-    # agrees with itself bit for bit, but psi is not finite, and the sweeps
-    # reach the budget (the reference's step test fails on every sweep)
-    assert _picard_outcome(picard_linearize, f1)[0] == "IterationBudgetExceeded"
-    _assert_picard_matches_reference(f1)
+    # psi overflows at the top block: the pass stops there, while the
+    # reference's sweeps settle on a NaN and run into their budget
+    assert _picard_outcome(picard_linearize, f1)[0] == "OverflowError"
+    assert _picard_outcome(reference_picard_linearize, f1)[0] == "IterationBudgetExceeded"
 
 
 def test_settled_picard_work_on_the_corpus(monkeypatch):
-    # the bytes above cannot see a sweep or a solve whose result is dropped
+    # the bytes above cannot see an S or a solve whose result is dropped
     calls = {"s_apply": 0, "solve_difference_eq": 0}
     s_apply, solve = SchroederOperators.s_apply, linearize.solve_difference_eq
 
-    def counting_s_apply(ops, h, low=0):
+    def counting_s_apply(ops, h):
         calls["s_apply"] += 1
-        return s_apply(ops, h, low)
+        return s_apply(ops, h)
 
     def counting_solve(P, c, beta):
         calls["solve_difference_eq"] += 1
@@ -782,8 +781,29 @@ def test_settled_picard_work_on_the_corpus(monkeypatch):
     rng = random.Random(20260808)
     for _ in range(100):
         linearize_by_picard(random_hyperbolic_series(rng))
-    # the reference loop: 336 and 1,194, every block of every sweep and one sweep more
-    assert calls == {"s_apply": 236, "solve_difference_eq": 592}
+    # one S per solve, the check sweep's, and each block of psi solved twice,
+    # in the pass and in the check (the reference loop: 336 and 1,194)
+    assert calls == {"s_apply": 100, "solve_difference_eq": 570}
+    calls.update(s_apply=0, solve_difference_eq=0)
+    linearize_by_picard(deep_series(8))
+    assert calls == {"s_apply": 1, "solve_difference_eq": 90}
+
+
+def test_picard_check_sweep_catches_a_perturbed_s(monkeypatch):
+    # negative control: with S's lowest block off by 1e-12 relative, the
+    # pass's psi is no fixed point of the sweep (a one-ulp nudge can be
+    # absorbed by T^-1's rounding)
+    s_apply = SchroederOperators.s_apply
+
+    def perturbed(ops, h):
+        (k, b), *rest = s_apply(ops, h).items
+        return h._raw({k: b.scale(1 + 1e-12), **dict(rest)})
+
+    monkeypatch.setattr(SchroederOperators, "s_apply", perturbed)
+    rng = random.Random(20260808)
+    for _ in range(100):
+        with pytest.raises(ArithmeticError, match="not a fixed point"):
+            linearize_by_picard(random_hyperbolic_series(rng))
 
 
 def _picard_to_no_bit_change(f1: ExpPolySeries, beta) -> ExpPolySeries:
