@@ -32,6 +32,7 @@ from .series import (
     from_z_chart,
     lattice_points,
     mul,
+    mul_into,
     powers,
     prune,
     series_to_json,
@@ -243,13 +244,12 @@ def picard_linearize(f1: ExpPolySeries, beta: complex | None = None) -> Lineariz
 
     Block k of S(psi) reads only the blocks of psi at or below
     k - ord(g1/z), and T^-1 acts block by block, so one pass of substitution
-    reaches the fixed point (relaxed evaluation).  S(psi)_k is summed from
-    the blocks already solved exactly as `s_apply` sums it: term i outer,
-    the products of each term in ascending blocks of w_i, each term scaled
-    and then added.  Then psi_k = T^-1(S(psi)_k), which raises OverflowError
-    if it is not finite, and psi_k alone goes through the chain of
-    `s_terms`.  One sweep T^-1(S(psi)) must return psi bit for bit, signed
-    zeros included, or the solve raises ArithmeticError.  The fixed point
+    reaches the fixed point (relaxed evaluation).  Each psi_k =
+    T^-1(S(psi)_k) must be finite, or OverflowError; it goes alone through
+    `s_terms`, and `mul_into` adds its products with (g1/z)^i into term
+    i's sums as `mul` adds them, so S(psi)_k is summed as `s_apply` sums
+    it.  One sweep T^-1(S(psi)) must return psi bit for bit, signed zeros
+    included, or the solve raises ArithmeticError.  The fixed point
     gives phi1 = z + psi with phi1 o f1 = lambda*phi1; `from_z_chart` takes
     it back to the parabolic linearization, verified on f1's own lattice
     against f = from_z_chart(f1, beta).
@@ -257,26 +257,24 @@ def picard_linearize(f1: ExpPolySeries, beta: complex | None = None) -> Lineariz
     ops = SchroederOperators(f1, beta)
     L = f1.L
     const = ops.g1.scale_div(ops.lam)
-    factors = [(coeff, dict(g_pow.items)) for coeff, g_pow in ops._factors]
-    solved = [[] for _ in factors]  # per term i: (k1, block k1 of w_i(lambda z)), k1 ascending
+    terms = [{} for _ in ops._factors]  # per term i: products of w_i(lambda z) and (g1/z)^i
     psi = {}
-    top = f1.n - min(factors[0][1]) if factors else L  # psi_k enters S for k <= top only
+    top = f1.n - ops._factors[0][1].items[0][0] if ops._factors else L  # last k entering S
     for k in sorted(lattice_points(f1.g, f1.n)):
         if k <= L:
             continue
         P = const._block(k)
-        for (coeff, g_pow), w in zip(factors, solved):
-            products = [b1 * g_pow[k - k1] for k1, b1 in w if k - k1 in g_pow]
-            if products:
-                P = P + sum(products[1:], products[0]).scale(coeff)
+        for (coeff, _), term in zip(ops._factors, terms):
+            if k in term:
+                P = P + term.pop(k).scale(coeff)
         if P.is_zero:
             continue
         psi[k] = Q = _level_solve(P, (k - L) / L, ops.beta)
         if not all(map(cmath.isfinite, Q.coeffs)):
             raise OverflowError(f"Picard block at z^{Fraction(k, L)} is not finite")
         if k <= top:
-            for w, (_, _, wk) in zip(solved, ops.s_terms(f1._raw({k: Q}))):
-                w += wk.items
+            for term, (_, g_pow, wk) in zip(terms, ops.s_terms(f1._raw({k: Q}))):
+                mul_into(term, wk.items, g_pow.items, f1.n)
     psi = f1._raw(psi)
     if repr(ops.t_inv(ops.s_apply(psi)).items) != repr(psi.items):
         raise ArithmeticError("Picard solve is not a fixed point of T^-1 S")

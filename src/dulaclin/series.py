@@ -385,22 +385,27 @@ def add(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
     return _kept(a, sorted(acc.items()))  # a union of a's and b's exponents
 
 
-def mul(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
-    """Product; exponents add, blocks multiply, terms beyond the order drop.
-    Each block of the result sums its products in ascending blocks of `a`,
-    the first product taken as it is."""
-    a, b = _common(a, b)
-    n, acc = a.n, {}
-    top = n - b.items[0][0] if b.items else -1  # the last k1 that meets b
-    for k1, b1 in a.items:
+def mul_into(acc: dict, a_items: tuple, b_items: tuple, n: int):
+    """Add to acc, by exponent up to n, the products of a's and b's ascending
+    (exponent, block) pairs, in ascending a, a first product as it is."""
+    top = n - b_items[0][0] if b_items else -1  # the last k1 that meets b
+    for k1, b1 in a_items:
         if k1 > top:
             break
-        for k2, b2 in b.items:
+        for k2, b2 in b_items:
             k = k1 + k2
             if k > n:
                 break
             prod = b1 * b2
             acc[k] = acc[k] + prod if k in acc else prod
+
+
+def mul(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
+    """Product; exponents add, blocks multiply, terms beyond the order drop.
+    Each block is summed by `mul_into`, in ascending blocks of `a`."""
+    a, b = _common(a, b)
+    acc = {}
+    mul_into(acc, a.items, b.items, a.n)
     return _kept(a, sorted(acc.items()))  # sums of a's and b's exponents
 
 

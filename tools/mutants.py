@@ -1,7 +1,6 @@
 """Mutation catalogue: small faults in the package that named tests must catch.
 
-    python3 tools/mutants.py           # every mutant
-    python3 tools/mutants.py 2 5       # mutants 2 and 5, numbered from 1
+    python3 tools/mutants.py
 
 Run from the root of a checkout.  It copies the checkout, without `.git`,
 to a temporary directory, and first runs every named test there unmutated:
@@ -39,9 +38,9 @@ MUTANTS = [
         ["tests/test_series.py::test_picard_check_sweep_catches_a_perturbed_s",
          "tests/test_series.py::test_settled_picard_work_on_the_corpus"]),
     Mutant(
-        "Picard's pass sums each term's products with k1 descending", LINEARIZE,
-        "for k1, b1 in w if k - k1 in g_pow]",
-        "for k1, b1 in reversed(w) if k - k1 in g_pow]",
+        "Picard's pass adds the terms of S in reverse order", LINEARIZE,
+        "        for (coeff, _), term in zip(ops._factors, terms):\n",
+        "        for (coeff, _), term in reversed(list(zip(ops._factors, terms))):\n",
         ["tests/test_series.py::test_settled_picard_matches_reference_on_the_corpus",
          "tests/test_series.py::test_settled_picard_matches_reference_on_the_deep_series[4]"]),
     Mutant(
@@ -81,19 +80,18 @@ def run_tests(root: Path, tests: list) -> tuple:
     return proc.returncode, failed
 
 
-def main(argv: list) -> int:
-    chosen = [MUTANTS[int(i) - 1] for i in argv] or MUTANTS
+def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", "_work", "_out"))
-        named = sorted({t for m in chosen for t in m.tests})
+        named = sorted({t for m in MUTANTS for t in m.tests})
         code, failed = run_tests(copy, named)
         if code:
             print(f"unmutated: pytest exit {code}; failing: {sorted(failed) or 'none named'}")
             return 1
-        for m in chosen:
+        for m in MUTANTS:
             path = copy / m.file
             text = path.read_text()
             if text.count(m.old) != 1:
@@ -115,4 +113,4 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
