@@ -70,7 +70,6 @@ from .linearize import linearize_by_picard, linearize_level_by_level, partial_su
 from .series import (
     CPoly,
     ExpPolySeries,
-    conjugacy_residual,
     format_exponent,
     max_rel_coeff_diff,
     parse_exponent,
@@ -253,9 +252,8 @@ def cmd_linearize(args) -> int:
     if args.order is not None and args.order < f.trunc:
         f = f.with_trunc(args.order)
     level = linearize_level_by_level(f)
-    residual = conjugacy_residual(level.phi, f, level.beta)
     scale = max(1.0, f.max_abs_coeff(), level.phi.max_abs_coeff())
-    max_resid = residual.max_abs_coeff() / scale
+    max_resid = level.residual.max_abs_coeff() / scale
     out = args.output
     report = {
         **_header(args),

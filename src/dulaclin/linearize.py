@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -24,7 +24,6 @@ from .series import (
     ExpPolySeries,
     add,
     classify,
-    compose,
     conjugacy_residual,
     derivative,
     effective_order,
@@ -36,6 +35,7 @@ from .series import (
     powers,
     prune,
     series_to_json,
+    taylor_terms,
     to_z_chart,
     translate,
     z_chart_head,
@@ -57,8 +57,10 @@ BACKSUB_TOL = 1e-10   # relative back-substitution error allowed in solve_differ
 
 @dataclass(frozen=True)
 class LinearizationResult:
+    """A solver's phi for f, verified by residual = compose(phi, f) - phi - beta."""
     phi: ExpPolySeries          # parabolic: head zeta, all other exponents > 0
     beta: complex
+    residual: ExpPolySeries     # conjugacy_residual(phi, f, beta), bit for bit
     residual_ord: object        # Fraction or math.inf in the truncated algebra
     algorithm: str              # 'level_solver' | 'picard'
 
@@ -139,24 +141,49 @@ def linearize_level_by_level(f: ExpPolySeries) -> LinearizationResult:
 
     never resonant since |exp(-nu*beta)| < 1 for nu > 0, Re(beta) > 0.
     Levels are swept in ascending semigroup order, which is exact
-    back-substitution: a solved level is never touched again.
+    back-substitution: a solved level is never touched again, and each Q
+    must be finite, or OverflowError.  Each block of phi, zeta first, goes
+    alone through `taylor_terms` once; its products build compose(term, f)
+    for r and, added in ascending blocks as `mul_into` adds them, the sums
+    that give `residual` = conjugacy_residual(phi, f, beta) bit for bit.
     """
     beta = _hyperbolic_beta(f)
-    L = f.L
+    moved = {}  # the blocks of translate(phi, beta)
+    sums = {}   # by 1/i!: the blocks of mul(translate(phi^(i), beta), delta^i)
+
+    def push(term: ExpPolySeries) -> ExpPolySeries:  # compose(term, f), summed into `sums` too
+        out = translate(term, beta)
+        moved.update(out.items)
+        for inv_fact, w, dpow in taylor_terms(term, f, beta):
+            prods = {}
+            mul_into(prods, w.items, dpow.items, f.n)
+            acc = sums.setdefault(inv_fact, {})
+            for k, p in prods.items():
+                acc[k] = acc[k] + p if k in acc else p
+            out = add(out, f._raw(prods).scale(inv_fact))
+        return out
+
     phi = f._raw({0: CPoly([0.0, 1.0])})
+    push(phi)
     r = f.tail()  # conjugacy_residual(zeta, f, beta), exactly
     for nu in sorted(lattice_points(f.g, f.n))[1:]:  # level nu/L > 0, ascending
         P = r._block(nu)
         if P.is_zero:
             continue
-        Q = _level_solve(P, nu / L, beta)
+        Q = _level_solve(P, nu / f.L, beta)
+        if not all(map(cmath.isfinite, Q.coeffs)):
+            raise OverflowError(f"level block at exponent {Fraction(nu, f.L)} is not finite")
         term = f._raw({nu: Q})
         phi = add(phi, term)
-        r = add(r, compose(term, f) - term)
+        r = add(r, push(term) - term)
+    composed = f._raw(moved)
+    for inv_fact, acc in sums.items():  # 1/i! for i = 1, 2, ..., as inserted
+        composed = add(composed, f._raw(acc).scale(inv_fact))
     scale = max(1.0, f.max_abs_coeff(), phi.max_abs_coeff())
     return LinearizationResult(
         phi=phi,
         beta=beta,
+        residual=composed - phi - phi._raw({0: CPoly([beta])}),
         residual_ord=effective_order(r, SOLVER_TOL * scale),
         algorithm="level_solver",
     )
@@ -238,7 +265,8 @@ class SchroederOperators:
         return h._raw({k: _level_solve(b, (k - L) / L, self.beta) for k, b in h.items})
 
 
-def picard_linearize(f1: ExpPolySeries, beta: complex | None = None) -> LinearizationResult:
+def picard_linearize(f1: ExpPolySeries, beta: complex | None = None, *,
+                     f: ExpPolySeries | None = None) -> LinearizationResult:
     """z-chart route: the fixed point psi = T^-1(S(psi)), solved block by
     block in lattice order.
 
@@ -251,8 +279,8 @@ def picard_linearize(f1: ExpPolySeries, beta: complex | None = None) -> Lineariz
     it.  One sweep T^-1(S(psi)) must return psi bit for bit, signed zeros
     included, or the solve raises ArithmeticError.  The fixed point
     gives phi1 = z + psi with phi1 o f1 = lambda*phi1; `from_z_chart` takes
-    it back to the parabolic linearization, verified on f1's own lattice
-    against f = from_z_chart(f1, beta).
+    it back to the parabolic linearization, verified against f, on f's
+    generators, or without f against from_z_chart(f1, beta) on f1's lattice.
     """
     ops = SchroederOperators(f1, beta)
     L = f1.L
@@ -280,11 +308,14 @@ def picard_linearize(f1: ExpPolySeries, beta: complex | None = None) -> Lineariz
         raise ArithmeticError("Picard solve is not a fixed point of T^-1 S")
     phi1 = add(psi, f1._raw({L: CPoly([1.0])}))
     phi = from_z_chart(phi1)  # parabolic head: multiplier 1, beta 0
-    r = conjugacy_residual(phi, from_z_chart(f1, beta=ops.beta), ops.beta)
+    f = from_z_chart(f1, beta=ops.beta) if f is None else f
+    phi = phi.with_gens(f.gens)  # unchanged on from_z_chart(f1)'s lattice
+    r = conjugacy_residual(phi, f, ops.beta)
     scale = max(1.0, f1.max_abs_coeff(), psi.max_abs_coeff(), phi.max_abs_coeff())
     return LinearizationResult(
         phi=phi,
         beta=ops.beta,
+        residual=r,
         residual_ord=effective_order(r, SOLVER_TOL * scale * 100),
         algorithm="picard",
     )
@@ -293,9 +324,8 @@ def picard_linearize(f1: ExpPolySeries, beta: complex | None = None) -> Lineariz
 def linearize_by_picard(f: ExpPolySeries) -> LinearizationResult:
     """Convenience pipeline: zeta-chart f -> z-chart -> Picard -> zeta-chart,
     with phi recast to the generators of f."""
-    beta = _hyperbolic_beta(f)
-    res = picard_linearize(to_z_chart(f), beta=beta)
-    return replace(res, phi=res.phi.with_gens(f.gens))
+    beta = _hyperbolic_beta(f)  # NotHyperbolic before to_z_chart's NotNormalized
+    return picard_linearize(to_z_chart(f), beta=beta, f=f)
 
 
 # ---------------------------------------------------------------------------

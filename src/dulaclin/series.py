@@ -480,24 +480,30 @@ def compose(g: ExpPolySeries, f: ExpPolySeries) -> ExpPolySeries:
 
     Taylor expansion around zeta + beta:
         g(f) = sum_i  g^(i)(zeta + beta) * delta^i / i!,
-    summed until i*ord(delta) exceeds the common truncation order.  Term i
-    differentiates and translates only the blocks of g that its product with
-    delta^i keeps (`prune`); a dropped block never reaches a kept coefficient.
+    summed until i*ord(delta) exceeds the common truncation order, term by
+    term from `taylor_terms`.
     """
     beta = _affine_head(f)
     g, f = _common(g, f)
-    delta = f.tail()
     result = translate(g, beta)
+    for inv_fact, w, dpow in taylor_terms(g, f, beta):
+        result = add(result, mul(w, dpow).scale(inv_fact))
+    return result
+
+
+def taylor_terms(g: ExpPolySeries, f: ExpPolySeries, beta: complex):
+    """For g on f's lattice, the terms (1/i!, translate(g^(i), beta), delta^i)
+    of compose(g, f), i >= 1.  Term i differentiates and translates only the
+    blocks of g that its product with delta^i keeps (`prune`): a dropped block
+    never reaches a kept coefficient.  Every step acts block by block."""
     gi = g
     fact = 1.0
-    for i, dpow in enumerate(powers(delta), 1):
+    for i, dpow in enumerate(powers(f.tail()), 1):
         gi = derivative(prune(gi, dpow))
         if gi.is_zero:
-            break
+            return
         fact *= i
-        term = mul(translate(gi, beta), dpow)
-        result = add(result, term.scale(1.0 / fact))
-    return result
+        yield 1.0 / fact, translate(gi, beta), dpow
 
 
 def conjugacy_residual(phi: ExpPolySeries, f: ExpPolySeries, beta: complex) -> ExpPolySeries:

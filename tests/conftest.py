@@ -178,6 +178,7 @@ def reference_picard_linearize(f1: ExpPolySeries, beta: complex | None = None) -
     return LinearizationResult(
         phi=phi,
         beta=ops.beta,
+        residual=r,
         residual_ord=res_ord,
         algorithm="picard",
     )

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from dulaclin.cli import build_parser, main
-from dulaclin.series import ExpPolySeries, parse_series, serialize_series
+from dulaclin.series import CPoly, ExpPolySeries, parse_series, serialize_series
 
 
 def write_fixture(path: Path, terms=None) -> Path:
@@ -383,12 +383,64 @@ def test_overflow_is_one_line_error(tmp_path, capsys, argv):
 
 
 def test_picard_overflow_is_one_line_error(tmp_path, capsys):
-    # Picard's psi is not finite at z^3; the level solver finishes first
+    # phi's block at exponent 2 is not finite, so the level solver stops
+    # there, before Picard's psi overflows at z^3
     src = write_fixture(tmp_path, {0: [0.7, 1.0], 1: [1e200]})
     assert main(["linearize", "--input", str(src), "--order", "2", "--cross-check",
                  "--output", str(tmp_path / "lin")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: numeric overflow: ")
+
+
+def test_picard_overflow_after_a_finite_level_solve_is_one_line_error(tmp_path, capsys):
+    # the level solve stays finite; Picard's psi is not finite at z^3
+    src = write_fixture(tmp_path, {0: [0.7, 1.0], 1: [1e154]})
+    assert main(["linearize", "--input", str(src), "--order", "2", "--cross-check",
+                 "--output", str(tmp_path / "lin")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: numeric overflow: Picard block at z^3 is not finite"]
+
+
+@pytest.mark.parametrize("trunc, terms", [
+    ("5", [{"exp": "0/1", "poly": [[0.7, 0], [1, 0]]}, {"exp": "1/1", "poly": [[0.5, 0.1]]},
+           {"exp": "2/1", "poly": [[1e200, 0], [0.5, 0.1]]}]),
+    ("3", [{"exp": "0/1", "poly": [[0.7, 0], [1, 0]]},
+           {"exp": "1/1", "poly": [[1e300, 0], [1e300, 0]]}]),
+], ids=["nan-at-4", "nan-at-2"])
+def test_level_solver_overflow_is_one_line_error(tmp_path, capsys, trunc, terms):
+    # a NaN block of phi passes the back-substitution check, the residual's
+    # max_abs and effective_order; the level solver stops at the first one
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps({"trunc": trunc, "gens": ["1"], "terms": terms}))
+    assert main(["linearize", "--input", str(src), "--output", str(tmp_path / "lin")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: numeric overflow: level block at ")
+    assert not (tmp_path / "lin.phi.json").exists()
+
+
+def test_linearize_makes_each_block_product_once(tmp_path, monkeypatch):
+    # the report's residual comes from the level solver's own pass; a second
+    # conjugacy_residual would make 6,908 products and 769 shifts
+    from conftest import deep_series
+
+    src = tmp_path / "deep.json"
+    src.write_text(serialize_series(deep_series()))
+    calls = {"mul": 0, "shift": 0}
+    mul, shift = CPoly.__mul__, CPoly.shift
+
+    def counting_mul(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+
+    def counting_shift(a, c):
+        calls["shift"] += 1
+        return shift(a, c)
+
+    monkeypatch.setattr(CPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(CPoly, "shift", counting_shift)
+    assert main(["linearize", "--input", str(src), "--order", "8",
+                 "--output", str(tmp_path / "lin")]) == 0
+    assert calls == {"mul": 3834, "shift": 408}
 
 
 def test_cross_check_rounds_a_huge_finite_phi(tmp_path):

@@ -613,6 +613,32 @@ def test_pruned_loops_match_references_on_the_deep_series(order):
     _assert_loops_match_references(deep_series(order))
 
 
+def _assert_level_residual_is_conjugacy_residual(f: ExpPolySeries):
+    # by lattice and by the repr of every coefficient, signed zeros included
+    res = linearize_level_by_level(f)
+    ref = conjugacy_residual(res.phi, f, res.beta)
+    got = res.residual
+    assert (got.L, got.n, got.g, repr(got.items)) == (ref.L, ref.n, ref.g, repr(ref.items))
+
+
+def test_level_residual_is_conjugacy_residual_on_the_corpus():
+    rng = random.Random(20260808)
+    for _ in range(100):
+        _assert_level_residual_is_conjugacy_residual(random_hyperbolic_series(rng))
+
+
+@pytest.mark.parametrize("order", [4, 6, 8])
+def test_level_residual_is_conjugacy_residual_on_the_deep_series(order):
+    _assert_level_residual_is_conjugacy_residual(deep_series(order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_series(), st.sampled_from([1.0, 0.5 + 2j, 3 - 1j]))
+def test_level_residual_is_conjugacy_residual_bytes(b, beta):
+    _assert_level_residual_is_conjugacy_residual(
+        add(b.tail(), S(b.trunc, b.gens, {0: [beta, 1.0]})))
+
+
 def assert_well_formed(s: ExpPolySeries):
     """Every key a point of the series' own semigroup, keys strictly
     ascending, no zero block: what the constructor's check guarantees."""
@@ -708,10 +734,12 @@ class TestPrunedWork:
         ops.s_apply(h)
         assert calls == []  # unpruned: one per power of g1/z, 6
 
-    def test_deep_order_8_level_solve_shifts_406_blocks(self, monkeypatch):
+    def test_deep_order_8_level_solve_shifts_408_blocks(self, monkeypatch):
         calls = self.shifted_blocks(monkeypatch)
         linearize_level_by_level(deep_series())
-        assert len(calls) == 406  # unpruned: 810
+        # 406 for the levels, 2 for zeta and its derivative in the verifying
+        # pass; unpruned: 812
+        assert len(calls) == 408
 
 
 # -- the settled Picard sweeps against the loop they replaced ----------------

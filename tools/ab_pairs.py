@@ -2,8 +2,9 @@
 
     python3 tools/ab_pairs.py --base HEAD~1 --workload domain --pairs 10 --seconds 25 --seed 1001
 
-Run from the root of a checkout.  It checks the base ref out into a temporary
-`git worktree` and runs `perfbench/run.py --trace 0` alternately there (the
+Run from the root of a checkout.  It extracts the base ref's committed files
+into a temporary directory (`git archive <ref> | tar -x`, which leaves `.git`
+as it is) and runs `perfbench/run.py --trace 0` alternately there (the
 base) and in this checkout (the change, uncommitted edits included), the base
 first on odd pairs and the change first on even ones.  Pair i runs both sides
 at seed `--seed` + i - 1.  Each side runs its own `perfbench/`; this script
@@ -16,7 +17,7 @@ base's interquartile range (`statistics.quantiles`, exclusive method), the
 number of pairs the change won (better in the metric's direction), and
 whether the change's median beats the base's by more than that range.  A run
 that is not `correct`, has failed operations or exits nonzero stops the
-script.  The worktree is removed at the end, also after an error.
+script.  The temporary directory is removed at the end, also after an error.
 """
 
 import argparse
@@ -71,8 +72,10 @@ def main() -> int:
     tree = tmp / "base"
     base, change = [], []
     try:
-        subprocess.run(["git", "worktree", "add", "--detach", str(tree), args.base],
-                       cwd=ROOT, check=True, capture_output=True)
+        tree.mkdir()
+        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
         for i in range(1, args.pairs + 1):
             seed = args.seed + i - 1
             sides = [("base", tree), ("change", ROOT)]
@@ -85,8 +88,6 @@ def main() -> int:
                               f"{runs['change'][m['name']]:.6g}" for m in metrics),
                   flush=True)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT,
-                       capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
     print(f"{args.workload}, {args.pairs} pairs at {args.seconds:g} s (base/change above):")
     summarize(metrics, base, change)

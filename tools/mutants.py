@@ -45,12 +45,30 @@ MUTANTS = [
          "tests/test_series.py::test_settled_picard_matches_reference_on_the_deep_series[4]"]),
     Mutant(
         "Picard without its finiteness check", LINEARIZE,
-        "        if not all(map(cmath.isfinite, Q.coeffs)):\n",
-        "        if False:\n",
+        "            raise OverflowError(f\"Picard block",
+        "            if False: raise OverflowError(f\"Picard block",
         ["tests/test_series.py::test_settled_picard_past_an_overflow_exceeds_the_budget[lattice-1]",
          "tests/test_series.py::test_settled_picard_past_an_overflow_exceeds_the_budget"
          "[lattice-1/2]",
-         "tests/test_cli.py::test_picard_overflow_is_one_line_error"]),
+         "tests/test_cli.py::test_picard_overflow_after_a_finite_level_solve_is_one_line_error"]),
+    Mutant(
+        "the level solver without its finiteness check", LINEARIZE,
+        "            raise OverflowError(f\"level block",
+        "            if False: raise OverflowError(f\"level block",
+        ["tests/test_cli.py::test_level_solver_overflow_is_one_line_error[nan-at-4]",
+         "tests/test_cli.py::test_level_solver_overflow_is_one_line_error[nan-at-2]"]),
+    Mutant(
+        "the level solver's verifying sums skip the zeta block", LINEARIZE,
+        "    push(phi)\n",
+        "",
+        ["tests/test_series.py::test_level_residual_is_conjugacy_residual_on_the_corpus",
+         "tests/test_series.py::test_level_residual_is_conjugacy_residual_on_the_deep_series[4]"]),
+    Mutant(
+        "phi gets a block other than the one the level solver pushed", LINEARIZE,
+        "        phi = add(phi, term)\n",
+        "        phi = add(phi, term.scale(2.0))\n",
+        ["tests/test_series.py::test_level_residual_is_conjugacy_residual_on_the_corpus",
+         "tests/test_series.py::test_level_residual_is_conjugacy_residual_on_the_deep_series[4]"]),
     Mutant(
         "the homological report's coordinate cache keyed with zeros", "src/dulaclin/cli.py",
         "for x in r[3:] if x}}",
