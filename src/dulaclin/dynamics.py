@@ -6,8 +6,9 @@ small quantities that drive every estimate are evaluated without catastrophic
 cancellation; displacement sums then inherit the relative accuracy of delta.
 An AnalyticMap is that delta and its profile: one function, compiled once
 with the map (an expression's AST, or a series' straight-line evaluator from
-`series.evaluate_tail`), that every step calls directly.  The profile holds
-the rest: beta as a complex, and the envelope M and its tail integral M_tail.
+`series.evaluate_tail`), that every step calls directly, and the AST of its
+operations.  The profile holds the rest: beta as a complex, and the envelope
+M and its tail integral M_tail.
 All certified bounds are floating-point quantities, conditional on the
 declared drift profile, and per-step checks validate that hypothesis along
 every computed orbit.
@@ -20,10 +21,18 @@ count n_lo whose tail bound exceeds tol by ENVELOPE_MARGIN, and the envelope
 at step n_lo - 1, shrunk by that margin, is a floor under every earlier
 step's.  A step takes |delta| once; it evaluates a start's M only when
 |delta| is above that start's floor or the step is past its n_lo, and the
-tail bound only past n_lo, so nearly every step only sums.  The margin
+tail bound only past n_lo, so every step before n_lo only sums.  The margin
 covers the rounding of pow and log, so only the exact envelope must be
 monotone, not its floating-point evaluation: every check and every value is
 the one that evaluating both at every step gives.
+
+The germs are exponentially flat: delta underflows to exactly 0 once
+Re(m*zeta) passes about 745, some 2,000 steps before n_lo.  A step whose
+delta is +/-0 changes no sum and moves the orbit by exactly beta, so at a
+zero step before n_lo the walk computes the points up to n_lo by w + beta
+and jumps there if `exprparse.vanishes` proves delta +/-0 on the rectangle
+they span, or tries again after 2, 4, 8, ... more steps.  Every result,
+message and error is the full walk's.  A map without an AST walks every step.
 
 A KoenigsResult is one certified start: zeta and the displacement its walk
 summed (the limit value is their sum), the steps used, the tail bound,
@@ -49,7 +58,7 @@ from .errors import (
     InsufficientData,
     NotConverged,
 )
-from .exprparse import compile_ast, delta_ast, parse_expression
+from .exprparse import compile_ast, delta_ast, parse_expression, vanishes
 from .series import CPoly, ExpPolySeries, evaluate_tail
 
 __all__ = [
@@ -76,11 +85,14 @@ class AnalyticMap:
     step calls it directly.  An expression's delta is delta_ast's AST,
     compiled: for a top-level sum zeta + ... it is offset +/- t_1 +/- t_2
     ..., otherwise f(zeta) - zeta - beta, which is cancellation-limited.
+    `ast`, the AST of the operations `delta` performs, lets a Koenigs walk
+    skip its provably zero steps; a map built from a bare callable has none.
     """
 
     delta: Callable
     profile: AsymptoticProfile
     exact_translation: bool = False
+    ast: Optional[tuple] = None
 
     def __call__(self, zeta: complex) -> complex:
         return zeta + self.profile.beta + self.delta(zeta)
@@ -88,12 +100,13 @@ class AnalyticMap:
     @staticmethod
     def from_expression(text: str, profile: AsymptoticProfile) -> "AnalyticMap":
         delta, exact = delta_ast(parse_expression(text), profile.beta)
-        return AnalyticMap(compile_ast(delta), profile, exact)
+        return AnalyticMap(compile_ast(delta), profile, exact, delta)
 
     @staticmethod
     def from_series(series: ExpPolySeries, profile: AsymptoticProfile) -> "AnalyticMap":
         exact = series.block(0) == CPoly([profile.beta, 1.0]) and series.tail().is_zero
-        return AnalyticMap(evaluate_tail(series, profile.beta), profile, exact)
+        delta, ast = evaluate_tail(series, profile.beta)
+        return AnalyticMap(delta, profile, exact, ast)
 
 
 @dataclass(frozen=True)
@@ -135,6 +148,9 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
     into `result.next`.  Errors come in the order of two calls in a row; a
     NotConverged's partial result is zeta's, holding the next point's in
     `next` when only that one failed.
+
+    With `f.ast`, the steps before n_lo whose delta is provably +/-0 are
+    skipped; they only sum a +/-0, so the result is the same.
     """
     prof = f.profile
     if f.exact_translation:  # -0j is the additive identity, signed zeros included
@@ -143,12 +159,13 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
         return replace(result, next=koenigs_limit(f, f(zeta), tol, max_n)) if with_next else result
     first = _Certificate(prof, zeta, 0, tol, max_n)
     second = result = result_next = None
-    beta, delta = prof.beta, f.delta
+    beta, delta, node = prof.beta, f.delta, f.ast
     w, disp, disp_next = zeta, 0j, 0j
     # a step takes the full path when it is above a walking start's floor or
     # past its n_lo; the first one always does, to set up the next point
     floor, lo = first.floor, 0
-    for j in range(max_n + 1):  # each start ends within its budget, so the loop ends by break
+    j, retry, gap = 0, 0, 1
+    while True:  # each start ends within its budget, so the loop ends by break
         d = delta(w)
         step = abs(d)
         disp += d
@@ -172,7 +189,27 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
                 break
             floor = min(c.floor for c in walking)
             lo = min(c.start + c.n_lo for c in walking)
+        elif not d and node is not None and j >= retry and lo - j > 1:
+            # a zero step under a floor, so floor >= 0: steps j + 1 .. lo - 1
+            # only sum.  x + 0 == x unless x is -0.0, a sum is -0.0 only when
+            # both terms are, and Re beta > 0: the points w + beta are the
+            # orbit's own unless Im w and Im beta are both -0.0.  After a
+            # failed try, the next point alone is tested before the others
+            # are computed.
+            first_w = last = w + beta + d
+            im = first_w.imag + beta.imag
+            if ((im or math.copysign(1.0, im) > 0.0) and (
+                    gap == 1 or vanishes(node, (first_w.real,) * 2, (first_w.imag,) * 2))):
+                for _ in range(lo - j - 2):
+                    last = last + beta
+                # Re and Im move monotonically, so the two ends span every point
+                if vanishes(node, (first_w.real, last.real), sorted((first_w.imag, last.imag))):
+                    w, j = last + beta, lo
+                    continue
+            gap *= 2
+            retry = j + gap
         w = w + beta + d
+        j += 1
     if not with_next:
         return result
     if isinstance(result_next, NotConverged):
@@ -346,7 +383,7 @@ def decay_slope(displacements: Sequence[complex], phi_n: ExpPolySeries,
     res = [z.real for z in grid]
     if max(res) - min(res) < 15.0:
         raise InsufficientData("grid must span at least 15 units of Re")
-    phi_delta = evaluate_tail(phi_n, 0.0)
+    phi_delta = evaluate_tail(phi_n, 0.0)[0]
     residuals = [d - phi_delta(z) for d, z in zip(displacements, grid, strict=True)]
     bound = None if exponent is None else -float(exponent)
     return _fit(grid, residuals, bound, DECAY_SLACK)

@@ -22,17 +22,23 @@ compiled once, that evaluates it operand by operand: left first, except that
 a divisor is evaluated and checked before its dividend.  Evaluation guards:
 division by zero, zero to a negative power and any log whose argument has
 nonpositive real part raise EvalDomainError.
+
+The AST's third user, vanishes, evaluates it over a rectangle in interval
+arithmetic, following the operations compile_ast emits, to prove where the
+compiled function returns +/-0 in both parts without raising.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import math
 import re
 
 from .errors import EvalDomainError, ParseError
 
-__all__ = ["parse_expression", "compile_ast", "eval_ast", "contains_zeta", "delta_ast"]
+__all__ = ["parse_expression", "compile_ast", "eval_ast", "contains_zeta", "delta_ast",
+           "vanishes", "UNDERFLOW"]
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
@@ -331,3 +337,107 @@ def _delta_ast(node, beta: complex):
     for sign, n in others:
         body = ("add" if sign == 1 else "sub", body, n)
     return body, not others and offset == 0
+
+
+# where a compiled expression is provably zero
+
+# cmath.exp returns l*cos, l*sin with l = exp(Re); at Re <= -746, exp(Re) is
+# below half the least subnormal, so l = 0.0 and both parts are +/-0
+UNDERFLOW = -746.0
+_BOUND = 1e300   # every enclosure stays below it: no operation overflows or makes a NaN
+_POW_CAP = 16    # the largest integer power analysed
+
+
+def vanishes(node, re, im) -> bool:
+    """True only if compile_ast(node) returns +/-0 in both parts, and raises
+    nothing, at every finite z with Re z in the closed interval `re` and Im z
+    in `im`.  Each node's parts are enclosed in intervals, rounded outward per
+    operation.  Zero are: a num equal to 0; a sum of zeros; a zero times a
+    bounded factor; a zero over a divisor that excludes 0; a zero to a power
+    1 <= n <= _POW_CAP; an exp whose Re(arg) is at most UNDERFLOW.  log, L1..L9,
+    an exp that may pass log(_BOUND) and any bound past _BOUND are unprovable.
+    """
+    try:
+        box = _enclose(node, (tuple(re), tuple(im)))
+    except RecursionError:
+        return False
+    return box is not None and box[2]
+
+
+def _out(lo: float, hi: float) -> tuple:
+    return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+
+
+def _times(a, b):
+    products = a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]
+    return _out(min(products), max(products))
+
+
+def _neg(a):
+    return (-a[0][1], -a[0][0]), (-a[1][1], -a[1][0]), a[2]
+
+
+def _cmul(a, b):
+    """CPython's complex product of the enclosures a and b, enclosed."""
+    rr, ii, ri, ir = _times(a[0], b[0]), _times(a[1], b[1]), _times(a[0], b[1]), _times(a[1], b[0])
+    return (_out(rr[0] - ii[1], rr[1] - ii[0]), _out(ri[0] + ir[0], ri[1] + ir[1]),
+            a[2] or b[2])
+
+
+def _cdiv(a, b):
+    """CPython's complex quotient a / b enclosed, or None when b may be 0:
+    Smith's algorithm divides numerators at most twice a's largest part by
+    b's larger part, at least `least`."""
+    least = max(0.0 if iv[0] <= 0.0 <= iv[1] else min(map(abs, iv)) for iv in b[:2])
+    if not least > 0.0:
+        return None
+    bound = math.nextafter(4.0 * max(map(abs, (*a[0], *a[1]))) / least, math.inf)
+    return (-bound, bound), (-bound, bound), a[2]
+
+
+def _enclose(node, z):
+    """(re, im, zero): intervals holding both parts of the node's value over
+    the rectangle z, and whether it is +/-0; None where that is unprovable."""
+    op = node[0]
+    if op == "pow" and 1 <= abs(node[2]) <= _POW_CAP:  # base ** -n is 1 / c_powu(base, n)
+        r = _powu(node[1], abs(node[2]))
+        return _enclose(r if node[2] > 0 else ("div", ("num", 1 + 0j), r), z)
+    args = [_enclose(c, z) for c in node[1:] if isinstance(c, tuple)]
+    if None in args:
+        return None
+    if op == "num":
+        v = complex(node[1])
+        box = ((v.real, v.real), (v.imag, v.imag), v == 0)
+    elif op == "zeta":
+        box = (*z, False)
+    elif op == "neg":
+        box = _neg(args[0])
+    elif op in ("add", "sub"):  # a - b is a + (-b), in IEEE arithmetic too
+        a, b = args[0], args[1] if op == "add" else _neg(args[1])
+        box = (*(_out(x[0] + y[0], x[1] + y[1]) for x, y in zip(a[:2], b[:2])), a[2] and b[2])
+    elif op == "mul":
+        box = _cmul(*args)
+    elif op == "div":
+        box = _cdiv(*args)
+    elif op == "call" and node[1] == "exp" and (top := args[0][0][1]) < math.log(_BOUND):
+        # exp's error is under an ulp, and |cos|, |sin| <= 1
+        bound = 0.0 if top <= UNDERFLOW else 2.0 * math.exp(top)
+        box = ((-bound, bound), (-bound, bound), top <= UNDERFLOW)
+    else:  # ^0, larger powers, log, L1..L9 and an exp that may overflow
+        return None
+    # chained comparisons, so that a NaN bound fails too
+    return box if box and -_BOUND < box[0][0] <= box[0][1] < _BOUND and \
+        -_BOUND < box[1][0] <= box[1][1] < _BOUND else None
+
+
+def _powu(base, n: int):
+    """The products CPython's c_powu makes for base ** n, n >= 1, as an AST:
+    r = p at the lowest set bit of n, r = r*p at each higher one, p = p*p."""
+    r, p = None, base
+    while True:
+        if n & 1:
+            r = p if r is None else ("mul", r, p)
+        n >>= 1
+        if not n:
+            return r
+        p = ("mul", p, p)

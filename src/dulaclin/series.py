@@ -27,7 +27,8 @@ checks read named module constants: `HEAD_TOL` here, `SOLVER_TOL` and
 per series value (`powers`) and shared by `compose`, the chart conversions and
 the operator S.
 A series is evaluated as a map's perturbation only: `evaluate_tail` compiles
-z -> a(z) - z - beta into one straight-line function, once per series.
+z -> a(z) - z - beta into one straight-line function, once per series, and
+builds the AST of the same operations for `exprparse.vanishes`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     ExponentNotInSemigroup,
@@ -610,9 +611,10 @@ def from_z_chart(a: ExpPolySeries, beta: complex | None = None) -> ExpPolySeries
 # ---------------------------------------------------------------------------
 # evaluation
 
-def evaluate_tail(a: ExpPolySeries, beta: complex) -> Callable:
-    """The function z -> a(z) - z - beta, what a series map adds to the
-    translation z + beta, compiled once as straight-line Python.
+def evaluate_tail(a: ExpPolySeries, beta: complex) -> tuple:
+    """(delta, ast): the function z -> a(z) - z - beta, what a series map adds
+    to the translation z + beta, compiled once as straight-line Python, and
+    the exprparse AST of the same operations.
 
     The head block is differenced on its coefficients, so what is evaluated
     is the remainder B_0 - zeta - beta and the terms exp(-m*z) * B_m of
@@ -621,33 +623,36 @@ def evaluate_tail(a: ExpPolySeries, beta: complex) -> Callable:
     exp(-m*z) * p from t = 0j, with -m a float; the sum is head + tail.  The
     coefficients and exponents are bound by name, so every value is exact,
     signed zeros included, and no block's degree or series' length nests
-    the source.
+    the source.  The loop that emits each line builds its AST node, so
+    `exprparse.vanishes` analyses exactly the operations compiled.
     """
     names = {"__builtins__": {}, "_exp": cmath.exp}
     lines = ["def delta(z):"]
+    zeta, zero = ("zeta",), ("num", 0j)
 
     def bind(value) -> str:
         name = f"_c{len(names)}"
         names[name] = value
         return name
 
-    def horner(var: str, block: CPoly) -> str:
-        acc = "0j"
+    def horner(var: str, block: CPoly):
+        acc, node = "0j", zero
         for c in reversed(block.coeffs):
             lines.append(f"    {var} = {acc} * z + {bind(c)}")
-            acc = var
-        return acc
+            acc, node = var, ("add", ("mul", node, zeta), ("num", c))
+        return acc, node
 
-    head = horner("h", a._block(0) - CPoly([beta, 1.0]))
-    tail = "0j"
+    head, head_node = horner("h", a._block(0) - CPoly([beta, 1.0]))
+    tail, tail_node = "0j", zero
     for m, b in a.terms:
         if m > 0:
-            p = horner("p", b)
+            p, p_node = horner("p", b)
             lines.append(f"    t = {tail} + _exp({bind(-float(m))} * z) * {p}")
-            tail = "t"
+            tail, tail_node = "t", ("add", tail_node, ("mul", (
+                "call", "exp", ("mul", ("num", -float(m)), zeta)), p_node))
     lines.append(f"    return {head} + {tail}")
     exec(compile("\n".join(lines), "<series>", "exec"), names)  # the source holds no input text
-    return names["delta"]
+    return names["delta"], ("add", head_node, tail_node)
 
 
 # ---------------------------------------------------------------------------

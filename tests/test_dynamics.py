@@ -6,6 +6,8 @@ from fractions import Fraction
 from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dulaclin.dynamics
 from dulaclin.domains import AsymptoticProfile
@@ -28,7 +30,7 @@ from dulaclin.errors import (
     InsufficientData,
     NotConverged,
 )
-from dulaclin.exprparse import compile_ast, parse_expression
+from dulaclin.exprparse import compile_ast, parse_expression, vanishes
 from dulaclin.linearize import linearize_level_by_level, partial_sums
 from dulaclin.series import ExpPolySeries, evaluate_tail
 
@@ -379,6 +381,17 @@ def series_map_off_head(remainder):
     return AnalyticMap.from_series(series, AsymptoticProfile(beta, 2.5, 0, 8.0))
 
 
+PROF_NEG0 = AsymptoticProfile(complex(1.0, -0.0), 2.5, 0, 8.0)
+CRITERION_6_SERIES = ExpPolySeries(3, [1], {0: [1.0, 1.0], 1: [1.0]})
+
+
+def negative_zero_orbit_map():
+    """-0j - exp(-zeta) at beta = 1 - 0j: from a start with Im -0.0, every
+    orbit point and every zero step has Im -0.0."""
+    ast = ("sub", ("num", complex(-0.0, -0.0)), ("call", "exp", ("neg", ("zeta",))))
+    return AnalyticMap(compile_ast(ast), PROF_NEG0, False, ast)
+
+
 SMALL_RHO = AsymptoticProfile(1 + 0j, 1.0, 0, 1.05)   # rho_minus(R) = 0.093
 K1 = AsymptoticProfile(1 + 0j, 6.0, 1, 8.0)
 EQUIVALENCE_CASES = {
@@ -413,6 +426,24 @@ EQUIVALENCE_CASES = {
                          1e-9, 200_000),
     "series-remainder-violation": (lambda: series_map_off_head(1e-6 + 1e-6j),
                                    [9 + 2j, 14.5 - 1.5j], 1e-9, 200_000),
+    # flat maps, whose delta is exactly 0 from Re 745.13 on: the walk skips
+    # to n_lo where it proves that, starts with Im +0.0 and -0.0 included
+    "flat-germ": (BENCH_MAPS["germ"], [complex(9, 0.0), complex(9, -0.0), 30 - 1j], 1e-9,
+                  200_000),
+    "flat-germ2": (BENCH_MAPS["germ2"], [complex(9, -0.0), 8 + 0.25j], 1e-9, 200_000),
+    "flat-half": (BENCH_MAPS["half"], [complex(9, 0.0), complex(9, -0.0)], 1e-9, 200_000),
+    "flat-criterion-6-series": (lambda: AnalyticMap.from_series(CRITERION_6_SERIES, PROF),
+                                [complex(8, -0.0), 9 + 2j, 14.5 - 1.5j], 1e-9, 200_000),
+    # beta = 1 - 0j; on the second map, Im stays -0.0 and the skip is refused
+    "flat-negative-zero-beta": (lambda: AnalyticMap.from_expression(FIXTURE, PROF_NEG0),
+                                [complex(9, -0.0), complex(9, 0.0)], 1e-9, 200_000),
+    "flat-negative-zero-orbit": (negative_zero_orbit_map, [complex(9, -0.0)], 1e-9, 200_000),
+    # delta is 0 at the first zero steps and again past Re 805, but not near 800
+    "flat-then-bump": (lambda: AnalyticMap.from_expression(
+        FIXTURE + " + exp(-(zeta - 800)^2)", PROF), [9 + 2j], 1e-9, 200_000),
+    # a small budget, and n_lo at and around the first zero step, 737 from 9 + 2j
+    **{f"flat-n_lo={n - 1}": (BENCH_MAPS["germ"], [9 + 2j], tail_after(PROF, 9.0, n), n + 2)
+       for n in range(737, 743)},
 }
 
 
@@ -448,22 +479,120 @@ class TestSharedOrbit:
         assert err.value.partial.next.joj_violations > 0
 
     def test_one_walk(self):
-        evaluated = []
-        f = BENCH_MAPS["germ"]()
-        delta = f.delta
-        f.delta = lambda w: evaluated.append(w) or delta(w)
-        res = koenigs_limit(f, 9 + 2j, 1e-9, with_next=True)
-        assert len(evaluated) == max(res.n_used, res.next.n_used + 1)
-        assert len(set(evaluated)) == len(evaluated)
+        # the skip leaves 740 of max(2754, 2752 + 1) steps to evaluate
+        assert self.evaluated_points("germ", with_next=True) == 740
 
     def test_one_walk_single_start(self):
-        evaluated = []
-        f = BENCH_MAPS["half"]()
-        delta = f.delta
-        f.delta = lambda w: evaluated.append(w) or delta(w)
-        res = koenigs_limit(f, 9 + 2j, 1e-9)
-        assert len(evaluated) == res.n_used
-        assert len(set(evaluated)) == len(evaluated)
+        assert self.evaluated_points("half", with_next=False) == 739
+
+    @staticmethod
+    def evaluated_points(name, with_next):
+        """The distinct points koenigs_limit(f, 9 + 2j) evaluates delta at, after
+        checking that a bare-callable copy of f, with no AST, evaluates it at
+        every step."""
+        f = BENCH_MAPS[name]()
+        counts = []
+        for g in (f, AnalyticMap(f.delta, f.profile)):
+            evaluated = []
+            g.delta = lambda w, delta=g.delta: evaluated.append(w) or delta(w)
+            res = koenigs_limit(g, 9 + 2j, 1e-9, with_next=with_next)
+            assert len(set(evaluated)) == len(evaluated)
+            counts.append(len(evaluated))
+        assert counts[1] == (max(res.n_used, res.next.n_used + 1) if with_next else res.n_used)
+        return counts[0]
+
+
+def counted(f, walk):
+    """The outcome of walk(f), errors included, and how often it evaluated delta."""
+    evaluated = []
+    g = replace(f, delta=lambda w: evaluated.append(w) or f.delta(w))
+    try:
+        out = fields(walk(g))
+    except (ArithmeticError, DulaclinError) as exc:
+        out = type(exc), str(exc), fields(getattr(exc, "partial", None))
+    return out, len(evaluated)
+
+
+class TestVanishingStretch:
+    """The steps a walk skips are exactly those whose delta is provably +/-0."""
+
+    @pytest.mark.parametrize("text", [
+        "zeta + 1 + 0*exp(zeta)",            # exp overflows past Re 709.78
+        "zeta + 1 + exp(-zeta)*zeta^400",     # overflows at the first step
+        "zeta + 1 + exp(-zeta)*zeta^100",     # 0 at Re 745, overflows past Re 1200
+        "zeta + 1 + exp(-zeta)*L1",           # 0 from Re 745.13 on, but not provably
+    ], ids=["exp-overflow", "pow-400", "pow-100", "L1"])
+    def test_negative_controls_walk_every_step(self, text):
+        f = AnalyticMap.from_expression(text, PROF)
+        assert (counted(f, lambda g: koenigs_limit(g, 9 + 2j, 1e-9))
+                == counted(f, lambda g: reference_koenigs(g, 9 + 2j, 1e-9)))
+
+    def test_negative_zero_orbit_walks_every_step(self):
+        out, steps = counted(negative_zero_orbit_map(),
+                             lambda g: koenigs_limit(g, complex(9, -0.0), 1e-9))
+        assert out[1] == 2754 and steps == 2754
+
+    @pytest.mark.parametrize("name, zeta", [("germ", 9 + 2j), ("germ2", 14.5 - 1.5j),
+                                            ("half", complex(9, -0.0))])
+    def test_rectangle_spans_every_skipped_point(self, name, zeta, monkeypatch):
+        spans = []
+
+        def recording(node, re, im):
+            if ok := vanishes(node, re, im):
+                spans.append((tuple(re), tuple(im)))
+            return ok
+        monkeypatch.setattr(dulaclin.dynamics, "vanishes", recording)
+        f = BENCH_MAPS[name]()
+        evaluated = set()
+        g = replace(f, delta=lambda w: evaluated.add(w) or f.delta(w))
+        res = koenigs_limit(g, zeta, 1e-9, with_next=True)
+        w, skipped = zeta, []
+        for _ in range(max(res.n_used, res.next.n_used + 1)):
+            if w not in evaluated:
+                skipped.append(w)
+            w = f(w)
+        assert len(skipped) > 1900
+        (re, im), first, last = spans[-1], skipped[0], skipped[-1]
+        assert re == (first.real, last.real) and im == tuple(sorted((first.imag, last.imag)))
+        assert all(re[0] <= p.real <= re[1] and im[0] <= p.imag <= im[1] for p in skipped)
+
+
+BETAS = [(1 + 0j, "1"), (complex(1.0, -0.0), "1"), (1 + 0.5j, "1 + 0.5*i"),
+         (1.5 - 0.25j, "1.5 - 0.25*i")]
+coefficient = st.floats(-2.0, 2.0).map(lambda c: round(c, 3))
+
+
+@st.composite
+def flat_germs(draw):
+    """zeta + beta + sum c*exp(-m*zeta)*(p0 + p1*zeta), as an expression map
+    and as a series map, with a start."""
+    beta, beta_text = draw(st.sampled_from(BETAS))
+    terms, texts = {}, []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]))
+        c, p0, p1 = (draw(coefficient) for _ in range(3))
+        unit = draw(st.sampled_from([1, 1j]))
+        texts.append(f"({c})*{'i' if unit == 1j else '1'}*exp(-{float(m)}*zeta)"
+                     f"*({p0} + ({p1})*zeta)")
+        old = terms.get(m, [0j, 0j])
+        terms[m] = [old[0] + c * unit * p0, old[1] + c * unit * p1]
+    prof = AsymptoticProfile(beta, 2.5, 0, 8.0)
+    expr = AnalyticMap.from_expression(f"zeta + {beta_text} + " + " + ".join(texts), prof)
+    series = AnalyticMap.from_series(
+        ExpPolySeries(3, [Fraction(1, 2)], {0: [beta, 1.0], **terms}), prof)
+    zeta = draw(st.sampled_from([complex(10, 0.0), complex(10, -0.0), 12 + 1j, 11 - 2j]))
+    return expr, series, zeta
+
+
+@settings(max_examples=30, deadline=None)
+@given(flat_germs())
+def test_flat_germs_match_the_reference_walk(germ):
+    *maps, zeta = germ
+    for f in maps:
+        assert (outcome(lambda: koenigs_limit(f, zeta, 1e-9))
+                == outcome(lambda: reference_koenigs(f, zeta, 1e-9)))
+        assert (outcome(lambda: koenigs_limit(f, zeta, 1e-9, with_next=True))
+                == outcome(lambda: reference_pair(f, zeta, 1e-9, 200_000)))
 
 
 def reference_map_step(f, zeta, n):
@@ -661,7 +790,7 @@ def expansion_residual_check(f: AnalyticMap, series: ExpPolySeries, nu: float,
     decays at least like exp(-nu Re).  Points below the double-precision
     noise floor are excluded, and so are points where the map hits a guard.
     """
-    series_delta = evaluate_tail(series, f.profile.beta)
+    series_delta = evaluate_tail(series, f.profile.beta)[0]
     points, residuals = [], []
     for z in grid:
         try:

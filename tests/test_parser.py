@@ -6,7 +6,15 @@ import pytest
 from dulaclin.domains import AsymptoticProfile
 from dulaclin.dynamics import AnalyticMap
 from dulaclin.errors import EvalDomainError, ParseError
-from dulaclin.exprparse import _tokenize, compile_ast, delta_ast, eval_ast, parse_expression
+from dulaclin.exprparse import (
+    UNDERFLOW,
+    _tokenize,
+    compile_ast,
+    delta_ast,
+    eval_ast,
+    parse_expression,
+    vanishes,
+)
 
 PROF = AsymptoticProfile(1 + 0j, 1.0, 0, 2.0)
 
@@ -191,3 +199,53 @@ class TestAffineSplit:
         assert unit_products(ast) == []
         delta, _ = delta_ast(ast, 1.0 + 0j)
         assert unit_products(delta) == []
+
+
+FAR = (746.0, 3000.0)   # Re, where exp(-zeta) underflows to 0
+IM = (-3.0, 2.0)
+
+
+class TestVanishes:
+    @pytest.mark.parametrize("text, re, expected", [
+        pytest.param("exp(-zeta)", FAR, True, id="exp-past-746"),
+        # exp(-745) is a subnormal, not 0
+        pytest.param("exp(-zeta)", (745.0, 3000.0), False, id="exp-past-745"),
+        pytest.param("exp(-zeta)^0", FAR, False, id="pow-0"),  # 1: ^0 is not provable
+        pytest.param("exp(-zeta)^3 + (zeta^2/4 - 1)*exp(-2*zeta)", FAR, True,
+                     id="powers-and-quotients"),
+        pytest.param("exp(-zeta)/(zeta - 3)", FAR, True, id="divisor-off-0"),
+        pytest.param("exp(-zeta)/(zeta - 800)", FAR, False, id="divisor-holding-0"),
+        pytest.param("exp(-zeta)*(zeta - 3)^-2", FAR, True, id="negative-power-off-0"),
+        # 0 to a negative power raises
+        pytest.param("exp(-zeta)*(zeta - 800)^-2", FAR, False, id="negative-power-holding-0"),
+        pytest.param("exp(-zeta)*zeta^16", FAR, True, id="pow-16"),
+        # a bound passes 1e300
+        pytest.param("exp(-zeta)*zeta^16", (746.0, 1e19), False, id="pow-16-past-1e300"),
+        pytest.param("exp(-zeta)*(1e200*1e200)", FAR, False, id="nan-factor"),  # 0*inf is a NaN
+        pytest.param("exp(-zeta)*zeta^17", FAR, False, id="pow-17"),  # above the power cap
+        pytest.param("exp(-zeta)*log(zeta)", FAR, False, id="log"),
+        pytest.param("exp(-zeta)*L1", FAR, False, id="L1"),
+        # cmath.exp raises past Re 709.78
+        pytest.param("0*exp(zeta)", FAR, False, id="exp-overflow"),
+        pytest.param("0*exp(zeta)", (8.0, 600.0), True, id="exp-bounded"),
+        pytest.param("exp(-(zeta - 800)^2)", FAR, False, id="bump"),
+        pytest.param("exp(-zeta) - exp(-2*zeta) + 0", FAR, True, id="sum"),
+        pytest.param("exp(-zeta) + 1e-300", FAR, False, id="nonzero-constant"),
+    ])
+    def test_proves_only_where_it_holds(self, text, re, expected):
+        node = parse_expression(text)
+        assert vanishes(node, re, IM) is expected
+        if expected:  # the compiled function returns +/-0 in both parts on the rectangle
+            f = compile_ast(node)
+            for x in (re[0], (re[0] + re[1]) / 2, re[1]):
+                for y in (*IM, 0.0, -0.0):
+                    assert not f(complex(x, y))
+
+    def test_too_deep_to_analyse_is_not_provable(self):
+        node = parse_expression("exp(-zeta)" + "*1" * 2000)
+        assert not vanishes(node, FAR, IM)
+
+    @pytest.mark.parametrize("y", [0.0, -0.0, 1.0, -2.5, 3.0, 1e10])
+    def test_platform_exp_underflows_at_the_cut(self, y):
+        # the one libm assumption of UNDERFLOW: exp(-746) rounds to 0.0
+        assert not cmath.exp(complex(UNDERFLOW, y))

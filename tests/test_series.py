@@ -29,6 +29,7 @@ from dulaclin.errors import (
     NotNormalized,
     ParseError,
 )
+from dulaclin.exprparse import compile_ast
 from dulaclin.linearize import (
     SchroederOperators,
     linearize_by_picard,
@@ -573,9 +574,18 @@ class TestCompiledEvaluator:
     @pytest.mark.parametrize("case", list(EVALUATOR_CASES))
     def test_bit_for_bit(self, case):
         series, beta = EVALUATOR_CASES[case]
-        compiled, reference = evaluate_tail(series, beta), interpreted_series_delta(series, beta)
+        compiled, reference = evaluate_tail(series, beta)[0], interpreted_series_delta(series, beta)
         for z in EVALUATOR_POINTS:
             assert _value_or_error(compiled, z) == _value_or_error(reference, z), z
+
+    @pytest.mark.parametrize("case", [c for c in EVALUATOR_CASES
+                                      if c not in ("degree-300", "3000-terms")])
+    def test_ast_is_the_compiled_operations(self, case):
+        # the AST exprparse.vanishes analyses, compiled as an expression
+        series, beta = EVALUATOR_CASES[case]
+        compiled, ast = evaluate_tail(series, beta)
+        for z in EVALUATOR_POINTS:
+            assert _value_or_error(compile_ast(ast), z) == _value_or_error(compiled, z), z
 
 
 

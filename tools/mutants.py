@@ -85,6 +85,28 @@ MUTANTS = [
         "    return _kept(a, sorted(acc.items()))  # a union of a's and b's exponents\n",
         "    return _kept(a, list(acc.items()))\n",
         ["tests/test_series.py::test_add_commutes_exactly"]),
+    Mutant(
+        "vanishes takes every exp for zero, whatever its Re(arg)", "src/dulaclin/exprparse.py",
+        "(top := args[0][0][1]) < math.log(_BOUND):",
+        "(top := UNDERFLOW) < math.log(_BOUND):",
+        ["tests/test_parser.py::TestVanishes::test_proves_only_where_it_holds[exp-past-745]",
+         "tests/test_parser.py::TestVanishes::test_proves_only_where_it_holds[bump]",
+         "tests/test_dynamics.py::TestSharedOrbit::test_single_start_matches_reference"
+         "[flat-then-bump]"]),
+    Mutant(
+        "the skip's rectangle is built from the last point only", "src/dulaclin/dynamics.py",
+        "if vanishes(node, (first_w.real, last.real), sorted((first_w.imag, last.imag))):",
+        "if vanishes(node, (last.real, last.real), (last.imag, last.imag)):",
+        ["tests/test_dynamics.py::TestVanishingStretch::"
+         "test_rectangle_spans_every_skipped_point[germ-(9+2j)]",
+         "tests/test_dynamics.py::TestSharedOrbit::test_with_next_matches_two_reference_calls"
+         "[flat-then-bump]"]),
+    Mutant(
+        "UNDERFLOW raised to -700", "src/dulaclin/exprparse.py",
+        "UNDERFLOW = -746.0\n",
+        "UNDERFLOW = -700.0\n",
+        ["tests/test_parser.py::TestVanishes::test_proves_only_where_it_holds[exp-past-745]",
+         "tests/test_parser.py::TestVanishes::test_platform_exp_underflows_at_the_cut[1.0]"]),
 ]
 
 
