@@ -27,11 +27,10 @@ monotone, not its floating-point evaluation: every check and every value is
 the one that evaluating both at every step gives.
 
 The germs are exponentially flat: delta underflows to exactly 0 once
-Re(m*zeta) passes about 745, some 2,000 steps before n_lo.  A step whose
-delta is +/-0 changes no sum and moves the orbit by exactly beta, so at a
-zero step before n_lo the walk computes the points up to n_lo by w + beta
-and jumps there if `exprparse.vanishes` proves delta +/-0 on the rectangle
-they span, or tries again after 2, 4, 8, ... more steps.  Every result,
+Re(m*zeta) passes about 745, some 2,000 steps before n_lo.  A zero step sums
+a +/-0 and moves the orbit by exactly beta, so the walk jumps to n_lo when
+`exprparse.vanishes` proves delta +/-0 on a rectangle bounding the points
+w + beta up to it, or tries again after 2, 4, 8, ... more steps.  Every result,
 message and error is the full walk's.  A map without an AST walks every step.
 
 A KoenigsResult is one certified start: zeta and the displacement its walk
@@ -132,6 +131,18 @@ class SlopeFit:
     passed: Optional[bool]     # None without a bound
 
 
+def _span(s: float, c: float, k: int) -> tuple:
+    """An interval holding s and every float that adding c to it k times in
+    a row passes through.  With a = |s| + k|c| and k < 2**50, each sum is
+    below 2a, so it rounds by at most half an ulp of 2a; the end s + k*c is
+    computed within one such ulp, and nextafter covers the rounding of the
+    bounds."""
+    a = abs(s) + k * abs(c)
+    e = (k + 2) * math.ulp(2.0 * a)
+    end = s + k * c
+    return math.nextafter(min(s, end) - e, -math.inf), math.nextafter(max(s, end) + e, math.inf)
+
+
 def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
                   max_n: int = 200_000, *, with_next: bool = False) -> KoenigsResult:
     """Limit of f^n - n*beta at zeta with a certified stopping rule.
@@ -193,19 +204,15 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
             # a zero step under a floor, so floor >= 0: steps j + 1 .. lo - 1
             # only sum.  x + 0 == x unless x is -0.0, a sum is -0.0 only when
             # both terms are, and Re beta > 0: the points w + beta are the
-            # orbit's own unless Im w and Im beta are both -0.0.  After a
-            # failed try, the next point alone is tested before the others
-            # are computed.
-            first_w = last = w + beta + d
-            im = first_w.imag + beta.imag
-            if ((im or math.copysign(1.0, im) > 0.0) and (
-                    gap == 1 or vanishes(node, (first_w.real,) * 2, (first_w.imag,) * 2))):
-                for _ in range(lo - j - 2):
+            # orbit's own unless Im w and Im beta are both -0.0.
+            last, k = w + beta + d, lo - j - 2
+            im = last.imag + beta.imag
+            if (im or math.copysign(1.0, im) > 0.0) and vanishes(
+                    node, _span(last.real, beta.real, k), _span(last.imag, beta.imag, k)):
+                for _ in range(k):
                     last = last + beta
-                # Re and Im move monotonically, so the two ends span every point
-                if vanishes(node, (first_w.real, last.real), sorted((first_w.imag, last.imag))):
-                    w, j = last + beta, lo
-                    continue
+                w, j = last + beta, lo
+                continue
             gap *= 2
             retry = j + gap
         w = w + beta + d

@@ -23,9 +23,8 @@ a divisor is evaluated and checked before its dividend.  Evaluation guards:
 division by zero, zero to a negative power and any log whose argument has
 nonpositive real part raise EvalDomainError.
 
-The AST's third user, vanishes, evaluates it over a rectangle in interval
-arithmetic, following the operations compile_ast emits, to prove where the
-compiled function returns +/-0 in both parts without raising.
+Its third user, vanishes, encloses the operations compile_ast emits over a
+rectangle in interval arithmetic, to prove where they return +/-0 unraised.
 """
 
 from __future__ import annotations
@@ -339,24 +338,20 @@ def _delta_ast(node, beta: complex):
     return body, not others and offset == 0
 
 
-# where a compiled expression is provably zero
-
-# cmath.exp returns l*cos, l*sin with l = exp(Re); at Re <= -746, exp(Re) is
-# below half the least subnormal, so l = 0.0 and both parts are +/-0
+# vanishes: cmath.exp returns l*cos, l*sin with l = exp(Re), and l rounds to
+# 0.0 at Re <= UNDERFLOW, where exp(Re) is below half the least subnormal
 UNDERFLOW = -746.0
 _BOUND = 1e300   # every enclosure stays below it: no operation overflows or makes a NaN
 _POW_CAP = 16    # the largest integer power analysed
+_ONE = ((1.0, 1.0), (0.0, 0.0), False)
 
 
 def vanishes(node, re, im) -> bool:
-    """True only if compile_ast(node) returns +/-0 in both parts, and raises
+    """True only if compile_ast(node) returns +/-0 in both parts, raising
     nothing, at every finite z with Re z in the closed interval `re` and Im z
-    in `im`.  Each node's parts are enclosed in intervals, rounded outward per
-    operation.  Zero are: a num equal to 0; a sum of zeros; a zero times a
-    bounded factor; a zero over a divisor that excludes 0; a zero to a power
-    1 <= n <= _POW_CAP; an exp whose Re(arg) is at most UNDERFLOW.  log, L1..L9,
-    an exp that may pass log(_BOUND) and any bound past _BOUND are unprovable.
-    """
+    in `im`.  Each node is enclosed in intervals rounded outward; log, L1..L9,
+    powers outside 1 <= |n| <= _POW_CAP, a divisor that may be 0, an exp that
+    may pass log(_BOUND) and any bound past _BOUND are unprovable."""
     try:
         box = _enclose(node, (tuple(re), tuple(im)))
     except RecursionError:
@@ -385,9 +380,8 @@ def _cmul(a, b):
 
 
 def _cdiv(a, b):
-    """CPython's complex quotient a / b enclosed, or None when b may be 0:
-    Smith's algorithm divides numerators at most twice a's largest part by
-    b's larger part, at least `least`."""
+    """a / b enclosed, or None when b may be 0: Smith's algorithm divides
+    numerators at most twice a's largest part by b's larger part, >= least."""
     least = max(0.0 if iv[0] <= 0.0 <= iv[1] else min(map(abs, iv)) for iv in b[:2])
     if not least > 0.0:
         return None
@@ -399,9 +393,6 @@ def _enclose(node, z):
     """(re, im, zero): intervals holding both parts of the node's value over
     the rectangle z, and whether it is +/-0; None where that is unprovable."""
     op = node[0]
-    if op == "pow" and 1 <= abs(node[2]) <= _POW_CAP:  # base ** -n is 1 / c_powu(base, n)
-        r = _powu(node[1], abs(node[2]))
-        return _enclose(r if node[2] > 0 else ("div", ("num", 1 + 0j), r), z)
     args = [_enclose(c, z) for c in node[1:] if isinstance(c, tuple)]
     if None in args:
         return None
@@ -419,25 +410,34 @@ def _enclose(node, z):
         box = _cmul(*args)
     elif op == "div":
         box = _cdiv(*args)
+    elif op == "pow" and 1 <= abs(node[2]) <= _POW_CAP:  # x ** -n is 1 / c_powu(x, n)
+        box = _powu(args[0], abs(node[2]))
+        if box and node[2] < 0:
+            box = _cdiv(_ONE, box)
     elif op == "call" and node[1] == "exp" and (top := args[0][0][1]) < math.log(_BOUND):
         # exp's error is under an ulp, and |cos|, |sin| <= 1
         bound = 0.0 if top <= UNDERFLOW else 2.0 * math.exp(top)
         box = ((-bound, bound), (-bound, bound), top <= UNDERFLOW)
     else:  # ^0, larger powers, log, L1..L9 and an exp that may overflow
         return None
-    # chained comparisons, so that a NaN bound fails too
+    return _bounded(box)
+
+
+def _bounded(box):
+    """box, or None when it may pass _BOUND (chained, so a NaN bound fails)."""
     return box if box and -_BOUND < box[0][0] <= box[0][1] < _BOUND and \
         -_BOUND < box[1][0] <= box[1][1] < _BOUND else None
 
 
-def _powu(base, n: int):
-    """The products CPython's c_powu makes for base ** n, n >= 1, as an AST:
-    r = p at the lowest set bit of n, r = r*p at each higher one, p = p*p."""
-    r, p = None, base
-    while True:
+def _powu(p, n: int):
+    """x ** n, n >= 1, from x's enclosure p by CPython's c_powu: r = 1, then
+    r = r*p at each set bit of n, lowest first, and p = p*p between them."""
+    r = _ONE
+    while r and p:
         if n & 1:
-            r = p if r is None else ("mul", r, p)
+            r = _bounded(_cmul(r, p))
         n >>= 1
         if not n:
             return r
-        p = ("mul", p, p)
+        p = _bounded(_cmul(p, p))
+    return None

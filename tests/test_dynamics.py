@@ -6,7 +6,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dulaclin.dynamics
@@ -553,8 +553,22 @@ class TestVanishingStretch:
             w = f(w)
         assert len(skipped) > 1900
         (re, im), first, last = spans[-1], skipped[0], skipped[-1]
-        assert re == (first.real, last.real) and im == tuple(sorted((first.imag, last.imag)))
         assert all(re[0] <= p.real <= re[1] and im[0] <= p.imag <= im[1] for p in skipped)
+        # bounded before the points are made, within a rounding margin of their ends
+        ends = (first.real, last.real), tuple(sorted((first.imag, last.imag)))
+        assert all(abs(x - y) < 1e-8 for x, y in zip((*re, *im), (*ends[0], *ends[1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e4, 1e4), st.floats(-3.0, 3.0), st.integers(0, 3000))
+@example(746.3, 0.1, 2000)    # the sums drift past fl(s + k*c)
+@example(2.0, -0.3, 2000)
+@example(5e-324, 1e-310, 3000)
+def test_span_holds_every_point_of_the_additions(s, c, k):
+    lo, hi = dulaclin.dynamics._span(s, c, k)
+    for _ in range(k + 1):
+        assert lo <= s <= hi
+        s = s + c
 
 
 BETAS = [(1 + 0j, "1"), (complex(1.0, -0.0), "1"), (1 + 0.5j, "1 + 0.5*i"),

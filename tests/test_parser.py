@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from dulaclin import exprparse
 from dulaclin.domains import AsymptoticProfile
 from dulaclin.dynamics import AnalyticMap
 from dulaclin.errors import EvalDomainError, ParseError
@@ -240,6 +241,17 @@ class TestVanishes:
             for x in (re[0], (re[0] + re[1]) / 2, re[1]):
                 for y in (*IM, 0.0, -0.0):
                     assert not f(complex(x, y))
+
+    def test_nested_powers_enclose_each_base_once(self, monkeypatch):
+        # c_powu's square-and-multiply runs on the enclosures: 5 products per
+        # ^16, not one enclosure of the base per factor (16^6 of them here)
+        products = []
+        cmul = exprparse._cmul
+        monkeypatch.setattr(exprparse, "_cmul", lambda a, b: products.append(1) or cmul(a, b))
+        node = parse_expression("((((((exp(-zeta)^16)^16)^16)^16)^16)^16)")
+        assert vanishes(node, FAR, IM)
+        assert len(products) == 6 * 5
+        assert not compile_ast(node)(complex(FAR[0], IM[0]))
 
     def test_too_deep_to_analyse_is_not_provable(self):
         node = parse_expression("exp(-zeta)" + "*1" * 2000)

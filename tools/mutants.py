@@ -95,12 +95,17 @@ MUTANTS = [
          "[flat-then-bump]"]),
     Mutant(
         "the skip's rectangle is built from the last point only", "src/dulaclin/dynamics.py",
-        "if vanishes(node, (first_w.real, last.real), sorted((first_w.imag, last.imag))):",
-        "if vanishes(node, (last.real, last.real), (last.imag, last.imag)):",
+        "return math.nextafter(min(s, end) - e, -math.inf), math.nextafter(max(s, end) + e, math.inf)",
+        "return math.nextafter(end - e, -math.inf), math.nextafter(end + e, math.inf)",
         ["tests/test_dynamics.py::TestVanishingStretch::"
          "test_rectangle_spans_every_skipped_point[germ-(9+2j)]",
          "tests/test_dynamics.py::TestSharedOrbit::test_with_next_matches_two_reference_calls"
          "[flat-then-bump]"]),
+    Mutant(
+        "the skip's rectangle drops its rounding margin", "src/dulaclin/dynamics.py",
+        "    e = (k + 2) * math.ulp(2.0 * a)\n",
+        "    e = 0.0\n",
+        ["tests/test_dynamics.py::test_span_holds_every_point_of_the_additions"]),
     Mutant(
         "UNDERFLOW raised to -700", "src/dulaclin/exprparse.py",
         "UNDERFLOW = -746.0\n",
