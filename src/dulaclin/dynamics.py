@@ -16,8 +16,9 @@ every computed orbit.
 One orbit serves two start points: `koenigs_limit(..., with_next=True)`
 certifies zeta and zeta + beta + delta(zeta), and `solve_homological_numeric`
 sums from both, each in one loop over the orbit with two accumulators.  The
-Koenigs envelope is hoisted: per start, a bisection finds the last step
-count n_lo whose tail bound exceeds tol by ENVELOPE_MARGIN, and the envelope
+Koenigs envelope is hoisted: a bisection finds the last step count n_lo whose
+tail bound exceeds tol by ENVELOPE_MARGIN, memoized per profile, Re, tol and
+budget, so the starts of a grid that share Re share it, and the envelope
 at step n_lo - 1, shrunk by that margin, is a floor under every earlier
 step's.  A step takes |delta| once; it evaluates a start's M only when
 |delta| is above that start's floor or the step is past its n_lo, and the
@@ -26,12 +27,14 @@ covers the rounding of pow and log, so only the exact envelope must be
 monotone, not its floating-point evaluation: every check and every value is
 the one that evaluating both at every step gives.
 
-The germs are exponentially flat: delta underflows to exactly 0 once
-Re(m*zeta) passes about 745, some 2,000 steps before n_lo.  A zero step sums
-a +/-0 and moves the orbit by exactly beta, so the walk jumps to n_lo when
-`exprparse.vanishes` proves delta +/-0 on a rectangle bounding the points
-w + beta up to it, or tries again after 2, 4, 8, ... more steps.  Every result,
-message and error is the full walk's.  A map without an AST walks every step.
+The germs are exponentially flat: from about Re 45 on, some 2,700 steps
+before n_lo, adding delta returns the sums and the point w + beta unchanged.
+Once a step's delta is that small, the walk encloses delta
+(`exprparse.enclose`) on a rectangle bounding the points w + beta up to n_lo,
+and jumps there, the points summed by `np.add.accumulate`, when `_absorbed`
+proves that for every step and the enclosure is below half the floor; else it
+tries again after 32, 64, ... more steps.  Every result, message and error is
+the full walk's.  A map without an AST walks every step.
 
 A KoenigsResult is one certified start: zeta and the displacement its walk
 summed (the limit value is their sum), the steps used, the tail bound,
@@ -46,6 +49,7 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -57,7 +61,7 @@ from .errors import (
     InsufficientData,
     NotConverged,
 )
-from .exprparse import compile_ast, delta_ast, parse_expression, vanishes
+from .exprparse import compile_ast, delta_ast, enclose, parse_expression
 from .series import CPoly, ExpPolySeries, evaluate_tail
 
 __all__ = [
@@ -85,7 +89,8 @@ class AnalyticMap:
     compiled: for a top-level sum zeta + ... it is offset +/- t_1 +/- t_2
     ..., otherwise f(zeta) - zeta - beta, which is cancellation-limited.
     `ast`, the AST of the operations `delta` performs, lets a Koenigs walk
-    skip its provably zero steps; a map built from a bare callable has none.
+    skip the steps where delta provably changes nothing; a map built from a
+    bare callable has none.
     """
 
     delta: Callable
@@ -136,11 +141,23 @@ def _span(s: float, c: float, k: int) -> tuple:
     a row passes through.  With a = |s| + k|c| and k < 2**50, each sum is
     below 2a, so it rounds by at most half an ulp of 2a; the end s + k*c is
     computed within one such ulp, and nextafter covers the rounding of the
-    bounds."""
+    bounds.  Adding 0 changes no s but -0.0, which equals 0.0."""
+    if c == 0:
+        return s, s
     a = abs(s) + k * abs(c)
     e = (k + 2) * math.ulp(2.0 * a)
     end = s + k * c
     return math.nextafter(min(s, end) - e, -math.inf), math.nextafter(max(s, end) + e, math.inf)
+
+
+def _absorbed(iv, span, *sums) -> bool:
+    """Whether adding any float of the interval iv to any x in span, or to
+    any of sums, returns x or that sum: iv holds only +/-0, which moves only
+    -0.0, or span excludes 0 and 4*max|iv| < ulp(a) for each such a, so that
+    round to nearest returns a (4*m is exact; ulp(a)/4 may round to 0)."""
+    m = max(map(abs, iv))
+    return not m or not span[0] <= 0.0 <= span[1] and all(
+        4.0 * m < math.ulp(a) for a in (min(map(abs, span)), *sums))
 
 
 def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
@@ -160,8 +177,8 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
     NotConverged's partial result is zeta's, holding the next point's in
     `next` when only that one failed.
 
-    With `f.ast`, the steps before n_lo whose delta is provably +/-0 are
-    skipped; they only sum a +/-0, so the result is the same.
+    With `f.ast`, the steps before n_lo whose delta provably changes neither
+    the sums nor the orbit's points are skipped, so the result is the same.
     """
     prof = f.profile
     if f.exact_translation:  # -0j is the additive identity, signed zeros included
@@ -175,7 +192,7 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
     # a step takes the full path when it is above a walking start's floor or
     # past its n_lo; the first one always does, to set up the next point
     floor, lo = first.floor, 0
-    j, retry, gap = 0, 0, 1
+    j, retry, gap = 0, 0, 16  # a failed try costs some 30 steps: retry after 32, 64, ...
     while True:  # each start ends within its budget, so the loop ends by break
         d = delta(w)
         step = abs(d)
@@ -200,18 +217,23 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
                 break
             floor = min(c.floor for c in walking)
             lo = min(c.start + c.n_lo for c in walking)
-        elif not d and node is not None and j >= retry and lo - j > 1:
-            # a zero step under a floor, so floor >= 0: steps j + 1 .. lo - 1
-            # only sum.  x + 0 == x unless x is -0.0, a sum is -0.0 only when
-            # both terms are, and Re beta > 0: the points w + beta are the
-            # orbit's own unless Im w and Im beta are both -0.0.
+        elif node is not None and j >= retry and lo - j > 1 and all(
+                not v or 4.0 * step < min(math.ulp(a), math.ulp(b)) for v, a, b in
+                ((d.real, disp.real, disp_next.real), (d.imag, disp.imag, disp_next.imag))):
+            # a step that both sums absorb, floor >= 0: steps j + 1 .. lo - 1
+            # only sum.  If their delta changes no sum (never -0.0) nor point
+            # w + beta (Re > 0, Im -0.0 only if Im w and Im beta are), the
+            # points are w_{j+1} .. w_lo and the sums keep their values.
             last, k = w + beta + d, lo - j - 2
             im = last.imag + beta.imag
-            if (im or math.copysign(1.0, im) > 0.0) and vanishes(
-                    node, _span(last.real, beta.real, k), _span(last.imag, beta.imag, k)):
-                for _ in range(k):
-                    last = last + beta
-                w, j = last + beta, lo
+            rect = _span(last.real, beta.real, k + 1), _span(last.imag, beta.imag, k + 1)
+            if (im or math.copysign(1.0, im) > 0.0) and (box := enclose(node, *rect)) \
+                    and 2.0 * max(map(abs, (*box[0], *box[1]))) <= floor \
+                    and _absorbed(box[0], rect[0], disp.real, disp_next.real) \
+                    and _absorbed(box[1], rect[1], disp.imag, disp_next.imag):
+                run = np.full(k + 2, beta)
+                run[0] = last
+                w, j = complex(np.add.accumulate(run)[-1]), lo
                 continue
             gap *= 2
             retry = j + gap
@@ -231,6 +253,25 @@ def _check_start(prof: AsymptoticProfile, zeta: complex):
         raise DomainError(f"Koenigs start needs Re >= R = {prof.R}")
 
 
+def _tail(prof: AsymptoticProfile, x0: float, rho: float, n: int) -> float:
+    """The Koenigs tail bound after n steps from Re x0."""
+    y = x0 + n * rho
+    return prof.M(y) + prof.M_tail(y) / rho
+
+
+@lru_cache(maxsize=64)  # a grid's starts that share Re come in a row
+def _cut(prof: AsymptoticProfile, x0: float, tol: float, max_n: int) -> tuple:
+    """(n_lo, floor) of a start at Re x0, memoized: the last step count
+    whose tail bound provably exceeds tol, and a floor under the drift check
+    at every step before it."""
+    rho = prof.rho_minus(x0)
+    n_lo = bisect.bisect(range(1, max_n + 1), False,
+                         key=lambda n: _tail(prof, x0, rho, n) <= tol * (1.0 + ENVELOPE_MARGIN))
+    # M(x0 + n*rho) * (1 + 1e-9) at every n < n_lo is at least this
+    return n_lo, (prof.M(x0 + (n_lo - 1) * rho) * (1.0 - ENVELOPE_MARGIN) * (1.0 + 1e-9)
+                  if n_lo else -1.0)
+
+
 class _Certificate:
     """The stopping rule of one Koenigs start, whose first step is the
     orbit's step `start`: its drift envelope and tail bound, the last step
@@ -245,22 +286,15 @@ class _Certificate:
         self.prof, self.zeta, self.start, self.tol, self.budget = prof, zeta, start, tol, max_n
         self.x0 = zeta.real
         self.rho = prof.rho_minus(self.x0)
-        # the last step count n_lo whose tail bound provably exceeds tol
-        self.n_lo = n_lo = bisect.bisect(
-            range(1, max_n + 1), False,
-            key=lambda n: self.tail_at(n) <= tol * (1.0 + ENVELOPE_MARGIN))
-        if n_lo == max_n:  # then tail_at(max_n) > tol: no step count within max_n certifies
+        self.n_lo, self.floor = _cut(prof, self.x0, tol, max_n)
+        if self.n_lo == max_n:  # then tail_at(max_n) > tol: no step count within max_n certifies
             raise NotConverged(f"Koenigs sequence not certified at {zeta}: the envelope needs"
                                f" more than {max_n} steps; tail bound {self.tail_at(max_n):.3e}"
                                f" after {max_n} steps, tol {tol:.3e}",
                                max_n=0, partial=KoenigsResult(zeta, 0j, 0, math.inf, False, 0))
-        # M(x0 + n*rho) * (1 + 1e-9) at every n < n_lo is at least this
-        self.floor = (prof.M(self.x0 + (n_lo - 1) * self.rho) * (1.0 - ENVELOPE_MARGIN)
-                      * (1.0 + 1e-9) if n_lo else -1.0)
 
     def tail_at(self, n: int) -> float:
-        y = self.x0 + n * self.rho
-        return self.prof.M(y) + self.prof.M_tail(y) / self.rho
+        return _tail(self.prof, self.x0, self.rho, n)
 
     def advance(self, j: int, step: float, disp: complex):
         """The outcome of the orbit's step j, of size `step`, that brings this

@@ -23,8 +23,9 @@ a divisor is evaluated and checked before its dividend.  Evaluation guards:
 division by zero, zero to a negative power and any log whose argument has
 nonpositive real part raise EvalDomainError.
 
-Its third user, vanishes, encloses the operations compile_ast emits over a
-rectangle in interval arithmetic, to prove where they return +/-0 unraised.
+Its third user, enclose, bounds the operations compile_ast emits over a
+rectangle in interval arithmetic, keeping parts that are exactly +/-0, so
+that a Koenigs walk can prove what adding them changes, if anything.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import re
 from .errors import EvalDomainError, ParseError
 
 __all__ = ["parse_expression", "compile_ast", "eval_ast", "contains_zeta", "delta_ast",
-           "vanishes", "UNDERFLOW"]
+           "enclose", "UNDERFLOW"]
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
@@ -338,89 +339,100 @@ def _delta_ast(node, beta: complex):
     return body, not others and offset == 0
 
 
-# vanishes: cmath.exp returns l*cos, l*sin with l = exp(Re), and l rounds to
+# enclose: cmath.exp returns l*cos, l*sin with l = exp(Re), and l rounds to
 # 0.0 at Re <= UNDERFLOW, where exp(Re) is below half the least subnormal
 UNDERFLOW = -746.0
 _BOUND = 1e300   # every enclosure stays below it: no operation overflows or makes a NaN
 _POW_CAP = 16    # the largest integer power analysed
-_ONE = ((1.0, 1.0), (0.0, 0.0), False)
+_ZERO = (0.0, 0.0)   # equal to every interval that holds only +/-0
+_ONE = ((1.0, 1.0), _ZERO)
 
 
-def vanishes(node, re, im) -> bool:
-    """True only if compile_ast(node) returns +/-0 in both parts, raising
-    nothing, at every finite z with Re z in the closed interval `re` and Im z
-    in `im`.  Each node is enclosed in intervals rounded outward; log, L1..L9,
-    powers outside 1 <= |n| <= _POW_CAP, a divisor that may be 0, an exp that
-    may pass log(_BOUND) and any bound past _BOUND are unprovable."""
-    try:
-        box = _enclose(node, (tuple(re), tuple(im)))
-    except RecursionError:
-        return False
-    return box is not None and box[2]
+def enclose(node, re, im):
+    """(re, im): an interval holding each part of the values compile_ast(node)
+    returns, raising nothing, at every finite z with Re z in the closed
+    interval `re` and Im z in `im`, rounded outward except where a part is
+    exactly +/-0, as _ZERO; None where that is unprovable: log, L1..L9, powers
+    outside 1 <= |n| <= _POW_CAP, a divisor that may be 0, an exp that may
+    pass log(_BOUND) and any bound past _BOUND."""
+    order, todo = [], [node]
+    while todo:  # each node, then its children's subtrees, the last first
+        order.append(n := todo.pop())
+        todo.extend(c for c in n[1:] if isinstance(c, tuple))
+    boxes = []
+    for n in reversed(order):  # children first, in order, on top of the stack
+        k = len(boxes) - sum(isinstance(c, tuple) for c in n[1:])
+        args, op = boxes[k:], n[0]
+        if op == "num":
+            v = complex(n[1])
+            box = (v.real, v.real), (v.imag, v.imag)
+        elif op == "zeta":
+            box = tuple(re), tuple(im)
+        elif op == "neg":
+            box = _neg(args[0])
+        elif op in ("add", "sub"):  # a - b is a + (-b), in IEEE arithmetic too
+            a, b = args[0], args[1] if op == "add" else _neg(args[1])
+            box = _plus(a[0], b[0]), _plus(a[1], b[1])
+        elif op == "mul":
+            box = _cmul(*args)
+        elif op == "div":
+            box = _cdiv(*args)
+        elif op == "pow" and 1 <= abs(n[2]) <= _POW_CAP:  # x ** -n is 1 / c_powu(x, n)
+            box = _powu(args[0], abs(n[2]))
+            if box and n[2] < 0:
+                box = _cdiv(_ONE, box)
+        elif op == "call" and n[1] == "exp" and (top := args[0][0][1]) < math.log(_BOUND):
+            # exp's error is under an ulp, |cos|, |sin| <= 1, and sin(+/-0) is +/-0
+            bound = 0.0 if top <= UNDERFLOW else 2.0 * math.exp(top)
+            box = (-bound, bound), _ZERO if args[0][1] == _ZERO else (-bound, bound)
+        else:  # ^0, larger powers, log, L1..L9 and an exp that may overflow
+            return None
+        if not (box := _bounded(box)):
+            return None
+        boxes[k:] = [box]
+    return boxes[0]
 
 
 def _out(lo: float, hi: float) -> tuple:
     return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
 
 
+def _plus(x, y):
+    """x + y enclosed; a part that is +/-0 leaves the other unchanged."""
+    if y == _ZERO:
+        return x
+    return y if x == _ZERO else _out(x[0] + y[0], x[1] + y[1])
+
+
 def _times(a, b):
+    if a == _ZERO or b == _ZERO:  # both are finite, so the product is +/-0
+        return _ZERO
     products = a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]
     return _out(min(products), max(products))
 
 
 def _neg(a):
-    return (-a[0][1], -a[0][0]), (-a[1][1], -a[1][0]), a[2]
+    return (-a[0][1], -a[0][0]), (-a[1][1], -a[1][0])
 
 
 def _cmul(a, b):
     """CPython's complex product of the enclosures a and b, enclosed."""
-    rr, ii, ri, ir = _times(a[0], b[0]), _times(a[1], b[1]), _times(a[0], b[1]), _times(a[1], b[0])
-    return (_out(rr[0] - ii[1], rr[1] - ii[0]), _out(ri[0] + ir[0], ri[1] + ir[1]),
-            a[2] or b[2])
+    ii = _times(a[1], b[1])
+    return (_plus(_times(a[0], b[0]), (-ii[1], -ii[0])),
+            _plus(_times(a[0], b[1]), _times(a[1], b[0])))
 
 
 def _cdiv(a, b):
     """a / b enclosed, or None when b may be 0: Smith's algorithm divides
-    numerators at most twice a's largest part by b's larger part, >= least."""
-    least = max(0.0 if iv[0] <= 0.0 <= iv[1] else min(map(abs, iv)) for iv in b[:2])
+    numerators at most twice a's largest part, +/-0 if a is, by b's larger
+    part, >= least."""
+    least = max(0.0 if iv[0] <= 0.0 <= iv[1] else min(map(abs, iv)) for iv in b)
     if not least > 0.0:
         return None
+    if a == (_ZERO, _ZERO):
+        return a
     bound = math.nextafter(4.0 * max(map(abs, (*a[0], *a[1]))) / least, math.inf)
-    return (-bound, bound), (-bound, bound), a[2]
-
-
-def _enclose(node, z):
-    """(re, im, zero): intervals holding both parts of the node's value over
-    the rectangle z, and whether it is +/-0; None where that is unprovable."""
-    op = node[0]
-    args = [_enclose(c, z) for c in node[1:] if isinstance(c, tuple)]
-    if None in args:
-        return None
-    if op == "num":
-        v = complex(node[1])
-        box = ((v.real, v.real), (v.imag, v.imag), v == 0)
-    elif op == "zeta":
-        box = (*z, False)
-    elif op == "neg":
-        box = _neg(args[0])
-    elif op in ("add", "sub"):  # a - b is a + (-b), in IEEE arithmetic too
-        a, b = args[0], args[1] if op == "add" else _neg(args[1])
-        box = (*(_out(x[0] + y[0], x[1] + y[1]) for x, y in zip(a[:2], b[:2])), a[2] and b[2])
-    elif op == "mul":
-        box = _cmul(*args)
-    elif op == "div":
-        box = _cdiv(*args)
-    elif op == "pow" and 1 <= abs(node[2]) <= _POW_CAP:  # x ** -n is 1 / c_powu(x, n)
-        box = _powu(args[0], abs(node[2]))
-        if box and node[2] < 0:
-            box = _cdiv(_ONE, box)
-    elif op == "call" and node[1] == "exp" and (top := args[0][0][1]) < math.log(_BOUND):
-        # exp's error is under an ulp, and |cos|, |sin| <= 1
-        bound = 0.0 if top <= UNDERFLOW else 2.0 * math.exp(top)
-        box = ((-bound, bound), (-bound, bound), top <= UNDERFLOW)
-    else:  # ^0, larger powers, log, L1..L9 and an exp that may overflow
-        return None
-    return _bounded(box)
+    return (-bound, bound), (-bound, bound)
 
 
 def _bounded(box):

@@ -28,7 +28,7 @@ per series value (`powers`) and shared by `compose`, the chart conversions and
 the operator S.
 A series is evaluated as a map's perturbation only: `evaluate_tail` compiles
 z -> a(z) - z - beta into one straight-line function, once per series, and
-builds the AST of the same operations for `exprparse.vanishes`.
+builds the AST of the same operations for `exprparse.enclose`.
 """
 
 from __future__ import annotations
@@ -624,7 +624,7 @@ def evaluate_tail(a: ExpPolySeries, beta: complex) -> tuple:
     coefficients and exponents are bound by name, so every value is exact,
     signed zeros included, and no block's degree or series' length nests
     the source.  The loop that emits each line builds its AST node, so
-    `exprparse.vanishes` analyses exactly the operations compiled.
+    `exprparse.enclose` analyses exactly the operations compiled.
     """
     names = {"__builtins__": {}, "_exp": cmath.exp}
     lines = ["def delta(z):"]

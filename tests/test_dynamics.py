@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,7 @@ from dulaclin.errors import (
     InsufficientData,
     NotConverged,
 )
-from dulaclin.exprparse import compile_ast, parse_expression, vanishes
+from dulaclin.exprparse import compile_ast, enclose, parse_expression
 from dulaclin.linearize import linearize_level_by_level, partial_sums
 from dulaclin.series import ExpPolySeries, evaluate_tail
 
@@ -441,6 +442,23 @@ EQUIVALENCE_CASES = {
     # delta is 0 at the first zero steps and again past Re 805, but not near 800
     "flat-then-bump": (lambda: AnalyticMap.from_expression(
         FIXTURE + " + exp(-(zeta - 800)^2)", PROF), [9 + 2j], 1e-9, 200_000),
+    # starts on the real axis, where Im delta and Im disp are exactly +/-0
+    "noop-real-axis": (BENCH_MAPS["germ"], [complex(8, 0.0), complex(12.5, -0.0), 20 + 0j],
+                       1e-9, 200_000),
+    "noop-real-axis-series": (BENCH_MAPS["half"], [complex(8, -0.0), 15 + 0j], 1e-9, 200_000),
+    # disp is exactly 0 while delta is not: past Re 2254, delta is a nonzero
+    # e^-750 .. e^-250 that the reference walk sums, so the skip is refused
+    "noop-zero-sum": (lambda: AnalyticMap.from_expression("zeta + 1 + exp(zeta - 3000)", PROF),
+                      [9 + 2j, complex(9, 0.0)], 1e-9, 200_000),
+    # delta is 0 from the second step to Re 2254, so the next point's sum is
+    # exactly 0 where zeta's is not: only a single start may skip
+    "noop-zero-next-sum": (lambda: AnalyticMap.from_expression(
+        "zeta + 1 + 1e-10*exp(-800*(zeta - 9)) + exp(zeta - 3000)", PROF), [9 + 2j], 1e-9,
+        200_000),
+    # Im(w + beta) crosses 0 at about step 60, after delta is absorbed
+    "noop-crossing-real-axis": (lambda: AnalyticMap.from_expression(
+        "zeta + 1 + 0.5*i + exp(-zeta) + (zeta^2/4 - 1)*exp(-2*zeta)",
+        AsymptoticProfile(1 + 0.5j, 2.5, 0, 8.0)), [9 - 30j], 1e-9, 200_000),
     # a small budget, and n_lo at and around the first zero step, 737 from 9 + 2j
     **{f"flat-n_lo={n - 1}": (BENCH_MAPS["germ"], [9 + 2j], tail_after(PROF, 9.0, n), n + 2)
        for n in range(737, 743)},
@@ -479,11 +497,11 @@ class TestSharedOrbit:
         assert err.value.partial.next.joj_violations > 0
 
     def test_one_walk(self):
-        # the skip leaves 740 of max(2754, 2752 + 1) steps to evaluate
-        assert self.evaluated_points("germ", with_next=True) == 740
+        # the skip leaves 43 of max(2754, 2752 + 1) steps to evaluate
+        assert self.evaluated_points("germ", with_next=True) == 43
 
     def test_one_walk_single_start(self):
-        assert self.evaluated_points("half", with_next=False) == 739
+        assert self.evaluated_points("half", with_next=False) == 41
 
     @staticmethod
     def evaluated_points(name, with_next):
@@ -502,6 +520,16 @@ class TestSharedOrbit:
         return counts[0]
 
 
+def test_starts_sharing_re_share_their_envelope_cut():
+    # n_lo and its floor depend on the profile, Re, tol and max_n only
+    cut = dulaclin.dynamics._cut
+    cut.cache_clear()
+    f = BENCH_MAPS["germ"]()
+    for y in (0.0, -0.0, 1.0, 2.5, -3.0):
+        koenigs_limit(f, complex(9.0, y), 1e-9)
+    assert (cut.cache_info().misses, cut.cache_info().hits) == (1, 4)
+
+
 def counted(f, walk):
     """The outcome of walk(f), errors included, and how often it evaluated delta."""
     evaluated = []
@@ -514,7 +542,8 @@ def counted(f, walk):
 
 
 class TestVanishingStretch:
-    """The steps a walk skips are exactly those whose delta is provably +/-0."""
+    """The steps a walk skips are exactly those whose delta provably changes
+    neither a sum nor an orbit point."""
 
     @pytest.mark.parametrize("text", [
         "zeta + 1 + 0*exp(zeta)",            # exp overflows past Re 709.78
@@ -532,16 +561,28 @@ class TestVanishingStretch:
                              lambda g: koenigs_limit(g, complex(9, -0.0), 1e-9))
         assert out[1] == 2754 and steps == 2754
 
+    def test_no_skipped_stretch_holds_im_0(self):
+        # from 9 - 30j at beta = 1 + 0.5i, Im(w + beta) crosses 0 after step 58,
+        # where a sum with Im delta is not provably Im(w + beta)
+        f = EQUIVALENCE_CASES["noop-crossing-real-axis"][0]()
+        evaluated = set()
+        g = replace(f, delta=lambda w: evaluated.add(w) or f.delta(w))
+        koenigs_limit(g, 9 - 30j, 1e-9)
+        w = 9 - 30j
+        while (w + f.profile.beta).imag < 0:
+            assert w in evaluated
+            w = f(w)
+        assert w in evaluated and len(evaluated) < 100
+
     @pytest.mark.parametrize("name, zeta", [("germ", 9 + 2j), ("germ2", 14.5 - 1.5j),
                                             ("half", complex(9, -0.0))])
     def test_rectangle_spans_every_skipped_point(self, name, zeta, monkeypatch):
-        spans = []
+        rects = []
 
         def recording(node, re, im):
-            if ok := vanishes(node, re, im):
-                spans.append((tuple(re), tuple(im)))
-            return ok
-        monkeypatch.setattr(dulaclin.dynamics, "vanishes", recording)
+            rects.append((tuple(re), tuple(im)))
+            return enclose(node, re, im)
+        monkeypatch.setattr(dulaclin.dynamics, "enclose", recording)
         f = BENCH_MAPS[name]()
         evaluated = set()
         g = replace(f, delta=lambda w: evaluated.add(w) or f.delta(w))
@@ -551,11 +592,15 @@ class TestVanishingStretch:
             if w not in evaluated:
                 skipped.append(w)
             w = f(w)
-        assert len(skipped) > 1900
-        (re, im), first, last = spans[-1], skipped[0], skipped[-1]
-        assert all(re[0] <= p.real <= re[1] and im[0] <= p.imag <= im[1] for p in skipped)
+        assert len(skipped) > 2600
+        # the last try skipped: its rectangle holds every skipped point and the
+        # point after them, whose w + beta the skipped steps computed
+        (re, im), first, after = rects[-1], skipped[0], f(skipped[-1])
+        assert after in evaluated
+        assert all(re[0] <= p.real <= re[1] and im[0] <= p.imag <= im[1]
+                   for p in (*skipped, after))
         # bounded before the points are made, within a rounding margin of their ends
-        ends = (first.real, last.real), tuple(sorted((first.imag, last.imag)))
+        ends = (first.real, after.real), tuple(sorted((first.imag, after.imag)))
         assert all(abs(x - y) < 1e-8 for x, y in zip((*re, *im), (*ends[0], *ends[1])))
 
 
@@ -569,6 +614,64 @@ def test_span_holds_every_point_of_the_additions(s, c, k):
     for _ in range(k + 1):
         assert lo <= s <= hi
         s = s + c
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(finite.filter(bool), st.floats(-0.2499, 0.2499))
+@example(1.0, -0.2499)           # below a power of two, where the gap halves
+@example(-0.5, 0.2499)
+@example(5e-324, 0.2)            # a subnormal: only +/-0 is below its quarter ulp
+@example(2.0 ** -1022, -0.2499)  # the least normal
+@example(-1.7976931348623157e308, 0.2499)
+def test_a_sum_absorbs_what_is_below_a_quarter_ulp(a, t):
+    # the lemma of the no-op rule: a + v == a for finite a != 0 and 4|v| < ulp(a)
+    v = t * math.ulp(a)
+    if 4.0 * abs(v) < math.ulp(a):
+        assert a + v == a and v + a == a
+
+
+def bits(x: complex) -> tuple:
+    return math.copysign(1.0, x.real), x.real, math.copysign(1.0, x.imag), x.imag
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.complex_numbers(max_magnitude=1e6), st.sampled_from(
+    [1 + 0j, complex(1.0, -0.0), 1 + 0.5j, 0.3 - 0.7j, complex(2.5, 1e-300)]),
+       st.integers(0, 3000))
+@example(complex(9.0, -0.0), complex(1.0, -0.0), 2753)
+@example(complex(9.0, 0.0), complex(1.0, -0.0), 5)
+def test_the_jump_adds_like_the_loop(last, beta, k):
+    # np.add.accumulate is a sequential scan of IEEE additions, as the loop is
+    run = np.full(k + 2, beta)
+    run[0] = last
+    jumped = complex(np.add.accumulate(run)[-1])
+    for _ in range(k + 1):
+        last = last + beta
+    assert bits(jumped) == bits(last)
+
+
+POWERS = [math.copysign(2.0 ** e, s) for e in range(-1074, 1024, 7) for s in (1.0, -1.0)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(finite, finite, finite, st.lists(finite, max_size=2))
+@example(-0.375 * math.ulp(1.0), 1.0, 2.0, [])     # a quarter to half an ulp below 1.0
+@example(-0.375 * math.ulp(0.5), -1.0, 0.5, [])
+@example(1e-30, -1.0, 1.0, [])                      # a span holding 0
+@example(1e-30, 0.0, 1.0, [])
+@example(1e-30, 8.0, 20.0, [0.0])                   # a sum that is 0
+@example(1e-30, 8.0, 20.0, [-1.0, 1e-10])
+def test_absorbed_holds_for_every_addition_it_allows(m, x, y, sums):
+    # the no-op rule's test, checked at the ends of the span, at powers of two
+    # and the least floats inside it, and at each sum, for both ends of [-|m|, |m|]
+    iv, (lo, hi) = (-abs(m), abs(m)), sorted((x, y))
+    if dulaclin.dynamics._absorbed(iv, (lo, hi), *sums):
+        inside = [p for p in (*POWERS, 5e-324, -5e-324, 0.0) if lo <= p <= hi]
+        for a in (lo, hi, *inside, *sums):
+            assert a + iv[0] == a and a + iv[1] == a
 
 
 BETAS = [(1 + 0j, "1"), (complex(1.0, -0.0), "1"), (1 + 0.5j, "1 + 0.5*i"),

@@ -12,10 +12,11 @@ from dulaclin.exprparse import (
     _tokenize,
     compile_ast,
     delta_ast,
+    enclose,
     eval_ast,
     parse_expression,
-    vanishes,
 )
+from dulaclin.series import ExpPolySeries, evaluate_tail
 
 PROF = AsymptoticProfile(1 + 0j, 1.0, 0, 2.0)
 
@@ -206,7 +207,20 @@ FAR = (746.0, 3000.0)   # Re, where exp(-zeta) underflows to 0
 IM = (-3.0, 2.0)
 
 
+def vanishes(node, re, im) -> bool:
+    """Whether enclose proves the node +/-0 in both parts on the rectangle."""
+    return enclose(node, re, im) == ((0.0, 0.0), (0.0, 0.0))
+
+
+def held(box, value) -> bool:
+    """Whether both parts of value lie in the enclosure box, an exact 0
+    part as +/-0."""
+    return all(iv[0] <= x <= iv[1] for iv, x in zip(box, (value.real, value.imag)))
+
+
 class TestVanishes:
+    """enclose: where it proves both parts +/-0, and its exact zero parts."""
+
     @pytest.mark.parametrize("text, re, expected", [
         pytest.param("exp(-zeta)", FAR, True, id="exp-past-746"),
         # exp(-745) is a subnormal, not 0
@@ -242,6 +256,45 @@ class TestVanishes:
                 for y in (*IM, 0.0, -0.0):
                     assert not f(complex(x, y))
 
+    @pytest.mark.parametrize("text, im, exact", [
+        # on the real axis, exp, products and sums of real constants stay real
+        pytest.param("exp(-zeta)", (0.0, 0.0), (False, True), id="exp-real-axis"),
+        pytest.param("exp(-zeta)", (-0.0, -0.0), (False, True), id="exp-negative-zero"),
+        pytest.param("(zeta^2/4 - 1)*exp(-2*zeta) - exp(-zeta)/(zeta - 3)", (0.0, 0.0),
+                     (False, False), id="divisor"),  # a nonzero quotient is not exact
+        pytest.param("(0*zeta + 1)*zeta + 0.5 + exp(-1.5*zeta)*(0.1*zeta + 0.5)",
+                     (0.0, 0.0), (False, True), id="horner"),
+        pytest.param("i*exp(-zeta)", (0.0, 0.0), (True, False), id="imaginary"),
+        # negative controls: the rectangle or a constant leaves the real axis
+        pytest.param("exp(-zeta)", (0.0, 1e-300), (False, False), id="exp-off-axis"),
+        pytest.param("exp(-zeta) + 1e-300*i", (0.0, 0.0), (False, False), id="complex-constant"),
+        pytest.param("exp(-i*zeta)", (0.0, 0.0), (False, False), id="rotated"),
+        pytest.param("exp(-zeta)*(1 + 1e-300*i)", (0.0, 0.0), (False, False),
+                     id="complex-factor"),
+    ])
+    def test_exact_zero_parts(self, text, im, exact):
+        # a part enclosed as [0, 0] is +/-0 wherever the function is evaluated;
+        # every part holds the compiled values
+        node = parse_expression(text)
+        box = enclose(node, (8.0, 50.0), im)
+        assert tuple(iv == (0.0, 0.0) for iv in box) == exact
+        f = compile_ast(node)
+        for x in (8.0, 8.5, 13.0, 50.0):
+            for y in sorted({*im, (im[0] + im[1]) / 2}):
+                assert held(box, f(complex(x, y)))
+
+    @pytest.mark.parametrize("text", [
+        "exp(-zeta)", "exp(-zeta)*zeta^3 - 2*i*exp(-2*zeta)", "exp(-(zeta - 3)^2)/(zeta + i)",
+        "exp(-zeta)*(zeta - 3)^-2 + 0.5 - 0.25*i",
+    ])
+    def test_enclosure_holds_every_value(self, text):
+        node = parse_expression(text)
+        box = enclose(node, (8.0, 40.0), IM)
+        f = compile_ast(node)
+        for x in (8.0, 8.25, 9.75, 23.0, 40.0):
+            for y in (*IM, -1.5, 0.0, -0.0, 1.0):
+                assert held(box, f(complex(x, y)))
+
     def test_nested_powers_enclose_each_base_once(self, monkeypatch):
         # c_powu's square-and-multiply runs on the enclosures: 5 products per
         # ^16, not one enclosure of the base per factor (16^6 of them here)
@@ -253,9 +306,11 @@ class TestVanishes:
         assert len(products) == 6 * 5
         assert not compile_ast(node)(complex(FAR[0], IM[0]))
 
-    def test_too_deep_to_analyse_is_not_provable(self):
-        node = parse_expression("exp(-zeta)" + "*1" * 2000)
-        assert not vanishes(node, FAR, IM)
+    def test_deep_ast_is_analysed(self):
+        # the enclosure walks an explicit stack, so no depth is too deep for it
+        assert vanishes(parse_expression("exp(-zeta)" + "*1" * 2000), FAR, IM)
+        series = ExpPolySeries(521, [1], {0: [1, 1], **{k: [1e-3] for k in range(1, 521)}})
+        assert vanishes(evaluate_tail(series, 1 + 0j)[1], (2000.0, 3000.0), IM)
 
     @pytest.mark.parametrize("y", [0.0, -0.0, 1.0, -2.5, 3.0, 1e10])
     def test_platform_exp_underflows_at_the_cut(self, y):

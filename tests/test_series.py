@@ -581,7 +581,7 @@ class TestCompiledEvaluator:
     @pytest.mark.parametrize("case", [c for c in EVALUATOR_CASES
                                       if c not in ("degree-300", "3000-terms")])
     def test_ast_is_the_compiled_operations(self, case):
-        # the AST exprparse.vanishes analyses, compiled as an expression
+        # the AST exprparse.enclose analyses, compiled as an expression
         series, beta = EVALUATOR_CASES[case]
         compiled, ast = evaluate_tail(series, beta)
         for z in EVALUATOR_POINTS:

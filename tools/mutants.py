@@ -86,13 +86,39 @@ MUTANTS = [
         "    return _kept(a, list(acc.items()))\n",
         ["tests/test_series.py::test_add_commutes_exactly"]),
     Mutant(
-        "vanishes takes every exp for zero, whatever its Re(arg)", "src/dulaclin/exprparse.py",
+        "enclose takes every exp for zero, whatever its Re(arg)", "src/dulaclin/exprparse.py",
         "(top := args[0][0][1]) < math.log(_BOUND):",
         "(top := UNDERFLOW) < math.log(_BOUND):",
         ["tests/test_parser.py::TestVanishes::test_proves_only_where_it_holds[exp-past-745]",
          "tests/test_parser.py::TestVanishes::test_proves_only_where_it_holds[bump]",
          "tests/test_dynamics.py::TestSharedOrbit::test_single_start_matches_reference"
          "[flat-then-bump]"]),
+    Mutant(
+        "enclose takes exp's imaginary part for exactly 0, whatever Im(arg)",
+        "src/dulaclin/exprparse.py",
+        "_ZERO if args[0][1] == _ZERO else (-bound, bound)",
+        "_ZERO",
+        ["tests/test_parser.py::TestVanishes::test_exact_zero_parts[exp-off-axis]",
+         "tests/test_parser.py::TestVanishes::test_exact_zero_parts[rotated]"]),
+    Mutant(
+        "the no-op rule allows half an ulp, not a quarter", "src/dulaclin/dynamics.py",
+        "4.0 * m < math.ulp(a)",
+        "2.0 * m < math.ulp(a)",
+        ["tests/test_dynamics.py::test_absorbed_holds_for_every_addition_it_allows"]),
+    Mutant(
+        "the no-op rule lets a span of w + beta hold 0", "src/dulaclin/dynamics.py",
+        "return not m or not span[0] <= 0.0 <= span[1] and all(",
+        "return not m or all(",
+        ["tests/test_dynamics.py::test_absorbed_holds_for_every_addition_it_allows",
+         "tests/test_dynamics.py::TestVanishingStretch::test_no_skipped_stretch_holds_im_0"]),
+    Mutant(
+        "the no-op rule leaves the next point's sum out", "src/dulaclin/dynamics.py",
+        "_absorbed(box[0], rect[0], disp.real, disp_next.real) \\\n"
+        "                    and _absorbed(box[1], rect[1], disp.imag, disp_next.imag)",
+        "_absorbed(box[0], rect[0], disp.real) \\\n"
+        "                    and _absorbed(box[1], rect[1], disp.imag)",
+        ["tests/test_dynamics.py::TestSharedOrbit::test_with_next_matches_two_reference_calls"
+         "[noop-zero-next-sum]"]),
     Mutant(
         "the skip's rectangle is built from the last point only", "src/dulaclin/dynamics.py",
         "return math.nextafter(min(s, end) - e, -math.inf), math.nextafter(max(s, end) + e, math.inf)",
