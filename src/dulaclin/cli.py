@@ -55,6 +55,7 @@ from .dynamics import (
     decay_slope,
     koenigs_limit,
     parse_grid,
+    solve_homological_grid,
     solve_homological_numeric,
 )
 from .errors import (
@@ -169,8 +170,14 @@ def _header_lines(args) -> list:
 
 
 def _write_text(path: str, text: str):
+    _write_chunks(path, (text,))
+
+
+def _write_chunks(path: str, chunks):
+    """Write the strings of the iterable `chunks` to `path`, one after another."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as out:
+            out.writelines(chunks)
     except OSError as exc:
         raise DulaclinError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -406,32 +413,41 @@ def cmd_compare(args) -> int:
 # "rows" list; json writes a float by float.__repr__, as %r does
 _HOMOLOGICAL_ROW = ('  {\n   "psi": [\n    %r,\n    %r\n   ],\n   "residual": %r,\n'
                     '   "zeta": [\n    %s,\n    %s\n   ]\n  }')
+_CHUNK_ROWS = 1000
 
 
-def _homological_json(fields: dict, rows: list) -> str:
+def _homological_chunks(fields: dict, rows: list, size: int = _CHUNK_ROWS):
+    """The report, json.dumps({**fields, "rows": ...}, indent=1, sort_keys=True),
+    as strings of at most `size` rows each, so that no string is the whole text."""
     lines = json.dumps({**fields, "rows": []}, indent=1, sort_keys=True).split("\n")
     at = 1 + sorted([*fields, "rows"]).index("rows")  # one line per scalar field, sorted
+    head, _, tail = lines[at].partition("[]")
     # a grid repeats its coordinates, so each distinct nonzero one is formatted
     # once; a zero is formatted where it stands, as -0.0 == 0.0 would share a key
     get = {x: repr(x) for x in {x for r in rows for x in r[3:] if x}}.get
-    # %r writes nan and inf where json writes NaN and Infinity; the template has neither
-    body = ",\n".join(_HOMOLOGICAL_ROW % (a, b, c, get(x) or repr(x), get(y) or repr(y))
-                      for a, b, c, x, y in rows)
-    body = body.replace("nan", "NaN").replace("inf", "Infinity")
-    lines[at] = lines[at].replace("[]", "[\n" + body + "\n ]")
-    return "\n".join(lines)
+    yield "\n".join([*lines[:at], head + "[\n"])
+    for i in range(0, len(rows), size):
+        body = ",\n".join(_HOMOLOGICAL_ROW % (a, b, c, get(x) or repr(x), get(y) or repr(y))
+                          for a, b, c, x, y in rows[i:i + size])
+        # %r writes nan and inf where json writes NaN and Infinity; the template has neither
+        yield (",\n" if i else "") + body.replace("nan", "NaN").replace("inf", "Infinity")
+    yield "\n".join(["\n ]" + tail, *lines[at + 1:]])
 
 
 def cmd_solve_homological(args) -> int:
     """psi o f - psi = h on a grid, psi(z) and psi(f(z)) from one orbit (the
-    solver raises NotConverged when their residual is above 10*tol).  The report
-    is json's indent=1 layout with sorted keys, all its values finite."""
+    solver raises NotConverged when their residual is above 10*tol).  The
+    batched walk gives the leading points whose lanes pass cleanly; the scalar
+    solver takes the grid from the first other point on.  The report is
+    json's indent=1 layout with sorted keys, all its values finite."""
     profile = _profile(args)
     f = _load_map(args, profile)
-    h = compile_ast(parse_expression(args.h_expr))
+    h_ast = parse_expression(args.h_expr)
+    h = compile_ast(h_ast)
     grid = _grid(args.grid)
-    rows = []
-    for z in grid:
+    rows = [(psi.real, psi.imag, resid, z.real, z.imag) for z, (psi, _, resid)
+            in zip(grid, solve_homological_grid(f, h_ast, args.alpha, grid, args.tol))]
+    for z in grid[len(rows):]:
         try:
             psi, _, resid = solve_homological_numeric(f, h, args.alpha, z, args.tol,
                                                       with_next=True)
@@ -439,7 +455,7 @@ def cmd_solve_homological(args) -> int:
             print(f"not converged at {z}: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED
         rows.append((psi.real, psi.imag, resid, z.real, z.imag))
-    _write_text(args.output, _homological_json({**_header(args), "alpha": args.alpha}, rows))
+    _write_chunks(args.output, _homological_chunks({**_header(args), "alpha": args.alpha}, rows))
     print(f"max homological residual {max(r[2] for r in rows):.3e} over {len(rows)} points")
     return EXIT_OK
 

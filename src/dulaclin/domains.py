@@ -81,9 +81,18 @@ def exp_tower(k: int) -> float:
     return x
 
 
+_TOWERS = tuple(exp_tower(k) for k in range(5))  # exp_tower(5) overflows
+
+
+def _tower(k: int) -> float:
+    """exp_tower(k), looked up where it is finite; past that, exp_tower raises
+    its OverflowError."""
+    return _TOWERS[k] if 0 <= k < len(_TOWERS) else exp_tower(k)
+
+
 def M_eps_k(x: float, epsilon: float, k: int) -> float:
     """1 / (x * log x * ... * (log^k x)^(1+eps)); for k = 0 this is x^-(1+eps)."""
-    if x <= exp_tower(k):
+    if x <= _tower(k):
         raise DomainError(f"M undefined at x = {x} for k = {k}")
     v = x
     prod = 1.0
@@ -103,7 +112,7 @@ def M_tail_integral(x: float, epsilon: float, k: int) -> float:
 
 
 def iterated_log_real(x: float, m: int) -> float:
-    if x <= exp_tower(m):
+    if x <= _tower(m):
         raise DomainError(f"iterated log needs x > exp tower({m}), got {x}")
     for _ in range(m):
         x = math.log(x)
@@ -456,7 +465,7 @@ def _eq_new_bound(zeta: complex, epsilon: float, k: int) -> float:
     """1 / |zeta * L1 ... L_{k-1} * L_k^(1+eps)| with principal iterated logs."""
     if k == 0:
         return 1.0 / abs(zeta) ** (1.0 + epsilon)
-    if zeta.real <= exp_tower(k):
+    if zeta.real <= _tower(k):
         raise DomainError(f"bound needs Re > exp tower({k}), got {zeta.real}")
     prod = abs(zeta)
     v = zeta
@@ -509,24 +518,32 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
     # one call draws what 2*n_samples scalar calls would, in the same order
     u = np.random.default_rng(seed).random(2 * n_samples).tolist()
     n_strata = max(1, min(64, n_samples))
+    delta, beta, epsilon, k = f.delta, f.profile.beta, profile.epsilon, profile.k
+    # a region of one part draws every sample from it; a band contains its own
+    # sample iff lo < y < hi, as x >= R >= its t and R > 0
+    one = parts[0] if len(parts) == 1 else None
+    band = isinstance(one, BandRegion)
     rows = []
     nb = nr = ng = 0
     worst = math.inf
     for j in range(n_samples):
         u1, u2 = u[2 * j], u[2 * j + 1]
         x = R + INVARIANCE_RE_SPAN * ((j % n_strata) + u1) / n_strata
-        # at least one part has cut <= x, as x >= R >= region.cut
-        live = [p for p in parts if p.cut <= x]
-        lo, hi = live[j % len(live)].im_bounds(x)
+        if one is None:
+            # at least one part has cut <= x, as x >= R >= region.cut
+            live = [p for p in parts if p.cut <= x]
+            lo, hi = live[j % len(live)].im_bounds(x)
+        else:
+            lo, hi = one.im_bounds(x)
         y = lo + (hi - lo) * u2
         zeta = complex(x, y)
-        if not region.contains(zeta):  # x >= R: the cut holds
+        if not (lo < y < hi if band else region.contains(zeta)):  # x >= R: the cut holds
             # boundary-exact draws; resample toward the centerline
             y = 0.5 * (lo + hi)
             zeta = complex(x, y)
-        d = f.delta(zeta)
-        w = zeta + f.profile.beta + d
-        margin = _eq_new_bound(zeta, profile.epsilon, profile.k) - abs(d)
+        d = delta(zeta)
+        w = zeta + beta + d
+        margin = _eq_new_bound(zeta, epsilon, k) - abs(d)
         rect_ok = in_safety_rect(zeta, w, profile)
         region_ok = w.real >= R and region.contains(w)
         worst = min(worst, margin)

@@ -36,6 +36,14 @@ proves that for every step and the enclosure is below half the floor; else it
 tries again after 32, 64, ... more steps.  Every result, message and error is
 the full walk's.  A map without an AST walks every step.
 
+A grid of homological starts walks at once: solve_homological_grid makes each
+start a lane of float64 arrays, evaluates delta and h on the walking lanes
+through exprparse.compile_lanes (num, zeta, neg, add, sub, mul and exp
+nodes), and drops each lane as it ends.  It returns the leading starts whose
+lanes passed cleanly, bit for bit the scalar solver's; from the first other
+start on, the scalar solver runs and raises what it raises.  A map or h with
+any other node is solved point by point.
+
 A KoenigsResult is one certified start: zeta and the displacement its walk
 summed (the limit value is their sum), the steps used, the tail bound,
 whether it converged and the drift violations met.  A SlopeFit is the slope
@@ -61,7 +69,15 @@ from .errors import (
     InsufficientData,
     NotConverged,
 )
-from .exprparse import compile_ast, delta_ast, enclose, parse_expression
+from .exprparse import (
+    compile_ast,
+    compile_lanes,
+    complex_lanes,
+    delta_ast,
+    enclose,
+    exp_lanes,
+    parse_expression,
+)
 from .series import CPoly, ExpPolySeries, evaluate_tail
 
 __all__ = [
@@ -70,12 +86,15 @@ __all__ = [
     "SlopeFit",
     "koenigs_limit",
     "solve_homological_numeric",
+    "solve_homological_grid",
     "decay_slope",
     "parse_grid",
 ]
 
 NOISE_FLOOR = 1e-14
 HOMOLOGICAL_MAX_N = 100_000
+LANE_STEPS = 1_000       # steps of the batched homological walk; a lane still walking goes on alone
+DECAY_MARGIN = 1e-12     # relative margin by which np.hypot must pass a lane's decay check
 ENVELOPE_MARGIN = 1e-12  # relative rounding allowance of the hoisted envelope
 DECAY_SLACK = 0.1        # slope slack of decay_slope
 
@@ -383,6 +402,88 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
     if not resid <= 10.0 * tol:  # a NaN residual fails too
         raise NotConverged(f"homological equation residual {resid} > 10*tol")
     return (psi, psi_next, resid) if with_next else psi
+
+
+def solve_homological_grid(f: AnalyticMap, h_ast, alpha: float, grid: Sequence[complex],
+                           tol: float) -> list:
+    """solve_homological_numeric(f, compile_ast(h_ast), alpha, z, tol,
+    with_next=True) at the leading points of `grid`, all walked at once.
+
+    Each point is a lane of float64 arrays that compile_lanes evaluates delta
+    and h on; the lanes take their orbit steps together, and a lane that ends
+    is dropped.  Returns the (psi, psi_next, residual) of grid[:k], bit for bit
+    the scalar calls', where k is the first point whose lane did not pass
+    cleanly, so that the scalar solver from grid[k] on completes the grid.  A
+    lane passes cleanly unless a value on it is not finite, an exp has a
+    `bad` flag (the envelope's too), the start or its image is below R,
+    np.hypot does not decide a decay check by DECAY_MARGIN, it is still
+    walking after HOMOLOGICAL_MAX_N + 1 or LANE_STEPS steps, or the residual,
+    Python's abs of psi_next - psi - h(zeta), is above 10*tol.  A node of
+    delta or h that compile_lanes does not take makes k 0.
+    """
+    prof = f.profile
+    delta = None if f.ast is None else compile_lanes(f.ast)
+    h = compile_lanes(h_ast)
+    denom = 1.0 - math.exp(-alpha * prof.rho) if alpha > 0 else 0.0
+    if delta is None or h is None or not denom:  # the scalar solver raises on either
+        return []
+    beta, max_n, k = prof.beta, HOMOLOGICAL_MAX_N, len(grid)
+    z = np.array(grid, complex)
+    lane = np.arange(k)  # the grid index of each walking lane
+    wr, wi = z.real, z.imag
+    sr = si = nr = ni = np.zeros(k)  # psi's sum and psi_next's, real and imaginary parts
+    out = np.empty((6, k))  # by grid index: psi's sum where it ends, psi_next's, h(zeta)
+    psi_set = np.zeros(k, bool)
+    with np.errstate(all="ignore"):
+        env, _, bad = exp_lanes(-alpha * wr, 0.0)  # exp(-alpha Re w), as math.exp gives it
+        ok = ~bad & (wr >= prof.R)
+        for n in range(1, min(max_n + 1, LANE_STEPS) + 1):
+            hr, hi, bad = h(wr, wi)
+            lim = env * (1.0 + 1e-9)
+            size = np.hypot(hr, hi)  # a subnormal limit leaves no relative margin
+            ok &= ~bad & (size <= lim * (1.0 - DECAY_MARGIN)) & (
+                (lim >= 2.0 ** -1022) | (size == 0.0))
+            sr, si = sr + hr, si + hi
+            if n == 1:
+                out[4], out[5] = hr, hi
+            else:
+                nr, ni = nr + hr, ni + hi
+            dr, di, bad = delta(wr, wi)
+            wr, wi = wr + beta.real + dr, wi + beta.imag + di
+            ok &= ~bad & np.isfinite(wr) & np.isfinite(wi)
+            if n == 1:
+                ok &= wr >= prof.R
+            env, _, bad = exp_lanes(-alpha * wr, 0.0)
+            below = env / denom <= tol
+            ok &= ~bad
+            if n == max_n:  # psi's sum must end here
+                ok &= psi_set | below
+            if not ok.all():
+                k = min(k, lane[~ok].min())
+            ends = below & ~psi_set  # psi's sum ends at its first tail below tol
+            out[0, lane[ends]], out[1, lane[ends]] = sr[ends], si[ends]
+            psi_set |= below
+            done = below & ok & (n > 1)  # both sums ended
+            out[2, lane[done]], out[3, lane[done]] = nr[done], ni[done]
+            keep = ok & ~done & (lane < k)
+            if not keep.all():
+                wr, wi, env, sr, si, nr, ni, lane, psi_set, ok = (
+                    a[keep] for a in (wr, wi, env, sr, si, nr, ni, lane, psi_set, ok))
+            if not lane.size:
+                break
+        else:
+            k = min(k, lane.min())  # still walking
+    psi = complex_lanes(-out[0, :k], -out[1, :k])
+    psi_next = complex_lanes(-out[2, :k], -out[3, :k])
+    gap = complex_lanes((psi_next.real - psi.real) - out[4, :k],
+                        (psi_next.imag - psi.imag) - out[5, :k])
+    rows = []
+    for p, q, d in zip(psi.tolist(), psi_next.tolist(), gap.tolist()):
+        resid = abs(d)
+        if not resid <= 10.0 * tol:
+            break
+        rows.append((p, q, resid))
+    return rows
 
 
 def _non_finite_step(f: AnalyticMap, zeta: complex) -> DulaclinError:

@@ -26,6 +26,13 @@ nonpositive real part raise EvalDomainError.
 Its third user, enclose, bounds the operations compile_ast emits over a
 rectangle in interval arithmetic, keeping parts that are exactly +/-0, so
 that a Koenigs walk can prove what adding them changes, if anything.
+
+The fourth, compile_lanes, evaluates an AST of num, zeta, neg, add, sub, mul
+and exp nodes over float64 arrays of lanes, real and imaginary parts apart, so
+that every float operation is the one CPython's complex operation performs;
+exp goes through numpy's complex128 exp, libm's cexp, which returns
+cmath.exp's bits where the lanes' `bad` flag is clear.  Any other node gives
+None, and its caller evaluates point by point through compile_ast.
 """
 
 from __future__ import annotations
@@ -35,10 +42,12 @@ import itertools
 import math
 import re
 
+import numpy as np
+
 from .errors import EvalDomainError, ParseError
 
 __all__ = ["parse_expression", "compile_ast", "eval_ast", "contains_zeta", "delta_ast",
-           "enclose", "UNDERFLOW"]
+           "enclose", "UNDERFLOW", "compile_lanes", "exp_lanes", "complex_lanes", "LANE_EXP_MAX"]
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
@@ -355,12 +364,8 @@ def enclose(node, re, im):
     exactly +/-0, as _ZERO; None where that is unprovable: log, L1..L9, powers
     outside 1 <= |n| <= _POW_CAP, a divisor that may be 0, an exp that may
     pass log(_BOUND) and any bound past _BOUND."""
-    order, todo = [], [node]
-    while todo:  # each node, then its children's subtrees, the last first
-        order.append(n := todo.pop())
-        todo.extend(c for c in n[1:] if isinstance(c, tuple))
     boxes = []
-    for n in reversed(order):  # children first, in order, on top of the stack
+    for n in _postorder(node):  # children on top of the stack, in order
         k = len(boxes) - sum(isinstance(c, tuple) for c in n[1:])
         args, op = boxes[k:], n[0]
         if op == "num":
@@ -391,6 +396,16 @@ def enclose(node, re, im):
             return None
         boxes[k:] = [box]
     return boxes[0]
+
+
+def _postorder(node) -> list:
+    """The nodes of an AST, each after its children, which come in order;
+    from an explicit stack, so that no AST is too deep."""
+    order, todo = [], [node]
+    while todo:  # each node, then its children's subtrees, the last first
+        order.append(n := todo.pop())
+        todo.extend(c for c in n[1:] if isinstance(c, tuple))
+    return order[::-1]
 
 
 def _out(lo: float, hi: float) -> tuple:
@@ -453,3 +468,64 @@ def _powu(p, n: int):
             return r
         p = _bounded(_cmul(p, p))
     return None
+
+
+# compile_lanes: numpy's complex128 exp calls libm's cexp, which computes
+# exp(Re) * cos(Im), exp(Re) * sin(Im) as cmath.exp does below Re 709, where
+# cexp starts to scale; tests/test_lanes.py checks the bits where it runs
+LANE_EXP_MAX = 700.0
+_LANE_NODES = {"num", "zeta", "neg", "add", "sub", "mul"}
+
+
+def complex_lanes(re, im):
+    """The complex128 array with parts re and im, signed zeros kept, which
+    re + 1j*im is not: its real parts gain a +0.0."""
+    z = np.empty(np.shape(re), complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def exp_lanes(re, im):
+    """(re, im, bad): cmath.exp at each lane re + i*im, by numpy's complex128
+    exp; `bad` flags the lanes where that is not cmath.exp's value: a part of
+    the argument is not finite, or Re is above LANE_EXP_MAX."""
+    z = complex_lanes(re, im)
+    bad = ~(np.isfinite(z) & (z.real <= LANE_EXP_MAX))
+    z = np.exp(z)
+    return z.real, z.imag, bad
+
+
+def compile_lanes(node):
+    """The AST as a function (re, im) -> (re, im, bad) over float64 arrays of
+    lanes, or None when it holds a node other than num, zeta, neg, add, sub,
+    mul and exp.  At each lane whose `bad` flag is clear, the parts are those
+    of compile_ast(node)(complex(re, im)), bit for bit: a sum and a negation
+    go part by part, a product is (ar*br - ai*bi, ar*bi + ai*br), as CPython
+    multiplies complex numbers, and exp is exp_lanes, whose flags it collects.
+    Call it under np.errstate(all="ignore"): a lane may overflow or be NaN."""
+    order = _postorder(node)
+    if any(n[0] not in _LANE_NODES and n[:2] != ("call", "exp") for n in order):
+        return None
+
+    def lanes(re, im):
+        vals, bad = [], np.zeros(np.shape(re), bool)
+        for n in order:
+            op = n[0]
+            if op == "num":
+                v = complex(n[1])
+                v = np.full(np.shape(re), v.real), np.full(np.shape(re), v.imag)
+            elif op == "zeta":
+                v = re, im
+            elif op == "neg":
+                ar, ai = vals.pop()
+                v = -ar, -ai
+            elif op == "call":
+                *v, flags = exp_lanes(*vals.pop())
+                bad |= flags
+            else:
+                (br, bi), (ar, ai) = vals.pop(), vals.pop()
+                v = ((ar + br, ai + bi) if op == "add" else (ar - br, ai - bi) if op == "sub"
+                     else (ar * br - ai * bi, ar * bi + ai * br))
+            vals.append(v)
+        return (*vals[0], bad)
+    return lanes

@@ -4,6 +4,9 @@ from pathlib import Path
 import pytest
 
 from dulaclin.cli import build_parser, main
+from dulaclin.domains import AsymptoticProfile
+from dulaclin.dynamics import AnalyticMap, solve_homological_numeric
+from dulaclin.exprparse import compile_ast, parse_expression
 from dulaclin.series import CPoly, ExpPolySeries, parse_series, serialize_series
 
 
@@ -649,7 +652,35 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: cannot write ")
 
 
-def test_solve_homological_two_orbit_sums_per_point(tmp_path, monkeypatch):
+# the scalar copies: log is outside the batched walk's node subset
+HOMOLOGICAL_H = {"batched": "exp(-zeta)", "scalar": "exp(-zeta) + 0*log(zeta)"}
+HOMOLOGICAL_GRID = [8, 8 + 1j, 9, 9 + 1j, 10, 10 + 1j]
+
+
+def run_homological_grid(tmp_path, h_expr):
+    return main(["solve-homological", "--expr", "zeta + 1 + exp(-zeta)",
+                 "--h-expr", h_expr, "--alpha", "1", "--beta", "1", "--eps", "1",
+                 "--k", "0", "--cut", "4", "--grid", "8:10:3,0:1:2",
+                 "--output", str(tmp_path / "h.json")])
+
+
+def record_lanes(monkeypatch) -> list:
+    """(node, points) of every call of a lane function the batched walk compiles."""
+    import dulaclin.dynamics
+
+    calls, compile_lanes = [], dulaclin.dynamics.compile_lanes
+
+    def recording(node):
+        lanes = compile_lanes(node)
+        return lanes and (lambda re, im: calls.append(
+            (node, [complex(a, b) for a, b in zip(re.tolist(), im.tolist())])) or lanes(re, im))
+
+    monkeypatch.setattr(dulaclin.dynamics, "compile_lanes", recording)
+    return calls
+
+
+def count_scalar_solves(monkeypatch) -> list:
+    """The start of every solve_homological_numeric call, through either module."""
     import dulaclin.cli
     import dulaclin.dynamics
 
@@ -663,16 +694,45 @@ def test_solve_homological_two_orbit_sums_per_point(tmp_path, monkeypatch):
     # a second walk inside the solver would go through the module global
     monkeypatch.setattr(dulaclin.dynamics, "solve_homological_numeric", counting)
     monkeypatch.setattr(dulaclin.cli, "solve_homological_numeric", counting)
-    code = main(["solve-homological", "--expr", "zeta + 1 + exp(-zeta)",
-                 "--h-expr", "exp(-zeta)", "--alpha", "1", "--beta", "1", "--eps", "1",
-                 "--k", "0", "--cut", "4", "--grid", "8:10:3,0:1:2",
-                 "--output", str(tmp_path / "h.json")])
-    assert code == 0
+    return calls
+
+
+def test_solve_homological_two_orbit_sums_per_point(tmp_path, monkeypatch):
+    calls, lanes = count_scalar_solves(monkeypatch), record_lanes(monkeypatch)
+    assert run_homological_grid(tmp_path, HOMOLOGICAL_H["batched"]) == 0
+    h = parse_expression(HOMOLOGICAL_H["batched"])
+    # one lane per point, whose one walk sums psi(z) and psi(f(z)): no scalar call
+    assert calls == [] and [points for node, points in lanes if node == h][0] == HOMOLOGICAL_GRID
+
+
+def test_solve_homological_scalar_two_orbit_sums_per_point(tmp_path, monkeypatch):
+    calls, lanes = count_scalar_solves(monkeypatch), record_lanes(monkeypatch)
+    assert run_homological_grid(tmp_path, HOMOLOGICAL_H["scalar"]) == 0
     # one call per point sums psi(z) and psi(f(z)) along one orbit
-    assert calls == [8, 8 + 1j, 9, 9 + 1j, 10, 10 + 1j]
+    assert calls == HOMOLOGICAL_GRID and lanes == []
+
+
+def orbit_terms(h_expr) -> int:
+    """The orbit terms the scalar solver sums over HOMOLOGICAL_GRID."""
+    f = AnalyticMap.from_expression("zeta + 1 + exp(-zeta)", AsymptoticProfile(1, 1.0, 0, 4.0))
+    h, terms = compile_ast(parse_expression(h_expr)), []
+    for z in HOMOLOGICAL_GRID:
+        solve_homological_numeric(f, lambda w: terms.append(w) or h(w), 1.0, z, 1e-10,
+                                  with_next=True)
+    return len(terms)
 
 
 def test_solve_homological_evaluates_h_once_per_orbit_term(tmp_path, monkeypatch):
+    lanes = record_lanes(monkeypatch)
+    assert run_homological_grid(tmp_path, HOMOLOGICAL_H["batched"]) == 0
+    h = parse_expression(HOMOLOGICAL_H["batched"])
+    h_lanes = sum(len(points) for node, points in lanes if node == h)
+    steps = sum(len(points) for node, points in lanes if node != h)
+    # each orbit term is one h lane and one step lane, as in the scalar walk
+    assert h_lanes == steps == orbit_terms(HOMOLOGICAL_H["batched"]) > 6
+
+
+def test_solve_homological_scalar_evaluates_h_once_per_orbit_term(tmp_path, monkeypatch):
     import dulaclin.cli
 
     h_calls, steps = [], []
@@ -691,13 +751,9 @@ def test_solve_homological_evaluates_h_once_per_orbit_term(tmp_path, monkeypatch
         return f
 
     monkeypatch.setattr(dulaclin.cli, "_load_map", load_counted)
-    code = main(["solve-homological", "--expr", "zeta + 1 + exp(-zeta)",
-                 "--h-expr", "exp(-zeta)", "--alpha", "1", "--beta", "1", "--eps", "1",
-                 "--k", "0", "--cut", "4", "--grid", "8:10:3,0:1:2",
-                 "--output", str(tmp_path / "h.json")])
-    assert code == 0
+    assert run_homological_grid(tmp_path, HOMOLOGICAL_H["scalar"]) == 0
     # each orbit term takes one h and one step; the residual reuses the first h
-    assert len(h_calls) == len(steps) > 6
+    assert len(h_calls) == len(steps) == orbit_terms(HOMOLOGICAL_H["scalar"]) > 6
 
 
 def test_solve_homological_nan_h_exits_1(tmp_path, capsys):

@@ -117,6 +117,28 @@ class TestBoundFunctions:
         assert exp_tower(1) == 1.0
         assert abs(exp_tower(2) - math.e) < 1e-15
 
+    def test_evaluations_do_not_recompute_the_tower(self, monkeypatch):
+        # the towers below the first that overflows are computed once, at import
+        towers = [exp_tower(k) for k in range(5)]
+        monkeypatch.setattr(dulaclin.domains, "exp_tower", None)
+        assert M_eps_k(20.0, 0.5, 2) == 1.0 / (20.0 * math.log(20.0) * math.log(math.log(20.0))
+                                              ** 1.5)
+        assert iterated_log_real(20.0, 3) == math.log(math.log(math.log(20.0)))
+        for k, tower in enumerate(towers):
+            with pytest.raises(DomainError, match=rf"^M undefined at x = {tower} for k = {k}$"):
+                M_eps_k(tower, 0.5, k)
+            with pytest.raises(DomainError,
+                               match=rf"^iterated log needs x > exp tower\({k}\), got {tower}$"):
+                iterated_log_real(tower, k)
+            assert M_eps_k(tower + 1.0, 0.5, k) > 0.0
+
+    @pytest.mark.parametrize("k", [5, 9, 400])
+    def test_a_tower_that_overflows_still_raises(self, k):
+        for fn in (lambda: exp_tower(k), lambda: M_eps_k(1e300, 0.5, k),
+                   lambda: iterated_log_real(1e300, k)):
+            with pytest.raises(OverflowError):
+                fn()
+
 
 class TestProfile:
     def test_validation(self):
@@ -468,6 +490,20 @@ class TestSearchStopsEarly:
         for seed in seeds:
             assert check_invariance(f, region, prof, n, seed) == \
                 reference_check_invariance(f, region, prof, n, seed)
+
+    def test_band_sample_reads_its_bounds_once(self, monkeypatch):
+        # a band's sample is inside it iff it lies strictly between the bounds
+        # just drawn from: only f(zeta)'s membership reads the maps again
+        calls = []
+        call = dulaclin.domains.BoundaryMap.__call__
+        monkeypatch.setattr(dulaclin.domains.BoundaryMap, "__call__",
+                            lambda h, x: calls.append(x) or call(h, x))
+        f = AnalyticMap.from_expression(GERM, QUAD_PROF)
+        ref = reference_check_invariance(f, BAND, QUAD_PROF, 500, 3)
+        n_ref, calls[:] = len(calls), []
+        assert check_invariance(f, BAND, QUAD_PROF, 500, 3) == ref
+        # hl = -ROOT is two calls, hu one: 3 for the bounds, 3 for f(zeta), not 3 more
+        assert len(calls) == 6 * 500 and n_ref == 9 * 500
 
     @pytest.mark.parametrize("case", list(STOP_CASES))
     def test_failing_round_stops_at_its_first_violation(self, case):

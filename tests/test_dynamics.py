@@ -21,6 +21,7 @@ from dulaclin.dynamics import (
     decay_slope,
     koenigs_limit,
     parse_grid,
+    solve_homological_grid,
     solve_homological_numeric,
 )
 from dulaclin.errors import (
@@ -894,6 +895,59 @@ class TestHomological:
             psi = solve_homological_numeric(f, lambda z: cmath.exp(-z), 1.0,
                                             complex(x, 0), 1e-12)
             assert abs(psi) * math.exp(x) <= cap + 1e-6
+
+
+BUMP = "zeta + 1 - 2.5*exp(-50*(zeta - 4.3)*(zeta - 4.3))"   # sends 4.3 to 2.8, below R = 4
+GRID_CASES = {
+    # name: (map, profile, h, alpha, points, tol, HOMOLOGICAL_MAX_N, LANE_STEPS, clean points)
+    "grid": (FIXTURE, PROF4, "exp(-zeta)", 1.0,
+             parse_grid("8:28:12,-5:5:7") + [complex(8, -0.0), complex(9.5, -0.0), 30 + 0j],
+             1e-10, 100_000, 1_000, 87),
+    "germ2": ("zeta + 1 + 0.5*i + exp(-zeta) + (0.25*zeta*zeta - 1)*exp(-2*zeta)",
+              AsymptoticProfile(1 + 0.5j, 1.0, 0, 4.0), "zeta*exp(-2*zeta)", 1.5,
+              parse_grid("8:20:7,-2:2:5"), 1e-12, 100_000, 1_000, 35),
+    "one-term": (FIXTURE, PROF4, "exp(-zeta)", 1.0, [30 + 0j, 40 - 2j], 1e-10, 100_000, 1_000, 2),
+    "no-lanes-for-log": (FIXTURE, PROF4, "exp(-zeta) + 0*log(zeta)", 1.0, [8 + 0j], 1e-10,
+                         100_000, 1_000, 0),
+    "start-below-cut": (FIXTURE, PROF4, "exp(-zeta)", 1.0, [8 + 0j, 3 + 0j, 9 + 0j], 1e-10,
+                        100_000, 1_000, 1),
+    "image-below-cut": (BUMP, PROF4, "exp(-zeta)", 1.0, [10 + 0j, 4.3 + 0j, 12 + 0j], 1e-10,
+                        100_000, 1_000, 1),
+    "decay": (FIXTURE, PROF4, "exp(-zeta)*(1 + exp(zeta - 60))", 1.0, [8 + 0j, 70 + 0j, 9 + 0j],
+              1e-10, 100_000, 1_000, 1),
+    "nan-h": (FIXTURE, PROF4, "exp(-zeta) + 0*(zeta*zeta)", 1.0, [8 + 0j, 1e250 + 0j], 1e-10,
+              100_000, 1_000, 1),
+    "nan-map": ("zeta + 1 + 0*(zeta*1e306*2)", PROF4, "exp(-zeta)", 1.0, [8 + 0j, 100 + 0j],
+                1e-10, 100_000, 1_000, 1),
+    "residual": (FIXTURE, PROF4, "exp(-zeta)", 1.0, [30 + 0j, 8 + 0j], 1e-25, 100_000, 1_000, 1),
+    # the scalar solver passes these points, but the batch cannot vouch for them
+    "exp-past-700": (FIXTURE, PROF4, "exp(-zeta) + 0*exp(zeta)", 1.0, [8 + 0j, 701 + 0j],
+                     1e-10, 100_000, 1_000, 1),
+    "subnormal-envelope": (FIXTURE, PROF4, "exp(-zeta)", 1.0, [8 + 0j, 720 + 0j], 1e-10,
+                           100_000, 1_000, 1),
+    "lane-steps": (FIXTURE, PROF4, "exp(-zeta)", 1.0, [30 + 0j, 8 + 0j, 31 + 0j], 1e-10,
+                   100_000, 5, 1),
+    "budget": (FIXTURE, PROF4, "exp(-zeta)", 1.0, [30 + 0j, 8 + 0j], 1e-10, 3, 1_000, 1),
+    # the first sum ends after one term, the second runs out of terms
+    "one-term-budget": ("zeta - 0.5", PROF4, "exp(-zeta)", 1.0, [30.2 + 0j], 2.5e-13, 1, 1_000, 0),
+}
+
+
+class TestHomologicalGrid:
+    """The batched walk's rows are the scalar solver's, bit for bit, up to the
+    first point whose lane did not pass cleanly."""
+
+    @pytest.mark.parametrize("case", list(GRID_CASES))
+    def test_rows_are_the_scalar_calls(self, case, monkeypatch):
+        text, prof, h_text, alpha, points, tol, max_n, steps, k = GRID_CASES[case]
+        monkeypatch.setattr(dulaclin.dynamics, "HOMOLOGICAL_MAX_N", max_n)
+        monkeypatch.setattr(dulaclin.dynamics, "LANE_STEPS", steps)
+        f = AnalyticMap.from_expression(text, prof)
+        h = parse_expression(h_text)
+        rows = solve_homological_grid(f, h, alpha, points, tol)
+        assert len(rows) == k
+        assert repr(rows) == repr([solve_homological_numeric(f, compile_ast(h), alpha, z, tol,
+                                                             with_next=True) for z in points[:k]])
 
 
 EXPANSION_SLACK = 0.05   # slope slack of expansion_residual_check

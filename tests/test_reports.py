@@ -1,6 +1,7 @@
 """The JSON reports: `solve-homological` writes its rows through one template,
-byte for byte what the dict-and-`json.dumps` writer it replaced wrote, and
-every JSON file a command writes is strict JSON that `json` reproduces."""
+in chunks of rows, byte for byte what the dict-and-`json.dumps` writer it
+replaced wrote, and every JSON file a command writes is strict JSON that
+`json` reproduces."""
 
 import json
 import math
@@ -15,9 +16,10 @@ from dulaclin.cli import (
     EXIT_OK,
     _grid,
     _header,
-    _homological_json,
+    _homological_chunks,
     _load_map,
     _profile,
+    _write_chunks,
     _write_text,
     main,
 )
@@ -97,18 +99,44 @@ def test_report_bytes_match_the_dict_writer(tmp_path, capsys, monkeypatch, extra
     assert text is None or text in got[3]
 
 
+def solve(expr, h_expr, grid, *extra):
+    return ["solve-homological", "--expr", expr, "--h-expr", h_expr, "--alpha", "1",
+            "--cut", "4", "--grid", grid, *extra]
+
+
 def test_failures_match_the_dict_writer(tmp_path, capsys, monkeypatch):
     # a residual above 10*tol (exit 4) and a NaN orbit point (exit 1)
     cases = [HOMOLOGICAL + ["--alpha", "1", "--tol", "1e-300", "--grid", "8:8:1,0:0:1"],
-             ["solve-homological", "--expr", "zeta + 1 + 0*(zeta*1e300*1e300)",
-              "--h-expr", "exp(-zeta)", "--alpha", "1", "--cut", "4", "--grid", "8:8:1,0:0:1"]]
+             solve("zeta + 1 + 0*(zeta*1e300*1e300)", "exp(-zeta)", "8:8:1,0:0:1")]
     for argv, code in zip(cases, (4, 1)):
-        argv = argv + ["--output", str(tmp_path / "h.json")]
-        got = main(argv), capsys.readouterr()
-        with monkeypatch.context() as m:
-            m.setattr(dulaclin.cli, "cmd_solve_homological", reference_solve_homological)
-            assert got == (main(argv), capsys.readouterr())
-        assert got[0] == code and not (tmp_path / "h.json").exists()
+        assert_same_failure(tmp_path, capsys, monkeypatch, argv, code)
+
+
+@pytest.mark.parametrize("argv, code", [
+    # h is NaN at Re 1e250 (0 * inf)
+    (solve("zeta + 1 + exp(-zeta)", "exp(-zeta) + 0*(zeta*zeta)", "8:1e250:2,0:0:1"), 1),
+    # |h| is above exp(-Re) at Re 70
+    (solve("zeta + 1 + exp(-zeta)", "exp(-zeta)*(1 + exp(zeta - 60))", "8:70:2,0:0:1"), 1),
+    # the map's step is NaN from Re 90 on
+    (solve("zeta + 1 + 0*(zeta*1e306*2)", "exp(-zeta)", "8:100:2,0:0:1"), 1),
+    # the residual at Re 8 is above 10*tol, the one at Re 30 is not
+    (solve("zeta + 1 + exp(-zeta)", "exp(-zeta)", "30:8:2,0:0:1", "--tol", "1e-25"), 4),
+    # a bump sends the image of 4.3 to 2.8, below R = 4
+    (solve("zeta + 1 - 2.5*exp(-50*(zeta - 4.3)*(zeta - 4.3))", "exp(-zeta)",
+           "10:4.3:2,0:0:1"), 1),
+], ids=["nan-h", "decay", "nan-map", "residual", "image-below-cut"])
+def test_second_point_failures_match_the_dict_writer(tmp_path, capsys, monkeypatch, argv, code):
+    # the batched walk passes the first point; the scalar solver fails the second
+    assert_same_failure(tmp_path, capsys, monkeypatch, argv, code)
+
+
+def assert_same_failure(tmp_path, capsys, monkeypatch, argv, code):
+    argv = argv + ["--output", str(tmp_path / "h.json")]
+    got = main(argv), capsys.readouterr()
+    with monkeypatch.context() as m:
+        m.setattr(dulaclin.cli, "cmd_solve_homological", reference_solve_homological)
+        assert got == (main(argv), capsys.readouterr())
+    assert got[0] == code and not (tmp_path / "h.json").exists()
 
 
 FIELDS = {"tool": 'dulaclin "rows": [] x', "config_hash": "[]", "seed": -3, "alpha": 0.1}
@@ -124,18 +152,23 @@ FIELDS = {"tool": 'dulaclin "rows": [] x', "config_hash": "[]", "seed": -3, "alp
     [(1.0, 2.0, 0.0, x, y) for x in (0.0, -0.0, 8.0) for y in (-0.0, 0.0, 8.0, -0.0)]
     + [(1.0, 2.0, 0.0, x, y) for x in (-0.0, 0.0) for y in (0.0, -0.0)],
 ], ids=["zeros", "exponent-forms", "signed-zero-grid"])
-def test_renderer_is_json(rows):
-    # the header is spliced by its structure: no field's value is searched for
-    assert _homological_json(FIELDS, rows) == reference_json(FIELDS, rows)
+def test_renderer_is_json(tmp_path, rows):
+    # the header is spliced by its structure: no field's value is searched for;
+    # a chunk of `size` rows joins the next one as json would
+    out = tmp_path / "h.json"
+    for size in (1, 2, 1000):
+        _write_chunks(str(out), _homological_chunks(FIELDS, rows, size))
+        assert out.read_text() == reference_json(FIELDS, rows)
 
 
 def test_renderer_writes_non_finite_values_as_json_does():
     # unreachable from the command, whose values are all finite; written as
     # json writes them rather than as %r would (nan, inf)
     rows = [(math.nan, -math.inf, math.inf, -math.nan, 0.0), (1.0, 2.0, math.nan, 8.0, 0.0)]
-    text = _homological_json(FIELDS, rows)
-    assert text == reference_json(FIELDS, rows)
-    assert "NaN" in text and "-Infinity" in text and "nan" not in text and "inf" not in text
+    for size in (1, 1000):
+        text = "".join(_homological_chunks(FIELDS, rows, size))
+        assert text == reference_json(FIELDS, rows)
+        assert "NaN" in text and "-Infinity" in text and "nan" not in text and "inf" not in text
 
 
 def reject_constant(name):

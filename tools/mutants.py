@@ -133,6 +133,26 @@ MUTANTS = [
         "    e = 0.0\n",
         ["tests/test_dynamics.py::test_span_holds_every_point_of_the_additions"]),
     Mutant(
+        "the batched product done with numpy's complex *", "src/dulaclin/exprparse.py",
+        "else (ar * br - ai * bi, ar * bi + ai * br))",
+        "else ((p := complex_lanes(ar, ai) * complex_lanes(br, bi)).real, p.imag))",
+        ["tests/test_lanes.py::test_lanes_match_compile_ast[mul]",
+         "tests/test_lanes.py::test_lanes_match_compile_ast[germ2]"]),
+    Mutant(
+        "a lane that failed its decay check kept instead of handed to the scalar loop",
+        "src/dulaclin/dynamics.py",
+        "ok &= ~bad & (size <= lim * (1.0 - DECAY_MARGIN)) & (\n"
+        "                (lim >= 2.0 ** -1022) | (size == 0.0))",
+        "ok &= ~bad",
+        ["tests/test_reports.py::test_second_point_failures_match_the_dict_writer[decay]",
+         "tests/test_dynamics.py::TestHomologicalGrid::test_rows_are_the_scalar_calls[decay]"]),
+    Mutant(
+        "the batch's complex results rebuilt as re + 1j*im", "src/dulaclin/exprparse.py",
+        "    z = np.empty(np.shape(re), complex)\n    z.real, z.imag = re, im\n    return z\n",
+        "    return re + 1j * im\n",
+        ["tests/test_reports.py::test_report_bytes_match_the_dict_writer[negative-zero]",
+         "tests/test_lanes.py::test_complex_lanes_keeps_signed_zeros"]),
+    Mutant(
         "UNDERFLOW raised to -700", "src/dulaclin/exprparse.py",
         "UNDERFLOW = -746.0\n",
         "UNDERFLOW = -700.0\n",
