@@ -11,13 +11,14 @@ are upper and lower maps beyond the cut.
 Exit codes: 0 ok, 2 not hyperbolic, 3 parse error (also a bad or missing
 flag, a NaN or infinite numeric flag, a zero or negative --tol, --alpha or
 --quad-c, a negative --order, --samples below 1, a profile (--beta, --eps,
---k, --cut) that AsymptoticProfile rejects, a non-integer or negative
+--k, --cut) that AsymptoticProfile rejects, such as a huge --eps whose
+envelope M is undefined at the cut, a non-integer or negative
 --levels, a missing or
 unreadable --input or --region file, a region file with a non-finite C, R,
 t, a, r or delta, a quad C <= 0, a quad map sign other than 1 or -1, a band
 map undefined at its t or an empty union, no --expr or --input, a malformed
 --grid or one with a non-finite value, a non-finite series coefficient, an
-expression nested too deeply to parse or compile, an over-long exponent
+expression nested too deeply to parse, an over-long exponent
 literal), 4 unconverged grid points (also a solve-homological residual above
 10*tol), 5 violations above tolerance (also linearize --cross-check solvers
 differing by more than --tol, and a band boundary failing its
@@ -449,8 +450,7 @@ def cmd_solve_homological(args) -> int:
             in zip(grid, solve_homological_grid(f, h_ast, args.alpha, grid, args.tol))]
     for z in grid[len(rows):]:
         try:
-            psi, _, resid = solve_homological_numeric(f, h, args.alpha, z, args.tol,
-                                                      with_next=True)
+            psi, _, resid = solve_homological_numeric(f, h, args.alpha, z, args.tol)
         except NotConverged as exc:
             print(f"not converged at {z}: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED

@@ -99,7 +99,9 @@ def M_eps_k(x: float, epsilon: float, k: int) -> float:
     for _ in range(k):
         prod *= v
         v = math.log(v)
-    return 1.0 / (prod * v ** (1.0 + epsilon))
+    if not (denom := prod * v ** (1.0 + epsilon)):
+        raise DomainError(f"M undefined at x = {x}: its denominator underflows to 0")
+    return 1.0 / denom
 
 
 def M_tail_integral(x: float, epsilon: float, k: int) -> float:

@@ -342,8 +342,9 @@ class _Certificate:
 
 
 def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
-                              zeta: complex, tol: float, with_next: bool = False):
-    """psi(zeta) = -sum_n h(f^n(zeta)), solving psi o f - psi = h.
+                              zeta: complex, tol: float):
+    """(psi(zeta), psi(w1), residual): psi(zeta) = -sum_n h(f^n(zeta)) solves
+    psi o f - psi = h.
 
     Requires |h| <= exp(-alpha Re) on the visited orbit (checked pointwise,
     so a NaN value of h is DecayHypothesisViolated at its point); the
@@ -353,8 +354,8 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
     at the same orbit point as zeta's, or, when zeta's ends after one term,
     at the next one whose tail is below tol.  The defining equation is
     verified at zeta to 10*tol, with the sum's own first term h(zeta): a
-    larger or NaN residual is NotConverged.  With `with_next`, returns
-    (psi(zeta), psi(w1), that residual |psi(w1) - psi(zeta) - h(zeta)|).
+    larger or NaN residual is NotConverged; otherwise the residual returned
+    is |psi(w1) - psi(zeta) - h(zeta)|.
     """
     prof = f.profile
     if zeta.real < prof.R:
@@ -401,13 +402,13 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
     resid = abs(psi_next - psi - h0)
     if not resid <= 10.0 * tol:  # a NaN residual fails too
         raise NotConverged(f"homological equation residual {resid} > 10*tol")
-    return (psi, psi_next, resid) if with_next else psi
+    return psi, psi_next, resid
 
 
 def solve_homological_grid(f: AnalyticMap, h_ast, alpha: float, grid: Sequence[complex],
                            tol: float) -> list:
-    """solve_homological_numeric(f, compile_ast(h_ast), alpha, z, tol,
-    with_next=True) at the leading points of `grid`, all walked at once.
+    """solve_homological_numeric(f, compile_ast(h_ast), alpha, z, tol) at the
+    leading points of `grid`, all walked at once.
 
     Each point is a lane of float64 arrays that compile_lanes evaluates delta
     and h on; the lanes take their orbit steps together, and a lane that ends

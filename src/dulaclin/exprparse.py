@@ -13,15 +13,17 @@ Grammar (whitespace insensitive):
 Numbers are decimal literals; rational constants are spelled with '/'.
 L1..L9 are iterated principal logarithms; written bare they apply to zeta,
 so `L1^-2` is shorthand for `L1(zeta)^-2`.  Parse failures carry the
-character offset; an expression nested or chained too deeply for the
-recursive parser or for delta_ast's walk is a ParseError too.
+character offset; an expression nested too deeply for the recursive parser
+is a ParseError too.  Every walk after the parser uses an explicit stack, so
+no AST is too deep for it.
 
 delta_ast returns the AST of a map's perturbation f - zeta - beta, and
-compile_ast, the one compile route, turns an AST into one Python function,
-compiled once, that evaluates it operand by operand: left first, except that
-a divisor is evaluated and checked before its dividend.  Evaluation guards:
-division by zero, zero to a negative power and any log whose argument has
-nonpositive real part raise EvalDomainError.
+compile_ast, the one code generator (series.evaluate_tail compiles through
+it too), turns an AST into one Python function, compiled once, of one
+assignment per operation, that evaluates it operand by operand: left first,
+except that a divisor is evaluated and checked before its dividend.
+Evaluation guards: division by zero, zero to a negative power and any log
+whose argument has nonpositive real part raise EvalDomainError.
 
 Its third user, enclose, bounds the operations compile_ast emits over a
 rectangle in interval arithmetic, keeping parts that are exactly +/-0, so
@@ -38,7 +40,6 @@ None, and its caller evaluates point by point through compile_ast.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import re
 
@@ -221,66 +222,48 @@ def _ilog(w, m):
 
 _GLOBALS = {"__builtins__": {}, "_exp": cmath.exp, "_log": _log, "_neg_pow": _neg_pow,
             "_ilog": _ilog, "_zero_division": _zero_division}
-# Python precedence of the emitted forms, lowest first
-_ADD, _MUL, _UNARY, _POW, _ATOM = range(5)
-_BINARY = {"add": ("+", _ADD), "sub": ("-", _ADD), "mul": ("*", _MUL)}
-_CALLS = {"exp": "_exp", "log": "_log"}
 
-
-class _Compiler:
-    """Python source for an AST: operator tokens, `z`, generated names and the
-    parser's integer literals only; constants are bound by name."""
-
-    def __init__(self):
-        self.names = dict(_GLOBALS)
-        self.ids = itertools.count()
-
-    def const(self, value) -> str:
-        name = f"_c{next(self.ids)}"
-        self.names[name] = value
-        return name
-
-    def emit(self, node, prec=_ADD) -> str:
-        """Source of `node`, parenthesized when it binds looser than `prec`."""
-        op = node[0]
-        own = _ATOM
-        if op == "num":
-            src = self.const(node[1])
-        elif op == "zeta":
-            src = "z"
-        elif op == "neg":
-            src, own = "-" + self.emit(node[1], _UNARY), _UNARY
-        elif op in _BINARY:
-            sym, own = _BINARY[op]
-            src = f"{self.emit(node[1], own)} {sym} {self.emit(node[2], own + 1)}"
-        elif op == "div":
-            # the divisor is evaluated and checked before the dividend
-            t = f"_t{next(self.ids)}"
-            den = self.emit(node[2])
-            num = self.emit(node[1], _MUL)
-            src = f"({num} / {t} if ({t} := {den}) != 0 else _zero_division())"
-        elif op == "pow" and node[2] < 0:
-            src = f"_neg_pow({self.emit(node[1])}, {node[2]:d})"
-        elif op == "pow":
-            src, own = f"{self.emit(node[1], _ATOM)} ** {node[2]:d}", _POW
-        elif op == "call":
-            src = f"{_CALLS[node[1]]}({self.emit(node[2])})"
-        elif op == "ilog":
-            src = f"_ilog({self.emit(node[2])}, {node[1]:d})"
-        else:
-            raise ValueError(f"bad AST node {node!r}")
-        return src if own >= prec else f"({src})"
+# each operation's Python form: its operands' values in the order evaluated,
+# then its integer literal; a divisor is evaluated before its dividend
+_FORMS = {"neg": "-{0}", "add": "{0} + {1}", "sub": "{0} - {1}", "mul": "{0} * {1}",
+          "div": "{1} / {0}", "pow": "{0} ** {1:d}", "neg_pow": "_neg_pow({0}, {1:d})",
+          "exp": "_exp({0})", "log": "_log({0})", "ilog": "_ilog({0}, {1:d})"}
+_CHECK = ("check",)   # on compile_ast's stack: check the divisor just evaluated
 
 
 def compile_ast(node):
     """The AST as one compiled function z -> value, with the evaluation order,
-    floating-point operations and EvalDomainError guards of the grammar."""
-    compiler = _Compiler()
-    try:
-        code = compile(f"lambda z: {compiler.emit(node)}", "<expression>", "eval")
-    except (SyntaxError, RecursionError):
-        raise ParseError("expression nested too deeply to compile") from None
-    return eval(code, compiler.names)  # the source holds no input text
+    floating-point operations and EvalDomainError guards of the grammar.
+
+    Its source is straight-line Python, one assignment per operation, emitted
+    from an explicit stack, so that no AST is too deep: operator tokens, `z`,
+    generated names and the parser's integer literals only, with constants
+    bound by name."""
+    names, lines, vals = dict(_GLOBALS), ["def f(z):"], []
+    todo = [(node, False)]
+    while todo:
+        n, ready = todo.pop()
+        if n is _CHECK:
+            lines.append(f" if {vals[-1]} == 0: _zero_division()")
+        elif n[0] == "zeta":
+            vals.append("z")
+        elif n[0] == "num":
+            vals.append(f"_c{len(names)}")
+            names[vals[-1]] = n[1]
+        elif not ready:  # the node, then its operands, the first evaluated on top
+            todo.append((n, True))
+            todo += [(n[1], False), (_CHECK, True), (n[2], False)] if n[0] == "div" else \
+                [(c, False) for c in reversed(n[1:]) if isinstance(c, tuple)]
+        else:
+            k = sum(isinstance(c, tuple) for c in n[1:])
+            form = _FORMS[n[1] if n[0] == "call" else "neg_pow" if n[0] == "pow" and n[2] < 0
+                          else n[0]]
+            src = form.format(*vals[-k:], *(c for c in n[1:] if type(c) is int))
+            vals[-k:] = [f"_t{len(lines)}"]
+            lines.append(f" {vals[-1]} = {src}")
+    lines.append(f" return {vals[0]}")
+    exec(compile("\n".join(lines), "<expression>", "exec"), names)  # the source holds no input text
+    return names["f"]
 
 
 def eval_ast(node, zeta: complex) -> complex:
@@ -290,9 +273,7 @@ def eval_ast(node, zeta: complex) -> complex:
 
 
 def contains_zeta(node) -> bool:
-    if node[0] == "zeta":
-        return True
-    return any(contains_zeta(c) for c in node[1:] if isinstance(c, tuple))
+    return any(n[0] == "zeta" for n in _postorder(node))
 
 
 def delta_ast(node, beta: complex):
@@ -303,32 +284,18 @@ def delta_ast(node, beta: complex):
     zeta-free terms fold, evaluated in order and each added to -0j or
     subtracted by its sign, into one constant less beta, so an infinite or
     signed-zero constant keeps its value; each other term is added to it or
-    subtracted by its sign, so delta has no catastrophic cancellation.  Any other f gives f - zeta - beta,
-    which is cancellation-limited.  A sum or a term nested too deeply to
-    walk is a ParseError.
+    subtracted by its sign, so delta has no catastrophic cancellation.  Any
+    other f gives f - zeta - beta, which is cancellation-limited.
     """
-    try:
-        return _delta_ast(node, beta)
-    except RecursionError:
-        raise ParseError("expression nested too deeply to split") from None
-
-
-def _delta_ast(node, beta: complex):
-    flat = []
-
-    def walk(n, sign):
-        if n[0] == "add":
-            walk(n[1], sign)
-            walk(n[2], sign)
-        elif n[0] == "sub":
-            walk(n[1], sign)
-            walk(n[2], -sign)
+    flat, todo = [], [(node, 1)]
+    while todo:  # the sum's terms in order, from an explicit stack
+        n, sign = todo.pop()
+        if n[0] in ("add", "sub"):
+            todo += [(n[2], sign if n[0] == "add" else -sign), (n[1], sign)]
         elif n[0] == "neg":
-            walk(n[1], -sign)
+            todo.append((n[1], -sign))
         else:
             flat.append((sign, n))
-
-    walk(node, 1)
     has_zeta, consts, others = False, [], []
     for sign, n in flat:
         if n[0] == "zeta" and sign == 1 and not has_zeta:

@@ -26,9 +26,9 @@ checks read named module constants: `HEAD_TOL` here, `SOLVER_TOL` and
 `BACKSUB_TOL` in `linearize`.  A series' powers `v, v^2, ...` are built once
 per series value (`powers`) and shared by `compose`, the chart conversions and
 the operator S.
-A series is evaluated as a map's perturbation only: `evaluate_tail` compiles
-z -> a(z) - z - beta into one straight-line function, once per series, and
-builds the AST of the same operations for `exprparse.enclose`.
+A series is evaluated as a map's perturbation only: `evaluate_tail` builds
+the AST of z -> a(z) - z - beta and compiles it once per series through
+`exprparse.compile_ast`, the compile route of expressions too.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .errors import (
     NotNormalized,
     ParseError,
 )
+from .exprparse import compile_ast
 
 __all__ = [
     "CPoly",
@@ -613,46 +614,33 @@ def from_z_chart(a: ExpPolySeries, beta: complex | None = None) -> ExpPolySeries
 
 def evaluate_tail(a: ExpPolySeries, beta: complex) -> tuple:
     """(delta, ast): the function z -> a(z) - z - beta, what a series map adds
-    to the translation z + beta, compiled once as straight-line Python, and
-    the exprparse AST of the same operations.
+    to the translation z + beta, compiled once by `exprparse.compile_ast`,
+    and the exprparse AST it compiles, which `exprparse.enclose` analyses.
 
     The head block is differenced on its coefficients, so what is evaluated
     is the remainder B_0 - zeta - beta and the terms exp(-m*z) * B_m of
-    exponent m > 0: accurate for small values.  Each Horner step is one
-    assignment, acc*z + c from acc = 0j, and each term one more, t +
-    exp(-m*z) * p from t = 0j, with -m a float; the sum is head + tail.  The
-    coefficients and exponents are bound by name, so every value is exact,
-    signed zeros included, and no block's degree or series' length nests
-    the source.  The loop that emits each line builds its AST node, so
-    `exprparse.enclose` analyses exactly the operations compiled.
+    exponent m > 0: accurate for small values.  Each Horner step is acc*z + c
+    from acc = 0j, and each term t + exp(-m*z) * p from t = 0j, with -m a
+    float; the sum is head + tail.  compile_ast binds the coefficients and
+    exponents by name, so every value is exact, signed zeros included, and
+    emits one assignment per operation, so no block's degree or series'
+    length nests its source.
     """
-    names = {"__builtins__": {}, "_exp": cmath.exp}
-    lines = ["def delta(z):"]
     zeta, zero = ("zeta",), ("num", 0j)
 
-    def bind(value) -> str:
-        name = f"_c{len(names)}"
-        names[name] = value
-        return name
-
-    def horner(var: str, block: CPoly):
-        acc, node = "0j", zero
+    def horner(block: CPoly):
+        node = zero
         for c in reversed(block.coeffs):
-            lines.append(f"    {var} = {acc} * z + {bind(c)}")
-            acc, node = var, ("add", ("mul", node, zeta), ("num", c))
-        return acc, node
+            node = ("add", ("mul", node, zeta), ("num", c))
+        return node
 
-    head, head_node = horner("h", a._block(0) - CPoly([beta, 1.0]))
-    tail, tail_node = "0j", zero
+    tail = zero
     for m, b in a.terms:
         if m > 0:
-            p, p_node = horner("p", b)
-            lines.append(f"    t = {tail} + _exp({bind(-float(m))} * z) * {p}")
-            tail, tail_node = "t", ("add", tail_node, ("mul", (
-                "call", "exp", ("mul", ("num", -float(m)), zeta)), p_node))
-    lines.append(f"    return {head} + {tail}")
-    exec(compile("\n".join(lines), "<series>", "exec"), names)  # the source holds no input text
-    return names["delta"], ("add", head_node, tail_node)
+            tail = ("add", tail, ("mul", ("call", "exp", ("mul", ("num", -float(m)), zeta)),
+                                  horner(b)))
+    ast = ("add", horner(a._block(0) - CPoly([beta, 1.0])), tail)
+    return compile_ast(ast), ast
 
 
 # ---------------------------------------------------------------------------

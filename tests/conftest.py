@@ -18,7 +18,7 @@ from dulaclin.domains import (
     _eq_new_bound,
     in_safety_rect,
 )
-from dulaclin.errors import DomainError, DulaclinError, OrderTooLow
+from dulaclin.errors import DomainError, DulaclinError, EvalDomainError, OrderTooLow
 from dulaclin.linearize import (
     SOLVER_TOL,
     LinearizationResult,
@@ -212,6 +212,41 @@ def interpreted_series_delta(series: ExpPolySeries, beta: complex):
     def delta(z):
         return horner(rest, z) + interpreted_tail(tail, z)
     return delta
+
+
+def reference_eval(node, z: complex):
+    """The value of an exprparse AST at z, node by node and recursively, the
+    left operand first and a divisor before its dividend, with the guards of
+    the grammar: the reference of `exprparse.compile_ast`'s straight-line
+    code, for ASTs shallow enough to recurse."""
+    op = node[0]
+    if op == "num":
+        return node[1]
+    if op == "zeta":
+        return z
+    if op == "div":
+        den = reference_eval(node[2], z)
+        if den == 0:
+            raise EvalDomainError("division by zero")
+        return reference_eval(node[1], z) / den
+    if op in ("add", "sub", "mul"):
+        a, b = reference_eval(node[1], z), reference_eval(node[2], z)
+        return a + b if op == "add" else a - b if op == "sub" else a * b
+    w = reference_eval(node[1] if op in ("neg", "pow") else node[2], z)
+    if op == "neg":
+        return -w
+    if op == "pow":
+        if node[2] < 0 and w == 0:
+            raise EvalDomainError("zero raised to a negative power")
+        return w ** node[2]
+    if node[1] == "exp":
+        return cmath.exp(w)
+    for _ in range(1 if op == "call" else node[1]):  # log, or L1..L9
+        if w.real <= 0:
+            raise EvalDomainError("log argument has nonpositive real part" if op == "call"
+                                  else "iterated log left the right half plane")
+        w = cmath.log(w)
+    return w
 
 
 def evaluate(a: ExpPolySeries, zeta: complex) -> complex:

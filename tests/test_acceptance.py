@@ -144,8 +144,8 @@ def test_criterion_8_homological_solver():
     h = lambda z: cmath.exp(-z)
     tol = 1e-10
     z0 = 8 + 0j
-    psi = solve_homological_numeric(f, h, 1.0, z0, tol)
-    psi_f = solve_homological_numeric(f, h, 1.0, f(z0), tol)
+    psi = solve_homological_numeric(f, h, 1.0, z0, tol)[0]
+    psi_f = solve_homological_numeric(f, h, 1.0, f(z0), tol)[0]
     resid = abs(psi_f - psi - h(z0))
     closed = -cmath.exp(-z0) / (1 - math.exp(-1))
     ok = resid <= 1e-9 and abs(psi - closed) <= 1e-10

@@ -83,6 +83,9 @@ class TestBoundFunctions:
             M_eps_k(1.0, 1.0, 1)
         with pytest.raises(DomainError):
             M_eps_k(-1.0, 1.0, 0)
+        # (log^k x)^(1 + eps) below 1 underflows to 0 at a huge eps
+        with pytest.raises(DomainError, match="denominator underflows to 0"):
+            M_eps_k(8.0, 1e300, 2)
 
     def test_monotonicity_and_limits(self):
         prof = AsymptoticProfile(1.5 + 2j, 0.7, 1, 4.0)

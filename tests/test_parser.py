@@ -1,7 +1,9 @@
 import cmath
 import math
+import random
 
 import pytest
+from conftest import reference_eval
 
 from dulaclin import exprparse
 from dulaclin.domains import AsymptoticProfile
@@ -121,9 +123,58 @@ class TestCompile:
         assert ev("1/zeta/zeta/zeta", 2 + 0j) == 0.125
         assert ev("zeta/(zeta/(zeta/2))", 3 + 0j) == 1.5
 
-    def test_too_deep_to_compile_is_parse_error(self):
-        with pytest.raises(ParseError, match="nested too deeply"):
-            compile_ast(parse_expression("1/" * 300 + "zeta"))
+    def test_deep_division_chain_compiles(self):
+        # one assignment per operation: no chain is too deep to compile
+        f = compile_ast(parse_expression("1/" * 300 + "zeta"))
+        assert f(2 + 0j) == 0.5
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            f(0j)
+
+    def test_matches_the_recursive_reference_on_random_asts(self):
+        rng = random.Random(20261019)
+        trees = [random_ast(rng, 5) for _ in range(400)]
+        kinds = {n[1] if n[0] == "call" else n[0] for t in trees for n in exprparse._postorder(t)}
+        assert kinds == {"num", "zeta", "neg", "add", "sub", "mul", "div", "pow", "exp", "log",
+                         "ilog"}
+        for tree in trees:
+            f = compile_ast(tree)
+            for z in RANDOM_POINTS:
+                assert value_or_error(f, z) == value_or_error(
+                    lambda w: reference_eval(tree, w), z), (tree, z)
+
+
+# signed zeros, huge and tiny parts, infinities, NaN and a float constant
+RANDOM_NUMS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1 + 0j,
+               -2.5 + 0.5j, 1e300 + 0j, 1e-300j, complex(math.inf, 0.0), complex(math.nan, 1.0),
+               -3.0]
+RANDOM_POINTS = [2 + 1j, 0j, complex(-0.0, 0.0), complex(0.0, -0.0), -3 + 0.5j, 800 + 0j,
+                 -800 - 2j, complex(math.inf, 0.0), complex(-math.inf, 1.0),
+                 complex(1.0, math.inf), complex(math.nan, 0.0)]
+
+
+def random_ast(rng: random.Random, depth: int):
+    """An AST of every node kind, at most `depth` operations deep."""
+    if depth == 0 or rng.random() < 0.2:
+        return ("zeta",) if rng.random() < 0.5 else ("num", rng.choice(RANDOM_NUMS))
+    op = rng.choice(["neg", "add", "sub", "mul", "div", "pow", "exp", "log", "ilog"])
+    if op in ("add", "sub", "mul", "div"):
+        return (op, random_ast(rng, depth - 1), random_ast(rng, depth - 1))
+    if op == "pow":
+        return ("pow", random_ast(rng, depth - 1), rng.choice([-3, -2, -1, 0, 1, 2, 3, 17]))
+    if op == "ilog":
+        return ("ilog", rng.randint(1, 3), random_ast(rng, depth - 1))
+    return ("neg", random_ast(rng, depth - 1)) if op == "neg" else \
+        ("call", op, random_ast(rng, depth - 1))
+
+
+def value_or_error(f, z):
+    """f(z) as the repr of each part, so signed zeros count, or the type and
+    message of what it raised."""
+    try:
+        w = f(z)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(w.real), repr(w.imag)
 
 
 EXP = ("call", "exp", ("neg", ("zeta",)))   # exp(-zeta)

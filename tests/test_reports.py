@@ -39,8 +39,7 @@ def reference_solve_homological(args) -> int:
     rows = []
     for z in grid:
         try:
-            psi, psi_next, _ = solve_homological_numeric(f, h, args.alpha, z, args.tol,
-                                                         with_next=True)
+            psi, psi_next, _ = solve_homological_numeric(f, h, args.alpha, z, args.tol)
         except NotConverged as exc:
             print(f"not converged at {z}: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED

@@ -153,6 +153,21 @@ MUTANTS = [
         ["tests/test_reports.py::test_report_bytes_match_the_dict_writer[negative-zero]",
          "tests/test_lanes.py::test_complex_lanes_keeps_signed_zeros"]),
     Mutant(
+        "the divisor's zero check emitted after the dividend, on the dividend",
+        "src/dulaclin/exprparse.py",
+        "todo += [(n[1], False), (_CHECK, True), (n[2], False)]",
+        "todo += [(_CHECK, True), (n[1], False), (n[2], False)]",
+        ["tests/test_parser.py::TestCompile::test_divisor_checked_before_dividend",
+         "tests/test_parser.py::TestCompile::test_matches_the_recursive_reference_on_random_asts"]),
+    Mutant(
+        "a series block's Horner started from its top coefficient, not 0j * z + c",
+        "src/dulaclin/series.py",
+        "        node = zero\n        for c in reversed(block.coeffs):\n",
+        "        node = (\"num\", block.coeffs[-1]) if block.coeffs else zero\n"
+        "        for c in reversed(block.coeffs[:-1]):\n",
+        ["tests/test_series.py::TestCompiledEvaluator::test_bit_for_bit[negative-zero-parts]",
+         "tests/test_series.py::TestCompiledEvaluator::test_bit_for_bit[degree-0]"]),
+    Mutant(
         "UNDERFLOW raised to -700", "src/dulaclin/exprparse.py",
         "UNDERFLOW = -746.0\n",
         "UNDERFLOW = -700.0\n",
