@@ -12,11 +12,11 @@ Exit codes: 0 ok, 2 not hyperbolic, 3 parse error (also a bad or missing
 flag, a NaN or infinite numeric flag, a zero or negative --tol, --alpha or
 --quad-c, a negative --order, --samples below 1, a profile (--beta, --eps,
 --k, --cut) that AsymptoticProfile rejects, such as a huge --eps whose
-envelope M is undefined at the cut, a non-integer or negative
---levels, a missing or
-unreadable --input or --region file, a region file with a non-finite C, R,
-t, a, r or delta, a quad C <= 0, a quad map sign other than 1 or -1, a band
-map undefined at its t or an empty union, no --expr or --input, a malformed
+envelope M is undefined at the cut, its denominator underflowing to 0 or
+overflowing, a non-integer or negative --levels, a missing or unreadable
+--input or --region file, a region file with a non-finite C, R, t, a, r or
+delta, a quad C <= 0, a quad map sign other than 1 or -1, a band map
+undefined at its t or an empty union, no --expr or --input, a malformed
 --grid or one with a non-finite value, a non-finite series coefficient, an
 expression nested too deeply to parse, an over-long exponent
 literal), 4 unconverged grid points (also a solve-homological residual above
@@ -25,7 +25,8 @@ differing by more than --tol, and a band boundary failing its
 upper/lower-map check), 1 other errors (also a solve-homological |h| above
 exp(-alpha Re) or NaN at an orbit point, a solve-homological map step to a
 NaN or infinite point, even where h and its bound are both 0, an unwritable
---output and a numeric overflow).
+--output, a slope fit whose usable points all share one Re and a numeric
+overflow past the profile, such as one in a walk).
 """
 
 from __future__ import annotations

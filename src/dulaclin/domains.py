@@ -141,7 +141,10 @@ class AsymptoticProfile:
             raise DomainError("k must be a nonnegative integer")
         if self.R <= exp_tower(self.k):
             raise DomainError(f"cut R must exceed exp tower({self.k})")
-        object.__setattr__(self, "rho", self.rho_minus(self.R))
+        try:
+            object.__setattr__(self, "rho", self.rho_minus(self.R))
+        except OverflowError:  # (log^k R)^(1 + eps) past the largest double
+            raise DomainError(f"M undefined at R = {self.R}: its denominator overflows") from None
         if self.rho <= 0:
             raise DomainError("rho_minus(R) must be positive; raise R")
 

@@ -500,7 +500,7 @@ def _non_finite_step(f: AnalyticMap, zeta: complex) -> DulaclinError:
 
 def _fit(grid, residuals, bound, slack):
     """Least-squares slope of log|r| against Re zeta over the points whose
-    residual is not below the double-precision noise floor."""
+    residual is not below the double-precision noise floor, in closed form."""
     pts = [(z.real, math.log(abs(r))) for z, r in zip(grid, residuals, strict=True)
            if not abs(r) < NOISE_FLOOR]
     if not pts:
@@ -508,11 +508,13 @@ def _fit(grid, residuals, bound, slack):
         return SlopeFit(None, 0, True, True)
     if len(pts) < 8:
         raise InsufficientData(f"only {len(pts)} usable points")
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    slope, _ = np.polyfit(xs, ys, 1)
-    passed = None if bound is None else bool(slope <= bound + slack)
-    return SlopeFit(float(slope), len(pts), False, passed)
+    if len({x for x, _ in pts}) == 1:
+        raise InsufficientData(f"all {len(pts)} usable points have Re zeta = {pts[0][0]}")
+    mx, my = (math.fsum(v) / len(pts) for v in zip(*pts))
+    slope = (math.fsum((x - mx) * (y - my) for x, y in pts)
+             / math.fsum((x - mx) ** 2 for x, _ in pts))
+    passed = None if bound is None else slope <= bound + slack
+    return SlopeFit(slope, len(pts), False, passed)
 
 
 def decay_slope(displacements: Sequence[complex], phi_n: ExpPolySeries,

@@ -281,11 +281,12 @@ def delta_ast(node, beta: complex):
     expression f, and whether it is exactly zero.
 
     A top-level sum's bare `+zeta` term is removed structurally: its
-    zeta-free terms fold, evaluated in order and each added to -0j or
-    subtracted by its sign, into one constant less beta, so an infinite or
-    signed-zero constant keeps its value; each other term is added to it or
-    subtracted by its sign, so delta has no catastrophic cancellation.  Any
-    other f gives f - zeta - beta, which is cancellation-limited.
+    zeta-free terms fold, in order and each added to -0j or subtracted by
+    its sign, into one constant less beta, the chain evaluated by one
+    `eval_ast` call, so an infinite or signed-zero constant keeps its value;
+    each other term is added to it or subtracted by its sign, so delta has
+    no catastrophic cancellation.  Any other f gives f - zeta - beta, which
+    is cancellation-limited.
     """
     flat, todo = [], [(node, 1)]
     while todo:  # the sum's terms in order, from an explicit stack
@@ -304,11 +305,10 @@ def delta_ast(node, beta: complex):
             (others if contains_zeta(n) else consts).append((sign, n))
     if not has_zeta:
         return ("sub", ("sub", node, ("zeta",)), ("num", beta)), False
-    const = -0j  # the additive identity, signed zeros included
+    chain = ("num", -0j)  # the additive identity, signed zeros included
     for sign, n in consts:
-        value = eval_ast(n, 0j)
-        const = const + value if sign == 1 else const - value
-    offset = const - beta
+        chain = ("add" if sign == 1 else "sub", chain, n)
+    offset = eval_ast(("sub", chain, ("num", beta)), 0j)
     body = ("num", offset)
     for sign, n in others:
         body = ("add" if sign == 1 else "sub", body, n)

@@ -143,31 +143,25 @@ def linearize_level_by_level(f: ExpPolySeries) -> LinearizationResult:
     Levels are swept in ascending semigroup order, which is exact
     back-substitution: a solved level is never touched again, and each Q
     must be finite, or OverflowError.  Each block of phi, zeta first, goes
-    alone through `taylor_terms` once; its products build compose(term, f)
-    for r and, added in ascending blocks as `mul_into` adds them, the sums
-    that give `residual` = conjugacy_residual(phi, f, beta) bit for bit.
+    alone through `taylor_terms` once, and `mul_into` adds its products, in
+    ascending blocks as `mul` does, into the sums of compose(phi, f)'s terms.
+    They are the one residual: P_nu is their block nu, each scaled by its
+    1/i! (no block of phi sits at nu yet), and with translate(phi, beta)
+    they give `residual` = conjugacy_residual(phi, f, beta) bit for bit.
     """
     beta = _hyperbolic_beta(f)
     moved = {}  # the blocks of translate(phi, beta)
     sums = {}   # by 1/i!: the blocks of mul(translate(phi^(i), beta), delta^i)
 
-    def push(term: ExpPolySeries) -> ExpPolySeries:  # compose(term, f), summed into `sums` too
-        out = translate(term, beta)
-        moved.update(out.items)
+    def push(term: ExpPolySeries):
+        moved.update(translate(term, beta).items)
         for inv_fact, w, dpow in taylor_terms(term, f, beta):
-            prods = {}
-            mul_into(prods, w.items, dpow.items, f.n)
-            acc = sums.setdefault(inv_fact, {})
-            for k, p in prods.items():
-                acc[k] = acc[k] + p if k in acc else p
-            out = add(out, f._raw(prods).scale(inv_fact))
-        return out
+            mul_into(sums.setdefault(inv_fact, {}), w.items, dpow.items, f.n)
 
     phi = f._raw({0: CPoly([0.0, 1.0])})
     push(phi)
-    r = f.tail()  # conjugacy_residual(zeta, f, beta), exactly
     for nu in sorted(lattice_points(f.g, f.n))[1:]:  # level nu/L > 0, ascending
-        P = r._block(nu)
+        P = sum((acc[nu].scale(c) for c, acc in sums.items() if nu in acc), CPoly())
         if P.is_zero:
             continue
         Q = _level_solve(P, nu / f.L, beta)
@@ -175,16 +169,17 @@ def linearize_level_by_level(f: ExpPolySeries) -> LinearizationResult:
             raise OverflowError(f"level block at exponent {Fraction(nu, f.L)} is not finite")
         term = f._raw({nu: Q})
         phi = add(phi, term)
-        r = add(r, push(term) - term)
+        push(term)
     composed = f._raw(moved)
     for inv_fact, acc in sums.items():  # 1/i! for i = 1, 2, ..., as inserted
         composed = add(composed, f._raw(acc).scale(inv_fact))
+    residual = composed - phi - phi._raw({0: CPoly([beta])})
     scale = max(1.0, f.max_abs_coeff(), phi.max_abs_coeff())
     return LinearizationResult(
         phi=phi,
         beta=beta,
-        residual=composed - phi - phi._raw({0: CPoly([beta])}),
-        residual_ord=effective_order(r, SOLVER_TOL * scale),
+        residual=residual,
+        residual_ord=effective_order(residual, SOLVER_TOL * scale),
         algorithm="level_solver",
     )
 

@@ -127,7 +127,8 @@ def _binomials(d: int) -> tuple:
 # polynomial blocks
 
 class CPoly:
-    """Dense complex polynomial; coefficients ascending, trailing exact zeros stripped."""
+    """Dense complex polynomial; coefficients ascending, trailing exact zeros stripped.
+    Its product is one Python loop at every size: no BLAS kernel sets its bits."""
 
     __slots__ = ("coeffs",)
 
@@ -184,14 +185,10 @@ class CPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return CPoly()
-        if len(a) + len(b) > 16:
-            import numpy as np
-
-            return CPoly._of(np.convolve(np.asarray(a), np.asarray(b)).tolist())
         out = [0j] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            for k, y in enumerate(b, i):
+                out[k] += x * y
         return CPoly._of(out)
 
     def scale(self, c: complex) -> "CPoly":

@@ -1,8 +1,13 @@
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dulaclin
 from dulaclin.cli import build_parser, main
 from dulaclin.domains import AsymptoticProfile
 from dulaclin.dynamics import AnalyticMap, solve_homological_numeric
@@ -277,6 +282,47 @@ def test_compare_decay(tmp_path):
     assert len(body) == 4
     # n=5 removes every computed level: residual at the noise floor, "exact"
     assert body[3].split(",")[6] == "1"
+
+
+def test_compare_grid_with_one_usable_re_exits_1(tmp_path, capsys):
+    # at Re 30 the n = 1 residuals are below the noise floor, so every point
+    # of that fit has Re 8: there is no slope to report
+    src = write_fixture(tmp_path)
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--input", str(src), "--beta", "1", "--eps", "2.5", "--k", "0",
+                 "--cut", "8", "--grid", "8:30:2,0:7:8", "--levels", "0,1",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: all 8 usable points have Re zeta = 8.0"]
+    assert not out.exists()
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
+@pytest.mark.parametrize("command", ["linearize", "compare"])
+def test_bytes_do_not_depend_on_the_blas_kernel(tmp_path, command):
+    # OPENBLAS_CORETYPE picks OpenBLAS's kernels when numpy loads; no value a
+    # command reports goes through BLAS or LAPACK, so each kernel gives the same bytes
+    from conftest import deep_series
+
+    if command == "linearize":
+        src = tmp_path / "deep.json"
+        src.write_text(serialize_series(deep_series()))
+        argv = ["linearize", "--input", str(src), "--order", "6"]
+    else:
+        argv = ["compare", "--input", str(write_fixture(tmp_path)), "--beta", "1", "--eps", "2.5",
+                "--k", "0", "--cut", "8", "--grid", "8:30:45,0:0:1", "--levels", "0,1,5"]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(dulaclin.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    runs = []
+    for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        run = subprocess.run([sys.executable, "-m", "dulaclin.cli", *argv,
+                              "--output", str(tmp_path / "out")],
+                             env=env | kernel, capture_output=True, check=False)
+        runs.append((run.returncode, run.stdout, run.stderr,
+                     sorted((p.name, p.read_bytes()) for p in tmp_path.glob("out*"))))
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][3]
 
 
 def test_solve_homological(tmp_path):
@@ -637,11 +683,13 @@ def test_long_chain_expression_runs(tmp_path, capsys, expr, code, err):
     assert out.exists() == (code == 0)
 
 
-@pytest.mark.parametrize("profile", [["--cut", "0.5"], ["--k", "2", "--cut", "8"]],
-                         ids=["k0", "k2"])
+@pytest.mark.parametrize("profile", [["--cut", "0.5"], ["--k", "2", "--cut", "8"],
+                                     ["--cut", "8"], ["--k", "1", "--cut", "8"]],
+                         ids=["k0", "k2", "k0-overflow", "k1-overflow"])
 @pytest.mark.parametrize("command", ["koenigs", "verify-domain", "solve-homological"])
 def test_huge_eps_is_parse_error(tmp_path, capsys, command, profile):
-    # (log^k R)^(1 + eps) underflows to 0 below 1: M(R) is undefined, not 1/0
+    # (log^k R)^(1 + eps) underflows to 0 below 1 and overflows above it:
+    # either way M(R) is undefined, not 1/0 or a numeric overflow
     argv = {"koenigs": KOENIGS_ARGS, "verify-domain": DOMAIN_ARGS,
             "solve-homological": HOMOLOGICAL_ARGS + ["--alpha", "1"]}[command]
     assert_parse_error(capsys, argv + ["--eps", "1e300", *profile,

@@ -1013,6 +1013,34 @@ class TestSlopeFits:
         with pytest.raises(InsufficientData):
             expansion_residual_check(f, ser, 2.0, [complex(x, 0) for x in (3, 4, 5)])
 
+    def test_fit_matches_least_squares(self):
+        # numpy's LAPACK fit is only the reference here: _fit's closed form needs no BLAS
+        rng = np.random.default_rng(27)
+        for _ in range(20):
+            xs = rng.uniform(0.0, 10.0, 40)
+            ys = rng.uniform(-2.5, -0.5) * xs + rng.uniform(0.0, 3.0) + rng.normal(0.0, 1.0, 40)
+            residuals = [cmath.rect(math.exp(y), t) for y, t in zip(ys, rng.uniform(-3, 3, 40))]
+            fit = _fit([complex(x, 1.0) for x in xs], residuals, None, 0.0)
+            ref = np.polyfit(xs, [math.log(abs(r)) for r in residuals], 1)[0]
+            assert fit.n_used == 40 and abs(fit.slope - ref) <= 1e-12 * abs(ref)
+
+    def test_fit_is_exact_on_an_exact_line(self):
+        xs = range(8, 31)
+        residuals = []
+        for x in xs:  # the float whose log is -x/2 + 3 exactly
+            r = math.exp(-0.5 * x + 3.0)
+            while (y := math.log(r)) != -0.5 * x + 3.0:
+                r = math.nextafter(r, math.inf if y < -0.5 * x + 3.0 else 0.0)
+            residuals.append(r)
+        fit = _fit([complex(x, 0.0) for x in xs], residuals, -0.5, 0.0)
+        assert (fit.slope, fit.n_used, fit.passed) == (-0.5, 23, True)
+
+    def test_fit_on_a_single_re_is_insufficient(self):
+        grid = [complex(8.0, im) for im in range(8)] + [complex(30.0, 0.0)]
+        residuals = [1e-3 * (1 + im) for im in range(8)] + [0.0]  # Re 30 at the noise floor
+        with pytest.raises(InsufficientData, match="all 8 usable points have Re zeta = 8.0"):
+            _fit(grid, residuals, None, 0.0)
+
     def test_decay_slopes_of_fixture(self):
         fhat = ExpPolySeries(3, [1], {0: [1.0, 1.0], 1: [1.0]})
         phi = linearize_level_by_level(fhat).phi

@@ -210,6 +210,18 @@ class TestAffineSplit:
         (kind, value), exact = delta_ast(node, 1.0 + 0j)
         assert (kind, repr(value), exact) == ("num", "(1-0j)", False)
 
+    def test_constants_fold_in_one_compile(self, monkeypatch):
+        # the zeta-free terms 1 and 0.5*i of the benchmark's second germ are
+        # one chain (-0j + 1 + 0.5*i) - beta, compiled and evaluated once
+        compiled = []
+        compile_ast = exprparse.compile_ast
+        monkeypatch.setattr(exprparse, "compile_ast",
+                            lambda node: compiled.append(node) or compile_ast(node))
+        ast = parse_expression("zeta + 1 + 0.5*i + exp(-zeta) + (zeta^2/4 - 1)*exp(-2*zeta)")
+        ((_, (_, (kind, value), _), _), exact) = delta_ast(ast, 1 + 0.5j)
+        assert len(compiled) == 1
+        assert (kind, repr(value), exact) == ("num", "0j", False)
+
     def test_only_the_first_bare_zeta_is_removed(self):
         ast = parse_expression("2*zeta - zeta + 1 + zeta + zeta")
         assert delta_ast(ast, 1.0 + 0j) == (

@@ -436,10 +436,10 @@ class TestLattice:
             S(2, [F(1, 2)], {F(1, 2): [1.0]}).with_gens([1])
 
     def test_deep_order_8_solution_bytes(self):
-        # the digest was recorded with exponents stored as Fractions
+        # one Python loop per block product: the same bytes under every BLAS kernel
         phi = linearize_level_by_level(deep_series()).phi
         assert hashlib.sha256(serialize_series(phi).encode()).hexdigest() == \
-            "6911597b001be36cfe8ac036ae6d022cfac5882aafe0e21ed84bb08a107eed59"
+            "9c3ed6530b0bf9fdf06e301ffae857d604cd99c2dc1e4e428b9d5dfc7a266ead"
 
 
 # -- property tests ----------------------------------------------------------

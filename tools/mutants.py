@@ -58,17 +58,30 @@ MUTANTS = [
         ["tests/test_cli.py::test_level_solver_overflow_is_one_line_error[nan-at-4]",
          "tests/test_cli.py::test_level_solver_overflow_is_one_line_error[nan-at-2]"]),
     Mutant(
-        "the level solver's verifying sums skip the zeta block", LINEARIZE,
+        "the level solver's sums, its level residuals too, skip the zeta block", LINEARIZE,
         "    push(phi)\n",
         "",
         ["tests/test_series.py::test_level_residual_is_conjugacy_residual_on_the_corpus",
          "tests/test_series.py::test_level_residual_is_conjugacy_residual_on_the_deep_series[4]"]),
+    Mutant(
+        "level nu's P adds term i >= 2 of the sums without its 1/i!", LINEARIZE,
+        "P = sum((acc[nu].scale(c) for",
+        "P = sum((acc[nu] for",
+        ["tests/test_linearize.py::TestLevelSolver::test_residual_vanishes_on_random_corpus",
+         "tests/test_acceptance.py::test_criterion_1_formal_conjugacy",
+         "tests/test_series.py::TestLattice::test_deep_order_8_solution_bytes"]),
     Mutant(
         "phi gets a block other than the one the level solver pushed", LINEARIZE,
         "        phi = add(phi, term)\n",
         "        phi = add(phi, term.scale(2.0))\n",
         ["tests/test_series.py::test_level_residual_is_conjugacy_residual_on_the_corpus",
          "tests/test_series.py::test_level_residual_is_conjugacy_residual_on_the_deep_series[4]"]),
+    Mutant(
+        "a slope fit whose usable points share one Re divides by zero", "src/dulaclin/dynamics.py",
+        "    if len({x for x, _ in pts}) == 1:\n",
+        "    if False:\n",
+        ["tests/test_dynamics.py::TestSlopeFits::test_fit_on_a_single_re_is_insufficient",
+         "tests/test_cli.py::test_compare_grid_with_one_usable_re_exits_1"]),
     Mutant(
         "the homological report's coordinate cache keyed with zeros", "src/dulaclin/cli.py",
         "for x in r[3:] if x}}",

@@ -21,6 +21,14 @@ temp directory), and CI fails when the output of
 `python3 tools/workload_digest.py 1,2` differs from it.  A change that moves
 bytes on purpose commits the new output with it and says which workloads
 moved.
+
+The output does not depend on the BLAS kernel: no reported value goes
+through BLAS or LAPACK, so, for example,
+
+    OPENBLAS_CORETYPE=Prescott python3 tools/workload_digest.py 1,2
+
+prints the committed file too, and CI checks that under `Haswell` and
+`Prescott` as well as under the default kernel.
 """
 
 import contextlib
