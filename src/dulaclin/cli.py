@@ -16,10 +16,11 @@ envelope M is undefined at the cut, its denominator underflowing to 0 or
 overflowing, a non-integer or negative --levels, a missing or unreadable
 --input or --region file, a region file with a non-finite C, R, t, a, r or
 delta, a quad C <= 0, a quad map sign other than 1 or -1, a band map
-undefined at its t or an empty union, no --expr or --input, a malformed
---grid or one with a non-finite value, a non-finite series coefficient, an
-expression nested too deeply to parse, an over-long exponent
-literal), 4 unconverged grid points (also a solve-homological residual above
+undefined at its t, band maps that cross or one that overflows between t
+and 1000 t, where their order is sampled, or an empty union, no --expr or
+--input, a malformed --grid or one with a non-finite value, a non-finite
+series coefficient, an expression nested too deeply to parse, an over-long
+exponent literal), 4 unconverged grid points (also a solve-homological residual above
 10*tol), 5 violations above tolerance (also linearize --cross-check solvers
 differing by more than --tol, and a band boundary failing its
 upper/lower-map check), 1 other errors (also a solve-homological |h| above
@@ -171,10 +172,6 @@ def _header_lines(args) -> list:
     return [f"# {key}={value}" for key, value in _header(args).items()]
 
 
-def _write_text(path: str, text: str):
-    _write_chunks(path, (text,))
-
-
 def _write_chunks(path: str, chunks):
     """Write the strings of the iterable `chunks` to `path`, one after another."""
     try:
@@ -270,7 +267,7 @@ def cmd_linearize(args) -> int:
         "tolerance": args.tol,
         "levels": [format_exponent(v) for v in level.levels_solved],
     }
-    _write_text(f"{out}.phi.json", json.dumps(level.to_json(), indent=1))
+    _write_chunks(f"{out}.phi.json", (json.dumps(level.to_json(), indent=1),))
     if args.cross_check:
         picard = linearize_by_picard(f)
         diff = max_rel_coeff_diff(level.phi, picard.phi)
@@ -281,8 +278,8 @@ def cmd_linearize(args) -> int:
             "rounded_bytes_equal": ra == rb,
             "rounding_quantum": ROUNDING_QUANTUM,
         }
-        _write_text(f"{out}.phi.picard.json", json.dumps(picard.to_json(), indent=1))
-    _write_text(f"{out}.report.json", json.dumps(report, indent=1, sort_keys=True))
+        _write_chunks(f"{out}.phi.picard.json", (json.dumps(picard.to_json(), indent=1),))
+    _write_chunks(f"{out}.report.json", (json.dumps(report, indent=1, sort_keys=True),))
     print(f"max relative residual coefficient: {max_resid:.3e}")
     if args.cross_check and not diff <= args.tol:
         print(f"cross-check failed: the solvers differ by {diff:.3e} > tol", file=sys.stderr)
@@ -328,7 +325,7 @@ def cmd_koenigs(args) -> int:
     for r in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in r))
     lines.append(f"# summary max_residual={max_resid!r} n_points={len(grid)} n_failed={failures}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_chunks(args.output, ("\n".join(lines) + "\n",))
     print(f"max |phi(f(z)) - phi(z) - beta| = {max_resid:.3e} over {len(grid)} points"
           f" ({failures} unconverged)")
     return EXIT_OK
@@ -364,7 +361,7 @@ def cmd_verify_domain(args) -> int:
     lines.append("re,im,bound_margin,rect_ok,region_ok")
     for x, y, margin, rect_ok, region_ok in report.rows:
         lines.append(f"{x!r},{y!r},{margin!r},{int(rect_ok)},{int(region_ok)}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_chunks(args.output, ("\n".join(lines) + "\n",))
     print(f"R = {report.R}: {report.n_violations} violations over {report.n_samples} samples")
     failed = [f"{m.side} map ({m.case}): worst margin {m.worst_margin:.3e},"
               f" {m.n_violations} of {m.n_samples} samples violate"
@@ -406,7 +403,7 @@ def cmd_compare(args) -> int:
         shown = "exact" if fit.exact else f"slope {fit.slope:.4f}"
         print(f"n={n}: {shown} (next level exponent {shown_exp or 'none'}) "
               f"{'PASS' if passed else 'FAIL'}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_chunks(args.output, ("\n".join(lines) + "\n",))
     return EXIT_OK if ok else EXIT_VIOLATIONS
 
 

@@ -25,6 +25,20 @@ for diff at rho_-; if s*b < 0, h monotone like -s with that at rho_+ will
 do instead.  check_upper_map and check_lower_map sample this on a geometric
 grid from max(domain start, R) to MAP_X_MAX; verify-domain runs both on
 every band.
+
+check_invariance evaluates its samples in chunks of float64 numpy lanes, the
+first LANE_CHUNK samples long, each then as long as all before it, up to
+LANE_CHUNK_MAX.  A lane gives the row that checking its sample alone gives,
+bit for bit: its basic float operations, sqrt and hypot are IEEE's or libm's
+in numpy too, every ** is CPython's own float pow (map(pow, ...)), delta runs
+through exprparse.compile_lanes and a band's maps run as map(h.fn, xs), so
+that each keeps its one formula.  numpy's complex sqrt only decides quad
+membership, where it clears 0 by KAPPA_MARGIN.  A lane the lanes cannot vouch
+for is checked alone: an exp flagged bad, an unsure membership, a value that
+would make the sample raise.  So is every sample of a union, of k > 0 or of a
+map whose delta has no lanes, and every sample of a chunk in which a pow or a
+map raises, so that the check raises, or stops at a violation first, exactly
+where checking sample after sample does.
 """
 
 from __future__ import annotations
@@ -32,11 +46,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, DulaclinError
+from .exprparse import compile_lanes, complex_lanes
 
 __all__ = [
     "exp_tower",
@@ -71,6 +87,9 @@ MAP_X_MAX = 1e6         # right end of the sampled range of a boundary-map check
 RECT_SLACK = 1e-12      # rounding allowance of safety-rectangle membership
 INVARIANCE_RE_SPAN = 50.0   # width in Re of the strip sampled beyond the cut
 CUT_DOUBLINGS = 24      # doublings of R tried by find_invariant_cut
+LANE_CHUNK = 64         # samples in check_invariance's first chunk of lanes
+LANE_CHUNK_MAX = 4096   # samples in its longest chunk
+KAPPA_MARGIN = 1e-9     # relative margin by which numpy's kappa_inv decides membership
 
 
 def exp_tower(k: int) -> float:
@@ -171,9 +190,14 @@ def kappa_inv(zeta: complex, C: float):
     s = (-C + sqrt(C^2 + 4(zeta+1)))/2 recovers sqrt(w+1) exactly whenever
     Re(w) > 0, which the round-trip property pins down.
     """
-    s = (-C + cmath.sqrt(C * C + 4.0 * (zeta + 1.0))) / 2.0
-    w = s * s - 1.0
+    w = _kappa_w(zeta, C, cmath.sqrt)
     return w, w.real > 0
+
+
+def _kappa_w(zeta, C: float, sqrt):
+    """kappa_inv's w, by the complex `sqrt` given: cmath's, or numpy's on lanes."""
+    s = (-C + sqrt(C * C + 4.0 * (zeta + 1.0))) / 2.0
+    return s * s - 1.0
 
 
 def quad_boundary_height(x: float, C: float) -> float:
@@ -188,11 +212,15 @@ def quad_boundary_height(x: float, C: float) -> float:
         raise DomainError(f"quadratic domain needs C > 0, got {C}")
     if x < C:
         raise DomainError(f"quadratic boundary starts at Re = {C}")
-    b = math.sqrt((x - C) * (x + C)) / C
-    y = b * (2.0 * x / C + C)
-    if not math.isfinite(y):
+    if not math.isfinite(y := _height(x, C, math.sqrt)):
         raise DomainError(f"quadratic boundary height not finite at Re = {x}")
     return y
+
+
+def _height(x, C: float, sqrt):
+    """quad_boundary_height's formula, by the real `sqrt` given: math's, or numpy's on lanes."""
+    b = sqrt((x - C) * (x + C)) / C
+    return b * (2.0 * x / C + C)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +353,11 @@ class BandRegion:
 
     def __post_init__(self):
         for x in np.geomspace(max(self.t, 1e-9), max(self.t * 1e3, 10.0), 64):
-            if self.hl(float(x)) >= self.hu(float(x)):
+            try:
+                crossed = self.hl(float(x)) >= self.hu(float(x))
+            except OverflowError:  # a steep power map, say
+                raise ValueError(f"a boundary map overflows at x = {x}") from None
+            if crossed:
                 raise ValueError(f"lower boundary not below upper at x = {x}")
 
     def contains(self, zeta: complex) -> bool:
@@ -459,11 +491,16 @@ def in_safety_rect(zeta: complex, w: complex, profile: AsymptoticProfile) -> boo
     x = zeta.real
     if x < profile.R:
         raise DomainError(f"safety rect needs Re >= R = {profile.R}")
-    m = profile.M(x)
-    a, b = profile.beta.real, profile.beta.imag
+    return _in_rect(x, zeta.imag, w.real, w.imag, profile.M(x), profile.beta)
+
+
+def _in_rect(x, y, wr, wi, m, beta: complex):
+    """in_safety_rect's test of w = wr + i*wi for zeta = x + i*y, with M(x) = m,
+    on floats or on lanes."""
+    a, b = beta.real, beta.imag
     # rho_minus(x) and rho_plus(x) are a - m and a + m
-    return (x + (a - m) - RECT_SLACK <= w.real <= x + (a + m) + RECT_SLACK
-            and zeta.imag + b - m - RECT_SLACK <= w.imag <= zeta.imag + b + m + RECT_SLACK)
+    return ((x + (a - m) - RECT_SLACK <= wr) & (wr <= x + (a + m) + RECT_SLACK)
+            & (y + b - m - RECT_SLACK <= wi) & (wi <= y + b + m + RECT_SLACK))
 
 
 def _eq_new_bound(zeta: complex, epsilon: float, k: int) -> float:
@@ -499,6 +536,66 @@ class InvarianceReport:
         return self.n_violations == 0
 
 
+def _sample_re(R: float, j, u1, n_strata: int):
+    """Re of sample j, in stratum j mod n_strata of the strip beyond R, on
+    floats or on lanes."""
+    return R + INVARIANCE_RE_SPAN * ((j % n_strata) + u1) / n_strata
+
+
+def _call_lanes(fn, xs, *args):
+    """fn(x, *args) at each lane x, by Python: a boundary map's one function,
+    or pow, CPython's float pow, which raises where ** does."""
+    return np.array(list(map(fn, xs.tolist(), *args)), float)
+
+
+def _quad_lanes(zr, zi, C: float):
+    """(inside, sure): kappa_inv's verdict at each lane zr + i*zi by numpy's
+    complex sqrt, and whether its w clears 0 by KAPPA_MARGIN * (|w| + 1 + C),
+    a million times the few ulps by which it may differ from cmath's w."""
+    w = _kappa_w(complex_lanes(zr, zi), C, np.sqrt)
+    return w.real > 0, np.abs(w.real) > KAPPA_MARGIN * (np.abs(w) + 1.0 + C)
+
+
+def _invariance_lanes(part, delta, beta: complex, profile: AsymptoticProfile, R: float, x, u2):
+    """The columns (im, bound_margin, rect_ok, region_ok, sure) of the samples
+    at Re = x, drawn with the uniforms u2 from `part`, a quad or a band, at
+    k = 0, with delta's lanes and f's beta.  Where `sure` is set, the row is
+    the one its sample gives alone, bit for bit; elsewhere that sample may
+    raise, or numpy may not give its bits.  Raises what a pow or a map raises."""
+    quad = isinstance(part, QuadRegion)
+    if quad:
+        hi = _height(x, part.C, np.sqrt)
+        lo = -hi
+    else:
+        lo, hi = _call_lanes(part.hl.fn, x), _call_lanes(part.hu.fn, x)
+    y = lo + (hi - lo) * u2
+    if quad:
+        inside, sure = _quad_lanes(x, y, part.C)
+        sure &= np.isfinite(hi)  # quad_boundary_height raises where it is not
+    else:
+        inside, sure = (lo < y) & (y < hi), np.ones(x.shape, bool)
+    y = np.where(inside, y, 0.5 * (lo + hi))
+    dr, di, bad = delta(x, y)
+    wr, wi = x + beta.real + dr, y + beta.imag + di
+    az, ad = np.hypot(x, y), np.hypot(dr, di)  # abs(zeta) and abs(d)
+    e = repeat(1.0 + profile.epsilon)
+    pz, px = _call_lanes(pow, az, e), _call_lanes(pow, x, e)
+    # abs raises where hypot overflows; 1.0 / 0.0 and M's zero denominator raise
+    sure &= ~bad & np.isfinite(az) & np.isfinite(ad) & (pz != 0.0) & (px != 0.0)
+    margin = 1.0 / pz - ad  # _eq_new_bound at k = 0, less abs(d)
+    rect = _in_rect(x, y, wr, wi, 1.0 / px, profile.beta)  # M(x) is 1 / (1.0 * x ** (1 + eps))
+    live = wr >= R  # so w's Re is at or above a band's t, and above 0
+    if quad:
+        inside, clear = _quad_lanes(wr, wi, part.C)
+        sure &= clear | ~live
+        return y, margin, rect, live & inside, sure
+    region = np.zeros(x.shape, bool)
+    at = np.flatnonzero(live)
+    at = at[_call_lanes(part.hl.fn, wr[at]) < wi[at]]  # hu is read where hl(Re) < Im only
+    region[at] = wi[at] < _call_lanes(part.hu.fn, wr[at])
+    return y, margin, rect, region, sure
+
+
 def check_invariance(f, region: Region, profile: AsymptoticProfile,
                      n_samples: int = 1000, seed: int = 0, *,
                      stop_at_violation: bool = False) -> InvarianceReport:
@@ -513,27 +610,34 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
     and the report's n_samples counts the samples checked up to it.  A cut
     R at or below the C of a quad part raises DomainError.
 
-    `f` is an AnalyticMap-like object: `.delta(zeta)` for the drift and
-    `.profile` matching the supplied profile; f(zeta) is zeta + beta + delta.
+    The samples are checked in chunks of lanes, as the module docstring
+    says; every row, count and the worst margin are those of checking sample
+    after sample, and so are the sample at which the check stops or raises.
+    A chunk checks sample by sample each lane that `sure` leaves unset, in
+    order, up to the first violation, and every sample where there are no
+    lanes or a pow or a map raised.
+
+    `f` is an AnalyticMap-like object: `.delta(zeta)` for the drift,
+    `.profile` matching the supplied profile and `.ast`, the AST delta
+    evaluates, or None; f(zeta) is zeta + beta + delta.
     """
     R = max(profile.R, region.cut)
     parts = region.parts
     if any(isinstance(p, QuadRegion) and R <= p.C for p in parts):
         raise DomainError("cut must exceed the quadratic-domain constant C")
     # one call draws what 2*n_samples scalar calls would, in the same order
-    u = np.random.default_rng(seed).random(2 * n_samples).tolist()
+    u = np.random.default_rng(seed).random(2 * n_samples)
     n_strata = max(1, min(64, n_samples))
     delta, beta, epsilon, k = f.delta, f.profile.beta, profile.epsilon, profile.k
     # a region of one part draws every sample from it; a band contains its own
     # sample iff lo < y < hi, as x >= R >= its t and R > 0
     one = parts[0] if len(parts) == 1 else None
     band = isinstance(one, BandRegion)
-    rows = []
-    nb = nr = ng = 0
-    worst = math.inf
-    for j in range(n_samples):
-        u1, u2 = u[2 * j], u[2 * j + 1]
-        x = R + INVARIANCE_RE_SPAN * ((j % n_strata) + u1) / n_strata
+
+    def sample(j: int) -> tuple:
+        """Sample j's row, checked alone."""
+        u1, u2 = u[2 * j:2 * j + 2].tolist()
+        x = _sample_re(R, j, u1, n_strata)
         if one is None:
             # at least one part has cut <= x, as x >= R >= region.cut
             live = [p for p in parts if p.cut <= x]
@@ -548,16 +652,48 @@ def check_invariance(f, region: Region, profile: AsymptoticProfile,
             zeta = complex(x, y)
         d = delta(zeta)
         w = zeta + beta + d
-        margin = _eq_new_bound(zeta, epsilon, k) - abs(d)
-        rect_ok = in_safety_rect(zeta, w, profile)
-        region_ok = w.real >= R and region.contains(w)
-        worst = min(worst, margin)
-        nb += margin < 0
-        nr += not rect_ok
-        ng += not region_ok
-        rows.append((x, y, margin, rect_ok, region_ok))
-        if stop_at_violation and (margin < 0 or not (rect_ok and region_ok)):
+        return (x, y, _eq_new_bound(zeta, epsilon, k) - abs(d), in_safety_rect(zeta, w, profile),
+                w.real >= R and region.contains(w))
+
+    lanes = None if one is None or k or f.ast is None else compile_lanes(f.ast)
+    rows = []
+    nb = nr = ng = 0
+    worst = math.inf
+    j = 0
+    while j < n_samples:
+        end = min(n_samples, j + min(max(j, LANE_CHUNK), LANE_CHUNK_MAX))
+        x = _sample_re(R, np.arange(j, end), u[2 * j:2 * end:2], n_strata)
+        cols = None
+        if lanes is not None:
+            try:
+                with np.errstate(all="ignore"):
+                    cols = _invariance_lanes(one, lanes, beta, profile, R, x,
+                                             u[2 * j + 1:2 * end:2])
+            except (ArithmeticError, DulaclinError):
+                pass  # checked sample by sample, which raises it or stops first
+        if cols is None:  # no lane is sure
+            cols = (*np.zeros((2, len(x))), *np.zeros((3, len(x)), bool))
+        y, margin, rect, inside, sure = cols
+        violates = (margin < 0) | ~rect | ~inside
+        stop = len(x)  # the chunk's rows are [:stop]
+        if stop_at_violation and (hit := np.flatnonzero(violates & sure)).size:
+            stop = int(hit[0]) + 1
+        for i in np.flatnonzero(~sure[:stop]).tolist():
+            x[i], y[i], margin[i], rect[i], inside[i] = row = sample(j + i)
+            violates[i] = row[2] < 0 or not (row[3] and row[4])
+            if stop_at_violation and violates[i]:
+                stop = i + 1
+                break
+        nb += int(np.count_nonzero(margin[:stop] < 0))
+        nr += stop - int(np.count_nonzero(rect[:stop]))
+        ng += stop - int(np.count_nonzero(inside[:stop]))
+        m = margin[:stop].tolist()
+        worst = min(worst, *m)  # skipping NaNs and keeping the first of 0.0 and -0.0
+        rows += zip(x[:stop].tolist(), y[:stop].tolist(), m, rect[:stop].tolist(),
+                    inside[:stop].tolist())
+        if stop_at_violation and violates[stop - 1]:
             break
+        j = end
     return InvarianceReport(
         n_samples=len(rows),
         R=R,

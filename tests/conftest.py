@@ -299,10 +299,13 @@ def rng():
 
 
 def reference_check_invariance(f, region: Region, profile: AsymptoticProfile,
-                               n_samples: int = 1000, seed: int = 0) -> InvarianceReport:
-    """`domains.check_invariance` before a failing search round stopped at
-    its first violation and before its uniforms came from one draw: every
-    sample is checked, each taking two scalar `rng.random()` calls."""
+                               n_samples: int = 1000, seed: int = 0, *,
+                               stop_at_violation: bool = False) -> InvarianceReport:
+    """`domains.check_invariance` as a loop over the samples, one at a time,
+    as it was before its uniforms came from one draw and before its lanes:
+    each sample takes two scalar `rng.random()` calls.  Every sample is
+    checked, unless `stop_at_violation` ends the loop at the first violating
+    one."""
     R = max(profile.R, region.cut)
     if isinstance(region, QuadRegion) and R <= region.C:
         raise DomainError("cut must exceed the quadratic-domain constant C")
@@ -334,8 +337,10 @@ def reference_check_invariance(f, region: Region, profile: AsymptoticProfile,
         nr += not rect_ok
         ng += not region_ok
         rows.append((x, y, margin, rect_ok, region_ok))
+        if stop_at_violation and (margin < 0 or not (rect_ok and region_ok)):
+            break
     return InvarianceReport(
-        n_samples=n_samples,
+        n_samples=len(rows),
         R=R,
         n_bound_violations=nb,
         n_rect_violations=nr,

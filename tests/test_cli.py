@@ -553,6 +553,24 @@ def test_bad_region_file_is_parse_error(tmp_path, capsys):
                                     "--region", str(region), "--output", str(tmp_path / "v.csv")])
 
 
+@pytest.mark.parametrize("command", [
+    ["verify-domain", "--expr", "zeta+1+exp(-zeta)", "--eps", "1", "--cut", "5"],
+    ["koenigs", "--expr", "zeta+1+exp(-zeta)", "--eps", "1", "--cut", "5",
+     "--grid", "8:9:2,0:0:1"]])
+def test_band_map_overflowing_where_its_order_is_sampled_is_parse_error(tmp_path, capsys,
+                                                                        command):
+    # x ** 400 overflows just above t = 5, inside the sampled range t .. 1000 t
+    region = tmp_path / "steep.json"
+    region.write_text('{"band":{"t":5.0,"hl":{"kind":"power","a":-1.0,"r":400.0},'
+                      '"hu":{"kind":"power","a":1.0,"r":400.0}}}')
+    out = tmp_path / "out.csv"
+    assert main([*command, "--region", str(region), "--output", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"parse error: bad region file {region}: a boundary map overflows"
+                   f" at x = {err[0].rpartition(' ')[2]}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", '"inf"'])
 def test_non_finite_coefficient_is_parse_error(tmp_path, capsys, value):
     src = tmp_path / "f.json"

@@ -433,12 +433,36 @@ def first_violation(report) -> int:
                 if margin < 0 or not (rect_ok and region_ok))
 
 
-def counting_map(text, prof):
-    """The expression map, with the zetas its delta is called at in `calls`."""
+def counting_map(text, prof, keep_ast=False):
+    """The expression map, with the zetas its delta is called at in `calls`.
+    Without its AST, check_invariance checks it sample by sample; with it,
+    in lanes, which call delta only at a lane they cannot vouch for."""
     f = AnalyticMap.from_expression(text, prof)
+    if not keep_ast:
+        f.ast = None
     calls, delta = [], f.delta
     f.delta = lambda z: calls.append(z) or delta(z)
     return f, calls
+
+
+def lane_sizes(monkeypatch) -> list:
+    """The number of lanes of each evaluation of delta's lanes that
+    check_invariance makes from then on: the samples it evaluates in lanes."""
+    sizes, compile_lanes = [], dulaclin.domains.compile_lanes
+
+    def recording(node):
+        lanes = compile_lanes(node)
+        return lanes and (lambda re, im: sizes.append(len(re)) or lanes(re, im))
+
+    monkeypatch.setattr(dulaclin.domains, "compile_lanes", recording)
+    return sizes
+
+
+def lane_bound(first: int, n_samples: int) -> int:
+    """The most samples a failing round of n_samples evaluates in lanes, with
+    its first violation at sample `first`: chunks of 64, 64, 128, ... end at
+    twice their start."""
+    return min(n_samples, max(64, 2 * (first + 1)))
 
 
 # name: (map, region, cut, n_samples, seeds)
@@ -501,12 +525,27 @@ class TestSearchStopsEarly:
         call = dulaclin.domains.BoundaryMap.__call__
         monkeypatch.setattr(dulaclin.domains.BoundaryMap, "__call__",
                             lambda h, x: calls.append(x) or call(h, x))
-        f = AnalyticMap.from_expression(GERM, QUAD_PROF)
+        f, _ = counting_map(GERM, QUAD_PROF)
         ref = reference_check_invariance(f, BAND, QUAD_PROF, 500, 3)
         n_ref, calls[:] = len(calls), []
         assert check_invariance(f, BAND, QUAD_PROF, 500, 3) == ref
         # hl = -ROOT is two calls, hu one: 3 for the bounds, 3 for f(zeta), not 3 more
         assert len(calls) == 6 * 500 and n_ref == 9 * 500
+
+    def test_band_lanes_read_the_bounds_once(self, monkeypatch):
+        # the lanes call each map's function, hl = -ROOT's, which calls ROOT,
+        # and hu = ROOT's own: once for the bounds, once for f(zeta)
+        calls = []
+        call = dulaclin.domains.BoundaryMap.__call__
+        monkeypatch.setattr(dulaclin.domains.BoundaryMap, "__call__",
+                            lambda h, x: calls.append(x) or call(h, x))
+        sizes = lane_sizes(monkeypatch)
+        f, deltas = counting_map(GERM, QUAD_PROF, keep_ast=True)
+        ref = reference_check_invariance(f, BAND, QUAD_PROF, 500, 3)
+        calls[:], deltas[:] = [], []
+        report = check_invariance(f, BAND, QUAD_PROF, 500, 3)
+        assert report == ref and report.n_samples == 500
+        assert len(calls) == 2 * 500 and sum(sizes) == 500 and not deltas
 
     @pytest.mark.parametrize("case", list(STOP_CASES))
     def test_failing_round_stops_at_its_first_violation(self, case):
@@ -531,10 +570,43 @@ class TestSearchStopsEarly:
         assert find_invariant_cut(f, region, prof, n_samples=1000, seed=seed)[0] == R_pass
         assert len(calls) == expected < 1000 * round(math.log2(R_pass / prof.R) + 1)
 
+    @pytest.mark.parametrize("case", list(STOP_CASES))
+    def test_failing_round_in_lanes_stops_at_its_first_violation(self, case, monkeypatch):
+        text, prof, region, seed, first = STOP_CASES[case]
+        sizes = lane_sizes(monkeypatch)
+        f, calls = counting_map(text, prof, keep_ast=True)
+        full = reference_check_invariance(f, region, prof, 1000, seed)
+        calls.clear()
+        report = check_invariance(f, region, prof, 1000, seed, stop_at_violation=True)
+        assert first + 1 <= sum(sizes) <= lane_bound(first, 1000) and not calls
+        assert report.rows == full.rows[:first + 1] and report.n_samples == first + 1
+        assert report == reference_check_invariance(f, region, prof, 1000, seed,
+                                                    stop_at_violation=True)
+        # each failing cut within its bound, then every sample of the passing one
+        R_pass, _ = reference_find_invariant_cut(f, region, prof, n_samples=1000, seed=seed)
+        R = max(prof.R, region.C + 1.0) if isinstance(region, QuadRegion) else prof.R
+        bound = 1000
+        while R < R_pass:
+            cut = reference_check_invariance(f, region, replace(prof, R=R), 1000, seed)
+            bound += lane_bound(first_violation(cut), 1000)
+            R *= 2.0
+        calls.clear()
+        sizes.clear()
+        assert find_invariant_cut(f, region, prof, n_samples=1000, seed=seed)[0] == R_pass
+        assert not calls and sum(sizes) <= bound
+
     def test_a_passing_round_checks_every_sample(self):
         f, calls = counting_map(GERM, QUAD_PROF)
         report = check_invariance(f, BAND, QUAD_PROF, 700, 3, stop_at_violation=True)
         assert report.passed and report.n_samples == len(calls) == 700
+
+    def test_a_passing_round_in_lanes_checks_every_sample(self, monkeypatch):
+        sizes = lane_sizes(monkeypatch)
+        f, calls = counting_map(GERM, QUAD_PROF, keep_ast=True)
+        ref = reference_check_invariance(f, BAND, QUAD_PROF, 700, 3)
+        calls.clear()
+        assert check_invariance(f, BAND, QUAD_PROF, 700, 3, stop_at_violation=True) == ref
+        assert ref.passed and ref.n_samples == sum(sizes) == 700 and not calls
 
     def test_a_map_raising_after_the_first_violation_goes_on_to_the_next_cut(self):
         # delta raises at samples beyond the first violating one, and only at
@@ -554,6 +626,28 @@ class TestSearchStopsEarly:
         calls.clear()
         R, report = find_invariant_cut(f, QuadRegion(2.0), prof, n_samples=1000, seed=0)
         assert R == 13.0 and report.passed
+
+    def test_lanes_past_the_first_violation_go_on_to_the_next_cut(self, monkeypatch):
+        # the same map in lanes, which evaluate its AST, not the delta that
+        # raises: the first cut's report is the reference's up to its first
+        # violation, and the search evaluates at most lane_bound(960, 1000) there
+        prof = replace(QUAD_PROF, R=6.5)
+        sizes = lane_sizes(monkeypatch)
+        f = AnalyticMap.from_expression(GERM, prof)
+        full = reference_check_invariance(f, QuadRegion(2.0), prof, 1000, 0)
+        ref = reference_find_invariant_cut(f, QuadRegion(2.0), prof, n_samples=1000, seed=0)
+
+        def raising(z):
+            raise DomainError("a lane's delta is not called")
+
+        f.delta = raising
+        report = check_invariance(f, QuadRegion(2.0), prof, 1000, 0, stop_at_violation=True)
+        assert report.rows == full.rows[:961] and report.n_samples == 961
+        assert sum(sizes) <= lane_bound(960, 1000)
+        sizes.clear()
+        R, report = find_invariant_cut(f, QuadRegion(2.0), prof, n_samples=1000, seed=0)
+        assert (R, report) == ref and R == 13.0 and report.passed
+        assert sum(sizes) <= lane_bound(960, 1000) + 1000
 
     @pytest.mark.parametrize("seed, samples", [(1, 10_001), (2, 10_193)])
     def test_benchmark_quad_search_work(self, tmp_path, monkeypatch, seed, samples):

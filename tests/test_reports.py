@@ -20,7 +20,6 @@ from dulaclin.cli import (
     _load_map,
     _profile,
     _write_chunks,
-    _write_text,
     main,
 )
 from dulaclin.dynamics import solve_homological_numeric
@@ -51,7 +50,7 @@ def reference_solve_homological(args) -> int:
         "alpha": args.alpha,
         "rows": rows,
     }
-    _write_text(args.output, json.dumps(payload, indent=1, sort_keys=True))
+    _write_chunks(args.output, (json.dumps(payload, indent=1, sort_keys=True),))
     worst = max(r["residual"] for r in rows)
     print(f"max homological residual {worst:.3e} over {len(rows)} points")
     return EXIT_OK

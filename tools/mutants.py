@@ -89,10 +89,33 @@ MUTANTS = [
         ["tests/test_reports.py::test_renderer_is_json[signed-zero-grid]"]),
     Mutant(
         "a failing search round stops only on a bound violation", "src/dulaclin/domains.py",
-        "if stop_at_violation and (margin < 0 or not (rect_ok and region_ok)):",
-        "if stop_at_violation and margin < 0:",
+        "violates[i] = row[2] < 0 or not (row[3] and row[4])",
+        "violates[i] = row[2] < 0",
         ["tests/test_domains.py::TestSearchStopsEarly::"
          "test_failing_round_stops_at_its_first_violation[band-region-only]"]),
+    Mutant(
+        "a failing search round in lanes stops only on a bound violation",
+        "src/dulaclin/domains.py",
+        "violates = (margin < 0) | ~rect | ~inside",
+        "violates = margin < 0",
+        ["tests/test_domains.py::TestSearchStopsEarly::"
+         "test_failing_round_in_lanes_stops_at_its_first_violation[band-region-only]"]),
+    Mutant(
+        "the invariance lanes ignore the unsure-membership flag", "src/dulaclin/domains.py",
+        "return w.real > 0, np.abs(w.real) > KAPPA_MARGIN * (np.abs(w) + 1.0 + C)",
+        "return w.real > 0, np.ones(w.shape, bool)",
+        ["tests/test_lanes.py::test_a_quad_sample_on_the_boundary_is_checked_alone"]),
+    Mutant(
+        "a chunk of invariance lanes keeps rows past its first violation",
+        "src/dulaclin/domains.py",
+        "            stop = int(hit[0]) + 1\n",
+        "            stop = len(x)\n",
+        ["tests/test_domains.py::TestSearchStopsEarly::"
+         "test_failing_round_in_lanes_stops_at_its_first_violation[quad]",
+         "tests/test_domains.py::TestSearchStopsEarly::"
+         "test_failing_round_in_lanes_stops_at_its_first_violation[band-region-only]",
+         "tests/test_domains.py::TestSearchStopsEarly::"
+         "test_lanes_past_the_first_violation_go_on_to_the_next_cut"]),
     Mutant(
         "add built from unsorted keys", "src/dulaclin/series.py",
         "    return _kept(a, sorted(acc.items()))  # a union of a's and b's exponents\n",
