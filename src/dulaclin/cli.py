@@ -407,54 +407,56 @@ def cmd_compare(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATIONS
 
 
-# solve-homological's rows (psi.re, psi.im, residual, zeta.re, zeta.im) where
-# json.dumps(indent=1, sort_keys=True) puts each as {psi, residual, zeta} in the
-# "rows" list; json writes a float by float.__repr__, as %r does
-_HOMOLOGICAL_ROW = ('  {\n   "psi": [\n    %r,\n    %r\n   ],\n   "residual": %r,\n'
-                    '   "zeta": [\n    %s,\n    %s\n   ]\n  }')
+# a row of solve-homological's report after a ",\n", as json.dumps(indent=1, sort_keys=True)
+# writes it, with (psi.re, psi.im, residual, zeta.re, zeta.im) at its odd places, by repr
+_HOMOLOGICAL_ROW = [',\n  {\n   "psi": [\n    ', "", ',\n    ', "", '\n   ],\n   "residual": ', "",
+                    ',\n   "zeta": [\n    ', "", ',\n    ', "", '\n   ]\n  }']
 _CHUNK_ROWS = 1000
 
 
-def _homological_chunks(fields: dict, rows: list, size: int = _CHUNK_ROWS):
+def _homological_chunks(fields: dict, columns, size: int = _CHUNK_ROWS):
     """The report, json.dumps({**fields, "rows": ...}, indent=1, sort_keys=True),
-    as strings of at most `size` rows each, so that no string is the whole text."""
+    of the rows in the five lists `columns`, as strings of at most `size` rows
+    each, so that no string is the whole text."""
     lines = json.dumps({**fields, "rows": []}, indent=1, sort_keys=True).split("\n")
     at = 1 + sorted([*fields, "rows"]).index("rows")  # one line per scalar field, sorted
     head, _, tail = lines[at].partition("[]")
-    # a grid repeats its coordinates, so each distinct nonzero one is formatted
-    # once; a zero is formatted where it stands, as -0.0 == 0.0 would share a key
-    get = {x: repr(x) for x in {x for r in rows for x in r[3:] if x}}.get
-    yield "\n".join([*lines[:at], head + "[\n"])
-    for i in range(0, len(rows), size):
-        body = ",\n".join(_HOMOLOGICAL_ROW % (a, b, c, get(x) or repr(x), get(y) or repr(y))
-                          for a, b, c, x, y in rows[i:i + size])
-        # %r writes nan and inf where json writes NaN and Infinity; the template has neither
-        yield (",\n" if i else "") + body.replace("nan", "NaN").replace("inf", "Infinity")
+    # distinct nonzero residuals and coordinates are formatted once; zeros, -0.0 == 0.0, in place
+    get = {x: repr(x) for x in {x for c in columns[2:] for x in c if x}}.get
+    yield "\n".join([*lines[:at], head + "["])
+    for i in range(0, len(columns[0]), size):
+        parts = _HOMOLOGICAL_ROW * len(columns[0][i:i + size])
+        parts[0] = parts[0][i == 0:]  # the first row follows the "[" with no comma
+        for j, c in enumerate(c[i:i + size] for c in columns):
+            parts[2 * j + 1::11] = map(repr, c) if j < 2 else [get(x) or repr(x) for x in c]
+        # repr writes nan and inf where json writes NaN and Infinity; the template has neither
+        yield "".join(parts).replace("nan", "NaN").replace("inf", "Infinity")
     yield "\n".join(["\n ]" + tail, *lines[at + 1:]])
 
 
 def cmd_solve_homological(args) -> int:
     """psi o f - psi = h on a grid, psi(z) and psi(f(z)) from one orbit (the
     solver raises NotConverged when their residual is above 10*tol).  The
-    batched walk gives the leading points whose lanes pass cleanly; the scalar
-    solver takes the grid from the first other point on.  The report is
-    json's indent=1 layout with sorted keys, all its values finite."""
+    batched walk gives the columns of the leading points whose lanes pass
+    cleanly; the scalar solver appends the rest.  The report is json's
+    indent=1 layout with sorted keys, all its values finite."""
     profile = _profile(args)
     f = _load_map(args, profile)
     h_ast = parse_expression(args.h_expr)
     h = compile_ast(h_ast)
     grid = _grid(args.grid)
-    rows = [(psi.real, psi.imag, resid, z.real, z.imag) for z, (psi, _, resid)
-            in zip(grid, solve_homological_grid(f, h_ast, args.alpha, grid, args.tol))]
-    for z in grid[len(rows):]:
+    re_psi, im_psi, _, _, resids = solve_homological_grid(f, h_ast, args.alpha, grid, args.tol)
+    for z in grid[len(resids):]:
         try:
             psi, _, resid = solve_homological_numeric(f, h, args.alpha, z, args.tol)
         except NotConverged as exc:
             print(f"not converged at {z}: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED
-        rows.append((psi.real, psi.imag, resid, z.real, z.imag))
-    _write_chunks(args.output, _homological_chunks({**_header(args), "alpha": args.alpha}, rows))
-    print(f"max homological residual {max(r[2] for r in rows):.3e} over {len(rows)} points")
+        for column, v in zip((re_psi, im_psi, resids), (psi.real, psi.imag, resid)):
+            column.append(v)
+    columns = re_psi, im_psi, resids, [z.real for z in grid], [z.imag for z in grid]
+    _write_chunks(args.output, _homological_chunks({**_header(args), "alpha": args.alpha}, columns))
+    print(f"max homological residual {max(resids):.3e} over {len(grid)} points")
     return EXIT_OK
 
 

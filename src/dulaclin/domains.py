@@ -276,7 +276,8 @@ def quad_boundary_map(C: float, sign: int = 1, t: Optional[float] = None) -> Bou
 
 
 def negated(inner: BoundaryMap) -> BoundaryMap:
-    return BoundaryMap(lambda x: -inner(x), -inner.monotonicity,
+    fn = inner.fn  # called directly: a band's lanes call the function once per sample
+    return BoundaryMap(lambda x: -fn(x), -inner.monotonicity,
                        {"kind": "neg", "inner": inner.json, "t": inner.domain_start})
 
 

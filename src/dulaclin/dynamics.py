@@ -37,12 +37,12 @@ tries again after 32, 64, ... more steps.  Every result, message and error is
 the full walk's.  A map without an AST walks every step.
 
 A grid of homological starts walks at once: solve_homological_grid makes each
-start a lane of float64 arrays, evaluates delta and h on the walking lanes
-through exprparse.compile_lanes (num, zeta, neg, add, sub, mul and exp
-nodes), and drops each lane as it ends.  It returns the leading starts whose
-lanes passed cleanly, bit for bit the scalar solver's; from the first other
-start on, the scalar solver runs and raises what it raises.  A map or h with
-any other node is solved point by point.
+start a lane of float64 arrays, evaluates delta and h on the walking lanes in
+one exprparse.compile_lanes call per step (num, zeta, neg, add, sub, mul and
+exp nodes, a shared subtree once), and drops each lane as it ends.  It returns
+columns of the leading starts whose lanes passed cleanly, bit for bit the
+scalar solver's; from the first other start on, the scalar solver runs and
+raises what it raises.  A map or h with any other node is solved point by point.
 
 A KoenigsResult is one certified start: zeta and the displacement its walk
 summed (the limit value is their sum), the steps used, the tail bound,
@@ -406,28 +406,28 @@ def solve_homological_numeric(f: AnalyticMap, h: Callable, alpha: float,
 
 
 def solve_homological_grid(f: AnalyticMap, h_ast, alpha: float, grid: Sequence[complex],
-                           tol: float) -> list:
+                           tol: float) -> tuple:
     """solve_homological_numeric(f, compile_ast(h_ast), alpha, z, tol) at the
-    leading points of `grid`, all walked at once.
+    leading points of `grid`, all walked at once, as columns.
 
-    Each point is a lane of float64 arrays that compile_lanes evaluates delta
-    and h on; the lanes take their orbit steps together, and a lane that ends
-    is dropped.  Returns the (psi, psi_next, residual) of grid[:k], bit for bit
-    the scalar calls', where k is the first point whose lane did not pass
-    cleanly, so that the scalar solver from grid[k] on completes the grid.  A
-    lane passes cleanly unless a value on it is not finite, an exp has a
-    `bad` flag (the envelope's too), the start or its image is below R,
-    np.hypot does not decide a decay check by DECAY_MARGIN, it is still
-    walking after HOMOLOGICAL_MAX_N + 1 or LANE_STEPS steps, or the residual,
-    Python's abs of psi_next - psi - h(zeta), is above 10*tol.  A node of
-    delta or h that compile_lanes does not take makes k 0.
+    Each point is a lane of float64 arrays; one compile_lanes(f.ast, h_ast)
+    call per step evaluates delta and h on the walking lanes, each distinct
+    subtree once, and a lane that ends is dropped.  Returns five lists of
+    floats, Re psi, Im psi, Re psi_next, Im psi_next and the residual, of
+    grid[:k], bit for bit the scalar calls', where k is the first point whose
+    lane did not pass cleanly, so that the scalar solver from grid[k] on
+    completes the grid.  A lane passes cleanly unless a value on it is not
+    finite, an exp has a `bad` flag (the envelope's too), the start or its
+    image is below R, np.hypot does not decide a decay check by DECAY_MARGIN,
+    it is still walking after HOMOLOGICAL_MAX_N + 1 or LANE_STEPS steps, or
+    the residual, Python's abs of psi_next - psi - h(zeta), is above 10*tol.
+    A node of delta or h that compile_lanes does not take makes k 0.
     """
     prof = f.profile
-    delta = None if f.ast is None else compile_lanes(f.ast)
-    h = compile_lanes(h_ast)
+    lanes = None if f.ast is None else compile_lanes(f.ast, h_ast)
     denom = 1.0 - math.exp(-alpha * prof.rho) if alpha > 0 else 0.0
-    if delta is None or h is None or not denom:  # the scalar solver raises on either
-        return []
+    if lanes is None or not denom:  # the scalar solver raises on either
+        return [], [], [], [], []
     beta, max_n, k = prof.beta, HOMOLOGICAL_MAX_N, len(grid)
     z = np.array(grid, complex)
     lane = np.arange(k)  # the grid index of each walking lane
@@ -439,7 +439,7 @@ def solve_homological_grid(f: AnalyticMap, h_ast, alpha: float, grid: Sequence[c
         env, _, bad = exp_lanes(-alpha * wr, 0.0)  # exp(-alpha Re w), as math.exp gives it
         ok = ~bad & (wr >= prof.R)
         for n in range(1, min(max_n + 1, LANE_STEPS) + 1):
-            hr, hi, bad = h(wr, wi)
+            dr, di, hr, hi, bad = lanes(wr, wi)
             lim = env * (1.0 + 1e-9)
             size = np.hypot(hr, hi)  # a subnormal limit leaves no relative margin
             ok &= ~bad & (size <= lim * (1.0 - DECAY_MARGIN)) & (
@@ -449,9 +449,8 @@ def solve_homological_grid(f: AnalyticMap, h_ast, alpha: float, grid: Sequence[c
                 out[4], out[5] = hr, hi
             else:
                 nr, ni = nr + hr, ni + hi
-            dr, di, bad = delta(wr, wi)
             wr, wi = wr + beta.real + dr, wi + beta.imag + di
-            ok &= ~bad & np.isfinite(wr) & np.isfinite(wi)
+            ok &= np.isfinite(wr) & np.isfinite(wi)
             if n == 1:
                 ok &= wr >= prof.R
             env, _, bad = exp_lanes(-alpha * wr, 0.0)
@@ -474,17 +473,11 @@ def solve_homological_grid(f: AnalyticMap, h_ast, alpha: float, grid: Sequence[c
                 break
         else:
             k = min(k, lane.min())  # still walking
-    psi = complex_lanes(-out[0, :k], -out[1, :k])
-    psi_next = complex_lanes(-out[2, :k], -out[3, :k])
-    gap = complex_lanes((psi_next.real - psi.real) - out[4, :k],
-                        (psi_next.imag - psi.imag) - out[5, :k])
-    rows = []
-    for p, q, d in zip(psi.tolist(), psi_next.tolist(), gap.tolist()):
-        resid = abs(d)
-        if not resid <= 10.0 * tol:
-            break
-        rows.append((p, q, resid))
-    return rows
+    psi = -out[:4, :k]  # psi = -acc, part by part: Re psi, Im psi, Re psi_next, Im psi_next
+    gap = complex_lanes((psi[2] - psi[0]) - out[4, :k], (psi[3] - psi[1]) - out[5, :k])
+    resid = list(map(abs, gap.tolist()))
+    k = [*map((10.0 * tol).__ge__, resid), False].index(False)  # the first residual failing
+    return (*psi[:, :k].tolist(), resid[:k])
 
 
 def _non_finite_step(f: AnalyticMap, zeta: complex) -> DulaclinError:

@@ -29,9 +29,9 @@ Its third user, enclose, bounds the operations compile_ast emits over a
 rectangle in interval arithmetic, keeping parts that are exactly +/-0, so
 that a Koenigs walk can prove what adding them changes, if anything.
 
-The fourth, compile_lanes, evaluates an AST of num, zeta, neg, add, sub, mul
-and exp nodes over float64 arrays of lanes, real and imaginary parts apart, so
-that every float operation is the one CPython's complex operation performs;
+The fourth, compile_lanes, evaluates ASTs of num, zeta, neg, add, sub, mul and
+exp nodes over float64 arrays of lanes, parts apart and a shared subtree once,
+so that every float operation is the one CPython's complex operation performs;
 exp goes through numpy's complex128 exp, libm's cexp, which returns
 cmath.exp's bits where the lanes' `bad` flag is clear.  Any other node gives
 None, and its caller evaluates point by point through compile_ast.
@@ -462,37 +462,41 @@ def exp_lanes(re, im):
     return z.real, z.imag, bad
 
 
-def compile_lanes(node):
-    """The AST as a function (re, im) -> (re, im, bad) over float64 arrays of
-    lanes, or None when it holds a node other than num, zeta, neg, add, sub,
-    mul and exp.  At each lane whose `bad` flag is clear, the parts are those
-    of compile_ast(node)(complex(re, im)), bit for bit: a sum and a negation
-    go part by part, a product is (ar*br - ai*bi, ar*bi + ai*br), as CPython
-    multiplies complex numbers, and exp is exp_lanes, whose flags it collects.
-    Call it under np.errstate(all="ignore"): a lane may overflow or be NaN."""
-    order = _postorder(node)
-    if any(n[0] not in _LANE_NODES and n[:2] != ("call", "exp") for n in order):
-        return None
+def compile_lanes(*nodes):
+    """The ASTs as one function (re, im) -> (re_1, im_1, ..., bad) of float64
+    lane arrays, or None when one holds a node other than num, zeta, neg, add,
+    sub, mul and exp.  It evaluates each distinct subtree once per call; `bad`
+    ORs every exp's flags.  Where it is clear, each AST's parts are those of
+    compile_ast(node)(complex(re, im)), bit for bit: sums and negations go part
+    by part, a product is (ar*br - ai*bi, ar*bi + ai*br), as CPython's, and exp
+    is exp_lanes.  Call it under np.errstate(all="ignore"): lanes may overflow."""
+    slots, stack = {}, []  # each distinct subtree's (slot, operation); the slots not yet taken
+    for n in (n for node in nodes for n in _postorder(node)):
+        if n[0] not in _LANE_NODES and n[:2] != ("call", "exp"):
+            return None
+        k = len(stack) - sum(isinstance(c, tuple) for c in n[1:])
+        op = (n[0], complex(n[1])) if n[0] == "num" else (n[0], *stack[k:])
+        key = op, np.complex128(op[1]).tobytes() if n[0] == "num" else None  # as 0j == -0j
+        stack[k:] = [slots.setdefault(key, (len(slots), op))[0]]  # at the end, one per AST
+    program = [op for _, op in slots.values()]
 
     def lanes(re, im):
         vals, bad = [], np.zeros(np.shape(re), bool)
-        for n in order:
-            op = n[0]
+        for op, *args in program:
             if op == "num":
-                v = complex(n[1])
-                v = np.full(np.shape(re), v.real), np.full(np.shape(re), v.imag)
+                v = np.full(np.shape(re), args[0].real), np.full(np.shape(re), args[0].imag)
             elif op == "zeta":
                 v = re, im
             elif op == "neg":
-                ar, ai = vals.pop()
+                ar, ai = vals[args[0]]
                 v = -ar, -ai
             elif op == "call":
-                *v, flags = exp_lanes(*vals.pop())
+                *v, flags = exp_lanes(*vals[args[0]])
                 bad |= flags
             else:
-                (br, bi), (ar, ai) = vals.pop(), vals.pop()
+                (ar, ai), (br, bi) = vals[args[0]], vals[args[1]]
                 v = ((ar + br, ai + bi) if op == "add" else (ar - br, ai - bi) if op == "sub"
                      else (ar * br - ai * bi, ar * bi + ai * br))
             vals.append(v)
-        return (*vals[0], bad)
+        return (*(part for s in stack for part in vals[s]), bad)
     return lanes

@@ -757,15 +757,15 @@ def run_homological_grid(tmp_path, h_expr):
 
 
 def record_lanes(monkeypatch) -> list:
-    """(node, points) of every call of a lane function the batched walk compiles."""
+    """(nodes, points) of every call of a lane function the batched walk compiles."""
     import dulaclin.dynamics
 
     calls, compile_lanes = [], dulaclin.dynamics.compile_lanes
 
-    def recording(node):
-        lanes = compile_lanes(node)
+    def recording(*nodes):
+        lanes = compile_lanes(*nodes)
         return lanes and (lambda re, im: calls.append(
-            (node, [complex(a, b) for a, b in zip(re.tolist(), im.tolist())])) or lanes(re, im))
+            (nodes, [complex(a, b) for a, b in zip(re.tolist(), im.tolist())])) or lanes(re, im))
 
     monkeypatch.setattr(dulaclin.dynamics, "compile_lanes", recording)
     return calls
@@ -794,7 +794,7 @@ def test_solve_homological_two_orbit_sums_per_point(tmp_path, monkeypatch):
     assert run_homological_grid(tmp_path, HOMOLOGICAL_H["batched"]) == 0
     h = parse_expression(HOMOLOGICAL_H["batched"])
     # one lane per point, whose one walk sums psi(z) and psi(f(z)): no scalar call
-    assert calls == [] and [points for node, points in lanes if node == h][0] == HOMOLOGICAL_GRID
+    assert calls == [] and [points for nodes, points in lanes if h in nodes][0] == HOMOLOGICAL_GRID
 
 
 def test_solve_homological_scalar_two_orbit_sums_per_point(tmp_path, monkeypatch):
@@ -817,10 +817,10 @@ def test_solve_homological_evaluates_h_once_per_orbit_term(tmp_path, monkeypatch
     lanes = record_lanes(monkeypatch)
     assert run_homological_grid(tmp_path, HOMOLOGICAL_H["batched"]) == 0
     h = parse_expression(HOMOLOGICAL_H["batched"])
-    h_lanes = sum(len(points) for node, points in lanes if node == h)
-    steps = sum(len(points) for node, points in lanes if node != h)
-    # each orbit term is one h lane and one step lane, as in the scalar walk
-    assert h_lanes == steps == orbit_terms(HOMOLOGICAL_H["batched"]) > 6
+    # each orbit term is one lane of a call that evaluates the map's delta and
+    # h, as the scalar walk takes one step and one h
+    assert all(len(nodes) == 2 and nodes[1] == h for nodes, _ in lanes)
+    assert sum(len(points) for _, points in lanes) == orbit_terms(HOMOLOGICAL_H["batched"]) > 6
 
 
 def test_solve_homological_scalar_evaluates_h_once_per_orbit_term(tmp_path, monkeypatch):

@@ -433,6 +433,13 @@ def first_violation(report) -> int:
                 if margin < 0 or not (rect_ok and region_ok))
 
 
+def counting_band(calls) -> BandRegion:
+    """BAND, with the x its one power function, ROOT's, is called at in `calls`."""
+    root = power_map(2.0, 0.5)
+    counted = replace(root, fn=lambda x: calls.append(x) or root.fn(x))
+    return BandRegion(5.0, negated(counted), counted)
+
+
 def counting_map(text, prof, keep_ast=False):
     """The expression map, with the zetas its delta is called at in `calls`.
     Without its AST, check_invariance checks it sample by sample; with it,
@@ -518,34 +525,37 @@ class TestSearchStopsEarly:
             assert check_invariance(f, region, prof, n, seed) == \
                 reference_check_invariance(f, region, prof, n, seed)
 
-    def test_band_sample_reads_its_bounds_once(self, monkeypatch):
+    def test_band_sample_reads_its_bounds_once(self):
         # a band's sample is inside it iff it lies strictly between the bounds
         # just drawn from: only f(zeta)'s membership reads the maps again
         calls = []
-        call = dulaclin.domains.BoundaryMap.__call__
-        monkeypatch.setattr(dulaclin.domains.BoundaryMap, "__call__",
-                            lambda h, x: calls.append(x) or call(h, x))
+        band = counting_band(calls)
         f, _ = counting_map(GERM, QUAD_PROF)
-        ref = reference_check_invariance(f, BAND, QUAD_PROF, 500, 3)
+        calls.clear()
+        ref = reference_check_invariance(f, band, QUAD_PROF, 500, 3)
         n_ref, calls[:] = len(calls), []
-        assert check_invariance(f, BAND, QUAD_PROF, 500, 3) == ref
-        # hl = -ROOT is two calls, hu one: 3 for the bounds, 3 for f(zeta), not 3 more
-        assert len(calls) == 6 * 500 and n_ref == 9 * 500
+        assert check_invariance(f, band, QUAD_PROF, 500, 3) == ref
+        # hl = -ROOT and hu = ROOT call ROOT's function once each: 2 for the
+        # bounds, 2 for f(zeta), not 2 more
+        assert len(calls) == 4 * 500 and n_ref == 6 * 500
 
     def test_band_lanes_read_the_bounds_once(self, monkeypatch):
-        # the lanes call each map's function, hl = -ROOT's, which calls ROOT,
-        # and hu = ROOT's own: once for the bounds, once for f(zeta)
-        calls = []
+        # the lanes call each map's function, hl = -ROOT's, which calls ROOT's
+        # directly, and hu = ROOT's own: once for the bounds, once for f(zeta)
+        calls, frames = [], []
+        band = counting_band(calls)
         call = dulaclin.domains.BoundaryMap.__call__
         monkeypatch.setattr(dulaclin.domains.BoundaryMap, "__call__",
-                            lambda h, x: calls.append(x) or call(h, x))
+                            lambda h, x: frames.append(x) or call(h, x))
         sizes = lane_sizes(monkeypatch)
         f, deltas = counting_map(GERM, QUAD_PROF, keep_ast=True)
-        ref = reference_check_invariance(f, BAND, QUAD_PROF, 500, 3)
-        calls[:], deltas[:] = [], []
-        report = check_invariance(f, BAND, QUAD_PROF, 500, 3)
+        calls.clear()
+        ref = reference_check_invariance(f, band, QUAD_PROF, 500, 3)
+        n_ref, calls[:], frames[:], deltas[:] = len(calls), [], [], []
+        report = check_invariance(f, band, QUAD_PROF, 500, 3)
         assert report == ref and report.n_samples == 500
-        assert len(calls) == 2 * 500 and sum(sizes) == 500 and not deltas
+        assert len(calls) == 4 * 500 and n_ref == 6 * 500
+        assert sum(sizes) == 500 and not deltas and not frames
 
     @pytest.mark.parametrize("case", list(STOP_CASES))
     def test_failing_round_stops_at_its_first_violation(self, case):

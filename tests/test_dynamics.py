@@ -932,8 +932,8 @@ GRID_CASES = {
 
 
 class TestHomologicalGrid:
-    """The batched walk's rows are the scalar solver's, bit for bit, up to the
-    first point whose lane did not pass cleanly."""
+    """The batched walk's columns are the scalar solver's, bit for bit, up to
+    the first point whose lane did not pass cleanly."""
 
     @pytest.mark.parametrize("case", list(GRID_CASES))
     def test_rows_are_the_scalar_calls(self, case, monkeypatch):
@@ -942,10 +942,11 @@ class TestHomologicalGrid:
         monkeypatch.setattr(dulaclin.dynamics, "LANE_STEPS", steps)
         f = AnalyticMap.from_expression(text, prof)
         h = parse_expression(h_text)
-        rows = solve_homological_grid(f, h, alpha, points, tol)
-        assert len(rows) == k
-        assert repr(rows) == repr([solve_homological_numeric(f, compile_ast(h), alpha, z, tol)
-                                   for z in points[:k]])
+        columns = solve_homological_grid(f, h, alpha, points, tol)
+        assert [len(c) for c in columns] == [k] * 5
+        rows = [(p.real, p.imag, q.real, q.imag, resid) for p, q, resid in
+                (solve_homological_numeric(f, compile_ast(h), alpha, z, tol) for z in points[:k])]
+        assert repr(list(zip(*columns))) == repr(rows)
 
 
 EXPANSION_SLACK = 0.05   # slope slack of expansion_residual_check

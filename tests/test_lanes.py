@@ -31,6 +31,7 @@ from dulaclin.domains import (
     negated,
     power_map,
 )
+import dulaclin.exprparse
 from dulaclin.dynamics import AnalyticMap
 from dulaclin.errors import DulaclinError
 from dulaclin.exprparse import (
@@ -38,6 +39,7 @@ from dulaclin.exprparse import (
     compile_ast,
     compile_lanes,
     complex_lanes,
+    delta_ast,
     exp_lanes,
     parse_expression,
 )
@@ -154,6 +156,53 @@ def test_lanes_match_compile_ast(name):
 @pytest.mark.parametrize("text", ["log(zeta)", "zeta/2", "zeta^2", "L1", "exp(-zeta) + L2(zeta)"])
 def test_other_nodes_have_no_lanes(text):
     assert compile_lanes(parse_expression(text)) is None
+
+
+GERM_DELTA = delta_ast(parse_expression("zeta + 1 + exp(-zeta)"), 1 + 0j)[0]
+GERM2_DELTA = delta_ast(parse_expression(
+    "zeta + 1 + 0.5*i + exp(-zeta) + (0.25*zeta*zeta - 1)*exp(-2*zeta)"), 1 + 0.5j)[0]
+# (ASTs, distinct exp subtrees): the homological walks' delta and h, and pairs
+# of NODES, one of which differs from the other in the sign of a zero only
+PAIRS = {
+    "germ": ((GERM_DELTA, parse_expression("exp(-zeta)")), 1),
+    "germ2": ((GERM2_DELTA, parse_expression("zeta*exp(-2*zeta)")), 2),
+    "zero-signs": ((NODES["add-zero"], ("add", ("num", 0j), ("zeta",))), 0),
+    "same": ((NODES["germ2"], NODES["germ2"]), 2),
+    **{f"{a}+{b}": ((NODES[a], NODES[b]), None) for a, b in zip(NODES, [*NODES][1:])},
+}
+
+
+@pytest.mark.parametrize("name", list(PAIRS))
+def test_lanes_of_several_asts_are_each_ones(name):
+    nodes, pts = PAIRS[name][0], lane_points()
+    z = np.array(pts, complex)
+    with np.errstate(all="ignore"):
+        *parts, bad = compile_lanes(*nodes)(z.real, z.imag)
+        alone = [compile_lanes(node)(z.real, z.imag) for node in nodes]
+    assert len(parts) == 2 * len(nodes)
+    assert np.array_equal(bad, np.logical_or.reduce([b for *_, b in alone]))
+    for j, (node, (re, im, _)) in enumerate(zip(nodes, alone)):
+        got = complex_lanes(parts[2 * j], parts[2 * j + 1])
+        assert np.array_equal(bits(got), bits(complex_lanes(re, im)))
+        fn = compile_ast(node)
+        for w, v, flagged in zip(pts, got.tolist(), bad.tolist()):
+            if not flagged:
+                assert bits([v]).tolist() == bits([fn(w)]).tolist(), (name, j, w)
+
+
+@pytest.mark.parametrize("name", ["germ", "germ2", "zero-signs", "same"])
+def test_each_distinct_exp_is_taken_once_per_call(name, monkeypatch):
+    nodes, n_exp = PAIRS[name]
+    calls, exp = [], dulaclin.exprparse.exp_lanes
+    monkeypatch.setattr(dulaclin.exprparse, "exp_lanes",
+                        lambda re, im: calls.append(re.size) or exp(re, im))
+    lanes = compile_lanes(*nodes)
+    z = np.array(lane_points()[:50], complex)
+    for _ in range(2):
+        calls.clear()
+        with np.errstate(all="ignore"):
+            lanes(z.real, z.imag)
+        assert calls == [50] * n_exp
 
 
 # ---------------------------------------------------------------------------

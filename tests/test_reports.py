@@ -1,4 +1,4 @@
-"""The JSON reports: `solve-homological` writes its rows through one template,
+"""The JSON reports: `solve-homological` writes its columns through one row template,
 in chunks of rows, byte for byte what the dict-and-`json.dumps` writer it
 replaced wrote, and every JSON file a command writes is strict JSON that
 `json` reproduces."""
@@ -140,6 +140,11 @@ def assert_same_failure(tmp_path, capsys, monkeypatch, argv, code):
 FIELDS = {"tool": 'dulaclin "rows": [] x', "config_hash": "[]", "seed": -3, "alpha": 0.1}
 
 
+def columns(rows) -> list:
+    """The renderer's five lists of the rows (psi.re, psi.im, residual, zeta.re, zeta.im)."""
+    return [list(c) for c in zip(*rows)]
+
+
 @pytest.mark.parametrize("rows", [
     [(0.0, -0.0, 0.0, 8.0, -0.0)],
     [(5e-324, -1e-310, 2.2250738585072014e-308, 1e16, 1.2345678901234567e22),
@@ -149,13 +154,19 @@ FIELDS = {"tool": 'dulaclin "rows": [] x', "config_hash": "[]", "seed": -3, "alp
     # a coordinate formatted once must keep its own sign
     [(1.0, 2.0, 0.0, x, y) for x in (0.0, -0.0, 8.0) for y in (-0.0, 0.0, 8.0, -0.0)]
     + [(1.0, 2.0, 0.0, x, y) for x in (-0.0, 0.0) for y in (0.0, -0.0)],
-], ids=["zeros", "exponent-forms", "signed-zero-grid"])
+    # residuals repeat, 0.0 among them, and share values with the coordinates
+    # and psi: each is formatted once, a zero where it stands
+    [(0.5, -0.0, r, x, -0.0) for r, x in [(0.0, 8.0), (1e-12, 8.0), (0.0, -0.0), (1e-12, 0.5),
+                                          (8.0, 1e-12), (0.0, 0.0), (-0.0, 1e-12)]],
+    # seven rows: chunks of 3 leave one row in the last
+    [(1.0 / j, -j * 1e-11, j * 1e-13, 8.0 + j // 3, j % 3 - 1.0) for j in range(1, 8)],
+], ids=["zeros", "exponent-forms", "signed-zero-grid", "repeated-residuals", "seven-rows"])
 def test_renderer_is_json(tmp_path, rows):
     # the header is spliced by its structure: no field's value is searched for;
     # a chunk of `size` rows joins the next one as json would
     out = tmp_path / "h.json"
-    for size in (1, 2, 1000):
-        _write_chunks(str(out), _homological_chunks(FIELDS, rows, size))
+    for size in (1, 2, 3, 1000):
+        _write_chunks(str(out), _homological_chunks(FIELDS, columns(rows), size))
         assert out.read_text() == reference_json(FIELDS, rows)
 
 
@@ -163,8 +174,8 @@ def test_renderer_writes_non_finite_values_as_json_does():
     # unreachable from the command, whose values are all finite; written as
     # json writes them rather than as %r would (nan, inf)
     rows = [(math.nan, -math.inf, math.inf, -math.nan, 0.0), (1.0, 2.0, math.nan, 8.0, 0.0)]
-    for size in (1, 1000):
-        text = "".join(_homological_chunks(FIELDS, rows, size))
+    for size in (1, 2, 1000):
+        text = "".join(_homological_chunks(FIELDS, columns(rows), size))
         assert text == reference_json(FIELDS, rows)
         assert "NaN" in text and "-Infinity" in text and "nan" not in text and "inf" not in text
 

@@ -83,10 +83,18 @@ MUTANTS = [
         ["tests/test_dynamics.py::TestSlopeFits::test_fit_on_a_single_re_is_insufficient",
          "tests/test_cli.py::test_compare_grid_with_one_usable_re_exits_1"]),
     Mutant(
-        "the homological report's coordinate cache keyed with zeros", "src/dulaclin/cli.py",
-        "for x in r[3:] if x}}",
-        "for x in r[3:]}}",
-        ["tests/test_reports.py::test_renderer_is_json[signed-zero-grid]"]),
+        "the homological report's value memo keyed with zeros", "src/dulaclin/cli.py",
+        "for x in c if x}}",
+        "for x in c}}",
+        ["tests/test_reports.py::test_renderer_is_json[signed-zero-grid]",
+         "tests/test_reports.py::test_renderer_is_json[repeated-residuals]"]),
+    Mutant(
+        "the lanes of several ASTs share one slot among their exp subtrees",
+        "src/dulaclin/exprparse.py",
+        "key = op, np.complex128",
+        "key = op[:1] if n[0] == \"call\" else op, np.complex128",
+        ["tests/test_lanes.py::test_each_distinct_exp_is_taken_once_per_call[germ2]",
+         "tests/test_lanes.py::test_lanes_of_several_asts_are_each_ones[germ2]"]),
     Mutant(
         "a failing search round stops only on a bound violation", "src/dulaclin/domains.py",
         "violates[i] = row[2] < 0 or not (row[3] and row[4])",
@@ -186,7 +194,7 @@ MUTANTS = [
         "the batch's complex results rebuilt as re + 1j*im", "src/dulaclin/exprparse.py",
         "    z = np.empty(np.shape(re), complex)\n    z.real, z.imag = re, im\n    return z\n",
         "    return re + 1j * im\n",
-        ["tests/test_reports.py::test_report_bytes_match_the_dict_writer[negative-zero]",
+        ["tests/test_lanes.py::test_lanes_match_compile_ast[exp-neg]",
          "tests/test_lanes.py::test_complex_lanes_keeps_signed_zeros"]),
     Mutant(
         "the divisor's zero check emitted after the dividend, on the dividend",
