@@ -253,7 +253,51 @@ def _round_series(series: ExpPolySeries) -> ExpPolySeries:
                         for k, b in series.items})
 
 
+def _levels_text(phi) -> list:
+    """The exponents of phi above 0, the levels a solver filled, as strings."""
+    return [format_exponent(k, phi.L) for k, _ in phi.items if k]
+
+
+def _nested(brackets: str, items: list, pad: str) -> str:
+    """The JSON texts `items` between `brackets`, "[]" or "{}", as
+    json.dumps(indent=1) lays out a list or object whose members sit at
+    indent `pad`; an empty one stays on its line."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[1:]}{brackets[1]}"
+
+
+def _phi_text(result) -> str:
+    """A solver's phi file: json.dumps(d, indent=1), byte for byte, of the
+    dict d with keys algorithm, beta [re, im], levels (phi's exponents above
+    0), residual_ord ("inf" or p/q) and phi {trunc, gens, terms: [{exp,
+    poly: [[re, im], ...]}]}, written from the result's fields and phi's
+    int-keyed items without building d; each exponent comes from k and L."""
+    phi, L = result.phi, result.phi.L
+    ro = result.residual_ord
+    ro = "inf" if ro == math.inf else format_exponent(*ro.as_integer_ratio())
+    fields = [f'"algorithm": {json.dumps(result.algorithm)}',
+              '"beta": ' + _nested("[]", [json.dumps(x) for x in (result.beta.real,
+                                                                 result.beta.imag)], "  "),
+              '"levels": ' + _nested("[]", [f'"{v}"' for v in _levels_text(phi)], "  "),
+              f'"residual_ord": "{ro}"']
+    series = [f'"trunc": "{format_exponent(phi.n, L)}"',
+              '"gens": ' + _nested("[]", [f'"{format_exponent(g, L)}"' for g in phi.g], "   ")]
+    terms = [f'{{\n    "exp": "{format_exponent(k, L)}",\n    "poly": '
+             + _nested("[]", [f"[\n      {c.real!r},\n      {c.imag!r}\n     ]" for c in b.coeffs],
+                       "     ") + "\n   }" for k, b in phi.items]
+    # repr writes nan and inf where json writes NaN and Infinity; only the
+    # coefficients may hold them, while residual_ord may read "inf"
+    terms = _nested("[]", terms, "   ").replace("nan", "NaN").replace("inf", "Infinity")
+    series.append('"terms": ' + terms)
+    return _nested("{}", [*fields, '"phi": ' + _nested("{}", series, "  ")], " ")
+
+
 def cmd_linearize(args) -> int:
+    """Solve for phi by levels (and, with --cross-check, by Picard too) and
+    write each solver's phi file, `.phi.json` and `.phi.picard.json`, through
+    `_phi_text`, and the report, `.report.json`, through json.dumps(indent=1,
+    sort_keys=True)."""
     f = _read_series(args)
     if args.order is not None and args.order < f.trunc:
         f = f.with_trunc(args.order)
@@ -265,9 +309,9 @@ def cmd_linearize(args) -> int:
         **_header(args),
         "max_residual_coeff_rel": max_resid,
         "tolerance": args.tol,
-        "levels": [format_exponent(v) for v in level.levels_solved],
+        "levels": _levels_text(level.phi),
     }
-    _write_chunks(f"{out}.phi.json", (json.dumps(level.to_json(), indent=1),))
+    _write_chunks(f"{out}.phi.json", (_phi_text(level),))
     if args.cross_check:
         picard = linearize_by_picard(f)
         diff = max_rel_coeff_diff(level.phi, picard.phi)
@@ -278,7 +322,7 @@ def cmd_linearize(args) -> int:
             "rounded_bytes_equal": ra == rb,
             "rounding_quantum": ROUNDING_QUANTUM,
         }
-        _write_chunks(f"{out}.phi.picard.json", (json.dumps(picard.to_json(), indent=1),))
+        _write_chunks(f"{out}.phi.picard.json", (_phi_text(picard),))
     _write_chunks(f"{out}.report.json", (json.dumps(report, indent=1, sort_keys=True),))
     print(f"max relative residual coefficient: {max_resid:.3e}")
     if args.cross_check and not diff <= args.tol:

@@ -483,8 +483,8 @@ def compile_lanes(*nodes):
     def lanes(re, im):
         vals, bad = [], np.zeros(np.shape(re), bool)
         for op, *args in program:
-            if op == "num":
-                v = np.full(np.shape(re), args[0].real), np.full(np.shape(re), args[0].imag)
+            if op == "num":  # Python floats, which numpy broadcasts with the same IEEE operations
+                v = args[0].real, args[0].imag
             elif op == "zeta":
                 v = re, im
             elif op == "neg":
@@ -498,5 +498,7 @@ def compile_lanes(*nodes):
                 v = ((ar + br, ai + bi) if op == "add" else (ar - br, ai - bi) if op == "sub"
                      else (ar * br - ai * bi, ar * bi + ai * br))
             vals.append(v)
-        return (*(part for s in stack for part in vals[s]), bad)
+        # an AST that is a constant has scalar parts; its lanes are those filled with them
+        return (*(part if np.shape(part) == bad.shape else np.full(bad.shape, part)
+                  for s in stack for part in vals[s]), bad)
     return lanes

@@ -13,7 +13,6 @@ Agreement of the two routes is the main internal cross-check of the package.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -27,14 +26,12 @@ from .series import (
     conjugacy_residual,
     derivative,
     effective_order,
-    format_exponent,
     from_z_chart,
     lattice_points,
     mul,
     mul_into,
     powers,
     prune,
-    series_to_json,
     taylor_terms,
     to_z_chart,
     translate,
@@ -57,7 +54,11 @@ BACKSUB_TOL = 1e-10   # relative back-substitution error allowed in solve_differ
 
 @dataclass(frozen=True)
 class LinearizationResult:
-    """A solver's phi for f, verified by residual = compose(phi, f) - phi - beta."""
+    """A solver's phi for f, verified by residual = compose(phi, f) - phi - beta.
+
+    `cli.cmd_linearize` writes algorithm, beta, the levels solved,
+    residual_ord and phi to a phi file through one fixed-layout writer,
+    `cli._phi_text`, reading phi's int-keyed items."""
     phi: ExpPolySeries          # parabolic: head zeta, all other exponents > 0
     beta: complex
     residual: ExpPolySeries     # conjugacy_residual(phi, f, beta), bit for bit
@@ -69,16 +70,6 @@ class LinearizationResult:
         """The exponents of phi above 0, ascending: the levels a solver
         filled, since a nonzero level residual gives a nonzero block."""
         return tuple(m for m in self.phi.support() if m > 0)
-
-    def to_json(self) -> dict:
-        ro = "inf" if self.residual_ord == math.inf else format_exponent(self.residual_ord)
-        return {
-            "algorithm": self.algorithm,
-            "beta": [self.beta.real, self.beta.imag],
-            "levels": [format_exponent(v) for v in self.levels_solved],
-            "residual_ord": ro,
-            "phi": series_to_json(self.phi),
-        }
 
 
 def solve_difference_eq(P: CPoly, c: complex, beta: complex) -> CPoly:

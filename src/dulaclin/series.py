@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb, factorial
 from typing import Iterable, Mapping
 
@@ -83,8 +84,10 @@ HEAD_TOL = 1e-9   # parabolic |beta|; relative gap of exp(-beta) to a given mult
 # ---------------------------------------------------------------------------
 # rational helpers and the exponent lattice
 
-def format_exponent(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+def format_exponent(k: int, L: int) -> str:
+    """The exponent k/L as the JSON wire format writes it: "p/q", reduced."""
+    g = math.gcd(k, L)
+    return f"{k // g}/{L // g}"
 
 
 def parse_exponent(text) -> Fraction:
@@ -430,12 +433,17 @@ def translate(a: ExpPolySeries, c: complex) -> ExpPolySeries:
 
 
 def max_rel_coeff_diff(a: ExpPolySeries, b: ExpPolySeries) -> float:
-    """Largest coefficient difference, each relative to max(1, |a|, |b|)."""
+    """Largest coefficient difference, each relative to max(1, |a|, |b|),
+    over every block of either series, matched by exponent on their common
+    lattice.  max(worst, nan) is worst, so the order of the blocks is free."""
+    L = math.lcm(a.L, b.L)
+    pairs = {}
+    for j, s in enumerate((a, b)):
+        for k, blk in s.items:
+            pairs.setdefault(k * (L // s.L), [(), ()])[j] = blk.coeffs
     worst = 0.0
-    for m in set(a.support()) | set(b.support()):
-        pa, pb = a.block(m), b.block(m)
-        for d in range(max(pa.degree, pb.degree) + 1):
-            x, y = pa.coeff(d), pb.coeff(d)
+    for ca, cb in pairs.values():
+        for x, y in zip_longest(ca, cb, fillvalue=0j):
             worst = max(worst, abs(x - y) / max(1.0, abs(x), abs(y)))
     return worst
 
@@ -645,11 +653,11 @@ def evaluate_tail(a: ExpPolySeries, beta: complex) -> tuple:
 
 def series_to_json(a: ExpPolySeries) -> dict:
     return {
-        "trunc": format_exponent(a.trunc),
-        "gens": [format_exponent(g) for g in a.gens],
+        "trunc": format_exponent(a.n, a.L),
+        "gens": [format_exponent(g, a.L) for g in a.g],
         "terms": [
-            {"exp": format_exponent(m), "poly": [[c.real, c.imag] for c in b.coeffs]}
-            for m, b in a.terms
+            {"exp": format_exponent(k, a.L), "poly": [[c.real, c.imag] for c in b.coeffs]}
+            for k, b in a.items
         ],
     }
 

@@ -123,6 +123,7 @@ NODES = {
     "germ-delta": ("add", ("num", 0j), parse_expression("exp(-zeta)")),
     "germ2": parse_expression("0.5*i + exp(-zeta) + (zeta*zeta*0.25 - 1)*exp(-2*zeta)"),
     "overflow": parse_expression("exp(zeta*1000) + 0*(zeta*1e300*1e300)"),
+    "constant-subtrees": parse_expression("exp(-1 + i)*zeta + (2 - i)*(0.5 + 3*i) - exp(0.5)"),
 }
 
 
@@ -151,6 +152,37 @@ def test_lanes_match_compile_ast(name):
             clean += 1
             assert bits([complex(re[j], im[j])]).tolist() == bits([want]).tolist(), (name, w)
     assert clean > len(pts) // 2
+
+
+# ASTs without zeta: their operations run on Python floats, and only the result fills lanes
+CONSTANTS = {
+    "num": NODES["num"],
+    "neg-zero": NODES["neg-zero"],
+    "neg": ("neg", ("num", complex(0.0, -0.0))),
+    "sum": parse_expression("2 - 3*i + 0.5"),
+    "product": parse_expression("(1 + 2*i)*(-3 + 0.25*i) - 0"),
+    "exp": parse_expression("exp(1 + i)*0.5"),
+    "exp-overflow": parse_expression("exp(800) + 1"),
+}
+
+
+@pytest.mark.parametrize("name", list(CONSTANTS))
+def test_a_constant_ast_fills_every_lane_with_its_value(name):
+    node, z = CONSTANTS[name], np.array(lane_points()[:40], complex)
+    with np.errstate(all="ignore"):
+        *parts, bad = compile_lanes(node, ("zeta",), node)(z.real, z.imag)
+    assert all(isinstance(p, np.ndarray) and p.shape == z.shape for p in (*parts, bad))
+    assert np.array_equal(bits(complex_lanes(parts[2], parts[3])), bits(z))
+    try:
+        want = compile_ast(node)(0j)
+    except OverflowError:
+        assert bad.all()
+        return
+    assert not bad.any()
+    for re, im in (parts[:2], parts[4:]):
+        assert np.array_equal(bits(complex_lanes(re, im)), bits([want] * len(z)))
+    # each AST's lanes are arrays of their own, which a caller may write
+    assert parts[0] is not parts[4] and parts[0].flags.writeable
 
 
 @pytest.mark.parametrize("text", ["log(zeta)", "zeta/2", "zeta^2", "L1", "exp(-zeta) + L2(zeta)"])

@@ -1,16 +1,22 @@
 """The JSON reports: `solve-homological` writes its columns through one row template,
-in chunks of rows, byte for byte what the dict-and-`json.dumps` writer it
-replaced wrote, and every JSON file a command writes is strict JSON that
-`json` reproduces."""
+in chunks of rows, and `linearize` its phi files through one fixed-layout
+writer, each byte for byte what the dict-and-`json.dumps` writer it replaced
+wrote, and every JSON file a command writes is strict JSON that `json`
+reproduces."""
 
 import json
 import math
+import random
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dulaclin.cli
+from conftest import deep_series, random_hyperbolic_series
 from dulaclin.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
@@ -18,6 +24,7 @@ from dulaclin.cli import (
     _header,
     _homological_chunks,
     _load_map,
+    _phi_text,
     _profile,
     _write_chunks,
     main,
@@ -25,6 +32,7 @@ from dulaclin.cli import (
 from dulaclin.dynamics import solve_homological_numeric
 from dulaclin.errors import NotConverged
 from dulaclin.exprparse import compile_ast, parse_expression
+from dulaclin.linearize import LinearizationResult, linearize_by_picard, linearize_level_by_level
 from dulaclin.series import ExpPolySeries, serialize_series
 
 
@@ -180,6 +188,107 @@ def test_renderer_writes_non_finite_values_as_json_does():
         assert "NaN" in text and "-Infinity" in text and "nan" not in text and "inf" not in text
 
 
+# ---------------------------------------------------------------------------
+# linearize's phi files
+
+def fraction_text(q: F) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
+def reference_phi_json(result) -> dict:
+    """`LinearizationResult.to_json` as it was before the phi files had their
+    own writer, with `series_to_json` as it was, exponents from Fractions:
+    the dict whose json.dumps(indent=1) is a phi file's byte oracle."""
+    phi = result.phi
+    ro = "inf" if result.residual_ord == math.inf else fraction_text(result.residual_ord)
+    return {
+        "algorithm": result.algorithm,
+        "beta": [result.beta.real, result.beta.imag],
+        "levels": [fraction_text(v) for v in result.levels_solved],
+        "residual_ord": ro,
+        "phi": {
+            "trunc": fraction_text(phi.trunc),
+            "gens": [fraction_text(g) for g in phi.gens],
+            "terms": [{"exp": fraction_text(m), "poly": [[c.real, c.imag] for c in b.coeffs]}
+                      for m, b in phi.terms],
+        },
+    }
+
+
+def assert_phi_text_is_json(result):
+    assert _phi_text(result) == json.dumps(reference_phi_json(result), indent=1)
+
+
+SOLVERS = [linearize_level_by_level, linearize_by_picard]
+
+
+def test_phi_writer_is_json_on_the_corpus(rng):
+    for _ in range(100):
+        f = random_hyperbolic_series(rng)
+        for solve in SOLVERS:
+            assert_phi_text_is_json(solve(f))
+
+
+@pytest.mark.parametrize("order", [4, 6, 8])
+@pytest.mark.parametrize("solve", SOLVERS, ids=["level", "picard"])
+def test_phi_writer_is_json_on_the_deep_series(solve, order):
+    assert_phi_text_is_json(solve(deep_series(order)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_phi_writer_is_json_on_random_germs(seed, real):
+    f = random_hyperbolic_series(random.Random(seed), real)
+    for solve in SOLVERS:
+        assert_phi_text_is_json(solve(f))
+
+
+def phi_result(terms, trunc=3, gens=(1,), beta=1 + 0j, residual_ord=math.inf,
+               algorithm="level_solver") -> LinearizationResult:
+    phi = ExpPolySeries(trunc, gens, terms)
+    return LinearizationResult(phi=phi, beta=beta, residual=phi._raw({}),
+                               residual_ord=residual_ord, algorithm=algorithm)
+
+
+ZETA = {0: [0j, 1.0]}
+NAN, INF = math.nan, math.inf
+PHI_RESULTS = {
+    "zeta-only": phi_result(ZETA),
+    "residual-ord-fraction": phi_result({**ZETA, 1: [0.5j], F(3, 2): [2.0, -1.0]}, gens=(F(1, 2),),
+                                        residual_ord=F(5, 2)),
+    "residual-ord-zero": phi_result({**ZETA, 2: [1.0]}, residual_ord=F(0), algorithm="picard"),
+    "beta-minus-zero": phi_result({**ZETA, 1: [1.0]}, beta=complex(1.0, -0.0)),
+    "negative-zeros": phi_result({0: [complex(-0.0, -0.0), complex(-0.0, 0.0), 1.0],
+                                  1: [complex(0.0, -0.0), 3.0]}, beta=complex(-0.0, -0.0)),
+    "exponent-forms": phi_result({**ZETA, 1: [complex(1e-05, 1e16), complex(-1e-7, 1.5e300),
+                                              complex(5e-324, 123456789.0),
+                                              complex(9999999999999998.0, 1e+16)]}),
+    # exponents k/L on a lattice of L = 6, reduced where they share a factor
+    "lattice-6": phi_result({**ZETA, F(1, 2): [1.0], F(2, 3): [2.0], 1: [3.0], F(7, 6): [4.0],
+                             F(4, 3): [5.0], F(3, 2): [6.0]}, trunc=F(3, 2),
+                            gens=(F(1, 2), F(2, 3))),
+    # Picard's phi comes out of from_z_chart unchecked; residual_ord stays "inf"
+    "non-finite": phi_result({**ZETA, 1: [complex(NAN, INF), complex(-INF, -NAN), 1.0],
+                              2: [complex(INF, 0.0)]}, beta=complex(NAN, -INF)),
+}
+
+
+@pytest.mark.parametrize("name", list(PHI_RESULTS))
+def test_phi_writer_is_json(name):
+    assert_phi_text_is_json(PHI_RESULTS[name])
+
+
+def test_linearize_writes_both_phi_files_through_the_writer(tmp_path, rng):
+    src, out = tmp_path / "f.json", tmp_path / "lin"
+    f = random_hyperbolic_series(rng)
+    src.write_text(serialize_series(f))
+    assert main(["linearize", "--input", str(src), "--cross-check", "--output", str(out)]) == 0
+    for suffix, solve in [(".phi.json", linearize_level_by_level),
+                          (".phi.picard.json", linearize_by_picard)]:
+        assert (tmp_path / f"lin{suffix}").read_text() == \
+            json.dumps(reference_phi_json(solve(f)), indent=1)
+
+
 def reject_constant(name):
     raise ValueError(f"not strict JSON: {name}")
 
@@ -200,6 +309,11 @@ def test_json_reports_are_strict_and_reproducible(tmp_path):
     lin = tmp_path / "lin"
     assert main(["linearize", "--input", str(src), "--cross-check",
                  "--output", str(lin)]) == 0
-    for suffix, sort_keys in [(".phi.json", False), (".phi.picard.json", False),
-                              (".report.json", True)]:
-        assert_strict_json(tmp_path / f"lin{suffix}", sort_keys)
+    deep = tmp_path / "deep.json"
+    deep.write_text(serialize_series(deep_series()))
+    assert main(["linearize", "--input", str(deep), "--order", "6", "--cross-check",
+                 "--output", str(tmp_path / "deep")]) == 0
+    for name in ("lin", "deep"):
+        for suffix, sort_keys in [(".phi.json", False), (".phi.picard.json", False),
+                                  (".report.json", True)]:
+            assert_strict_json(tmp_path / f"{name}{suffix}", sort_keys)

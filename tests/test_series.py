@@ -874,3 +874,40 @@ def test_picard_on_a_tiny_perturbation_reaches_the_fixed_point(eps):
     step_stopped = reference_picard_linearize(f1, beta).phi
     assert max_rel_coeff_diff(phi.with_gens(f.gens), level) \
         <= max_rel_coeff_diff(step_stopped.with_gens(f.gens), level)
+
+
+def reference_max_rel_coeff_diff(a: ExpPolySeries, b: ExpPolySeries) -> float:
+    """`series.max_rel_coeff_diff` as it was with Fraction supports and a
+    `block` lookup per exponent: the bit-for-bit reference."""
+    worst = 0.0
+    for m in set(a.support()) | set(b.support()):
+        pa, pb = a.block(m), b.block(m)
+        for d in range(max(pa.degree, pb.degree) + 1):
+            x, y = pa.coeff(d), pb.coeff(d)
+            worst = max(worst, abs(x - y) / max(1.0, abs(x), abs(y)))
+    return worst
+
+
+def test_max_rel_coeff_diff_matches_reference_on_the_corpus():
+    rng = random.Random(20260808)
+    for _ in range(100):
+        f = random_hyperbolic_series(rng)
+        a, b = linearize_level_by_level(f).phi, linearize_by_picard(f).phi
+        for x, y in [(a, b), (b, a), (a, f), (f, a.tail())]:
+            assert repr(max_rel_coeff_diff(x, y)) == repr(reference_max_rel_coeff_diff(x, y))
+
+
+@pytest.mark.parametrize("a, b", [
+    # lattices 1/2 and 1/3, orders 3 and 2: every block of either counts
+    (S(3, [F(1, 2)], {0: [1.0, 2.0], F(1, 2): [1.0], 3: [5.0]}),
+     S(2, [F(2, 3)], {0: [1.0, 2.5, 1e-3], F(2, 3): [2.0], 2: [3.0]})),
+    # NaN coefficients, first and last, never enter the max
+    (S(2, [1], {0: [math.nan, 1.0], 1: [1.0, 3.0], 2: [2.0, math.nan]}),
+     S(2, [1], {0: [0.5, 1.0], 1: [2.0, 2.0], 2: [2.0, 1.0]})),
+    (S(2, [1], {0: [math.nan]}), S(2, [1], {})),
+    (S(2, [1], {}), S(2, [1], {})),
+    (S(2, [1], {1: [math.inf, -0.0, 1.0]}), S(2, [1], {1: [1.0, 0.0, 1.0]})),
+], ids=["lattices", "nan", "nan-only", "zero", "inf"])
+def test_max_rel_coeff_diff_matches_reference(a, b):
+    for x, y in [(a, b), (b, a)]:
+        assert repr(max_rel_coeff_diff(x, y)) == repr(reference_max_rel_coeff_diff(x, y))

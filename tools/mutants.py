@@ -89,6 +89,21 @@ MUTANTS = [
         ["tests/test_reports.py::test_renderer_is_json[signed-zero-grid]",
          "tests/test_reports.py::test_renderer_is_json[repeated-residuals]"]),
     Mutant(
+        "the phi file's non-finite replacement applied to the whole text", "src/dulaclin/cli.py",
+        "    terms = _nested(\"[]\", terms, \"   \").replace(\"nan\", \"NaN\").replace(\"inf\", \"Infinity\")\n"
+        "    series.append('\"terms\": ' + terms)\n"
+        "    return _nested(\"{}\", [*fields, '\"phi\": ' + _nested(\"{}\", series, \"  \")], \" \")\n",
+        "    terms = _nested(\"[]\", terms, \"   \")\n"
+        "    series.append('\"terms\": ' + terms)\n"
+        "    return _nested(\"{}\", [*fields, '\"phi\": ' + _nested(\"{}\", series, \"  \")],"
+        " \" \").replace(\"nan\", \"NaN\").replace(\"inf\", \"Infinity\")\n",
+        ["tests/test_reports.py::test_phi_writer_is_json[non-finite]"]),
+    Mutant(
+        "the phi file's empty levels list written as [\\n ]", "src/dulaclin/cli.py",
+        "        return brackets\n",
+        "        return f\"{brackets[0]}\\n{pad[1:]}{brackets[1]}\"\n",
+        ["tests/test_reports.py::test_phi_writer_is_json[zeta-only]"]),
+    Mutant(
         "the lanes of several ASTs share one slot among their exp subtrees",
         "src/dulaclin/exprparse.py",
         "key = op, np.complex128",
