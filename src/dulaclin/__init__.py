@@ -16,7 +16,6 @@ from .series import (
     compose,
     conjugacy_residual,
     parse_series,
-    serialize_series,
 )
 from .linearize import (
     LinearizationResult,

@@ -19,11 +19,13 @@ delta, a quad C <= 0, a quad map sign other than 1 or -1, a band map
 undefined at its t, band maps that cross or one that overflows between t
 and 1000 t, where their order is sampled, or an empty union, no --expr or
 --input, a malformed --grid or one with a non-finite value, a non-finite
-series coefficient, an expression nested too deeply to parse, an over-long
-exponent literal), 4 unconverged grid points (also a solve-homological residual above
-10*tol), 5 violations above tolerance (also linearize --cross-check solvers
-differing by more than --tol, and a band boundary failing its
-upper/lower-map check), 1 other errors (also a solve-homological |h| above
+series coefficient, a series file the series constructor rejects, such as
+one with a term above trunc, a solve-homological --alpha whose
+1 - exp(-alpha*rho) rounds to 0, an expression nested too deeply to parse,
+an over-long exponent literal), 4 unconverged grid points (also a
+solve-homological residual above 10*tol), 5 violations above tolerance
+(also linearize --cross-check solvers differing by more than --tol, and a
+band boundary failing its upper/lower-map check), 1 other errors (also a solve-homological |h| above
 exp(-alpha Re) or NaN at an orbit point, a solve-homological map step to a
 NaN or infinite point, even where h and its bound are both 0, an unwritable
 --output, a slope fit whose usable points all share one Re and a numeric
@@ -72,13 +74,11 @@ from .errors import (
 from .exprparse import compile_ast, parse_expression
 from .linearize import linearize_by_picard, linearize_level_by_level, partial_sums
 from .series import (
-    CPoly,
     ExpPolySeries,
     format_exponent,
     max_rel_coeff_diff,
     parse_exponent,
     parse_series,
-    serialize_series,
 )
 
 EXIT_OK = 0
@@ -88,7 +88,7 @@ EXIT_PARSE = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_VIOLATIONS = 5
 
-# grid on which the two solvers' series are compared byte for byte
+# grid on which the two solvers' series are compared, part by part, by repr
 ROUNDING_QUANTUM = 1e-9
 
 
@@ -248,9 +248,18 @@ def _round(x: float) -> float:
     return round(y) * ROUNDING_QUANTUM if math.isfinite(y) else x
 
 
-def _round_series(series: ExpPolySeries) -> ExpPolySeries:
-    return series._raw({k: CPoly._of([complex(_round(c.real), _round(c.imag)) for c in b.coeffs])
-                        for k, b in series.items})
+def _rounded(phi) -> tuple:
+    """phi's exponent strings and the reprs of its blocks' parts on the rounding
+    grid, as the wire format wrote them: blocks that round to 0 dropped, and
+    trailing zero coefficients (either sign) stripped as CPoly strips them."""
+    blocks = []
+    for k, b in phi.items:
+        parts = [_round(x) for c in b.coeffs for x in (c.real, c.imag)]
+        while parts and parts[-1] == parts[-2] == 0:
+            del parts[-2:]
+        if parts:  # repr, not ==, as the text compared: nan is nan
+            blocks.append((format_exponent(k, phi.L), repr(parts)))
+    return format_exponent(phi.n, phi.L), [format_exponent(g, phi.L) for g in phi.g], blocks
 
 
 def _levels_text(phi) -> list:
@@ -315,11 +324,9 @@ def cmd_linearize(args) -> int:
     if args.cross_check:
         picard = linearize_by_picard(f)
         diff = max_rel_coeff_diff(level.phi, picard.phi)
-        ra = serialize_series(_round_series(level.phi))
-        rb = serialize_series(_round_series(picard.phi))
         report["cross_check"] = {
             "max_rel_coeff_diff": diff,
-            "rounded_bytes_equal": ra == rb,
+            "rounded_bytes_equal": _rounded(level.phi) == _rounded(picard.phi),
             "rounding_quantum": ROUNDING_QUANTUM,
         }
         _write_chunks(f"{out}.phi.picard.json", (_phi_text(picard),))
@@ -425,7 +432,7 @@ def cmd_compare(args) -> int:
          else AnalyticMap.from_series(fhat, profile))
     grid = _grid(args.grid)
     ns = _levels(args.levels)
-    levels = result.levels_solved
+    levels = [m for m in result.phi.support() if m > 0]
     lines = _header_lines(args)
     lines.append("n,exponent,slope,bound,passed,n_points,exact")
     ok = True
@@ -489,6 +496,8 @@ def cmd_solve_homological(args) -> int:
     h_ast = parse_expression(args.h_expr)
     h = compile_ast(h_ast)
     grid = _grid(args.grid)
+    if not 1.0 - math.exp(-args.alpha * profile.rho):  # the orbit sum's tail bound divides by it
+        raise ParseError(f"--alpha {args.alpha!r} too small: 1 - exp(-alpha*rho) rounds to 0")
     re_psi, im_psi, _, _, resids = solve_homological_grid(f, h_ast, args.alpha, grid, args.tol)
     for z in grid[len(resids):]:
         try:

@@ -65,12 +65,6 @@ class LinearizationResult:
     residual_ord: object        # Fraction or math.inf in the truncated algebra
     algorithm: str              # 'level_solver' | 'picard'
 
-    @property
-    def levels_solved(self) -> tuple:
-        """The exponents of phi above 0, ascending: the levels a solver
-        filled, since a nonzero level residual gives a nonzero block."""
-        return tuple(m for m in self.phi.support() if m > 0)
-
 
 def solve_difference_eq(P: CPoly, c: complex, beta: complex) -> CPoly:
     """Unique polynomial Q with Q(x) - c*Q(x + beta) = P(x), for c != 1.

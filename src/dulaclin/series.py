@@ -69,9 +69,7 @@ __all__ = [
     "from_z_chart",
     "z_chart_head",
     "parse_series",
-    "serialize_series",
     "series_from_json",
-    "series_to_json",
     "evaluate_tail",
     "lattice_points",
     "max_rel_coeff_diff",
@@ -113,10 +111,10 @@ def _lattice(trunc: Fraction, gens) -> tuple:
     """(L, n, g) for order `trunc` and Fraction generators `gens`: the lcm L
     of their denominators, the order as n/L and the sorted generators as g/L."""
     if trunc < 0:
-        raise ValueError("truncation order must be nonnegative")
+        raise ValueError(f"'trunc' must be nonnegative, not {trunc}")
     gv = sorted(set(gens))
     if any(x <= 0 for x in gv):
-        raise ValueError("generators must be positive rationals")
+        raise ValueError(f"'gens' must be positive rationals, not {[str(x) for x in gv]}")
     L = math.lcm(trunc.denominator, *(x.denominator for x in gv))
     return L, int(trunc * L), tuple(int(x * L) for x in gv)
 
@@ -250,7 +248,7 @@ class ExpPolySeries:
             if block.is_zero:
                 continue
             if mu < 0 or mu > trunc:
-                raise ValueError(f"exponent {mu} outside [0, {trunc}]")
+                raise ValueError(f"'terms' exponent {mu} outside [0, {trunc}]")
             k = mu * L  # a k off the lattice stays a Fraction and fails the check
             acc[k.numerator if k.denominator == 1 else k] = block
         s = _series(L, n, g, acc)
@@ -651,23 +649,14 @@ def evaluate_tail(a: ExpPolySeries, beta: complex) -> tuple:
 # ---------------------------------------------------------------------------
 # JSON wire format
 
-def series_to_json(a: ExpPolySeries) -> dict:
-    return {
-        "trunc": format_exponent(a.n, a.L),
-        "gens": [format_exponent(g, a.L) for g in a.g],
-        "terms": [
-            {"exp": format_exponent(k, a.L), "poly": [[c.real, c.imag] for c in b.coeffs]}
-            for k, b in a.items
-        ],
-    }
-
-
 def series_from_json(obj) -> ExpPolySeries:
     if not isinstance(obj, dict):
         raise ParseError("series JSON must be an object")
     for key in ("trunc", "gens", "terms"):
         if key not in obj:
             raise ParseError(f"series JSON missing key {key!r}")
+        if key != "trunc" and (obj[key] is None or isinstance(obj[key], (int, float))):
+            raise ParseError(f"series JSON {key!r} is not a list")
     trunc = parse_exponent(obj["trunc"])
     gens = [parse_exponent(g) for g in obj["gens"]]
     terms = {}
@@ -684,12 +673,10 @@ def series_from_json(obj) -> ExpPolySeries:
         if mu in terms:
             raise ParseError(f"duplicate exponent {entry['exp']}")
         terms[mu] = CPoly(coeffs)
-    return ExpPolySeries(trunc, gens, terms)
-
-
-def serialize_series(a: ExpPolySeries) -> str:
-    """Canonical text form: sorted terms, normalized rationals, repr floats."""
-    return json.dumps(series_to_json(a), separators=(",", ":"))
+    try:
+        return ExpPolySeries(trunc, gens, terms)
+    except ValueError as exc:  # its message names the key it rejects
+        raise ParseError(f"series JSON {exc}") from None
 
 
 def parse_series(text: str) -> ExpPolySeries:

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 from dataclasses import replace
@@ -87,6 +88,28 @@ def deep_series(order=8) -> ExpPolySeries:
         terms[mu] = [complex(0.5 * rng.uniform(-1, 1), 0.5 * rng.uniform(-1, 1))
                      for _ in range(4)]
     return ExpPolySeries(8, gens, terms).with_trunc(order)
+
+
+def fraction_text(q: F) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
+def series_to_json(a: ExpPolySeries) -> dict:
+    """The series wire format's dict, each exponent written from its Fraction:
+    the oracle of the phi files' `phi` and of the cross-check's rounded
+    comparison, as `dulaclin.series` wrote it before `cli._phi_text` was its
+    one writer."""
+    return {
+        "trunc": fraction_text(a.trunc),
+        "gens": [fraction_text(g) for g in a.gens],
+        "terms": [{"exp": fraction_text(m), "poly": [[c.real, c.imag] for c in b.coeffs]}
+                  for m, b in a.terms],
+    }
+
+
+def serialize_series(a: ExpPolySeries) -> str:
+    """Canonical text form: sorted terms, normalized rationals, repr floats."""
+    return json.dumps(series_to_json(a), separators=(",", ":"))
 
 
 def reference_mul(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:

@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 
 import dulaclin
+from conftest import serialize_series
 from dulaclin.cli import build_parser, main
 from dulaclin.domains import AsymptoticProfile
 from dulaclin.dynamics import AnalyticMap, solve_homological_numeric
 from dulaclin.exprparse import compile_ast, parse_expression
-from dulaclin.series import CPoly, ExpPolySeries, parse_series, serialize_series
+from dulaclin.series import CPoly, ExpPolySeries, parse_series
 
 
 def write_fixture(path: Path, terms=None) -> Path:
@@ -649,15 +650,41 @@ HOMOLOGICAL_ARGS = ["solve-homological", "--expr", "zeta + 1", "--h-expr", "exp(
     KOENIGS_ARGS + ["--eps=-1"],
     KOENIGS_ARGS + ["--k=-1"],
     KOENIGS_ARGS + ["--cut", "1"],
+    HOMOLOGICAL_ARGS + ["--alpha", "1e-300"],
 ], ids=["tol-abc", "missing-grid", "order-1/0", "levels-non-integer", "levels-negative",
         "tol-nan", "tol-inf", "eps-nan", "beta-inf", "quad-c-inf", "quad-c-zero",
         "quad-c-negative", "samples-negative",
         "tol-zero", "tol-negative", "alpha-zero", "alpha-negative",
-        "eps-zero", "eps-negative", "k-negative", "cut-below-rho-minus"])
+        "eps-zero", "eps-negative", "k-negative", "cut-below-rho-minus", "alpha-underflow"])
 def test_bad_flag_is_parse_error(tmp_path, capsys, argv):
     src = write_fixture(tmp_path)
     extra = ["--input", str(src)] if argv[0] in ("linearize", "compare") else []
     assert_parse_error(capsys, argv + extra + ["--output", str(tmp_path / "x")])
+
+
+MALFORMED_SERIES = {
+    "gens-zero": ("'gens'", {"trunc": "1", "gens": ["0"], "terms": []}),
+    "trunc-negative": ("'trunc'", {"trunc": "-1", "gens": ["1"], "terms": []}),
+    "term-above-trunc": ("'terms'", {"trunc": "1", "gens": ["1/2"],
+                                     "terms": [{"exp": "3/2", "poly": [[1.0, 0.0]]}]}),
+    "gens-a-number": ("'gens'", {"trunc": "1", "gens": 1, "terms": []}),
+    "terms-null": ("'terms'", {"trunc": "1", "gens": ["1"], "terms": None}),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_SERIES))
+@pytest.mark.parametrize("argv", [["linearize"], ["compare", "--grid", "8:30:45,0:0:1"],
+                                  KOENIGS_ARGS[:1] + KOENIGS_ARGS[3:], ["verify-domain"]],
+                         ids=["linearize", "compare", "koenigs", "verify-domain"])
+def test_malformed_series_file_is_parse_error(tmp_path, capsys, argv, name):
+    # the series constructor's ValueError names the key it rejects
+    key, obj = MALFORMED_SERIES[name]
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps(obj))
+    assert main(argv + ["--input", str(src), "--output", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"parse error: series JSON {key} ")
+    assert list(tmp_path.iterdir()) == [src]
 
 
 @pytest.mark.parametrize("grid", ["inf:inf:1,0:0:1", "8:9:2,nan:0:1", "8:1e309:2,0:0:1",

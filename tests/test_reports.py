@@ -2,7 +2,8 @@
 in chunks of rows, and `linearize` its phi files through one fixed-layout
 writer, each byte for byte what the dict-and-`json.dumps` writer it replaced
 wrote, and every JSON file a command writes is strict JSON that `json`
-reproduces."""
+reproduces.  `linearize --cross-check`'s `rounded_bytes_equal` compares the
+two rounded phis by value, exactly as comparing their serialized texts did."""
 
 import json
 import math
@@ -16,16 +17,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dulaclin.cli
-from conftest import deep_series, random_hyperbolic_series
+from conftest import (
+    deep_series,
+    fraction_text,
+    random_hyperbolic_series,
+    serialize_series,
+    series_to_json,
+)
 from dulaclin.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    ROUNDING_QUANTUM as Q,
     _grid,
     _header,
     _homological_chunks,
     _load_map,
     _phi_text,
     _profile,
+    _round,
+    _rounded,
     _write_chunks,
     main,
 )
@@ -33,7 +43,7 @@ from dulaclin.dynamics import solve_homological_numeric
 from dulaclin.errors import NotConverged
 from dulaclin.exprparse import compile_ast, parse_expression
 from dulaclin.linearize import LinearizationResult, linearize_by_picard, linearize_level_by_level
-from dulaclin.series import ExpPolySeries, serialize_series
+from dulaclin.series import CPoly, ExpPolySeries
 
 
 def reference_solve_homological(args) -> int:
@@ -191,27 +201,17 @@ def test_renderer_writes_non_finite_values_as_json_does():
 # ---------------------------------------------------------------------------
 # linearize's phi files
 
-def fraction_text(q: F) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 def reference_phi_json(result) -> dict:
     """`LinearizationResult.to_json` as it was before the phi files had their
     own writer, with `series_to_json` as it was, exponents from Fractions:
     the dict whose json.dumps(indent=1) is a phi file's byte oracle."""
-    phi = result.phi
     ro = "inf" if result.residual_ord == math.inf else fraction_text(result.residual_ord)
     return {
         "algorithm": result.algorithm,
         "beta": [result.beta.real, result.beta.imag],
-        "levels": [fraction_text(v) for v in result.levels_solved],
+        "levels": [fraction_text(m) for m in result.phi.support() if m > 0],
         "residual_ord": ro,
-        "phi": {
-            "trunc": fraction_text(phi.trunc),
-            "gens": [fraction_text(g) for g in phi.gens],
-            "terms": [{"exp": fraction_text(m), "poly": [[c.real, c.imag] for c in b.coeffs]}
-                      for m, b in phi.terms],
-        },
+        "phi": series_to_json(result.phi),
     }
 
 
@@ -287,6 +287,112 @@ def test_linearize_writes_both_phi_files_through_the_writer(tmp_path, rng):
                           (".phi.picard.json", linearize_by_picard)]:
         assert (tmp_path / f"lin{suffix}").read_text() == \
             json.dumps(reference_phi_json(solve(f)), indent=1)
+
+
+# ---------------------------------------------------------------------------
+# linearize's cross-check flag
+
+def reference_rounded_bytes_equal(a: ExpPolySeries, b: ExpPolySeries) -> bool:
+    """`rounded_bytes_equal` as `cmd_linearize` computed it before it compared
+    values: both phis with every part on the rounding grid, each block
+    stripped by CPoly and dropped when empty, serialized and compared as text."""
+    def rounded(phi):
+        return phi._raw({k: CPoly([complex(_round(c.real), _round(c.imag)) for c in b.coeffs])
+                         for k, b in phi.items})
+    return serialize_series(rounded(a)) == serialize_series(rounded(b))
+
+
+def assert_flag_is_the_oracle(a: ExpPolySeries, b: ExpPolySeries) -> bool:
+    equal = reference_rounded_bytes_equal(a, b)
+    assert (_rounded(a) == _rounded(b)) is equal
+    return equal
+
+
+def test_flag_is_the_oracle_on_the_corpus(rng):
+    flags = []
+    for _ in range(100):
+        f = random_hyperbolic_series(rng)
+        flags.append(assert_flag_is_the_oracle(*(solve(f).phi for solve in SOLVERS)))
+    assert True in flags and False in flags  # each outcome is met, not only one
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_flag_is_the_oracle_on_the_deep_series(order):
+    f = deep_series(order)
+    assert_flag_is_the_oracle(*(solve(f).phi for solve in SOLVERS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 2**16),
+       st.one_of(st.floats(-3e-9, 3e-9), st.sampled_from([5e-10, -5e-10, 1.5e-9, 1e-20, -1e-20])))
+def test_flag_is_the_oracle_on_random_germs(seed, real, where, shift):
+    f = random_hyperbolic_series(random.Random(seed), real)
+    level, picard = (solve(f).phi for solve in SOLVERS)
+    assert_flag_is_the_oracle(level, picard)
+    # the level solver's phi with one part of one coefficient moved by about a quantum
+    k, b = level.items[where % len(level.items)]
+    j = where % len(b.coeffs)
+    moved = level._raw({**dict(level.items),
+                        k: CPoly([c + shift if i == j else c for i, c in enumerate(b.coeffs)])})
+    assert_flag_is_the_oracle(level, moved)
+
+
+def series(terms, trunc=3, gens=(1,)) -> ExpPolySeries:
+    return ExpPolySeries(trunc, gens, terms)
+
+
+FLAG_PAIRS = {
+    "equal": (series({**ZETA, 1: [1.0, 2j]}), series({**ZETA, 1: [1.0, 2j]}), True),
+    "block-rounds-to-zero": (series({**ZETA, 1: [0.4 * Q, -0.3j * Q]}), series(ZETA), True),
+    "block-rounds-to-a-quantum": (series({**ZETA, 1: [0.4 * Q]}), series({**ZETA, 1: [0.6 * Q]}),
+                                  False),
+    # _round gives +0.0 for both signs, so the strings had no -0.0 to tell apart
+    "tiny-of-either-sign": (series({**ZETA, 1: [-1e-20]}), series({**ZETA, 1: [1e-20]}), True),
+    "trailing-coefficient-rounds-to-zero": (series({**ZETA, 1: [1.0, complex(-1e-20, -0.4 * Q)]}),
+                                            series({**ZETA, 1: [1.0]}), True),
+    "inner-coefficient-rounds-to-zero": (series({**ZETA, 1: [complex(-1e-20, 0.0), 1.0]}),
+                                         series({**ZETA, 1: [0j, 1.0]}), True),
+    "signed-zeros": (series({**ZETA, 1: [complex(-0.0, -0.0), 1.0]}), series({**ZETA, 1: [0j, 1.0]}),
+                     True),
+    # half a quantum rounds to even: 0.5 -> 0, 1.5 -> 2 and 2.5 -> 2 quanta
+    "half-quanta": (series({**ZETA, 1: [0.5 * Q, complex(2.5 * Q, -0.5 * Q), 1.5 * Q]}),
+                    series({**ZETA, 1: [0j, 2 * Q, 2 * Q]}), True),
+    "half-quanta-apart": (series({**ZETA, 1: [0.5 * Q]}), series({**ZETA, 1: [Q]}), False),
+    "nan": (series({**ZETA, 1: [complex(NAN, 1.0), complex(0.0, NAN)]}),
+            series({**ZETA, 1: [complex(NAN, 1.0), complex(0.0, NAN)]}), True),
+    "nan-against-zero": (series({**ZETA, 1: [complex(NAN, 1.0)]}), series({**ZETA, 1: [1j]}), False),
+    "inf": (series({**ZETA, 1: [complex(INF, -INF)]}), series({**ZETA, 1: [complex(INF, -INF)]}),
+            True),
+    "inf-against-minus-inf": (series({**ZETA, 1: [INF]}), series({**ZETA, 1: [-INF]}), False),
+    # x / quantum overflows: x is compared as it is
+    "beyond-the-grid": (series({**ZETA, 1: [1e300]}), series({**ZETA, 1: [math.nextafter(1e300, 0)]}),
+                        False),
+    "other-exponent": (series({**ZETA, 1: [1.0]}), series({**ZETA, 2: [1.0]}), False),
+    "other-lattice": (series({**ZETA, 1: [1.0]}, gens=(F(1, 2),)), series({**ZETA, 1: [1.0]}), False),
+    "other-order": (series({**ZETA, 1: [1.0]}, trunc=F(5, 2), gens=(F(1, 2),)),
+                    series({**ZETA, 1: [1.0]}, gens=(F(1, 2),)), False),
+    "other-generators": (series({**ZETA, 1: [1.0]}, gens=(F(1, 2), 1)),
+                         series({**ZETA, 1: [1.0]}, gens=(F(1, 2),)), False),
+}
+
+
+@pytest.mark.parametrize("name", list(FLAG_PAIRS))
+def test_flag_is_the_oracle(name):
+    a, b, equal = FLAG_PAIRS[name]
+    assert assert_flag_is_the_oracle(a, b) is equal
+
+
+def test_linearize_cross_check_flag_reads_false_on_large_coefficients(tmp_path):
+    # phi reaches 8.9e4 and the solvers agree to 2.7e-15 relative, yet their
+    # rounded parts differ on the absolute quantum
+    f = random_hyperbolic_series(random.Random(6))
+    src, out = tmp_path / "f.json", tmp_path / "lin"
+    src.write_text(serialize_series(f))
+    assert main(["linearize", "--input", str(src), "--cross-check", "--output", str(out)]) == 0
+    report = json.loads((tmp_path / "lin.report.json").read_text())
+    assert report["cross_check"]["max_rel_coeff_diff"] < 1e-14
+    assert report["cross_check"]["rounded_bytes_equal"] is False
+    assert not reference_rounded_bytes_equal(*(solve(f).phi for solve in SOLVERS))
 
 
 def reject_constant(name):

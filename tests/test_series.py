@@ -21,6 +21,7 @@ from conftest import (
     reference_picard_linearize,
     reference_s_apply,
     semigroup_points,
+    serialize_series,
 )
 from dulaclin import linearize
 from dulaclin.errors import (
@@ -53,7 +54,6 @@ from dulaclin.series import (
     parse_series,
     powers,
     prune,
-    serialize_series,
     to_z_chart,
     translate,
 )

@@ -104,6 +104,29 @@ MUTANTS = [
         "        return f\"{brackets[0]}\\n{pad[1:]}{brackets[1]}\"\n",
         ["tests/test_reports.py::test_phi_writer_is_json[zeta-only]"]),
     Mutant(
+        "the cross-check compares the rounded parts by value, not by repr", "src/dulaclin/cli.py",
+        "blocks.append((format_exponent(k, phi.L), repr(parts)))",
+        "blocks.append((format_exponent(k, phi.L), parts))",
+        ["tests/test_reports.py::test_flag_is_the_oracle[nan]"]),
+    Mutant(
+        "the cross-check keeps trailing coefficients that round to zero", "src/dulaclin/cli.py",
+        "        while parts and parts[-1] == parts[-2] == 0:\n            del parts[-2:]\n",
+        "",
+        ["tests/test_reports.py::test_flag_is_the_oracle[block-rounds-to-zero]",
+         "tests/test_reports.py::test_flag_is_the_oracle[trailing-coefficient-rounds-to-zero]"]),
+    Mutant(
+        "a series file the constructor rejects ends in its ValueError", "src/dulaclin/series.py",
+        "    except ValueError as exc:  # its message names the key it rejects\n",
+        "    except ArithmeticError as exc:\n",
+        ["tests/test_cli.py::test_malformed_series_file_is_parse_error[linearize-gens-zero]",
+         "tests/test_cli.py::test_malformed_series_file_is_parse_error[compare-trunc-negative]",
+         "tests/test_cli.py::test_malformed_series_file_is_parse_error[koenigs-term-above-trunc]"]),
+    Mutant(
+        "solve-homological divides by an --alpha tail bound that rounds to 0", "src/dulaclin/cli.py",
+        "    if not 1.0 - math.exp(-args.alpha * profile.rho):",
+        "    if False:",
+        ["tests/test_cli.py::test_bad_flag_is_parse_error[alpha-underflow]"]),
+    Mutant(
         "the lanes of several ASTs share one slot among their exp subtrees",
         "src/dulaclin/exprparse.py",
         "key = op, np.complex128",
