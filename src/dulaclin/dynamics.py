@@ -29,10 +29,10 @@ the one that evaluating both at every step gives.
 
 The germs are exponentially flat: from about Re 45 on, some 2,700 steps
 before n_lo, adding delta returns the sums and the point w + beta unchanged.
-Once a step's delta is that small, the walk encloses delta
-(`exprparse.enclose`) on a rectangle bounding the points w + beta up to n_lo,
-and jumps there, the points summed by `np.add.accumulate`, when `_absorbed`
-proves that for every step and the enclosure is below half the floor; else it
+Once a step's delta is that small, the walk encloses delta on a rectangle
+bounding the points w + beta up to n_lo (the map's `enclosure`), and jumps
+there, the points summed by `np.add.accumulate`, when `_absorbed` proves
+that for every step and the enclosure is below half the floor; else it
 tries again after 32, 64, ... more steps.  Every result, message and error is
 the full walk's.  A map without an AST walks every step.
 
@@ -57,7 +57,7 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -74,7 +74,6 @@ from .exprparse import (
     compile_lanes,
     complex_lanes,
     delta_ast,
-    enclose,
     exp_lanes,
     parse_expression,
 )
@@ -108,8 +107,8 @@ class AnalyticMap:
     compiled: for a top-level sum zeta + ... it is offset +/- t_1 +/- t_2
     ..., otherwise f(zeta) - zeta - beta, which is cancellation-limited.
     `ast`, the AST of the operations `delta` performs, lets a Koenigs walk
-    skip the steps where delta provably changes nothing; a map built from a
-    bare callable has none.
+    skip the steps where delta provably changes nothing, through `enclosure`;
+    a map built from a bare callable has none.
     """
 
     delta: Callable
@@ -119,6 +118,11 @@ class AnalyticMap:
 
     def __call__(self, zeta: complex) -> complex:
         return zeta + self.profile.beta + self.delta(zeta)
+
+    @cached_property
+    def enclosure(self) -> Callable:
+        """`ast`'s enclosure (re, im) -> box | None, compiled on first use."""
+        return compile_ast(self.ast, box=True)
 
     @staticmethod
     def from_expression(text: str, profile: AsymptoticProfile) -> "AnalyticMap":
@@ -246,7 +250,7 @@ def koenigs_limit(f: AnalyticMap, zeta: complex, tol: float,
             last, k = w + beta + d, lo - j - 2
             im = last.imag + beta.imag
             rect = _span(last.real, beta.real, k + 1), _span(last.imag, beta.imag, k + 1)
-            if (im or math.copysign(1.0, im) > 0.0) and (box := enclose(node, *rect)) \
+            if (im or math.copysign(1.0, im) > 0.0) and (box := f.enclosure(*rect)) \
                     and 2.0 * max(map(abs, (*box[0], *box[1]))) <= floor \
                     and _absorbed(box[0], rect[0], disp.real, disp_next.real) \
                     and _absorbed(box[1], rect[1], disp.imag, disp_next.imag):

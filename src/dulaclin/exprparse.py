@@ -25,11 +25,12 @@ except that a divisor is evaluated and checked before its dividend.
 Evaluation guards: division by zero, zero to a negative power and any log
 whose argument has nonpositive real part raise EvalDomainError.
 
-Its third user, enclose, bounds the operations compile_ast emits over a
-rectangle in interval arithmetic, keeping parts that are exactly +/-0, so
-that a Koenigs walk can prove what adding them changes, if anything.
+With `box`, the same loop emits the AST's enclosure instead, from a second
+table of forms: a function of a rectangle that bounds each operation of the
+evaluator over it in interval arithmetic, keeping parts that are exactly
++/-0, so that a Koenigs walk can prove what adding them changes, if anything.
 
-The fourth, compile_lanes, evaluates ASTs of num, zeta, neg, add, sub, mul and
+compile_lanes evaluates ASTs of num, zeta, neg, add, sub, mul and
 exp nodes over float64 arrays of lanes, parts apart and a shared subtree once,
 so that every float operation is the one CPython's complex operation performs;
 exp goes through numpy's complex128 exp, libm's cexp, which returns
@@ -48,7 +49,7 @@ import numpy as np
 from .errors import EvalDomainError, ParseError
 
 __all__ = ["parse_expression", "compile_ast", "eval_ast", "contains_zeta", "delta_ast",
-           "enclose", "UNDERFLOW", "compile_lanes", "exp_lanes", "complex_lanes", "LANE_EXP_MAX"]
+           "UNDERFLOW", "compile_lanes", "exp_lanes", "complex_lanes", "LANE_EXP_MAX"]
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
@@ -227,40 +228,60 @@ _GLOBALS = {"__builtins__": {}, "_exp": cmath.exp, "_log": _log, "_neg_pow": _ne
 # then its integer literal; a divisor is evaluated before its dividend
 _FORMS = {"neg": "-{0}", "add": "{0} + {1}", "sub": "{0} - {1}", "mul": "{0} * {1}",
           "div": "{1} / {0}", "pow": "{0} ** {1:d}", "neg_pow": "_neg_pow({0}, {1:d})",
-          "exp": "_exp({0})", "log": "_log({0})", "ilog": "_ilog({0}, {1:d})"}
+          "exp": "_exp({0})", "log": "_log({0})", "ilog": "_ilog({0}, {1:d})",
+          "def": "def f(z):", "=": " {} = {}"}
+# their enclosures, each checked by _bounded; log and L1..L9 are not provable
+_BOX_FORMS = {"neg": "_neg({0})", "add": "_cadd({0}, {1})", "sub": "_cadd({0}, _neg({1}))",
+              "mul": "_cmul({0}, {1})", "div": "_cdiv({1}, {0})", "pow": "_powu({0}, {1:d})",
+              "neg_pow": "_powu({0}, {1:d})", "exp": "_cexp({0})", "log": "None", "ilog": "None",
+              "def": "def f(*z):", "=": " if not ({} := _bounded({})): return None"}
 _CHECK = ("check",)   # on compile_ast's stack: check the divisor just evaluated
 
 
-def compile_ast(node):
+def compile_ast(node, box: bool = False):
     """The AST as one compiled function z -> value, with the evaluation order,
     floating-point operations and EvalDomainError guards of the grammar.
 
     Its source is straight-line Python, one assignment per operation, emitted
     from an explicit stack, so that no AST is too deep: operator tokens, `z`,
     generated names and the parser's integer literals only, with constants
-    bound by name."""
-    names, lines, vals = dict(_GLOBALS), ["def f(z):"], []
+    bound by name.
+
+    With `box`, it is the AST's enclosure (re, im) -> box | None, from
+    _BOX_FORMS: the box (re, im) holds each part of the values the evaluator
+    returns, raising nothing, at every finite z with Re z in the closed
+    interval `re` and Im z in `im`, rounded outward except where a part is
+    exactly +/-0, as _ZERO; None where that is unprovable: log, L1..L9, powers
+    outside 1 <= |n| <= _POW_CAP, a divisor that may be 0, an exp that may
+    pass log(_BOUND) and any bound past _BOUND."""
+    forms = _BOX_FORMS if box else _FORMS
+    names, lines, vals = dict(_BOX_GLOBALS if box else _GLOBALS), [forms["def"]], []
+    if box and contains_zeta(node):  # z is the rectangle (re, im), zeta's enclosure
+        lines.append(" if not _bounded(z): return None")
     todo = [(node, False)]
     while todo:
         n, ready = todo.pop()
-        if n is _CHECK:
-            lines.append(f" if {vals[-1]} == 0: _zero_division()")
+        if n is _CHECK:  # _cdiv checks an enclosure's divisor
+            lines += [] if box else [f" if {vals[-1]} == 0: _zero_division()"]
         elif n[0] == "zeta":
             vals.append("z")
         elif n[0] == "num":
             vals.append(f"_c{len(names)}")
-            names[vals[-1]] = n[1]
+            c = complex(n[1])
+            names[vals[-1]] = ((c.real, c.real), (c.imag, c.imag)) if box else n[1]
+            if box and not _bounded(names[vals[-1]]):  # a constant past _BOUND, checked once
+                lines.append(" return None")
         elif not ready:  # the node, then its operands, the first evaluated on top
             todo.append((n, True))
             todo += [(n[1], False), (_CHECK, True), (n[2], False)] if n[0] == "div" else \
                 [(c, False) for c in reversed(n[1:]) if isinstance(c, tuple)]
         else:
             k = sum(isinstance(c, tuple) for c in n[1:])
-            form = _FORMS[n[1] if n[0] == "call" else "neg_pow" if n[0] == "pow" and n[2] < 0
-                          else n[0]]
+            form = forms[n[1] if n[0] == "call" else "neg_pow" if n[0] == "pow" and n[2] < 0
+                         else n[0]]
             src = form.format(*vals[-k:], *(c for c in n[1:] if type(c) is int))
             vals[-k:] = [f"_t{len(lines)}"]
-            lines.append(f" {vals[-1]} = {src}")
+            lines.append(forms["="].format(vals[-1], src))
     lines.append(f" return {vals[0]}")
     exec(compile("\n".join(lines), "<expression>", "exec"), names)  # the source holds no input text
     return names["f"]
@@ -315,54 +336,13 @@ def delta_ast(node, beta: complex):
     return body, not others and offset == 0
 
 
-# enclose: cmath.exp returns l*cos, l*sin with l = exp(Re), and l rounds to
+# enclosures: cmath.exp returns l*cos, l*sin with l = exp(Re), and l rounds to
 # 0.0 at Re <= UNDERFLOW, where exp(Re) is below half the least subnormal
 UNDERFLOW = -746.0
 _BOUND = 1e300   # every enclosure stays below it: no operation overflows or makes a NaN
 _POW_CAP = 16    # the largest integer power analysed
 _ZERO = (0.0, 0.0)   # equal to every interval that holds only +/-0
 _ONE = ((1.0, 1.0), _ZERO)
-
-
-def enclose(node, re, im):
-    """(re, im): an interval holding each part of the values compile_ast(node)
-    returns, raising nothing, at every finite z with Re z in the closed
-    interval `re` and Im z in `im`, rounded outward except where a part is
-    exactly +/-0, as _ZERO; None where that is unprovable: log, L1..L9, powers
-    outside 1 <= |n| <= _POW_CAP, a divisor that may be 0, an exp that may
-    pass log(_BOUND) and any bound past _BOUND."""
-    boxes = []
-    for n in _postorder(node):  # children on top of the stack, in order
-        k = len(boxes) - sum(isinstance(c, tuple) for c in n[1:])
-        args, op = boxes[k:], n[0]
-        if op == "num":
-            v = complex(n[1])
-            box = (v.real, v.real), (v.imag, v.imag)
-        elif op == "zeta":
-            box = tuple(re), tuple(im)
-        elif op == "neg":
-            box = _neg(args[0])
-        elif op in ("add", "sub"):  # a - b is a + (-b), in IEEE arithmetic too
-            a, b = args[0], args[1] if op == "add" else _neg(args[1])
-            box = _plus(a[0], b[0]), _plus(a[1], b[1])
-        elif op == "mul":
-            box = _cmul(*args)
-        elif op == "div":
-            box = _cdiv(*args)
-        elif op == "pow" and 1 <= abs(n[2]) <= _POW_CAP:  # x ** -n is 1 / c_powu(x, n)
-            box = _powu(args[0], abs(n[2]))
-            if box and n[2] < 0:
-                box = _cdiv(_ONE, box)
-        elif op == "call" and n[1] == "exp" and (top := args[0][0][1]) < math.log(_BOUND):
-            # exp's error is under an ulp, |cos|, |sin| <= 1, and sin(+/-0) is +/-0
-            bound = 0.0 if top <= UNDERFLOW else 2.0 * math.exp(top)
-            box = (-bound, bound), _ZERO if args[0][1] == _ZERO else (-bound, bound)
-        else:  # ^0, larger powers, log, L1..L9 and an exp that may overflow
-            return None
-        if not (box := _bounded(box)):
-            return None
-        boxes[k:] = [box]
-    return boxes[0]
 
 
 def _postorder(node) -> list:
@@ -377,6 +357,11 @@ def _postorder(node) -> list:
 
 def _out(lo: float, hi: float) -> tuple:
     return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+
+
+def _cadd(a, b):
+    """a + b enclosed; a - b is a + (-b), in IEEE arithmetic too."""
+    return _plus(a[0], b[0]), _plus(a[1], b[1])
 
 
 def _plus(x, y):
@@ -424,17 +409,31 @@ def _bounded(box):
 
 
 def _powu(p, n: int):
-    """x ** n, n >= 1, from x's enclosure p by CPython's c_powu: r = 1, then
-    r = r*p at each set bit of n, lowest first, and p = p*p between them."""
-    r = _ONE
-    while r and p:
-        if n & 1:
+    """x ** n from x's enclosure p, None unless 1 <= |n| <= _POW_CAP, by
+    CPython's c_powu: r = 1, then r = r*p at each set bit of |n|, lowest
+    first, and p = p*p between them; x ** -n is 1 / c_powu(x, |n|)."""
+    r, m = _ONE, abs(n) if 1 <= abs(n) <= _POW_CAP else 0
+    while r and p and m:
+        if m & 1:
             r = _bounded(_cmul(r, p))
-        n >>= 1
-        if not n:
-            return r
+        m >>= 1
+        if not m:
+            return _cdiv(_ONE, r) if r and n < 0 else r
         p = _bounded(_cmul(p, p))
     return None
+
+
+def _cexp(a):
+    """exp(x) enclosed from x's enclosure a, or None when it may pass _BOUND:
+    exp's error is under an ulp, |cos|, |sin| <= 1, and sin(+/-0) is +/-0."""
+    if not (top := a[0][1]) < math.log(_BOUND):
+        return None
+    bound = 0.0 if top <= UNDERFLOW else 2.0 * math.exp(top)
+    return (-bound, bound), _ZERO if a[1] == _ZERO else (-bound, bound)
+
+
+_BOX_GLOBALS = {"__builtins__": {}, "_bounded": _bounded, "_neg": _neg, "_cadd": _cadd,
+                "_cmul": _cmul, "_cdiv": _cdiv, "_powu": _powu, "_cexp": _cexp}
 
 
 # compile_lanes: numpy's complex128 exp calls libm's cexp, which computes

@@ -618,7 +618,7 @@ def from_z_chart(a: ExpPolySeries, beta: complex | None = None) -> ExpPolySeries
 def evaluate_tail(a: ExpPolySeries, beta: complex) -> tuple:
     """(delta, ast): the function z -> a(z) - z - beta, what a series map adds
     to the translation z + beta, compiled once by `exprparse.compile_ast`,
-    and the exprparse AST it compiles, which `exprparse.enclose` analyses.
+    and the exprparse AST it compiles, whose enclosure a Koenigs walk compiles.
 
     The head block is differenced on its coefficients, so what is evaluated
     is the remainder B_0 - zeta - beta and the terms exp(-m*z) * B_m of
@@ -655,7 +655,7 @@ def series_from_json(obj) -> ExpPolySeries:
     for key in ("trunc", "gens", "terms"):
         if key not in obj:
             raise ParseError(f"series JSON missing key {key!r}")
-        if key != "trunc" and (obj[key] is None or isinstance(obj[key], (int, float))):
+        if key != "trunc" and not isinstance(obj[key], list):
             raise ParseError(f"series JSON {key!r} is not a list")
     trunc = parse_exponent(obj["trunc"])
     gens = [parse_exponent(g) for g in obj["gens"]]

@@ -20,6 +20,20 @@ from dulaclin.domains import (
     in_safety_rect,
 )
 from dulaclin.errors import DomainError, DulaclinError, EvalDomainError, OrderTooLow
+from dulaclin.exprparse import (
+    _BOUND,
+    _ONE,
+    _POW_CAP,
+    _ZERO,
+    UNDERFLOW,
+    _bounded,
+    _cdiv,
+    _cmul,
+    _neg,
+    _plus,
+    _postorder,
+    _powu,
+)
 from dulaclin.linearize import (
     SOLVER_TOL,
     LinearizationResult,
@@ -270,6 +284,45 @@ def reference_eval(node, z: complex):
                                   else "iterated log left the right half plane")
         w = cmath.log(w)
     return w
+
+
+def reference_enclose(node, re, im):
+    """The enclosure compile_ast(node, box=True) returns on the rectangle, by
+    the AST interpreter that computed it before it was compiled: the nodes
+    in postorder from an explicit stack, each dispatched on its operation and
+    enclosed by exprparse's interval helpers, the exp rule inline."""
+    boxes = []
+    for n in _postorder(node):  # children on top of the stack, in order
+        k = len(boxes) - sum(isinstance(c, tuple) for c in n[1:])
+        args, op = boxes[k:], n[0]
+        if op == "num":
+            v = complex(n[1])
+            box = (v.real, v.real), (v.imag, v.imag)
+        elif op == "zeta":
+            box = tuple(re), tuple(im)
+        elif op == "neg":
+            box = _neg(args[0])
+        elif op in ("add", "sub"):  # a - b is a + (-b), in IEEE arithmetic too
+            a, b = args[0], args[1] if op == "add" else _neg(args[1])
+            box = _plus(a[0], b[0]), _plus(a[1], b[1])
+        elif op == "mul":
+            box = _cmul(*args)
+        elif op == "div":
+            box = _cdiv(*args)
+        elif op == "pow" and 1 <= abs(n[2]) <= _POW_CAP:  # x ** -n is 1 / c_powu(x, n)
+            box = _powu(args[0], abs(n[2]))
+            if box and n[2] < 0:
+                box = _cdiv(_ONE, box)
+        elif op == "call" and n[1] == "exp" and (top := args[0][0][1]) < math.log(_BOUND):
+            # exp's error is under an ulp, |cos|, |sin| <= 1, and sin(+/-0) is +/-0
+            bound = 0.0 if top <= UNDERFLOW else 2.0 * math.exp(top)
+            box = (-bound, bound), _ZERO if args[0][1] == _ZERO else (-bound, bound)
+        else:  # ^0, larger powers, log, L1..L9 and an exp that may overflow
+            return None
+        if not (box := _bounded(box)):
+            return None
+        boxes[k:] = [box]
+    return boxes[0]
 
 
 def evaluate(a: ExpPolySeries, zeta: complex) -> complex:

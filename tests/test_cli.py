@@ -669,6 +669,9 @@ MALFORMED_SERIES = {
                                      "terms": [{"exp": "3/2", "poly": [[1.0, 0.0]]}]}),
     "gens-a-number": ("'gens'", {"trunc": "1", "gens": 1, "terms": []}),
     "terms-null": ("'terms'", {"trunc": "1", "gens": ["1"], "terms": None}),
+    # iterables that are not lists: the generators 1 and 2, and no terms
+    "gens-a-string": ("'gens'", {"trunc": "1", "gens": "12", "terms": []}),
+    "terms-an-object": ("'terms'", {"trunc": "1", "gens": ["1"], "terms": {}}),
 }
 
 
@@ -685,6 +688,29 @@ def test_malformed_series_file_is_parse_error(tmp_path, capsys, argv, name):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"parse error: series JSON {key} ")
     assert list(tmp_path.iterdir()) == [src]
+
+
+@pytest.mark.parametrize("command, compiles", [("koenigs", 1), ("compare", 1),
+                                               ("verify-domain", 0), ("solve-homological", 0)])
+def test_each_map_compiles_its_enclosure_at_most_once(tmp_path, monkeypatch, command, compiles):
+    # a 100-point Koenigs grid, whose walks try some 100 skips, compiles the
+    # map's enclosure on the first; the commands that never skip compile none
+    compiled, compile_ast = [], dulaclin.dynamics.compile_ast
+
+    def recording(node, box=False):
+        compiled.extend([node] * box)
+        return compile_ast(node, box)
+    monkeypatch.setattr(dulaclin.dynamics, "compile_ast", recording)
+    grid = ["--grid", "8:30:10,-2:2:10"]
+    argv = {"koenigs": KOENIGS_ARGS[:-2] + grid,
+            "compare": ["compare", "--input", str(write_fixture(tmp_path)), "--beta", "1",
+                        "--eps", "2.5", "--k", "0", "--cut", "8", *grid, "--levels", "0,1"],
+            "verify-domain": DOMAIN_ARGS + ["--search"],
+            "solve-homological": ["solve-homological", "--expr", "zeta + 1 + exp(-zeta)",
+                                  "--h-expr", "exp(-zeta)", "--cut", "4", "--alpha", "1", *grid]
+            }[command]
+    assert main(argv + ["--output", str(tmp_path / "x")]) == 0
+    assert len(compiled) == compiles
 
 
 @pytest.mark.parametrize("grid", ["inf:inf:1,0:0:1", "8:9:2,nan:0:1", "8:1e309:2,0:0:1",

@@ -32,7 +32,7 @@ from dulaclin.errors import (
     InsufficientData,
     NotConverged,
 )
-from dulaclin.exprparse import compile_ast, enclose, parse_expression
+from dulaclin.exprparse import compile_ast, parse_expression
 from dulaclin.linearize import linearize_level_by_level, partial_sums
 from dulaclin.series import ExpPolySeries, evaluate_tail
 
@@ -577,16 +577,16 @@ class TestVanishingStretch:
 
     @pytest.mark.parametrize("name, zeta", [("germ", 9 + 2j), ("germ2", 14.5 - 1.5j),
                                             ("half", complex(9, -0.0))])
-    def test_rectangle_spans_every_skipped_point(self, name, zeta, monkeypatch):
+    def test_rectangle_spans_every_skipped_point(self, name, zeta):
         rects = []
 
-        def recording(node, re, im):
+        def recording(re, im):
             rects.append((tuple(re), tuple(im)))
-            return enclose(node, re, im)
-        monkeypatch.setattr(dulaclin.dynamics, "enclose", recording)
+            return f.enclosure(re, im)
         f = BENCH_MAPS[name]()
         evaluated = set()
         g = replace(f, delta=lambda w: evaluated.add(w) or f.delta(w))
+        g.enclosure = recording  # the rectangles the walk encloses delta on
         res = koenigs_limit(g, zeta, 1e-9, with_next=True)
         w, skipped = zeta, []
         for _ in range(max(res.n_used, res.next.n_used + 1)):

@@ -3,7 +3,9 @@ import math
 import random
 
 import pytest
-from conftest import reference_eval
+from conftest import reference_enclose, reference_eval
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from dulaclin import exprparse
 from dulaclin.domains import AsymptoticProfile
@@ -14,7 +16,6 @@ from dulaclin.exprparse import (
     _tokenize,
     compile_ast,
     delta_ast,
-    enclose,
     eval_ast,
     parse_expression,
 )
@@ -270,6 +271,11 @@ FAR = (746.0, 3000.0)   # Re, where exp(-zeta) underflows to 0
 IM = (-3.0, 2.0)
 
 
+def enclose(node, re, im):
+    """The AST's compiled enclosure on one rectangle."""
+    return compile_ast(node, box=True)(re, im)
+
+
 def vanishes(node, re, im) -> bool:
     """Whether enclose proves the node +/-0 in both parts on the rectangle."""
     return enclose(node, re, im) == ((0.0, 0.0), (0.0, 0.0))
@@ -282,7 +288,8 @@ def held(box, value) -> bool:
 
 
 class TestVanishes:
-    """enclose: where it proves both parts +/-0, and its exact zero parts."""
+    """The compiled enclosure: where it proves both parts +/-0, and its exact
+    zero parts."""
 
     @pytest.mark.parametrize("text, re, expected", [
         pytest.param("exp(-zeta)", FAR, True, id="exp-past-746"),
@@ -379,3 +386,42 @@ class TestVanishes:
     def test_platform_exp_underflows_at_the_cut(self, y):
         # the one libm assumption of UNDERFLOW: exp(-746) rounds to 0.0
         assert not cmath.exp(complex(UNDERFLOW, y))
+
+
+# the grammar's nodes, with constants and rectangle bounds at the edges the
+# enclosure decides on: signed zeros, 1e300 (_BOUND), Re 746 (UNDERFLOW)
+EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e300, -1e300, 9.9e299, 1.1e300]
+constants = st.one_of(st.sampled_from([complex(x, y) for x in EDGES[:5] for y in EDGES[:4]]
+                                      + [complex(x, 0.0) for x in EDGES[5:]] + [1e300j, -1e300j]),
+                      st.complex_numbers(max_magnitude=1e3))
+asts = st.recursive(
+    st.one_of(st.just(("zeta",)), st.builds(lambda c: ("num", c), constants)),
+    lambda kids: st.one_of(
+        st.builds(lambda a: ("neg", a), kids),
+        st.builds(lambda op, a, b: (op, a, b), st.sampled_from(["add", "sub", "mul", "div"]),
+                  kids, kids),
+        st.builds(lambda a, n: ("pow", a, n), kids, st.integers(-17, 17)),
+        st.builds(lambda f, a: ("call", f, a), st.sampled_from(["exp", "exp", "log"]), kids),
+        st.builds(lambda a: ("ilog", 1, a), kids)),
+    max_leaves=10)
+bounds = st.one_of(st.sampled_from([*EDGES, -746.0, 745.0, 746.0, 800.0, 3000.0]),
+                   st.floats(-1e3, 1e3))
+intervals = st.builds(lambda a, b: (min(a, b), max(a, b)), bounds, bounds)
+rects = st.tuples(st.one_of(intervals, st.tuples(st.sampled_from([746.0, 750.0]),
+                                                 st.sampled_from([800.0, 3000.0, 1e300]))),
+                  st.one_of(st.sampled_from([(0.0, 0.0), (-0.0, -0.0)]), intervals))
+
+
+@seed(32)
+@settings(max_examples=400, deadline=None)
+@given(asts, st.lists(rects, min_size=1, max_size=3))
+# a constant or a rectangle past _BOUND, times an exact 0 or divided into it
+@example(("mul", ("num", 0j), ("num", 1e300 + 0j)), [((1.0, 2.0), (0.0, 0.0))])
+@example(("div", ("num", -0j), ("num", -1e300j)), [((1.0, 2.0), (0.0, 0.0))])
+@example(("sub", ("num", 1 + 0j), ("mul", ("zeta",), ("num", 0j))), [((1.0, 1e300), (0.0, 0.0))])
+def test_compiled_enclosure_is_the_interpreter(node, rectangles):
+    # one compiled enclosure per AST, called on each rectangle, returns the
+    # interpreter's box, signed zeros and None included
+    box = compile_ast(node, box=True)
+    for re, im in rectangles:
+        assert repr(box(re, im)) == repr(reference_enclose(node, re, im))

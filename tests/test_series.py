@@ -586,7 +586,7 @@ class TestCompiledEvaluator:
     @pytest.mark.parametrize("case", [c for c in EVALUATOR_CASES if c not in (
         "degree-300", "3000-terms", "degree-300-1000-terms")])   # too deep to recurse
     def test_ast_is_the_compiled_operations(self, case):
-        # the AST exprparse.enclose analyses, evaluated node by node
+        # the AST whose enclosure a Koenigs walk compiles, evaluated node by node
         series, beta = EVALUATOR_CASES[case]
         compiled, ast = evaluate_tail(series, beta)
         for z in EVALUATOR_POINTS:

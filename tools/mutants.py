@@ -168,20 +168,26 @@ MUTANTS = [
         "    return _kept(a, list(acc.items()))\n",
         ["tests/test_series.py::test_add_commutes_exactly"]),
     Mutant(
-        "enclose takes every exp for zero, whatever its Re(arg)", "src/dulaclin/exprparse.py",
-        "(top := args[0][0][1]) < math.log(_BOUND):",
+        "an enclosure takes every exp for zero, whatever its Re(arg)", "src/dulaclin/exprparse.py",
+        "(top := a[0][1]) < math.log(_BOUND):",
         "(top := UNDERFLOW) < math.log(_BOUND):",
         ["tests/test_parser.py::TestVanishes::test_proves_only_where_it_holds[exp-past-745]",
          "tests/test_parser.py::TestVanishes::test_proves_only_where_it_holds[bump]",
          "tests/test_dynamics.py::TestSharedOrbit::test_single_start_matches_reference"
          "[flat-then-bump]"]),
     Mutant(
-        "enclose takes exp's imaginary part for exactly 0, whatever Im(arg)",
+        "an enclosure takes exp's imaginary part for exactly 0, whatever Im(arg)",
         "src/dulaclin/exprparse.py",
-        "_ZERO if args[0][1] == _ZERO else (-bound, bound)",
+        "_ZERO if a[1] == _ZERO else (-bound, bound)",
         "_ZERO",
         ["tests/test_parser.py::TestVanishes::test_exact_zero_parts[exp-off-axis]",
          "tests/test_parser.py::TestVanishes::test_exact_zero_parts[rotated]"]),
+    Mutant(
+        "each Koenigs walk compiles its map's enclosure anew", "src/dulaclin/dynamics.py",
+        "    first = _Certificate(prof, zeta, 0, tol, max_n)\n",
+        "    vars(f).pop(\"enclosure\", None)\n    first = _Certificate(prof, zeta, 0, tol, max_n)\n",
+        ["tests/test_cli.py::test_each_map_compiles_its_enclosure_at_most_once[koenigs-1]",
+         "tests/test_cli.py::test_each_map_compiles_its_enclosure_at_most_once[compare-1]"]),
     Mutant(
         "the no-op rule allows half an ulp, not a quarter", "src/dulaclin/dynamics.py",
         "4.0 * m < math.ulp(a)",
