@@ -25,7 +25,10 @@ double-precision complex; only exact zeros are ever stripped.  Approximate
 checks read named module constants: `HEAD_TOL` here, `SOLVER_TOL` and
 `BACKSUB_TOL` in `linearize`.  A series' powers `v, v^2, ...` are built once
 per series value (`powers`) and shared by `compose`, the chart conversions and
-the operator S.
+the operator S.  Every block product goes through `mul_into`, which hands
+each block of one factor with all of its partners to `block_products`: the
+CPoly loop for small products, one numpy pass with the loop's bits for
+large ones (`BATCH_MIN`).
 A series is evaluated as a map's perturbation only: `evaluate_tail` builds
 the AST of z -> a(z) - z - beta and compiles it once per series through
 `exprparse.compile_ast`, the compile route of expressions too.
@@ -42,6 +45,8 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import comb, factorial
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import (
     ExponentNotInSemigroup,
@@ -129,7 +134,9 @@ def _binomials(d: int) -> tuple:
 
 class CPoly:
     """Dense complex polynomial; coefficients ascending, trailing exact zeros stripped.
-    Its product is one Python loop at every size: no BLAS kernel sets its bits."""
+    Its product is one Python loop; `block_products` takes large products of
+    one block with many to numpy with the same bits, and no BLAS kernel sets
+    any of them."""
 
     __slots__ = ("coeffs",)
 
@@ -223,6 +230,55 @@ class CPoly:
 
     def coeff(self, d: int) -> complex:
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0j
+
+
+# len(b1) * (the partners' total length) from which `block_products` takes
+# the numpy pass: the measured crossover.  Timed cold, after other Python
+# work as in a solve, the 4,084 calls of one `formal` benchmark pass took
+# 47.7 ms with the bound at 200 (flat from 200 to 300), 48.7 ms at 400,
+# 50.1 ms at 100 and 109.9 ms all on the loop: below, the pass's fixed cost
+# of 13 us or more a call outweighs the loop's.
+BATCH_MIN = 200
+
+
+def block_products(b1: CPoly, bs: list) -> list:
+    """[b1 * b2 for b2 in bs], bit for bit: the CPoly loop below BATCH_MIN
+    and for a non-finite b1, else one `_batched_products` pass."""
+    a = b1.coeffs
+    if len(a) * sum([len(b.coeffs) for b in bs]) < BATCH_MIN or not all(map(cmath.isfinite, a)):
+        return [b1 * b2 for b2 in bs]
+    return _batched_products(a, [b.coeffs for b in bs])
+
+
+def _batched_products(a: tuple, bs: list) -> list:
+    """The CPoly products of the finite coefficients `a` with each of `bs`,
+    in one numpy pass with the loop's bits.
+
+    Row i of a zeroed (na, m, w) array holds a[i] times each partner, padded
+    to one width and shifted right by i: written unshifted into rows one
+    entry longer, then read back flat as rows of the plain length.  One
+    reduce over the rows sums every coefficient.  Each product is CPython's
+    complex product, re*re - im*im and re*im + im*re on float64 planes (numpy's
+    complex multiply differs in the last bit under AVX-512), and each sum runs
+    in ascending i from 0j, as the loop's does.  A running sum from +0.0 is
+    never -0.0, so adding the zeros of the padding and the shift changes no
+    bit; a non-finite a[i] would turn them into NaN, which is why
+    `block_products` checks `a`.
+    """
+    na, m = len(a), len(bs)
+    nb = max(map(len, bs))
+    w = na + nb - 1
+    A = np.array(a, complex)
+    B = np.array([b + (0j,) * (nb - len(b)) for b in bs], complex)
+    ar, ai = A.real[:, None, None], A.imag[:, None, None]
+    z = np.zeros((na, m * w + 1), complex)
+    cols = z[:, :m * w].reshape(na, m, w)[:, :, :nb]
+    rows = z.ravel()[:na * m * w].reshape(na, m, w)
+    with np.errstate(all="ignore"):  # the loop overflows to inf and NaN silently
+        cols.real = ar * B.real - ai * B.imag
+        cols.imag = ar * B.imag + ai * B.real
+        sums = np.add.reduce(rows, axis=0, initial=0j).tolist()
+    return [CPoly._of(s[:na + len(b) - 1]) for s, b in zip(sums, bs)]
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +443,18 @@ def add(a: ExpPolySeries, b: ExpPolySeries) -> ExpPolySeries:
 
 def mul_into(acc: dict, a_items: tuple, b_items: tuple, n: int):
     """Add to acc, by exponent up to n, the products of a's and b's ascending
-    (exponent, block) pairs, in ascending a, a first product as it is."""
-    top = n - b_items[0][0] if b_items else -1  # the last k1 that meets b
+    (exponent, block) pairs, in ascending a, a first product as it is.  Each
+    block of a meets all of its partners in one `block_products` call."""
     for k1, b1 in a_items:
-        if k1 > top:
-            break
+        ks, bs = [], []
         for k2, b2 in b_items:
-            k = k1 + k2
-            if k > n:
+            if k1 + k2 > n:
                 break
-            prod = b1 * b2
+            ks.append(k1 + k2)
+            bs.append(b2)
+        if not bs:  # nor does any later block of a meet b
+            break
+        for k, prod in zip(ks, block_products(b1, bs)):
             acc[k] = acc[k] + prod if k in acc else prod
 
 

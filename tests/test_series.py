@@ -436,7 +436,7 @@ class TestLattice:
             S(2, [F(1, 2)], {F(1, 2): [1.0]}).with_gens([1])
 
     def test_deep_order_8_solution_bytes(self):
-        # one Python loop per block product: the same bytes under every BLAS kernel
+        # no block product goes through BLAS: the same bytes under every BLAS kernel
         phi = linearize_level_by_level(deep_series()).phi
         assert hashlib.sha256(serialize_series(phi).encode()).hexdigest() == \
             "9c3ed6530b0bf9fdf06e301ffae857d604cd99c2dc1e4e428b9d5dfc7a266ead"

@@ -168,6 +168,18 @@ MUTANTS = [
         "    return _kept(a, list(acc.items()))\n",
         ["tests/test_series.py::test_add_commutes_exactly"]),
     Mutant(
+        "the batched products reduce from the first row, not from 0j", "src/dulaclin/series.py",
+        "np.add.reduce(rows, axis=0, initial=0j)",
+        "np.add.accumulate(rows, axis=0)[-1]",  # add.reduce without `initial` starts at +0.0 too
+        ["tests/test_products.py::test_batched_products_are_the_loop"]),
+    Mutant(
+        "a non-finite block takes the batched path", "src/dulaclin/series.py",
+        " < BATCH_MIN or not all(map(cmath.isfinite, a)):",
+        " < BATCH_MIN:",
+        ["tests/test_products.py::test_a_non_finite_block_takes_the_loop[0-inf]",
+         "tests/test_products.py::test_a_non_finite_block_takes_the_loop[9-nan]",
+         "tests/test_products.py::test_a_non_finite_block_takes_the_loop[9-(1+infj)]"]),
+    Mutant(
         "an enclosure takes every exp for zero, whatever its Re(arg)", "src/dulaclin/exprparse.py",
         "(top := a[0][1]) < math.log(_BOUND):",
         "(top := UNDERFLOW) < math.log(_BOUND):",
