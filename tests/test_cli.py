@@ -799,6 +799,92 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: cannot write ")
 
 
+def stale_text(size: int) -> str:
+    """Text longer than `size` characters that no report holds."""
+    return "stale line\n" * (size // 11 + 100)
+
+
+class TestOutputFiles:
+    """An existing output is written over in place and cut at the end of the
+    new text; a pipe or a character device takes the text and is not cut."""
+
+    @pytest.mark.parametrize("command", ["linearize", "koenigs", "solve-homological"])
+    def test_stale_outputs_are_overwritten_in_place(self, tmp_path, command):
+        argv, names = {
+            "linearize": (["linearize", "--input", str(write_fixture(tmp_path)), "--cross-check"],
+                          ["out.phi.json", "out.phi.picard.json", "out.report.json"]),
+            "koenigs": (KOENIGS_ARGS, ["out"]),
+            # 1,200 rows: the report is written in several chunks
+            "solve-homological": (["solve-homological", "--expr", "zeta + 1", "--h-expr",
+                                   "exp(-zeta)", "--alpha", "1", "--cut", "4",
+                                   "--grid", "8:9:40,0:1:30"], ["out"]),
+        }[command]
+        fresh, stale, ref = tmp_path / "fresh", tmp_path / "stale", tmp_path / "ref"
+        fresh.mkdir()
+        stale.mkdir()
+        ref.write_text("")  # created by open(path, "w"): mode 0o666 & ~umask
+        assert main([*argv, "--output", str(fresh / "out")]) == 0
+        before = {}
+        for name in names:
+            assert (fresh / name).stat().st_mode == ref.stat().st_mode
+            (stale / name).write_text(stale_text((fresh / name).stat().st_size))
+            (stale / name).chmod(0o640)
+            before[name] = (stale / name).stat()
+        assert main([*argv, "--output", str(stale / "out")]) == 0
+        for name in names:
+            assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+            after = (stale / name).stat()
+            assert (after.st_ino, after.st_mode) == (before[name].st_ino, before[name].st_mode)
+
+    def test_a_symlinked_output_writes_through_to_its_target(self, tmp_path):
+        fresh, target, link = tmp_path / "fresh.csv", tmp_path / "target.csv", tmp_path / "link"
+        assert main([*KOENIGS_ARGS, "--output", str(fresh)]) == 0
+        target.write_text(stale_text(fresh.stat().st_size))
+        link.symlink_to(target)
+        assert main([*KOENIGS_ARGS, "--output", str(link)]) == 0
+        assert link.is_symlink() and target.read_bytes() == fresh.read_bytes()
+
+    def test_a_failing_chunk_source_leaves_what_was_written(self, tmp_path):
+        from dulaclin.cli import _write_chunks
+
+        out = tmp_path / "out"
+        out.write_text(stale_text(100))
+
+        def chunks():
+            yield "first chunk\n"
+            raise RuntimeError("second chunk")
+
+        with pytest.raises(RuntimeError, match="second chunk"):
+            _write_chunks(str(out), chunks())
+        assert out.read_text() == "first chunk\n"
+
+    @pytest.mark.parametrize("command", ["linearize", "koenigs"])
+    def test_dev_null_output_exits_0(self, tmp_path, capsys, command):
+        if command == "linearize":
+            # linearize's --output is a prefix: each of its files links to /dev/null
+            argv = ["linearize", "--input", str(write_fixture(tmp_path)), "--cross-check"]
+            out = tmp_path / "lin"
+            links = [tmp_path / f"lin.{name}.json" for name in ("phi", "phi.picard", "report")]
+            for link in links:
+                link.symlink_to(os.devnull)
+        else:
+            argv, out, links = KOENIGS_ARGS, os.devnull, []
+        assert main([*argv, "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert all(link.is_symlink() for link in links)
+
+    def test_piped_stdout_output_prints_the_file_bytes(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(dulaclin.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        runs = [subprocess.run([sys.executable, "-m", "dulaclin.cli", *KOENIGS_ARGS,
+                                "--output", out], env=env, capture_output=True, check=False)
+                for out in (str(tmp_path / "k.csv"), "/dev/stdout")]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert runs[1].stderr == b"" and runs[0].stdout.count(b"\n") == 1
+        # the report, then the summary line that a file output prints alone
+        assert runs[1].stdout == (tmp_path / "k.csv").read_bytes() + runs[0].stdout
+
+
 # the scalar copies: log is outside the batched walk's node subset
 HOMOLOGICAL_H = {"batched": "exp(-zeta)", "scalar": "exp(-zeta) + 0*log(zeta)"}
 HOMOLOGICAL_GRID = [8, 8 + 1j, 9, 9 + 1j, 10, 10 + 1j]

@@ -122,6 +122,33 @@ MUTANTS = [
          "tests/test_cli.py::test_malformed_series_file_is_parse_error[compare-trunc-negative]",
          "tests/test_cli.py::test_malformed_series_file_is_parse_error[koenigs-term-above-trunc]"]),
     Mutant(
+        "the writer leaves a stale tail", "src/dulaclin/cli.py",
+        "                    out.truncate()\n",
+        "                    pass\n",
+        ["tests/test_cli.py::TestOutputFiles::test_stale_outputs_are_overwritten_in_place[linearize]",
+         "tests/test_cli.py::TestOutputFiles::test_stale_outputs_are_overwritten_in_place[koenigs]",
+         "tests/test_cli.py::TestOutputFiles::test_stale_outputs_are_overwritten_in_place"
+         "[solve-homological]",
+         "tests/test_cli.py::TestOutputFiles::test_a_symlinked_output_writes_through_to_its_target",
+         "tests/test_cli.py::TestOutputFiles::test_a_failing_chunk_source_leaves_what_was_written"]),
+    Mutant(
+        "the writer truncates a non-regular output", "src/dulaclin/cli.py",
+        "                if stat.S_ISREG(os.fstat(out.fileno()).st_mode):\n",
+        "                if True:\n",
+        ["tests/test_cli.py::TestOutputFiles::test_dev_null_output_exits_0[linearize]",
+         "tests/test_cli.py::TestOutputFiles::test_dev_null_output_exits_0[koenigs]",
+         "tests/test_cli.py::TestOutputFiles::test_piped_stdout_output_prints_the_file_bytes"]),
+    Mutant(
+        "the writer creates a new output with mode 0o777", "src/dulaclin/cli.py",
+        "os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)",
+        "os.open(path, os.O_WRONLY | os.O_CREAT)",
+        ["tests/test_cli.py::TestOutputFiles::test_stale_outputs_are_overwritten_in_place[koenigs]"]),
+    Mutant(
+        "the writer truncates only on success", "src/dulaclin/cli.py",
+        "            try:\n                out.writelines(chunks)\n            finally:\n",
+        "            out.writelines(chunks)\n            if True:\n",
+        ["tests/test_cli.py::TestOutputFiles::test_a_failing_chunk_source_leaves_what_was_written"]),
+    Mutant(
         "solve-homological divides by an --alpha tail bound that rounds to 0", "src/dulaclin/cli.py",
         "    if not 1.0 - math.exp(-args.alpha * profile.rho):",
         "    if False:",

@@ -15,6 +15,11 @@ per-workload lines show which workloads a change moved and which held.  To
 check a checkout that predates this script, run this copy from that
 checkout's root.
 
+Each invocation then runs a second time over its own outputs, after a stale
+tail has been appended to each of them: an output that is overwritten must
+not keep any of it.  The script prints the invocation and exits 1 if its exit
+code, stdout, stderr or any output file differs from the first run's.
+
 `tools/workload_digest_seeds_1_2.txt` holds this script's output for seeds
 1,2 (Python 3.11, numpy 2.4.6, x86-64 Linux, work directory in the system
 temp directory), and CI fails when the output of
@@ -42,17 +47,22 @@ from pathlib import Path
 
 ROOT = Path.cwd()
 WORK = Path(tempfile.gettempdir()) / "dulaclin-workload-digest"
+STALE_TAIL = "stale tail: no output of a rerun may keep it\n" * 100
 
 
-def invoke(cli, argv):
-    """(exit code, stdout, stderr) of one in-process CLI call."""
+def invoke(cli, op) -> list:
+    """The byte strings of one in-process CLI call: its argv, exit code,
+    stdout and stderr, then the contents of each of its outputs."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(argv)
+            code = cli.main(op.argv)
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    parts = [s.encode("utf-8", "backslashreplace")
+             for s in (repr(op.argv), repr(code), out.getvalue(), err.getvalue())]
+    return parts + [Path(p).read_bytes() if Path(p).is_file() else b"<missing>"
+                    for p in op.outputs]
 
 
 def main() -> int:
@@ -75,11 +85,15 @@ def main() -> int:
             WORK.mkdir(parents=True)
             ops, warm = build(WORK, seed, pins)
             for op in [warm, *ops]:
-                code, out, err = invoke(cli, op.argv)
-                parts = [s.encode("utf-8", "backslashreplace")
-                         for s in (repr(op.argv), repr(code), out, err)]
-                parts += [Path(p).read_bytes() if Path(p).is_file() else b"<missing>"
-                          for p in op.outputs]
+                parts = invoke(cli, op)
+                for p in op.outputs:
+                    if Path(p).is_file():
+                        with open(p, "a") as stale:
+                            stale.write(STALE_TAIL)
+                if invoke(cli, op) != parts:
+                    print(f"{name} seed {seed}: {op.argv!r} differs when run again"
+                          " over its own outputs", file=sys.stderr)
+                    return 1
                 for part in parts:
                     digest.update(b"%d:%s" % (len(part), part))
                     own.update(b"%d:%s" % (len(part), part))
