@@ -28,8 +28,8 @@ solve-homological residual above 10*tol), 5 violations above tolerance
 band boundary failing its upper/lower-map check), 1 other errors (also a solve-homological |h| above
 exp(-alpha Re) or NaN at an orbit point, a solve-homological map step to a
 NaN or infinite point, even where h and its bound are both 0, an unwritable
---output, a slope fit whose usable points all share one Re and a numeric
-overflow past the profile, such as one in a walk).
+--output, a closed stdout, a slope fit whose usable points all share one
+Re and a numeric overflow past the profile, such as one in a walk).
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _num(text: str) -> float:
     """Numeric flag value: finite decimal or exact rational p/q."""
     try:
         x = float(parse_exponent(text)) if "/" in text else float(text)
-    except ParseError:  # a ValueError argparse reports by itself, naming the flag
+    except (ParseError, OverflowError):  # a bad rational or one past the doubles
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
@@ -252,7 +252,7 @@ def _levels(spec: str) -> list:
 
 
 def _load_map(args, profile) -> AnalyticMap:
-    if getattr(args, "expr", None):
+    if args.expr or "input" not in args:  # solve-homological reads --expr alone
         return AnalyticMap.from_expression(args.expr, profile)
     if not args.input:
         raise ParseError("one of --expr or --input is required")
@@ -416,7 +416,7 @@ def cmd_verify_domain(args) -> int:
     maps = []
     for band in region.parts:
         if isinstance(band, BandRegion):
-            cut = replace(profile, R=max(report.R, band.t))
+            cut = replace(profile, R=max(report.R, band.cut))
             maps += [check_upper_map(band.hu, cut), check_lower_map(band.hl, cut)]
     lines = _header_lines(args)
     if maps:
@@ -604,7 +604,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         args.texts = {}  # the input files this invocation has read, by path
         # looked up when called, so a command rebound on this module runs
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
+        print(end="", flush=True)  # a closed stdout fails here, not at exit; print skips a None stdout
+        return code
     except NotHyperbolic as exc:
         print(f"not hyperbolic: {exc}", file=sys.stderr)
         return EXIT_NOT_HYPERBOLIC
@@ -619,6 +621,11 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except OverflowError as exc:
         print(f"error: numeric overflow: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:  # what stdout still buffers goes to devnull, not to the exit's flush
+        if sys.stdout is sys.__stdout__ is not None:  # the interpreter's own, on a real fd
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed by its reader", file=sys.stderr)
         return EXIT_ERROR
 
 

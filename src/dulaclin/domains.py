@@ -6,7 +6,7 @@ thresholds stay auditable.
 
 The boundary of the quadratic domain kappa(C+) has a closed-form height
 (quad_boundary_height).  A boundary map is one record of its function,
-declared monotonicity and JSON object, built by one of five factories; a
+declared monotonicity and domain start, built by one of five factories; a
 union region holds the parts of the unions it is built from.
 
 A band D_{h_l,h_u} is invariant only if h_u is an upper map (s = 1) and h_l
@@ -229,20 +229,16 @@ def _height(x, C: float, sqrt):
 @dataclass(frozen=True, eq=False)
 class BoundaryMap:
     """A boundary function h with its declared monotonicity (+1 increasing,
-    -1 decreasing, 0 constant, on the declared domain) and its JSON object,
-    whose "t" is the domain start.  The five factories below build every map.
+    -1 decreasing, 0 constant, on the declared domain) and the start t of
+    that domain.  The five factories below build every map.
     """
 
     fn: Callable[[float], float]
     monotonicity: int
-    json: dict
+    t: float
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
-
-    @property
-    def domain_start(self) -> float:
-        return self.json["t"]
 
 
 def _sign(v) -> int:
@@ -250,12 +246,11 @@ def _sign(v) -> int:
 
 
 def power_map(a: float, r: float, t: float = 1.0) -> BoundaryMap:
-    return BoundaryMap(lambda x: a * x ** r, _sign(a * r),
-                       {"kind": "power", "a": a, "r": r, "t": float(t)})
+    return BoundaryMap(lambda x: a * x ** r, _sign(a * r), float(t))
 
 
 def linear_map(a: float, t: float = 1.0) -> BoundaryMap:
-    return BoundaryMap(lambda x: a * x, _sign(a), {"kind": "linear", "a": a, "t": float(t)})
+    return BoundaryMap(lambda x: a * x, _sign(a), float(t))
 
 
 def log_map(delta: float, t: float = 2.0) -> BoundaryMap:
@@ -266,19 +261,18 @@ def log_map(delta: float, t: float = 2.0) -> BoundaryMap:
         if x < 1.0:
             raise DomainError("log map needs x >= 1")
         return math.log(x) ** delta
-    return BoundaryMap(h, 1, {"kind": "log", "delta": delta, "t": float(max(t, 1.0))})
+    return BoundaryMap(h, 1, float(max(t, 1.0)))
 
 
 def quad_boundary_map(C: float, sign: int = 1, t: Optional[float] = None) -> BoundaryMap:
     sign = 1 if sign >= 0 else -1
     return BoundaryMap(lambda x: sign * quad_boundary_height(x, C), sign,
-                       {"kind": "quad", "C": C, "sign": sign, "t": float(C if t is None else t)})
+                       float(C if t is None else t))
 
 
 def negated(inner: BoundaryMap) -> BoundaryMap:
     fn = inner.fn  # called directly: a band's lanes call the function once per sample
-    return BoundaryMap(lambda x: -fn(x), -inner.monotonicity,
-                       {"kind": "neg", "inner": inner.json, "t": inner.domain_start})
+    return BoundaryMap(lambda x: -fn(x), -inner.monotonicity, inner.t)
 
 
 def _finite(obj: dict, key: str, default=None):
@@ -321,23 +315,19 @@ def boundary_map_from_json(obj) -> BoundaryMap:
 @dataclass(frozen=True)
 class QuadRegion:
     C: float
-    R_cut: float = 0.0
+    cut: float = 0.0
 
     def __post_init__(self):
         if not self.C > 0:
             raise DomainError(f"quadratic domain needs C > 0, got {self.C}")
 
     def contains(self, zeta: complex) -> bool:
-        if zeta.real < self.R_cut:
+        if zeta.real < self.cut:
             return False
         _, inside = kappa_inv(zeta, self.C)
         return inside
 
     parts = property(lambda self: (self,))
-
-    @property
-    def cut(self) -> float:
-        return self.R_cut
 
     def im_bounds(self, x: float):
         h = quad_boundary_height(x, self.C)
@@ -346,14 +336,14 @@ class QuadRegion:
 
 @dataclass(frozen=True)
 class BandRegion:
-    """D_{h_l,h_u}: Re >= t and h_l(Re) < Im < h_u(Re)."""
+    """D_{h_l,h_u}: Re >= cut and h_l(Re) < Im < h_u(Re)."""
 
-    t: float
+    cut: float
     hl: BoundaryMap
     hu: BoundaryMap
 
     def __post_init__(self):
-        for x in np.geomspace(max(self.t, 1e-9), max(self.t * 1e3, 10.0), 64):
+        for x in np.geomspace(max(self.cut, 1e-9), max(self.cut * 1e3, 10.0), 64):
             try:
                 crossed = self.hl(float(x)) >= self.hu(float(x))
             except OverflowError:  # a steep power map, say
@@ -363,15 +353,11 @@ class BandRegion:
 
     def contains(self, zeta: complex) -> bool:
         x = zeta.real
-        if x < self.t or x <= 0:
+        if x < self.cut or x <= 0:
             return False
         return self.hl(x) < zeta.imag < self.hu(x)
 
     parts = property(lambda self: (self,))
-
-    @property
-    def cut(self) -> float:
-        return self.t
 
     def im_bounds(self, x: float):
         return self.hl(x), self.hu(x)
@@ -435,7 +421,7 @@ class MapCheckReport:
 def _map_grid(h: BoundaryMap, profile: AsymptoticProfile):
     """The geometric sample grid from the map's domain start, kept at or above
     the profile's cut R (so above its exp tower), to MAP_X_MAX."""
-    t = max(h.domain_start, profile.R)
+    t = max(h.t, profile.R)
     return [float(v) for v in np.geomspace(t, max(MAP_X_MAX, t * 2), MAP_SAMPLES)]
 
 

@@ -204,7 +204,10 @@ def _zero_division():
 def _neg_pow(base, n):
     if base == 0:
         raise EvalDomainError("zero raised to a negative power")
-    return base ** n
+    try:
+        return base ** n
+    except ZeroDivisionError:  # base ** -n underflowed to 0, so base ** n is past the doubles
+        raise OverflowError(f"{base!r} ** {n} is past the largest double") from None
 
 
 def _log(w):

@@ -426,7 +426,11 @@ def test_verify_domain_search_starts_past_every_quad_c(tmp_path, union):
     ["koenigs", "--expr", "zeta + 1 + zeta^99999999", "--eps", "2.5", "--grid", "8:8:1,0:0:1"],
     ["solve-homological", "--expr", "zeta + 1", "--h-expr", "exp(zeta*1000)", "--alpha", "1",
      "--cut", "4", "--grid", "8:8:1,0:0:1"],
-], ids=["power", "exp"])
+    # a nonzero base whose power underflows to 0: CPython's ZeroDivisionError
+    ["koenigs", "--expr", "zeta + 1 + (1e-300)^-2", "--eps", "2.5", "--grid", "8:8:1,0:0:1"],
+    ["solve-homological", "--expr", "zeta + 1 + exp(-zeta)*(1e-170*zeta)^-2",
+     "--h-expr", "exp(-zeta)", "--alpha", "1", "--cut", "4", "--grid", "8:8:1,0:0:1"],
+], ids=["power", "exp", "negative-power-folded", "negative-power-in-orbit"])
 def test_overflow_is_one_line_error(tmp_path, capsys, argv):
     assert main(argv + ["--output", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -653,11 +657,15 @@ HOMOLOGICAL_ARGS = ["solve-homological", "--expr", "zeta + 1", "--h-expr", "exp(
     KOENIGS_ARGS + ["--k=-1"],
     KOENIGS_ARGS + ["--cut", "1"],
     HOMOLOGICAL_ARGS + ["--alpha", "1e-300"],
+    ["solve-homological", "--expr=", "--h-expr", "exp(-zeta)", "--alpha", "1",
+     "--grid", "8:8:1,0:0:1"],
+    KOENIGS_ARGS + ["--eps", "1" + "0" * 400 + "/1"],
 ], ids=["tol-abc", "missing-grid", "order-1/0", "levels-non-integer", "levels-negative",
         "tol-nan", "tol-inf", "eps-nan", "beta-inf", "quad-c-inf", "quad-c-zero",
         "quad-c-negative", "samples-negative",
         "tol-zero", "tol-negative", "alpha-zero", "alpha-negative",
-        "eps-zero", "eps-negative", "k-negative", "cut-below-rho-minus", "alpha-underflow"])
+        "eps-zero", "eps-negative", "k-negative", "cut-below-rho-minus", "alpha-underflow",
+        "homological-expr-empty", "eps-rational-past-the-doubles"])
 def test_bad_flag_is_parse_error(tmp_path, capsys, argv):
     src = write_fixture(tmp_path)
     extra = ["--input", str(src)] if argv[0] in ("linearize", "compare") else []
@@ -883,6 +891,33 @@ class TestOutputFiles:
         assert runs[1].stderr == b"" and runs[0].stdout.count(b"\n") == 1
         # the report, then the summary line that a file output prints alone
         assert runs[1].stdout == (tmp_path / "k.csv").read_bytes() + runs[0].stdout
+
+    @pytest.mark.parametrize("argv, output", [
+        (KOENIGS_ARGS, "k.csv"),
+        (["solve-homological", "--expr", "zeta + 1 + exp(-zeta)", "--h-expr", "exp(-zeta)",
+          "--alpha", "1", "--cut", "4", "--grid", "8:9:2,0:0:1"], "/dev/stdout")],
+        ids=["koenigs-summary", "solve-homological-report"])
+    def test_a_closed_stdout_exits_1_on_one_line(self, tmp_path, argv, output):
+        # stdout is a pipe whose reader is gone before the run starts: the
+        # summary's print or flush, or the report's write through
+        # /dev/stdout, fails, with stdout buffered and unbuffered alike
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(dulaclin.__file__).parents[1]),
+                                             env.get("PYTHONPATH", "")])
+        for buffering in ({}, {"PYTHONUNBUFFERED": "1"}):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                run = subprocess.run(
+                    [sys.executable, "-m", "dulaclin.cli", *argv, "--output", output],
+                    env=env | buffering, cwd=tmp_path, stdout=write_end,
+                    stderr=subprocess.PIPE, check=False)
+            finally:
+                os.close(write_end)
+            err = run.stderr.decode()
+            assert run.returncode == 1 and err.count("\n") == 1, (buffering, err)
+            assert err.startswith("error: ") and "Traceback" not in err, (buffering, err)
+            assert "Exception ignored" not in err, (buffering, err)
 
 
 # the scalar copies: log is outside the batched walk's node subset

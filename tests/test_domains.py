@@ -54,16 +54,6 @@ def iterated_log(zeta: complex, m: int) -> complex:
     return w
 
 
-def region_to_json(region) -> dict:
-    if isinstance(region, QuadRegion):
-        return {"quad": {"C": region.C, "R": region.R_cut}}
-    if isinstance(region, BandRegion):
-        return {"band": {"t": region.t, "hl": region.hl.json, "hu": region.hu.json}}
-    if isinstance(region, UnionRegion):
-        return {"union": [region_to_json(p) for p in region.parts]}
-    raise ValueError(f"not a region: {region!r}")
-
-
 class TestBoundFunctions:
     def test_M_at_k1(self):
         x = math.exp(2)
@@ -239,16 +229,23 @@ class TestRegions:
                 QuadRegion(C)
 
     def test_cut(self):
-        region = QuadRegion(2.0, R_cut=50.0)
+        region = region_from_json({"quad": {"C": 2.0, "R": 50.0}})
+        assert region == QuadRegion(2.0, cut=50.0) and region.cut == 50.0
         assert not region.contains(10 + 0j)
         assert region.contains(60 + 0j)
 
     def test_union_and_json_roundtrip(self):
+        # the JSON object reads as the union its constructors build
         region = UnionRegion((QuadRegion(2.0, 1.0),
                               BandRegion(1.0, power_map(-1.0, 0.0), log_map(1.0))))
-        obj = region_to_json(region)
-        back = region_from_json(obj)
-        for z in (10 + 0.5j, 100 + 3j, 0.2 + 0j):
+        back = region_from_json({"union": [
+            {"quad": {"C": 2.0, "R": 1.0}},
+            {"band": {"t": 1.0, "hl": {"kind": "power", "a": -1.0, "r": 0.0},
+                      "hu": {"kind": "log", "delta": 1.0, "t": 2.0}}}]})
+        (quad, band), (bquad, bband) = region.parts, back.parts
+        assert bquad == quad and back.cut == region.cut == 1.0
+        assert (bband.cut, bband.hl.t, bband.hu.t) == (band.cut, band.hl.t, band.hu.t)
+        for z in (10 + 0.5j, 100 + 3j, 0.2 + 0j, 1.5 - 0.5j, 3 + 1.05j):
             assert region.contains(z) == back.contains(z)
 
     def test_band_requires_separated_boundaries(self):
@@ -311,6 +308,14 @@ class TestUpperLowerMaps:
 PINNED_MAPS = [power_map(2.0, 0.5), power_map(-1.0, 1.0), power_map(3.0, 0.0), linear_map(0.5),
                log_map(1.0), quad_boundary_map(2.0), quad_boundary_map(2.0, sign=-1),
                negated(quad_boundary_map(2.0)), negated(power_map(2.0, 0.5))]
+# the JSON object of each pinned map, with its domain start spelled out
+_QUAD = {"kind": "quad", "C": 2.0, "sign": 1, "t": 2.0}
+_ROOT = {"kind": "power", "a": 2.0, "r": 0.5, "t": 1.0}
+PINNED_JSON = [_ROOT, {"kind": "power", "a": -1.0, "r": 1.0, "t": 1.0},
+               {"kind": "power", "a": 3.0, "r": 0.0, "t": 1.0},
+               {"kind": "linear", "a": 0.5, "t": 1.0}, {"kind": "log", "delta": 1.0, "t": 2.0},
+               _QUAD, {**_QUAD, "sign": -1}, {"kind": "neg", "inner": _QUAD, "t": 2.0},
+               {"kind": "neg", "inner": _ROOT, "t": 1.0}]
 
 
 class TestMapCheckPins:
@@ -325,11 +330,12 @@ class TestMapCheckPins:
         digest = hashlib.sha256("\n".join(map(repr, reports)).encode()).hexdigest()
         assert digest == "9112c13e4a98959cf8dbdf3078cb6d65c4bd8be32695b62df623b98587b22caf"
 
-    @pytest.mark.parametrize("h", PINNED_MAPS)
-    def test_json_round_trip(self, h):
-        back = boundary_map_from_json(h.json)
-        assert back.json == h.json
-        for x in np.geomspace(max(h.domain_start, 2.0), 1e6, 50):
+    @pytest.mark.parametrize(("h", "obj"), zip(PINNED_MAPS, PINNED_JSON),
+                             ids=[f"h{i}" for i in range(len(PINNED_MAPS))])
+    def test_json_round_trip(self, h, obj):
+        back = boundary_map_from_json(obj)
+        assert (back.t, back.monotonicity) == (h.t, h.monotonicity) and h.t == obj["t"]
+        for x in np.geomspace(max(h.t, 2.0), 1e6, 50):
             assert back(float(x)) == h(float(x))
 
 

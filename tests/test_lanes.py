@@ -379,7 +379,7 @@ def test_a_map_overflowing_past_the_first_violation_goes_on_to_the_next_cut():
         return x ** 1000.0 if armed and 7.0 <= x < 10.0 else 2.0 * x ** 0.5
 
     root = power_map(2.0, 0.5)
-    band = BandRegion(5.0, negated(root), BoundaryMap(steep, 1, root.json))
+    band = BandRegion(5.0, negated(root), BoundaryMap(steep, 1, root.t))
     prof = AsymptoticProfile(1 + 0j, 1.0, 0, 5.0)
     f = AnalyticMap.from_expression("zeta + 1 + 3*exp(-0.5*zeta)", prof)
     R, ref = reference_find_invariant_cut(f, band, prof, n_samples=500, seed=0)

@@ -189,3 +189,18 @@ def test_every_trace_target_resolves():
             assert callable(vars(getattr(owner, cls_name)).get(attr)), (module, cls_name, attr)
         else:
             assert callable(getattr(owner, attr, None)), (module, attr)
+
+
+def test_the_package_binds_only_its_version():
+    # each name has one import path, its submodule's
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):
+            bound |= {t.id for t in ast.walk(node) if isinstance(t, ast.Name)
+                      and isinstance(t.ctx, ast.Store)}
+    assert bound == {"__version__"}

@@ -149,6 +149,43 @@ MUTANTS = [
         "            out.writelines(chunks)\n            if True:\n",
         ["tests/test_cli.py::TestOutputFiles::test_a_failing_chunk_source_leaves_what_was_written"]),
     Mutant(
+        "main has no handler for a closed stdout", "src/dulaclin/cli.py",
+        "    except BrokenPipeError:  #",
+        "    except ():  #",
+        ["tests/test_cli.py::TestOutputFiles::test_a_closed_stdout_exits_1_on_one_line"
+         "[koenigs-summary]"]),
+    Mutant(
+        "a closed stdout's buffered text is flushed again at interpreter exit", "src/dulaclin/cli.py",
+        "            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n",
+        "            pass\n",
+        ["tests/test_cli.py::TestOutputFiles::test_a_closed_stdout_exits_1_on_one_line"
+         "[koenigs-summary]"]),
+    Mutant(
+        "main leaves stdout's flush to interpreter exit", "src/dulaclin/cli.py",
+        "        print(end=\"\", flush=True)  #",
+        "        #",
+        ["tests/test_cli.py::TestOutputFiles::test_a_closed_stdout_exits_1_on_one_line"
+         "[koenigs-summary]"]),
+    Mutant(
+        "solve-homological reads the --input it does not have when --expr is empty",
+        "src/dulaclin/cli.py",
+        "    if args.expr or \"input\" not in args:",
+        "    if args.expr:",
+        ["tests/test_cli.py::test_bad_flag_is_parse_error[homological-expr-empty]"]),
+    Mutant(
+        "a negative power that underflows to 0 raises CPython's ZeroDivisionError",
+        "src/dulaclin/exprparse.py",
+        "    except ZeroDivisionError:  # base ** -n",
+        "    except ():  # base ** -n",
+        ["tests/test_cli.py::test_overflow_is_one_line_error[negative-power-folded]",
+         "tests/test_cli.py::test_overflow_is_one_line_error[negative-power-in-orbit]"]),
+    Mutant(
+        "a numeric flag's rational past the doubles ends as a numeric overflow",
+        "src/dulaclin/cli.py",
+        "    except (ParseError, OverflowError):  # a bad rational",
+        "    except ParseError:  # a bad rational",
+        ["tests/test_cli.py::test_bad_flag_is_parse_error[eps-rational-past-the-doubles]"]),
+    Mutant(
         "solve-homological divides by an --alpha tail bound that rounds to 0", "src/dulaclin/cli.py",
         "    if not 1.0 - math.exp(-args.alpha * profile.rho):",
         "    if False:",
