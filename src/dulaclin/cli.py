@@ -22,14 +22,16 @@ and 1000 t, where their order is sampled, or an empty union, no --expr or
 series coefficient, a series file the series constructor rejects, such as
 one with a term above trunc, a solve-homological --alpha whose
 1 - exp(-alpha*rho) rounds to 0, an expression nested too deeply to parse,
-an over-long exponent literal), 4 unconverged grid points (also a
-solve-homological residual above 10*tol), 5 violations above tolerance
+an over-long exponent literal, a negative or non-integer verify-domain
+--seed), 4 unconverged grid points (also a solve-homological residual above
+10*tol), 5 violations above tolerance
 (also linearize --cross-check solvers differing by more than --tol, and a
 band boundary failing its upper/lower-map check), 1 other errors (also a solve-homological |h| above
 exp(-alpha Re) or NaN at an orbit point, a solve-homological map step to a
 NaN or infinite point, even where h and its bound are both 0, an unwritable
 --output, a closed stdout, a slope fit whose usable points all share one
-Re and a numeric overflow past the profile, such as one in a walk).
+Re, a compare level with a next-level exponent but no point above the noise
+floor, and a numeric overflow past the profile, such as one in a walk).
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from .dynamics import (
 from .errors import (
     DomainError,
     DulaclinError,
+    InsufficientData,
     NotConverged,
     NotHyperbolic,
     ParseError,
@@ -136,6 +139,17 @@ def _count(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return n
+
+
+def _seed(text: str) -> int:
+    """Nonnegative integer flag value: verify-domain's sampling seed."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative: {text!r}")
     return n
 
 
@@ -461,6 +475,9 @@ def cmd_compare(args) -> int:
         # first missing level; a complete partial sum leaves only noise
         exponent = levels[n] if n < len(levels) else None
         fit = decay_slope(displacements, phi_n, grid, exponent=exponent)
+        if exponent is not None and not fit.n_used:  # "exact" would pass a level no point saw
+            raise InsufficientData(f"level {n} (next exponent {exponent}): no point of"
+                                   f" --grid {args.grid} is above the noise floor")
         passed = fit.passed if fit.passed is not None else True
         ok = ok and passed
         shown_exp = "" if exponent is None else str(exponent)
@@ -537,9 +554,9 @@ def _add_profile_flags(p):
     p.add_argument("--cut", type=_num, default=8.0, help="real-part cut R")
 
 
-def _add_output_flags(p):
+def _add_output_flags(p, seed=int):
     p.add_argument("--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
 
 
 @cache
@@ -577,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search", action="store_true",
                    help="raise R geometrically until the checks pass; a failing cut"
                         " stops at its first violation")
-    _add_output_flags(p)
+    _add_output_flags(p, seed=_seed)  # the seed of the sampler; the others only record it
 
     p = sub.add_parser("compare", help="decay slopes of numeric minus partial sums")
     p.add_argument("--input", required=True, help="series JSON for the germ")

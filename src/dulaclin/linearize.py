@@ -32,6 +32,7 @@ from .series import (
     mul_into,
     powers,
     prune,
+    shift_blocks,
     taylor_terms,
     to_z_chart,
     translate,
@@ -76,10 +77,17 @@ def solve_difference_eq(P: CPoly, c: complex, beta: complex) -> CPoly:
     amplifies coefficients by powers of |beta|, which bounds the attainable
     absolute accuracy in doubles).
     """
+    return _solve_difference(P, c, beta)[0]
+
+
+def _solve_difference(P: CPoly, c: complex, beta: complex) -> tuple:
+    """(Q, c*Q(. + beta)) for `solve_difference_eq`'s Q: the block its check
+    builds, with the bits of translate's block of exp(-nu*zeta) Q when
+    c = exp(-(nu/L)*beta)."""
     if abs(c - 1.0) < 1e-14:
         raise ResonantCoefficient(f"difference equation is resonant: c = {c}")
     if P.is_zero:
-        return CPoly()
+        return CPoly(), CPoly()
     D = P.degree
     q = [0j] * (D + 1)
     bpow = [1.0 + 0j] * (D + 1)
@@ -91,21 +99,21 @@ def solve_difference_eq(P: CPoly, c: complex, beta: complex) -> CPoly:
             s += c * q[e] * comb(e, d) * bpow[e - d]
         q[d] = s / (1.0 - c)
     Q = CPoly(q)
-    shifted = Q.shift(beta).scale(c)
+    shifted = shift_blocks([Q], beta)[0].scale(c)
     err = (Q - shifted - P).max_abs()
     scale = max(1.0, P.max_abs(), Q.max_abs(), shifted.max_abs())
     if err > BACKSUB_TOL * scale:
         raise ArithmeticError(f"difference-equation back-substitution check failed: {err}")
-    return Q
+    return Q, shifted
 
 
-def _level_solve(P: CPoly, m: float, beta: complex) -> CPoly:
-    """Q with Q - exp(-m*beta) * Q(. + beta) = P: the level equation at m > 0
-    of both solvers, not resonant while |exp(-m*beta)| < 1."""
+def _level_c(m: float, beta: complex) -> complex:
+    """exp(-m*beta), the coefficient of the level equation at m > 0 of both
+    solvers, Q - c * Q(. + beta) = P, not resonant while |c| < 1."""
     c = cmath.exp(-m * beta)
     if abs(c) >= 1.0:
         raise NotHyperbolic(f"level m = {m}: |exp(-m*beta)| = {abs(c)} is not below 1")
-    return solve_difference_eq(P, c, beta)
+    return c
 
 
 def _hyperbolic_beta(f: ExpPolySeries) -> complex:
@@ -131,25 +139,25 @@ def linearize_level_by_level(f: ExpPolySeries) -> LinearizationResult:
     alone through `taylor_terms` once, and `mul_into` adds its products, in
     ascending blocks as `mul` does, into the sums of compose(phi, f)'s terms.
     They are the one residual: P_nu is their block nu, each scaled by its
-    1/i! (no block of phi sits at nu yet), and with translate(phi, beta)
-    they give `residual` = conjugacy_residual(phi, f, beta) bit for bit.
+    1/i! (no block of phi sits at nu yet), and with translate(phi, beta),
+    whose block nu is the one the level's check built, they give `residual`
+    = conjugacy_residual(phi, f, beta) bit for bit.
     """
     beta = _hyperbolic_beta(f)
-    moved = {}  # the blocks of translate(phi, beta)
     sums = {}   # by 1/i!: the blocks of mul(translate(phi^(i), beta), delta^i)
 
     def push(term: ExpPolySeries):
-        moved.update(translate(term, beta).items)
         for inv_fact, w, dpow in taylor_terms(term, f, beta):
             mul_into(sums.setdefault(inv_fact, {}), w.items, dpow.items, f.n)
 
     phi = f._raw({0: CPoly([0.0, 1.0])})
+    moved = dict(translate(phi, beta).items)  # the blocks of translate(phi, beta)
     push(phi)
     for nu in sorted(lattice_points(f.g, f.n))[1:]:  # level nu/L > 0, ascending
         P = sum((acc[nu].scale(c) for c, acc in sums.items() if nu in acc), CPoly())
         if P.is_zero:
             continue
-        Q = _level_solve(P, nu / f.L, beta)
+        Q, moved[nu] = _solve_difference(P, _level_c(nu / f.L, beta), beta)
         if not all(map(cmath.isfinite, Q.coeffs)):
             raise OverflowError(f"level block at exponent {Fraction(nu, f.L)} is not finite")
         term = f._raw({nu: Q})
@@ -242,7 +250,8 @@ class SchroederOperators:
         L = h.L
         if h.items and h.items[0][0] <= L:
             raise OrderTooLow("T^-1 requires z-order > 1")
-        return h._raw({k: _level_solve(b, (k - L) / L, self.beta) for k, b in h.items})
+        return h._raw({k: solve_difference_eq(b, _level_c((k - L) / L, self.beta), self.beta)
+                       for k, b in h.items})
 
 
 def picard_linearize(f1: ExpPolySeries, beta: complex | None = None, *,
@@ -277,7 +286,7 @@ def picard_linearize(f1: ExpPolySeries, beta: complex | None = None, *,
                 P = P + term.pop(k).scale(coeff)
         if P.is_zero:
             continue
-        psi[k] = Q = _level_solve(P, (k - L) / L, ops.beta)
+        psi[k] = Q = solve_difference_eq(P, _level_c((k - L) / L, ops.beta), ops.beta)
         if not all(map(cmath.isfinite, Q.coeffs)):
             raise OverflowError(f"Picard block at z^{Fraction(k, L)} is not finite")
         if k <= top:

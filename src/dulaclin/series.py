@@ -28,7 +28,9 @@ per series value (`powers`) and shared by `compose`, the chart conversions and
 the operator S.  Every block product goes through `mul_into`, which hands
 each block of one factor with all of its partners to `block_products`: the
 CPoly loop for small products, one numpy pass with the loop's bits for
-large ones (`BATCH_MIN`).
+large ones (`BATCH_MIN`).  Every block shift goes through `shift_blocks`, a
+series' or a Taylor chain's blocks at once: the CPoly loop below `SHIFT_MIN`,
+one numpy pass with its bits above.
 A series is evaluated as a map's perturbation only: `evaluate_tail` builds
 the AST of z -> a(z) - z - beta and compiles it once per series through
 `exprparse.compile_ast`, the compile route of expressions too.
@@ -281,6 +283,56 @@ def _batched_products(a: tuple, bs: list) -> list:
     return [CPoly._of(s[:na + len(b) - 1]) for s, b in zip(sums, bs)]
 
 
+# the blocks' total squared length from which `shift_blocks` takes the numpy
+# pass: the measured crossover.  On the 1,974 nonzero shifts of a `formal`
+# pass, timed warm per call: 36.1 ms at 400 (flat from 300 to 600), 42.0 ms
+# at 100, 38.5 ms at 1,500, 54.0 ms all on the loop.
+SHIFT_MIN = 400
+# C[d, j] = float(comb(d, j)), 0.0 for j > d, and e[d, j] = max(d - j, 0):
+# one pair of tables for every length, built on first use and grown on demand
+_pascal = None
+
+
+def shift_blocks(blocks: list, c: complex) -> list:
+    """[b.shift(c) for b in blocks], bit for bit: the CPoly loop for c = 0,
+    below SHIFT_MIN and for a non-finite coefficient or power of c, else one
+    `_batched_shifts` pass."""
+    if c == 0 or sum([len(b.coeffs) ** 2 for b in blocks]) < SHIFT_MIN:
+        return [b.shift(c) for b in blocks]
+    cpow = [1.0 + 0j] * max([len(b.coeffs) for b in blocks])
+    for k in range(1, len(cpow)):
+        cpow[k] = cpow[k - 1] * c
+    if not all(map(cmath.isfinite, cpow)) \
+            or not all([all(map(cmath.isfinite, b.coeffs)) for b in blocks]):
+        return [b.shift(c) for b in blocks]
+    return _batched_shifts([b.coeffs for b in blocks], cpow)
+
+
+def _batched_shifts(bs: list, cpow: list) -> list:
+    """The CPoly shifts of the finite blocks `bs` by the c of the powers
+    `cpow`, in one numpy pass with the loop's bits.  Entry (d, b, j) is
+    b_d * C(d, j), CPython's complex times int (re*C - im*0.0, re*0.0 + im*C),
+    times c^(d-j), CPython's complex product, on float64 planes, summed over d
+    ascending from +0.0.  The loop skips a zero b_d, and above the diagonal C
+    is 0: such terms are +-0 only for finite entries and powers, and a
+    running sum from +0.0, never -0.0, absorbs them."""
+    global _pascal
+    n = len(cpow)
+    if _pascal is None or len(_pascal[0]) < n:
+        d = np.arange(max(n, 2 * len(_pascal[0]) if _pascal else 0))
+        _pascal = (np.array([[float(comb(i, j)) for j in d] for i in d]),
+                   np.maximum(d[:, None] - d, 0))
+    B = np.array([b + (0j,) * (n - len(b)) for b in bs], complex).T[:, :, None]
+    C, W = _pascal[0][:n, None, :n], np.array(cpow)[_pascal[1][:n, :n]][:, None, :]
+    with np.errstate(all="ignore"):  # the loop overflows to inf and NaN silently
+        tr = B.real * C - B.imag * 0.0
+        ti = B.real * 0.0 + B.imag * C
+        sums = np.empty((len(bs), n), complex)
+        sums.real = np.add.reduce(tr * W.real - ti * W.imag, axis=0, initial=0.0)
+        sums.imag = np.add.reduce(tr * W.imag + ti * W.real, axis=0, initial=0.0)
+    return [CPoly._of(s[:len(b)]) for s, b in zip(sums.tolist(), bs)]
+
+
 # ---------------------------------------------------------------------------
 # the series carrier
 
@@ -484,8 +536,14 @@ def derivative(a: ExpPolySeries) -> ExpPolySeries:
 
 def translate(a: ExpPolySeries, c: complex) -> ExpPolySeries:
     """zeta -> zeta + c: each block shifts and picks up exp(-mu*c)."""
-    return _kept(a, [(k, b.shift(c).scale(cmath.exp(-(k / a.L) * complex(c))) if k
-                      else b.shift(c)) for k, b in a.items])
+    return _moved(a, shift_blocks([b for _, b in a.items], c), c)
+
+
+def _moved(a: ExpPolySeries, shifted, c: complex) -> ExpPolySeries:
+    """translate(a, c) from the shifts by c of a's blocks, taken in order
+    from the iterable `shifted`, no further than a's last block."""
+    return _kept(a, [(k, b.scale(cmath.exp(-(k / a.L) * complex(c))) if k else b)
+                     for (k, _), b in zip(a.items, shifted)])
 
 
 def max_rel_coeff_diff(a: ExpPolySeries, b: ExpPolySeries) -> float:
@@ -509,8 +567,8 @@ def effective_order(a: ExpPolySeries, tol: float):
     return next((Fraction(k, a.L) for k, b in a.items if b.max_abs() > tol), INF)
 
 
-# a cross-checked solve raises 3 to 30 distinct series to powers on the corpus,
-# 44 at deep order 4; all but up to four are `from_z_chart` factors, used once
+# a cross-checked solve raises three distinct series to powers on the corpus
+# and at deep order 4: f's tail, to_z_chart's -tail and g1/z
 @lru_cache(maxsize=8)
 def powers(v: ExpPolySeries, bound=None) -> tuple:
     """(v, v^2, ..., v^k) for ord(v) > 0, with k the largest integer such
@@ -558,15 +616,19 @@ def taylor_terms(g: ExpPolySeries, f: ExpPolySeries, beta: complex):
     """For g on f's lattice, the terms (1/i!, translate(g^(i), beta), delta^i)
     of compose(g, f), i >= 1.  Term i differentiates and translates only the
     blocks of g that its product with delta^i keeps (`prune`): a dropped block
-    never reaches a kept coefficient.  Every step acts block by block."""
-    gi = g
-    fact = 1.0
-    for i, dpow in enumerate(powers(f.tail()), 1):
+    never reaches a kept coefficient.  Every step acts block by block; the
+    chain of derivatives is built first, then shifted in one call."""
+    chain, gi = [], g
+    for dpow in powers(f.tail()):
         gi = derivative(prune(gi, dpow))
         if gi.is_zero:
-            return
+            break
+        chain.append((gi, dpow))
+    shifted = iter(shift_blocks([b for gi, _ in chain for _, b in gi.items], beta))
+    fact = 1.0
+    for i, (gi, dpow) in enumerate(chain, 1):
         fact *= i
-        yield 1.0 / fact, translate(gi, beta), dpow
+        yield 1.0 / fact, _moved(gi, shifted, beta), dpow
 
 
 def conjugacy_residual(phi: ExpPolySeries, f: ExpPolySeries, beta: complex) -> ExpPolySeries:
@@ -650,8 +712,9 @@ def z_chart_head(a: ExpPolySeries, beta: complex | None = None) -> tuple:
 def from_z_chart(a: ExpPolySeries, beta: complex | None = None) -> ExpPolySeries:
     """Inverse chart map: lambda*z*(1 + u) back to zeta + beta + P, exp(-P) = 1 + u.
     At each lattice point nu > 0, ascending, with E = exp(-P) of the levels below,
-    P's block is Q_nu = E_nu - u_nu; then E *= exp(-exp(-nu*zeta) Q_nu).  Products
-    only: a log(1 + u) sum loses digits on large coefficients."""
+    P's block is Q_nu = E_nu - u_nu; then E *= exp(-exp(-nu*zeta) Q_nu), built
+    as `_exp` builds it: the blocks (-Q_nu)^j / j! at j*nu.  Products only: a
+    log(1 + u) sum loses digits on large coefficients."""
     L = a.L
     lam, beta = z_chart_head(a, beta)
     # drop the head term structurally before dividing: complex division is
@@ -666,7 +729,12 @@ def from_z_chart(a: ExpPolySeries, beta: complex | None = None) -> ExpPolySeries
         if not Q.is_zero:
             acc[nu] = Q
             if nu < pts[-1]:  # only the levels above nu read E
-                E = mul(E, _exp(u._raw({nu: -Q})))
+                B = p = -Q
+                factor = {0: CPoly([1.0])}
+                for j in range(1, u.n // nu + 1):
+                    p = block_products(p, [B])[0] if j > 1 else B
+                    factor[j * nu] = p.scale(1.0 / factorial(j))
+                E = mul(E, u._raw(factor))
     return u._raw(acc)
 
 

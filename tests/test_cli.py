@@ -299,6 +299,21 @@ def test_compare_grid_with_one_usable_re_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_compare_level_that_no_point_sees_exits_1(tmp_path, capsys):
+    # the benchmark's crit6 germ zeta + 1 + exp(-zeta): from Re 60 on, phi's
+    # level 1 is below the noise floor at every point, so the n = 0 row
+    # would read "exact" and pass without testing that level
+    src = tmp_path / "crit6.json"
+    src.write_text(serialize_series(ExpPolySeries(3, [1], {0: [1.0, 1.0], 1: [1.0]})))
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--input", str(src), "--beta", "1", "--eps", "2.5", "--k", "0",
+                 "--cut", "8", "--grid", "60:90:12,0:0:1", "--levels", "0,1",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: level 0 (next exponent 1): no point of"
+                                       " --grid 60:90:12,0:0:1 is above the noise floor\n")
+    assert not out.exists()
+
+
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                     reason="OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
 @pytest.mark.parametrize("command", ["linearize", "compare"])
@@ -475,14 +490,16 @@ def test_level_solver_overflow_is_one_line_error(tmp_path, capsys, trunc, terms)
 
 def test_linearize_makes_each_block_product_once(tmp_path, monkeypatch):
     # the report's residual comes from the level solver's own pass; a second
-    # conjugacy_residual would make 6,908 products and 769 shifts
+    # conjugacy_residual would make 6,908 products and 769 shifts, and
+    # translate(phi, beta) would shift each level's block once more than its check
     from conftest import deep_series
 
     src = tmp_path / "deep.json"
     src.write_text(serialize_series(deep_series()))
     # every block product goes through block_products, on the loop or in numpy
+    # and every block shift through CPoly.shift or the batched pass, counted per block
     calls = {"mul": 0, "shift": 0}
-    products, shift = series.block_products, CPoly.shift
+    products, shift, shifts = series.block_products, CPoly.shift, series._batched_shifts
 
     def counting_products(b1, bs):
         calls["mul"] += len(bs)
@@ -492,11 +509,16 @@ def test_linearize_makes_each_block_product_once(tmp_path, monkeypatch):
         calls["shift"] += 1
         return shift(a, c)
 
+    def counting_shifts(bs, cpow):
+        calls["shift"] += len(bs)
+        return shifts(bs, cpow)
+
     monkeypatch.setattr(series, "block_products", counting_products)
     monkeypatch.setattr(CPoly, "shift", counting_shift)
+    monkeypatch.setattr(series, "_batched_shifts", counting_shifts)
     assert main(["linearize", "--input", str(src), "--order", "8",
                  "--output", str(tmp_path / "lin")]) == 0
-    assert calls == {"mul": 3834, "shift": 408}
+    assert calls == {"mul": 3834, "shift": 363}
 
 
 def test_cross_check_rounds_a_huge_finite_phi(tmp_path):
@@ -518,6 +540,27 @@ def assert_parse_error(capsys, argv):
 def test_koenigs_without_map_is_parse_error(tmp_path, capsys):
     assert_parse_error(capsys, ["koenigs", "--grid", "8:9:2,0:0:1",
                                 "--output", str(tmp_path / "k.csv")])
+
+
+@pytest.mark.parametrize("seed, message", [("-1", "must be nonnegative: '-1'"),
+                                           ("1.5", "not an integer: '1.5'")],
+                         ids=["negative", "not-an-integer"])
+def test_verify_domain_bad_seed_is_parse_error_naming_the_flag(tmp_path, capsys, seed, message):
+    # a negative seed once reached np.random.default_rng: a ValueError traceback
+    out = tmp_path / "v.csv"
+    assert main(["verify-domain", "--expr", "zeta + 1 + exp(-zeta)", "--samples", "10",
+                 f"--seed={seed}", "--output", str(out)]) == 3
+    assert capsys.readouterr().err == f"parse error: argument --seed: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["koenigs", "solve-homological"])
+def test_a_negative_seed_is_only_recorded_elsewhere(tmp_path, command):
+    argv = KOENIGS_ARGS if command == "koenigs" else HOMOLOGICAL_ARGS + ["--alpha", "1"]
+    out = tmp_path / "out"
+    assert main(argv + ["--seed=-1", "--output", str(out)]) == 0
+    text = out.read_text()
+    assert "\n# seed=-1\n" in text if command == "koenigs" else json.loads(text)["seed"] == -1
 
 
 def test_verify_domain_without_map_is_parse_error(tmp_path, capsys):

@@ -726,14 +726,22 @@ class TestPrunedWork:
 
     @staticmethod
     def shifted_blocks(monkeypatch) -> list:
+        """The blocks shifted, each counted on the loop or in the numpy pass."""
+        import dulaclin.series
+
         calls = []
-        shift = CPoly.shift
+        shift, batched = CPoly.shift, dulaclin.series._batched_shifts
 
         def counting(block, c):
             calls.append(block)
             return shift(block, c)
 
+        def counting_batched(bs, cpow):
+            calls.extend(bs)
+            return batched(bs, cpow)
+
         monkeypatch.setattr(CPoly, "shift", counting)
+        monkeypatch.setattr(dulaclin.series, "_batched_shifts", counting_batched)
         return calls
 
     def test_compose_of_a_top_level_block_shifts_it_once(self, monkeypatch):
@@ -750,12 +758,13 @@ class TestPrunedWork:
         ops.s_apply(h)
         assert calls == []  # unpruned: one per power of g1/z, 6
 
-    def test_deep_order_8_level_solve_shifts_408_blocks(self, monkeypatch):
+    def test_deep_order_8_level_solve_shifts_363_blocks(self, monkeypatch):
         calls = self.shifted_blocks(monkeypatch)
         linearize_level_by_level(deep_series())
-        # 406 for the levels, 2 for zeta and its derivative in the verifying
-        # pass; unpruned: 812
-        assert len(calls) == 408
+        # 316 Taylor terms and 45 checks for the 45 levels, whose checks'
+        # blocks translate(phi, beta) takes as they are, and 2 for zeta and
+        # its derivative; unpruned: 812
+        assert len(calls) == 363
 
 
 # -- the settled Picard sweeps against the loop they replaced ----------------

@@ -1,12 +1,15 @@
 """Alternating base/change benchmark pairs, with the numbers the ten-pair rule reads.
 
     python3 tools/ab_pairs.py --base HEAD~1 --workload domain --pairs 10 --seconds 25 --seed 1001
+    python3 tools/ab_pairs.py --base HEAD~1 --aa --workload formal --pairs 10 --seconds 25
 
 Run from the root of a checkout.  It extracts the base ref's committed files
 into a temporary directory (`git archive <ref> | tar -x`, which leaves `.git`
 as it is) and runs `perfbench/run.py --trace 0` alternately there (the
 base) and in this checkout (the change, uncommitted edits included), the base
-first on odd pairs and the change first on even ones.  Pair i runs both sides
+first on odd pairs and the change first on even ones.  With `--aa` the
+change side is a second extraction of the base ref: an A/A control, whose
+spread is what the same code reads against itself.  Pair i runs both sides
 at seed `--seed` + i - 1.  Each side runs its own `perfbench/`; this script
 only reads it, and reads the metric names and directions from this checkout's
 `BENCHMARK.json`.
@@ -15,9 +18,11 @@ It prints each pair's end-to-end metrics as the pair ends, then, for every
 end-to-end metric: the base's and the change's medians, their ratio, the
 base's interquartile range (`statistics.quantiles`, exclusive method), the
 number of pairs the change won (better in the metric's direction), and
-whether the change's median beats the base's by more than that range.  A run
-that is not `correct`, has failed operations or exits nonzero stops the
-script.  The temporary directory is removed at the end, also after an error.
+whether the change's median beats the base's by more than that range.  With
+fewer than 4 pairs the range and that verdict read `n/a`: quartiles of so
+few runs bound nothing.  A run that is not `correct`, has failed operations
+or exits nonzero stops the script.  The temporary directory is removed at
+the end, also after an error.
 """
 
 import argparse
@@ -51,17 +56,21 @@ def summarize(metrics: list, base: list, change: list):
         b = [r[name] for r in base]
         c = [r[name] for r in change]
         mb, mc = statistics.median(b), statistics.median(c)
-        q1, _, q3 = statistics.quantiles(b, n=4) if len(b) > 1 else (b[0],) * 3
         won = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
-        gain = mb - mc if lower else mc - mb
+        iqr = verdict = "n/a"
+        if len(b) >= 4:  # the quartiles of fewer runs bound nothing
+            q1, _, q3 = statistics.quantiles(b, n=4)
+            gain = mb - mc if lower else mc - mb
+            iqr, verdict = f"{q3 - q1:.4g}", "yes" if gain > q3 - q1 else "no"
         print(f"{name}: base {mb:.6g} -> change {mc:.6g} {m['unit']} (ratio {mc / mb:.3f}),"
-              f" base IQR {q3 - q1:.4g}, change won {won}/{len(b)},"
-              f" gain above IQR: {'yes' if gain > q3 - q1 else 'no'}")
+              f" base IQR {iqr}, change won {won}/{len(b)}, gain above IQR: {verdict}")
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git ref of the base, e.g. HEAD~1")
+    ap.add_argument("--aa", action="store_true",
+                    help="run the base against a second copy of itself, not this checkout")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=25.0)
@@ -69,16 +78,17 @@ def main() -> int:
     args = ap.parse_args()
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     tmp = Path(tempfile.mkdtemp(prefix="ab-pairs-"))
-    tree = tmp / "base"
+    tree, other = tmp / "base", tmp / "aa"
     base, change = [], []
     try:
-        tree.mkdir()
         archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, check=True,
                                  capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        for t in (tree, other) if args.aa else (tree,):
+            t.mkdir()
+            subprocess.run(["tar", "-x", "-C", str(t)], input=archive, check=True)
         for i in range(1, args.pairs + 1):
             seed = args.seed + i - 1
-            sides = [("base", tree), ("change", ROOT)]
+            sides = [("base", tree), ("change", other if args.aa else ROOT)]
             runs = {name: bench(root, args.workload, seed, args.seconds)
                     for name, root in (sides if i % 2 else sides[::-1])}
             base.append(runs["base"])
@@ -89,7 +99,8 @@ def main() -> int:
                   flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    print(f"{args.workload}, {args.pairs} pairs at {args.seconds:g} s (base/change above):")
+    print(f"{args.workload}, {args.pairs} pairs at {args.seconds:g} s"
+          f" ({'A/A: ' if args.aa else ''}base/change above):")
     summarize(metrics, base, change)
     return 0
 

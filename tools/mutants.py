@@ -83,6 +83,16 @@ MUTANTS = [
         ["tests/test_dynamics.py::TestSlopeFits::test_fit_on_a_single_re_is_insufficient",
          "tests/test_cli.py::test_compare_grid_with_one_usable_re_exits_1"]),
     Mutant(
+        "compare passes a level that no point of its grid saw", "src/dulaclin/cli.py",
+        "        if exponent is not None and not fit.n_used:",
+        "        if False:",
+        ["tests/test_cli.py::test_compare_level_that_no_point_sees_exits_1"]),
+    Mutant(
+        "verify-domain hands a negative --seed to numpy", "src/dulaclin/cli.py",
+        "    _add_output_flags(p, seed=_seed)",
+        "    _add_output_flags(p)",
+        ["tests/test_cli.py::test_verify_domain_bad_seed_is_parse_error_naming_the_flag[negative]"]),
+    Mutant(
         "the homological report's value memo keyed with zeros", "src/dulaclin/cli.py",
         "for x in c if x}}",
         "for x in c}}",
@@ -243,6 +253,22 @@ MUTANTS = [
         ["tests/test_products.py::test_a_non_finite_block_takes_the_loop[0-inf]",
          "tests/test_products.py::test_a_non_finite_block_takes_the_loop[9-nan]",
          "tests/test_products.py::test_a_non_finite_block_takes_the_loop[9-(1+infj)]"]),
+    Mutant(
+        "a non-finite block or power of c takes the batched shifts", "src/dulaclin/series.py",
+        "    if not all(map(cmath.isfinite, cpow)) \\\n"
+        "            or not all([all(map(cmath.isfinite, b.coeffs)) for b in blocks]):\n",
+        "    if False:\n",
+        ["tests/test_shifts.py::test_a_non_finite_block_takes_the_loop[0-nan]",
+         "tests/test_shifts.py::test_a_non_finite_block_takes_the_loop[17-inf]",
+         "tests/test_shifts.py::test_a_zero_or_non_finite_shift_or_power_takes_the_loop"
+         "[powers-overflow]"]),
+    Mutant(
+        "the level solver's translate(phi, beta) takes the check's shift unscaled", LINEARIZE,
+        "    return Q, shifted\n",
+        "    return Q, shift_blocks([Q], beta)[0]\n",
+        ["tests/test_shifts.py::test_a_level_block_has_the_bits_of_translate",
+         "tests/test_series.py::test_level_residual_is_conjugacy_residual_on_the_corpus",
+         "tests/test_series.py::test_level_residual_is_conjugacy_residual_on_the_deep_series[4]"]),
     Mutant(
         "an enclosure takes every exp for zero, whatever its Re(arg)", "src/dulaclin/exprparse.py",
         "(top := a[0][1]) < math.log(_BOUND):",
